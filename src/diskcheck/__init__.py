@@ -18,197 +18,19 @@ The package provides exact-arithmetic-free but tolerance-pinned checks for:
 
 from __future__ import annotations
 
-from .reports import (
-    DEFAULT_TOLERANCES,
-    DomainError,
-    InequalityReport,
-    make_report,
-    resolve_tolerance,
-)
-from .ballgeom import (
-    BallAutomorphism,
-    cayley_klein_dist,
-    inner,
-    poincare_dist,
-    pseudo_hyperbolic_quotient,
-    vnorm,
-)
-from .holodisk import (
-    Add,
-    Blaschke,
-    BoundaryPoint,
-    CMul,
-    ComposeAut,
-    Const,
-    Embed,
-    HoloDisk,
-    Identity,
-    Mul,
-    ParseError,
-    Poly,
-    Vec,
-    affine_disk,
-    affine_rigidity_check,
-    analytic_radial_derivative,
-    blaschke_product,
-    boundary_bound_origin,
-    boundary_bound_shifted,
-    certify_in_ball,
-    extremal_family_1d,
-    growth_margin,
-    growth_margins,
-    julia_margin,
-    julia_margins,
-    nonreal_parameter_strictness,
-    parse_disk,
-    radial_derivative_estimate,
-    schwarz_derivative_bound,
-    sup_boundary_norm,
-    two_sided_margins,
-    two_sided_quotient_check,
-)
-from .weierstrass import (
-    SurfacePoint,
-    WeierstrassDisk,
-    antiderivative_quadrature_residual,
-    boundary_minimal_margin,
-    distance_decreasing_margin,
-    distance_decreasing_margins,
-    enneper_disk,
-    halfsphere_chain_check,
-    interior_growth_margin,
-    inverse_lipschitz_check,
-    isothermal_report,
-    load_weierstrass,
-    metric_identity_audit,
-    null_condition_report,
-    planar_disk,
-    rotated_planar_disk,
-    save_weierstrass,
-    scaled_into_ball,
-    surface_point,
-    surface_sample,
-    translated_planar_disk,
-)
-from .search import (
-    FamilySpec,
-    SearchResult,
-    family_1d_spec,
-    family_md_spec,
-    margin_objective_1d,
-    margin_objective_md,
-    nelder_mead,
-    restricted_family_1d_spec,
-    sharpness_report,
-)
-from .corpus import (
-    case_rng,
-    corpus_generate,
-    holo_corpus,
-    julia_corpus,
-    weierstrass_corpus,
-)
-from .harness import (
-    KNOWN_SUITES,
-    RunReport,
-    SuiteConfig,
-    TOOL_NAME,
-    TOOL_VERSION,
-    emit_plot_data,
-    load_config_file,
-    run_suite,
-    write_report,
-)
+from . import ballgeom, corpus, harness, holodisk, reports, search, weierstrass
+from .ballgeom import *  # noqa: F401,F403
+from .corpus import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .holodisk import *  # noqa: F401,F403
+from .reports import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
+from .weierstrass import *  # noqa: F401,F403
 
-__version__ = TOOL_VERSION
+__version__ = harness.TOOL_VERSION
 
-__all__ = [
-    "Add",
-    "BallAutomorphism",
-    "Blaschke",
-    "BoundaryPoint",
-    "CMul",
-    "ComposeAut",
-    "Const",
-    "DEFAULT_TOLERANCES",
-    "DomainError",
-    "Embed",
-    "FamilySpec",
-    "HoloDisk",
-    "Identity",
-    "InequalityReport",
-    "KNOWN_SUITES",
-    "Mul",
-    "ParseError",
-    "Poly",
-    "RunReport",
-    "SearchResult",
-    "SuiteConfig",
-    "SurfacePoint",
-    "TOOL_NAME",
-    "TOOL_VERSION",
-    "Vec",
-    "WeierstrassDisk",
-    "affine_disk",
-    "affine_rigidity_check",
-    "analytic_radial_derivative",
-    "antiderivative_quadrature_residual",
-    "blaschke_product",
-    "boundary_bound_origin",
-    "boundary_bound_shifted",
-    "boundary_minimal_margin",
-    "case_rng",
-    "cayley_klein_dist",
-    "certify_in_ball",
-    "corpus_generate",
-    "distance_decreasing_margin",
-    "distance_decreasing_margins",
-    "emit_plot_data",
-    "enneper_disk",
-    "extremal_family_1d",
-    "family_1d_spec",
-    "family_md_spec",
-    "growth_margin",
-    "growth_margins",
-    "halfsphere_chain_check",
-    "holo_corpus",
-    "inner",
-    "interior_growth_margin",
-    "inverse_lipschitz_check",
-    "isothermal_report",
-    "julia_corpus",
-    "julia_margin",
-    "julia_margins",
-    "load_config_file",
-    "load_weierstrass",
-    "make_report",
-    "margin_objective_1d",
-    "margin_objective_md",
-    "metric_identity_audit",
-    "nelder_mead",
-    "nonreal_parameter_strictness",
-    "null_condition_report",
-    "parse_disk",
-    "planar_disk",
-    "poincare_dist",
-    "pseudo_hyperbolic_quotient",
-    "radial_derivative_estimate",
-    "resolve_tolerance",
-    "restricted_family_1d_spec",
-    "rotated_planar_disk",
-    "run_suite",
-    "save_weierstrass",
-    "scaled_into_ball",
-    "schwarz_derivative_bound",
-    "sharpness_report",
-    "sup_boundary_norm",
-    "surface_point",
-    "surface_sample",
-    "translated_planar_disk",
-    "two_sided_margins",
-    "two_sided_quotient_check",
-    "vnorm",
-    "weierstrass_corpus",
-    "write_report",
-    "__version__",
-]
+__all__ = sorted(
+    name
+    for module in (ballgeom, corpus, harness, holodisk, reports, search, weierstrass)
+    for name in module.__all__
+) + ["__version__"]

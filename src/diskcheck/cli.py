@@ -31,6 +31,9 @@ from .harness import (
     TOOL_NAME,
     TOOL_VERSION,
     SuiteConfig,
+    _CONFIG_KEYS,
+    _int_list,
+    _name_list,
     emit_plot_data,
     load_config_file,
     run_suite,
@@ -47,18 +50,12 @@ from .weierstrass import save_weierstrass
 _FAMILY_CHOICES = ("family_1d", "family_1d_restricted", "family_md")
 
 
-def _parse_tolerances(items) -> dict:
-    overrides = {}
-    for item in items or ():
-        if "=" not in item:
-            raise DomainError(f"--tolerance expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        overrides[name.strip()] = float(value)
-    return overrides
-
-
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(s) for s in text.split(",") if s.strip())
+def _tolerance(text: str) -> tuple[str, float]:
+    """Parse one ``--tolerance NAME=VALUE`` override."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise DomainError(f"expected NAME=VALUE, got {text!r}")
+    return name.strip(), float(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,15 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run check suites and report margins")
     verify.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
     verify.add_argument(
-        "--suites", default=None,
+        "--suites", type=_name_list, default=None,
         help=f"comma-separated subset of {','.join(KNOWN_SUITES)} (default all)",
     )
     verify.add_argument("--samples", type=int, default=None, help="sample points per check (default 200)")
-    verify.add_argument("--dimensions", default=None, help="comma-separated target dimensions (default 1,2,3)")
+    verify.add_argument(
+        "--dimensions", type=_int_list, default=None, help="comma-separated target dimensions (default 1,2,3)"
+    )
     verify.add_argument("--search-restarts", type=int, default=None, help="restarts for the search suite (default 8)")
     verify.add_argument("--out", default=None, help="path for the JSON report (margins CSV written alongside)")
     verify.add_argument(
-        "--tolerance", action="append", metavar="NAME=VALUE", default=None,
+        "--tolerance", type=_tolerance, action="append", metavar="NAME=VALUE", default=None,
         help="override a named check tolerance (repeatable)",
     )
     verify.add_argument("--config", default=None, help="flat key=value config file (CLI flags win)")
@@ -97,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.add_parser("corpus", help="dump the reproducible corpora to text files")
     corpus.add_argument("--seed", type=int, default=0)
-    corpus.add_argument("--dimensions", default="1,2,3")
+    corpus.add_argument("--dimensions", type=_int_list, default="1,2,3")
     corpus.add_argument("--count", type=int, default=20)
     corpus.add_argument("--out", default="corpus", help="output directory")
     corpus.set_defaults(func=_cmd_corpus)
@@ -111,22 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    values = {"tolerances": {}}
-    if args.config:
-        values.update(load_config_file(args.config))
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.samples is not None:
-        values["samples"] = args.samples
-    if args.suites is not None:
-        values["suites"] = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    if args.dimensions is not None:
-        values["dimensions"] = _parse_int_list(args.dimensions)
-    if args.search_restarts is not None:
-        values["search_restarts"] = args.search_restarts
-    if args.out is not None:
-        values["out"] = args.out
-    values["tolerances"] = {**values.get("tolerances", {}), **_parse_tolerances(args.tolerance)}
+    values = load_config_file(args.config) if args.config else {"tolerances": {}}
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    values["tolerances"].update(args.tolerance or ())
 
     config = SuiteConfig(**values)
     start = time.perf_counter()
@@ -172,18 +160,14 @@ def _cmd_corpus(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     written = []
 
-    for m in _parse_int_list(args.dimensions):
-        path = os.path.join(outdir, f"holo_m{m}.txt")
+    disk_files = {f"holo_m{m}.txt": holo_corpus(args.seed, m, args.count) for m in args.dimensions}
+    disk_files["julia.txt"] = julia_corpus(args.seed, args.count)
+    for name, members in disk_files.items():
+        path = os.path.join(outdir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            for member in holo_corpus(args.seed, m, args.count):
+            for member in members:
                 fh.write(f"{member.name}\t{member.disk.to_text()}\n")
         written.append(path)
-
-    path = os.path.join(outdir, "julia.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        for member in julia_corpus(args.seed, args.count):
-            fh.write(f"{member.name}\t{member.disk.to_text()}\n")
-    written.append(path)
 
     surface_dir = os.path.join(outdir, "surfaces")
     os.makedirs(surface_dir, exist_ok=True)
@@ -216,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

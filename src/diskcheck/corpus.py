@@ -95,23 +95,22 @@ def case_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 
 
 def _unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Uniform random unit vector in C^m."""
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     return v / np.linalg.norm(v)
 
 
-def _disk_point(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * np.sqrt(rng.random())
-    t = 2.0 * np.pi * rng.random()
-    return complex(r * np.cos(t), r * np.sin(t))
+def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
+    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0."""
+    radii = rmin + (rmax - rmin) * np.sqrt(rng.random(n))
+    angles = 2.0 * np.pi * rng.random(n)
+    return radii * np.exp(1j * angles)
 
 
-def _ball_point(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
+def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0.0) -> np.ndarray:
+    """A point of C^m with rmin <= ||w|| <= radius, uniform by volume when rmin = 0."""
     v = _unit_vector(rng, m)
-    return radius * rng.random() ** (1.0 / (2 * m)) * v
-
-
-def _embed(scalar: HoloDisk, u) -> HoloDisk:
-    return Embed(scalar, u)
+    return (rmin + (radius - rmin) * rng.random() ** (1.0 / (2 * m))) * v
 
 
 def _scaled_polynomial(rng: np.random.Generator, m: int) -> HoloDisk:
@@ -132,8 +131,8 @@ def _contact_blaschke(rng: np.random.Generator, m: int) -> HoloDisk:
     n_factors = 1 + int(rng.integers(0, 2))
     node: HoloDisk = Identity()
     for _ in range(n_factors):
-        node = Mul(node, Blaschke(_disk_point(rng, 0.8)))
-    return _embed(node, _unit_vector(rng, m))
+        node = Mul(node, Blaschke(_disk_points(rng, 1, rmin=0.0, rmax=0.8)[0]))
+    return Embed(node, _unit_vector(rng, m))
 
 
 def holo_corpus(seed: int, m: int, count: int) -> list[CorpusDisk]:
@@ -145,19 +144,19 @@ def holo_corpus(seed: int, m: int, count: int) -> list[CorpusDisk]:
     e1 = np.zeros(m, dtype=complex)
     e1[0] = 1.0
     members = [
-        CorpusDisk("archetype-affine", _embed(Identity(), e1), True, 1.0 + 0j, True, True),
-        CorpusDisk("archetype-square", _embed(Mul(Identity(), Identity()), e1), True, 1.0 + 0j, True, True),
-        CorpusDisk("archetype-family-0.5", _embed(extremal_family_1d(0.5), e1), True, 1.0 + 0j, True),
+        CorpusDisk("archetype-affine", Embed(Identity(), e1), True, 1.0 + 0j, True, True),
+        CorpusDisk("archetype-square", Embed(Mul(Identity(), Identity()), e1), True, 1.0 + 0j, True, True),
+        CorpusDisk("archetype-family-0.5", Embed(extremal_family_1d(0.5), e1), True, 1.0 + 0j, True),
     ]
     for a in FAMILY_PARAMETERS:
         members.append(
-            CorpusDisk(f"family-{a}", _embed(extremal_family_1d(a), e1), True, 1.0 + 0j, True)
+            CorpusDisk(f"family-{a}", Embed(extremal_family_1d(a), e1), True, 1.0 + 0j, True)
         )
     for index in range(len(members), count):
         rng = case_rng(seed, HOLO_STREAM + m, index)
         kind = index % 5
         if kind == 0:
-            disk = _embed(Identity(), _unit_vector(rng, m))
+            disk = Embed(Identity(), _unit_vector(rng, m))
             members.append(CorpusDisk(f"affine-{index}", disk, True, 1.0 + 0j, True, True))
         elif kind == 1:
             disk = _contact_blaschke(rng, m)
@@ -181,7 +180,7 @@ def julia_corpus(seed: int, count: int, max_factors: int = 3) -> list[CorpusJuli
     for index in range(count):
         rng = case_rng(seed, JULIA_STREAM, index)
         n_factors = 1 + index % max_factors
-        cs = [_disk_point(rng, 0.8) for _ in range(n_factors)]
+        cs = [_disk_points(rng, 1, rmin=0.0, rmax=0.8)[0] for _ in range(n_factors)]
         disk = blaschke_product(cs, include_z=False, fix_one=True)
         members.append(CorpusJulia(f"julia-{n_factors}-{index}", disk, n_factors))
     return members

@@ -32,9 +32,18 @@ from .ballgeom import (
     pseudo_hyperbolic_quotient,
     vnorm,
 )
-from .corpus import case_rng, holo_corpus, julia_corpus, weierstrass_corpus
+from .corpus import (
+    _ball_point,
+    _disk_points,
+    _unit_vector,
+    case_rng,
+    holo_corpus,
+    julia_corpus,
+    weierstrass_corpus,
+)
 from .holodisk import (
     Blaschke,
+    _polar_grid,
     analytic_radial_derivative,
     affine_rigidity_check,
     boundary_bound_origin,
@@ -49,7 +58,7 @@ from .holodisk import (
     schwarz_derivative_bound,
     two_sided_margins,
 )
-from .reports import DomainError, InequalityReport, make_report, resolve_tolerance
+from .reports import CHECKS, DomainError, InequalityReport, make_report, resolve_tolerance
 from .search import (
     family_1d_spec,
     family_md_spec,
@@ -95,6 +104,8 @@ class SuiteConfig:
     search_restarts: int = 8
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.samples < 1:
             raise DomainError("samples_per_check must be at least 1")
         if not self.suites:
@@ -107,10 +118,8 @@ class SuiteConfig:
         if self.search_restarts < 1:
             raise DomainError("search_restarts must be at least 1")
         for name in self.tolerances:
-            try:
-                resolve_tolerance(name)
-            except KeyError:
-                raise DomainError(f"tolerance override names an unknown check: {name!r}") from None
+            if name not in CHECKS:
+                raise DomainError(f"tolerance override names an unknown check: {name!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -124,73 +133,74 @@ class SuiteConfig:
 
 
 class _SuiteAccumulator:
-    """Collects reports for one suite: counts, worst per check, failures."""
+    """Collects reports for one suite: counts, worst per check, failures.
 
-    def __init__(self, name: str, tolerances: dict) -> None:
-        self.name = name
+    A check's worst report is the one farthest toward failing: every failure
+    ranks above every pass, and a NaN margin above any number, so the worst
+    report always carries the check's verdict.
+    """
+
+    def __init__(self, tolerances: dict) -> None:
         self.tolerances = tolerances
         self.cases = 0
         self.checks: dict = {}
         self.failures: list = []
         self.findings: dict = {}
 
-    def add(self, report: InequalityReport, equality: bool = False) -> InequalityReport:
+    def add(self, report: InequalityReport) -> InequalityReport:
         self.cases += 1
-        key = abs(report.margin) if equality else report.margin
+        badness = abs(report.margin) if CHECKS[report.name][0] else -report.margin
+        key = (not report.passed, math.inf if math.isnan(badness) else badness)
         slot = self.checks.get(report.name)
         if slot is None:
-            self.checks[report.name] = {"key": key, "worst": report, "count": 1, "equality": equality}
+            self.checks[report.name] = {"key": key, "worst": report, "count": 1}
         else:
             slot["count"] += 1
-            if key > slot["key"] if equality else key < slot["key"]:
+            if key > slot["key"]:
                 slot["key"] = key
                 slot["worst"] = report
         if not report.passed:
             self.failures.append(report)
         return report
 
-    def check(self, name, instance, lhs, rhs, margin, equality=False, extra=None) -> InequalityReport:
-        rep = make_report(
-            name, instance, lhs, rhs, margin, equality=equality, tolerances=self.tolerances, extra=extra
-        )
-        return self.add(rep, equality=equality)
+    def check(self, name, instance, lhs, rhs, margin, extra=None) -> InequalityReport:
+        return self.add(make_report(name, instance, lhs, rhs, margin, tolerances=self.tolerances, extra=extra))
+
+    def value(self, name, instance, value, extra=None) -> InequalityReport:
+        """Judge ``value`` itself as the margin, against zero."""
+        return self.check(name, instance, value, 0.0, value, extra=extra)
+
+    def sampled(self, name, margins, describe) -> InequalityReport:
+        """Judge the smallest of sampled margins; ``describe(i)`` names sample i."""
+        worst = int(np.argmin(margins))
+        return self.check(name, describe(worst), 0.0, 0.0, float(margins[worst]))
 
     def as_dict(self) -> dict:
         checks = {}
-        one_sided_minimum = math.inf
+        one_sided = []
         for name, slot in sorted(self.checks.items()):
             worst = slot["worst"]
+            equality = CHECKS[name][0]
             checks[name] = {
                 "count": slot["count"],
-                "equality": slot["equality"],
+                "equality": equality,
                 "worst_margin": worst.margin,
                 "worst_lhs": worst.lhs,
                 "worst_rhs": worst.rhs,
                 "tolerance": worst.tolerance,
-                "passed": all(r.name != name for r in self.failures),
+                "passed": worst.passed,
                 "worst_instance": worst.instance,
             }
-            if not slot["equality"]:
-                one_sided_minimum = min(one_sided_minimum, worst.margin)
+            if not equality:
+                one_sided.append(worst.margin)
         return {
             "cases": self.cases,
             "checks": checks,
-            "min_margin": None if math.isinf(one_sided_minimum) else one_sided_minimum,
+            # A NaN margin counts as the smallest.
+            "min_margin": min(one_sided, key=lambda m: (not math.isnan(m), m), default=None),
             "failures": [r.as_dict() for r in self.failures],
             "findings": self.findings,
         }
-
-
-def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
-    radii = rmin + (rmax - rmin) * np.sqrt(rng.random(n))
-    angles = 2.0 * np.pi * rng.random(n)
-    return radii * np.exp(1j * angles)
-
-
-def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0.0) -> np.ndarray:
-    v = rng.normal(size=m) + 1j * rng.normal(size=m)
-    v /= np.linalg.norm(v)
-    return (rmin + (radius - rmin) * rng.random() ** (1.0 / (2 * m))) * v
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +208,7 @@ def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0
 
 
 def _run_ball(config: SuiteConfig) -> dict:
-    acc = _SuiteAccumulator("ball", config.tolerances)
+    acc = _SuiteAccumulator(config.tolerances)
     underest = 0.0
     overest = 0.0
     origin_dev_m1 = 0.0
@@ -211,19 +221,13 @@ def _run_ball(config: SuiteConfig) -> dict:
             w = _ball_point(rng, m, 0.995)
             aut = BallAutomorphism(a)
 
-            acc.check("phi_fixed_point", tag, float(vnorm(aut.apply(a))), 0.0,
-                      float(vnorm(aut.apply(a))), equality=True)
+            acc.value("phi_fixed_point", tag, float(vnorm(aut.apply(a))))
             zero = np.zeros(m, dtype=complex)
-            acc.check("phi_origin_value", tag, float(vnorm(aut.apply(zero) - a)), 0.0,
-                      float(vnorm(aut.apply(zero) - a)), equality=True)
-            inv = float(vnorm(aut.apply(aut.apply(w)) - w))
-            acc.check("phi_involution", tag, inv, 0.0, inv, equality=True)
-            res = float(aut.norm_identity_residual(w))
-            acc.check("phi_norm_identity", tag, res, 0.0, res, equality=True)
-            b = rng.normal(size=m) + 1j * rng.normal(size=m)
-            b /= np.linalg.norm(b)
-            bres = abs(float(vnorm(aut.apply(b))) - 1.0)
-            acc.check("phi_boundary_preservation", tag, bres, 0.0, bres, equality=True)
+            acc.value("phi_origin_value", tag, float(vnorm(aut.apply(zero) - a)))
+            acc.value("phi_involution", tag, float(vnorm(aut.apply(aut.apply(w)) - w)))
+            acc.value("phi_norm_identity", tag, float(aut.norm_identity_residual(w)))
+            b = _unit_vector(rng, m)
+            acc.value("phi_boundary_preservation", tag, abs(float(vnorm(aut.apply(b))) - 1.0))
 
             quot = float(pseudo_hyperbolic_quotient(a, w))
             moved = float(vnorm(aut.apply(w)))
@@ -231,16 +235,14 @@ def _run_ball(config: SuiteConfig) -> dict:
             tau = -0.95 + 1.9 * rng.random()
             collinear = tau * a / max(float(vnorm(a)), 1e-12) * 0.9
             cres = abs(float(pseudo_hyperbolic_quotient(a, collinear)) - float(vnorm(aut.apply(collinear))))
-            acc.check("quotient_collinear_equality", tag, cres, 0.0, cres, equality=True)
+            acc.value("quotient_collinear_equality", tag, cres)
 
-            v = rng.normal(size=m) + 1j * rng.normal(size=m)
-            v /= np.linalg.norm(v)
+            v = _unit_vector(rng, m)
             w8 = 0.8 * w
             h = 1e-6
             fd = (aut.apply(w8 + h * v) - aut.apply(w8 - h * v)) / (2.0 * h)
             exact = aut.differential(w8, v)
-            dres = float(vnorm(fd - exact)) / (1.0 + float(vnorm(exact)))
-            acc.check("dphi_finite_difference", tag, dres, 0.0, dres, equality=True)
+            acc.value("dphi_finite_difference", tag, float(vnorm(fd - exact)) / (1.0 + float(vnorm(exact))))
 
             # The origin anchor is exact only when an orthogonal direction
             # exists (m >= 2); for m = 1 the deviation there is recorded as a
@@ -253,7 +255,7 @@ def _run_ball(config: SuiteConfig) -> dict:
                 formula = float(aut.opnorm_formula(anchor))
                 oracle = float(aut.opnorm_oracle(anchor))
                 anchor_dev = max(anchor_dev, abs(formula - oracle) / oracle)
-            acc.check("opnorm_anchor", tag, anchor_dev, 0.0, anchor_dev, equality=True)
+            acc.value("opnorm_anchor", tag, anchor_dev)
             if m == 1:
                 origin_dev = abs(float(aut.opnorm_formula(zero)) - float(aut.opnorm_oracle(zero)))
                 origin_dev_m1 = max(origin_dev_m1, origin_dev)
@@ -271,7 +273,7 @@ def _run_ball(config: SuiteConfig) -> dict:
             plane_dev = abs(
                 float(cayley_klein_dist(s * ur, t * ur)) - float(poincare_dist(complex(s), complex(t)))
             )
-            acc.check("metric_plane_consistency", tag, plane_dev, 0.0, plane_dev, equality=True)
+            acc.value("metric_plane_consistency", tag, plane_dev)
 
             z1, z2 = _disk_points(rng, 2, rmin=0.0, rmax=0.95)
             c = _disk_points(rng, 1, rmin=0.0, rmax=0.8)[0]
@@ -279,11 +281,11 @@ def _run_ball(config: SuiteConfig) -> dict:
             inv_dev = abs(
                 float(poincare_dist(z1, z2)) - float(poincare_dist(moebius(z1), moebius(z2)))
             )
-            acc.check("poincare_invariance", tag, inv_dev, 0.0, inv_dev, equality=True)
+            acc.value("poincare_invariance", tag, inv_dev)
 
             x = 0.9 * rng.random() ** (1.0 / m) * ur
             radial_dev = abs(float(cayley_klein_dist(np.zeros(m), x)) - math.atanh(float(vnorm(x))))
-            acc.check("cayley_klein_radial", tag, radial_dev, 0.0, radial_dev, equality=True)
+            acc.value("cayley_klein_radial", tag, radial_dev)
 
     acc.findings["opnorm_formula_max_underestimate"] = float(underest)
     acc.findings["opnorm_formula_max_overestimate"] = float(overest)
@@ -297,7 +299,7 @@ def _run_ball(config: SuiteConfig) -> dict:
 
 
 def _run_holo(config: SuiteConfig) -> dict:
-    acc = _SuiteAccumulator("holo", config.tolerances)
+    acc = _SuiteAccumulator(config.tolerances)
     corpus_count = max(12, min(60, config.samples // 4))
     point_count = config.samples
     lower_min_md = math.inf
@@ -310,20 +312,18 @@ def _run_holo(config: SuiteConfig) -> dict:
             abs(complex(f.deriv(1.0 + 0j)[0]) - 2.0 / (1.0 + a)),
             abs(complex(f.deriv(0j)[0]) - a),
         )
-        acc.check("extremal_family_values", f"a={a:.1f}", dev, 0.0, dev, equality=True)
+        acc.value("extremal_family_values", f"a={a:.1f}", dev)
 
     for c in (0.2, 0.5, 0.8):
         rep = boundary_bound_shifted(Blaschke(c), 1.0 + 0j, tolerances=config.tolerances)
-        acc.check("shifted_equality_blaschke", f"blaschke({c})", rep.lhs, rep.rhs, rep.margin,
-                  equality=True, extra=rep.extra)
+        acc.check("shifted_equality_blaschke", f"blaschke({c})", rep.lhs, rep.rhs, rep.margin, extra=rep.extra)
 
     rng = case_rng(config.seed, HOLO_POINT_STREAM, 0)
     for k in range(min(50, config.samples)):
         aa = _disk_points(rng, 1, rmin=0.1, rmax=0.9)[0]
         rep = nonreal_parameter_strictness(aa, tolerances=config.tolerances)
         acc.add(rep)
-        closed_dev = abs(rep.extra["closed_form_deviation"])
-        acc.check("strictness_closed_form", f"a={aa:.6g}", closed_dev, 0.0, closed_dev, equality=True)
+        acc.value("strictness_closed_form", f"a={aa:.6g}", abs(rep.extra["closed_form_deviation"]))
 
     for m in config.dimensions:
         m = int(m)
@@ -339,7 +339,7 @@ def _run_holo(config: SuiteConfig) -> dict:
             ser_dev = float(np.max(np.abs(parsed.eval(probe) - disk.eval(probe))))
             if parsed.to_text() != text:
                 ser_dev = 1.0
-            acc.check("serialization_roundtrip", tag, ser_dev, 0.0, ser_dev, equality=True)
+            acc.value("serialization_roundtrip", tag, ser_dev)
 
             max_norm = certify_in_ball(disk, n_boundary=1024, n_interior=32)
             acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
@@ -349,18 +349,15 @@ def _run_holo(config: SuiteConfig) -> dict:
 
             zs = _disk_points(rng, point_count)
             if member.zero_at_origin:
+                at_z = lambda i: f"{tag} z={zs[i]:.6g}"
                 margins = growth_margins(disk, zs)
-                worst = int(np.argmin(margins))
-                acc.check("growth_margin", f"{tag} z={zs[worst]:.6g}", 0.0, 0.0, float(margins[worst]))
+                acc.sampled("growth_margin", margins, at_z)
                 if member.growth_equality:
-                    gworst = float(np.max(np.abs(margins)))
-                    acc.check("growth_equality_affine", tag, gworst, 0.0, gworst, equality=True)
+                    acc.value("growth_equality_affine", tag, float(np.max(np.abs(margins))))
                 upper, lower = two_sided_margins(disk, zs)
-                uw = int(np.argmin(upper))
-                acc.check("two_sided_upper", f"{tag} z={zs[uw]:.6g}", 0.0, 0.0, float(upper[uw]))
+                acc.sampled("two_sided_upper", upper, at_z)
                 if m == 1:
-                    lw = int(np.argmin(lower))
-                    acc.check("two_sided_lower", f"{tag} z={zs[lw]:.6g}", 0.0, 0.0, float(lower[lw]))
+                    acc.sampled("two_sided_lower", lower, at_z)
                 else:
                     lower_min_md = min(lower_min_md, float(np.min(lower)))
 
@@ -370,20 +367,18 @@ def _run_holo(config: SuiteConfig) -> dict:
                     rep = boundary_bound_origin(disk, zeta, tolerances=config.tolerances)
                     acc.add(rep)
                     if member.equality_archetype:
-                        acc.check("boundary_origin_equality", tag, rep.lhs, rep.rhs, rep.margin,
-                                  equality=True)
+                        acc.check("boundary_origin_equality", tag, rep.lhs, rep.rhs, rep.margin)
                 rep = boundary_bound_shifted(disk, zeta, tolerances=config.tolerances)
                 acc.add(rep)
                 estimate, err = radial_derivative_estimate(disk, zeta)
                 analytic = analytic_radial_derivative(disk, zeta)
                 rdev = abs(estimate - analytic)
-                acc.check("radial_estimate", tag, estimate, analytic, rdev, equality=True,
-                          extra={"error_estimate": err})
+                acc.check("radial_estimate", tag, estimate, analytic, rdev, extra={"error_estimate": err})
                 radial_err_max = max(radial_err_max, err)
 
             if member.name == "archetype-affine" or member.name.startswith("zblaschke"):
                 rep = affine_rigidity_check(disk, tolerances=config.tolerances)
-                acc.add(rep, equality=True)
+                acc.add(rep)
 
     julia_members = julia_corpus(config.seed, max(9, min(60, config.samples // 4)))
     julia_multi_min = math.inf
@@ -391,11 +386,9 @@ def _run_holo(config: SuiteConfig) -> dict:
         rng = case_rng(config.seed, JULIA_POINT_STREAM, index)
         zs = _disk_points(rng, 50, rmin=0.0, rmax=0.8)
         margins = julia_margins(member.disk, zs)
-        worst = int(np.argmin(margins))
-        acc.check("julia_margin", f"{member.name} z={zs[worst]:.6g}", 0.0, 0.0, float(margins[worst]))
+        acc.sampled("julia_margin", margins, lambda i: f"{member.name} z={zs[i]:.6g}")
         if member.factors == 1:
-            jdev = float(np.max(np.abs(margins)))
-            acc.check("julia_equality", member.name, jdev, 0.0, jdev, equality=True)
+            acc.value("julia_equality", member.name, float(np.max(np.abs(margins))))
         else:
             julia_multi_min = min(julia_multi_min, float(np.min(margins)))
 
@@ -411,7 +404,7 @@ def _run_holo(config: SuiteConfig) -> dict:
 
 
 def _run_minimal(config: SuiteConfig) -> dict:
-    acc = _SuiteAccumulator("minimal", config.tolerances)
+    acc = _SuiteAccumulator(config.tolerances)
     surfaces = weierstrass_corpus(config.seed, max(8, min(24, config.samples // 10)))
     ratios = []
     planar_general_min = math.inf
@@ -422,11 +415,10 @@ def _run_minimal(config: SuiteConfig) -> dict:
         w = member.surface
         tag = member.name
 
-        acc.add(null_condition_report(w, tolerances=config.tolerances), equality=True)
+        acc.add(null_condition_report(w, tolerances=config.tolerances))
 
         zs = _disk_points(rng, config.samples)
-        rep = isothermal_report(w, zs, tolerances=config.tolerances)
-        acc.add(rep, equality=True)
+        acc.add(isothermal_report(w, zs, tolerances=config.tolerances))
 
         # Asserted: unit length and n3 > 0 wherever |q| < 1 (the printed
         # convention).  The residual against tangent-orthogonality, which the
@@ -447,11 +439,8 @@ def _run_minimal(config: SuiteConfig) -> dict:
             float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
         )
         orthogonality_max = max(orthogonality_max, orth)
-        acc.check("gauss_normal_unit", tag, gdev, 0.0, gdev, equality=True,
-                  extra={"orthogonality_residual": orth})
-
-        qres = antiderivative_quadrature_residual(w, complex(zs[0]))
-        acc.check("antiderivative_quadrature", tag, qres, 0.0, qres, equality=True)
+        acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
+        acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, complex(zs[0])))
 
         lam_sq, rhs, ratio = metric_identity_audit(w, zs)
         ratios.append(ratio[np.isfinite(ratio)])
@@ -465,15 +454,12 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 rep = interior_growth_margin(w, a, tolerances=config.tolerances, certify=False)
                 acc.add(rep)
                 if member.planar_through_origin:
-                    acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", rep.lhs, rep.rhs,
-                              rep.margin, equality=True)
+                    acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", rep.lhs, rep.rhs, rep.margin)
 
             pair_a = _disk_points(rng, config.samples, rmin=0.0)
             pair_b = _disk_points(rng, config.samples, rmin=0.0)
             margins = distance_decreasing_margins(w, pair_a, pair_b)
-            worst = int(np.argmin(margins))
-            acc.check("distance_decreasing", f"{tag} pair=({pair_a[worst]:.4g},{pair_b[worst]:.4g})",
-                      0.0, 0.0, float(margins[worst]))
+            acc.sampled("distance_decreasing", margins, lambda i: f"{tag} pair=({pair_a[i]:.4g},{pair_b[i]:.4g})")
             if member.planar_through_origin:
                 planar_general_min = min(planar_general_min, float(np.min(margins)))
                 anchored = distance_decreasing_margins(w, pair_a, np.zeros_like(pair_a))
@@ -482,13 +468,13 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 t = -0.95 + 1.9 * rng.random(config.samples)
                 diameter = distance_decreasing_margins(w, s * direction, t * direction)
                 edev = max(float(np.max(np.abs(anchored))), float(np.max(np.abs(diameter))))
-                acc.check("distance_equality_planar", tag, edev, 0.0, edev, equality=True)
+                acc.value("distance_equality_planar", tag, edev)
 
         if member.boundary_contact_point is not None:
             rep = boundary_minimal_margin(w, member.boundary_contact_point, tolerances=config.tolerances)
             acc.add(rep)
             if member.planar_through_origin:
-                acc.check("boundary_minimal_equality", tag, rep.lhs, rep.rhs, rep.margin, equality=True)
+                acc.check("boundary_minimal_equality", tag, rep.lhs, rep.rhs, rep.margin)
 
         if w.halfsphere:
             acc.add(halfsphere_chain_check(w, tolerances=config.tolerances))
@@ -512,7 +498,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
     all_ratios = np.concatenate(ratios)
     mean_ratio = float(np.mean(all_ratios))
     spread = float((np.max(all_ratios) - np.min(all_ratios)) / mean_ratio)
-    acc.check("metric_audit_spread", "corpus", mean_ratio, mean_ratio, spread, equality=True,
+    acc.check("metric_audit_spread", "corpus", mean_ratio, mean_ratio, spread,
               extra={"audited_constant": mean_ratio, "claimed_constant": 1.0,
                      "deviation_vs_claimed": mean_ratio - 1.0})
     acc.findings["audited_metric_constant"] = mean_ratio
@@ -527,19 +513,15 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
 
 def _run_search(config: SuiteConfig) -> dict:
-    acc = _SuiteAccumulator("search", config.tolerances)
+    acc = _SuiteAccumulator(config.tolerances)
 
     smoke = nelder_mead(lambda x: (x[0] - 0.3) ** 2, np.asarray([0.0]))
-    dev = abs(float(smoke.x[0]) - 0.3)
-    acc.check("nelder_mead_optimum", "quadratic", dev, 0.0, dev, equality=True)
+    acc.value("nelder_mead_optimum", "quadratic", abs(float(smoke.x[0]) - 0.3))
 
     full = sharpness_report(family_1d_spec(), restarts=config.search_restarts, seed=config.seed)
-    acc.check("family_1d_best", "family_1d", full["best_margin"], 0.0, full["best_margin"],
-              equality=True)
-    phase_dev = abs(math.sin(full["argmin"][1]))
-    acc.check("family_1d_phase", "family_1d", phase_dev, 0.0, phase_dev, equality=True,
-              extra={"argmin": full["argmin"]})
-    acc.check("search_trace_floor", "family_1d", full["min_evaluated"], 0.0, full["min_evaluated"])
+    acc.value("family_1d_best", "family_1d", full["best_margin"])
+    acc.value("family_1d_phase", "family_1d", abs(math.sin(full["argmin"][1])), extra={"argmin": full["argmin"]})
+    acc.value("search_trace_floor", "family_1d", full["min_evaluated"])
 
     restricted = sharpness_report(
         restricted_family_1d_spec(), restarts=config.search_restarts, seed=config.seed
@@ -556,13 +538,11 @@ def _run_search(config: SuiteConfig) -> dict:
         extra={"argmin": restricted["argmin"]},
     )
     acc.add(rep)
-    acc.check("search_trace_floor", "family_1d_restricted", restricted["min_evaluated"], 0.0,
-              restricted["min_evaluated"])
+    acc.value("search_trace_floor", "family_1d_restricted", restricted["min_evaluated"])
 
     md = sharpness_report(family_md_spec(2), restarts=min(6, config.search_restarts), seed=config.seed)
-    acc.check("family_md_margin", "family_md m=2", md["best_margin"], 0.0, md["best_margin"],
-              extra={"argmin": md["argmin"]})
-    acc.check("search_trace_floor", "family_md", md["min_evaluated"], 0.0, md["min_evaluated"])
+    acc.value("family_md_margin", "family_md m=2", md["best_margin"], extra={"argmin": md["argmin"]})
+    acc.value("search_trace_floor", "family_md", md["min_evaluated"])
 
     out = acc.as_dict()
     out["reports"] = {"family_1d": full, "family_1d_restricted": restricted, "family_md": md}
@@ -646,31 +626,55 @@ def write_report(report: RunReport, path: str) -> tuple[str, str]:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report.json_text())
     root, _ = os.path.splitext(path)
-    csv_path = root + ".margins.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    rows = (
+        [
+            suite_name,
+            check_name,
+            slot["worst_instance"],
+            repr(float(slot["worst_lhs"])),
+            repr(float(slot["worst_rhs"])),
+            repr(float(slot["worst_margin"])),
+            repr(float(slot["tolerance"])),
+            slot["passed"],
+        ]
+        for suite_name in report.config["suites"]
+        if suite_name in report.suites
+        for check_name, slot in sorted(report.suites[suite_name]["checks"].items())
+    )
+    header = ["suite", "check", "instance", "lhs", "rhs", "margin", "tolerance", "passed"]
+    return path, _write_csv(root + ".margins.csv", header, rows)
+
+
+def _write_csv(path: str, header: list, rows) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["suite", "check", "instance", "lhs", "rhs", "margin", "tolerance", "passed"])
-        for suite_name in report.config["suites"]:
-            suite = report.suites.get(suite_name)
-            if suite is None:
-                continue
-            for check_name in sorted(suite["checks"]):
-                slot = suite["checks"][check_name]
-                writer.writerow([
-                    suite_name,
-                    check_name,
-                    slot["worst_instance"],
-                    repr(float(slot["worst_lhs"])),
-                    repr(float(slot["worst_rhs"])),
-                    repr(float(slot["worst_margin"])),
-                    repr(float(slot["tolerance"])),
-                    slot["passed"],
-                ])
-    return path, csv_path
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 # ---------------------------------------------------------------------------
 # config files
+
+
+def _name_list(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(",") if s.strip())
+
+
+# The parser of each config key, which the verify flag of the same name also
+# uses; tolerance.NAME values parse with float.
+_CONFIG_KEYS = {
+    "seed": int,
+    "samples": int,
+    "search_restarts": int,
+    "suites": _name_list,
+    "dimensions": _int_list,
+    "out": str,
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -690,22 +694,15 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key == "seed":
-                values["seed"] = int(value)
-            elif key == "samples":
-                values["samples"] = int(value)
-            elif key == "search_restarts":
-                values["search_restarts"] = int(value)
-            elif key == "suites":
-                values["suites"] = tuple(s.strip() for s in value.split(",") if s.strip())
-            elif key == "dimensions":
-                values["dimensions"] = tuple(int(s) for s in value.split(",") if s.strip())
-            elif key == "out":
-                values["out"] = value
-            elif key.startswith("tolerance."):
-                values["tolerances"][key[len("tolerance."):]] = float(value)
-            else:
+            target, name, parse = values, key, _CONFIG_KEYS.get(key)
+            if key.startswith("tolerance."):
+                target, name, parse = values["tolerances"], key[len("tolerance."):], float
+            if parse is None:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                target[name] = parse(value)
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -723,46 +720,32 @@ def emit_plot_data(report: dict, outdir: str) -> list[str]:
     from .weierstrass import enneper_disk, planar_disk, scaled_into_ball
 
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    path = os.path.join(outdir, "extremal_family_margins.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "margin"])
-        for k in range(100):
-            a = 0.01 * k
-            rep = boundary_bound_origin(extremal_family_1d(a), 1.0 + 0j)
-            writer.writerow([repr(a), repr(rep.margin)])
-    written.append(path)
+    curve = []
+    for k in range(100):
+        a = 0.01 * k
+        curve.append([repr(a), repr(boundary_bound_origin(extremal_family_1d(a), 1.0 + 0j).margin)])
+    written = [_write_csv(os.path.join(outdir, "extremal_family_margins.csv"), ["a", "margin"], curve)]
 
     grids = {
         "planar_distance_grid.csv": planar_disk(),
         "enneper_distance_grid.csv": scaled_into_ball(enneper_disk()),
     }
-    radii = np.linspace(0.05, 0.95, 10)
-    angles = 2.0 * np.pi * np.arange(16) / 16
-    zs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    zs = _polar_grid(np.linspace(0.05, 0.95, 10), 16)
     for fname, surface in grids.items():
         margins = distance_decreasing_margins(surface, zs, np.zeros_like(zs))
-        path = os.path.join(outdir, fname)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re_z", "im_z", "margin"])
-            for z, margin in zip(zs, margins):
-                writer.writerow([repr(float(z.real)), repr(float(z.imag)), repr(float(margin))])
-        written.append(path)
+        rows = ([repr(float(z.real)), repr(float(z.imag)), repr(float(margin))] for z, margin in zip(zs, margins))
+        written.append(_write_csv(os.path.join(outdir, fname), ["re_z", "im_z", "margin"], rows))
 
     search = report.get("suites", {}).get("search") if isinstance(report, dict) else None
     if search and "reports" in search:
-        path = os.path.join(outdir, "search_traces.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["family", "restart", "iteration", "best_margin"])
-            for family_name, srep in sorted(search["reports"].items()):
-                for restart, trace in enumerate(srep["traces"]):
-                    for iteration, value in trace:
-                        writer.writerow([family_name, restart, iteration, repr(float(value))])
-        written.append(path)
+        rows = (
+            [family_name, restart, iteration, repr(float(value))]
+            for family_name, srep in sorted(search["reports"].items())
+            for restart, trace in enumerate(srep["traces"])
+            for iteration, value in trace
+        )
+        header = ["family", "restart", "iteration", "best_margin"]
+        written.append(_write_csv(os.path.join(outdir, "search_traces.csv"), header, rows))
     return written
 
 

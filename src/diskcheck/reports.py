@@ -3,7 +3,8 @@
 Every inequality check in the package produces an :class:`InequalityReport`
 with an explicit margin and the tolerance it was judged against.  Margins are
 oriented so that ``margin >= -tolerance`` means the inequality held; equality
-cases are asserted as ``abs(margin) <= tolerance``.
+cases are asserted as ``abs(margin) <= tolerance``.  Which of the two a check
+is follows from its name, through :data:`CHECKS`.
 """
 
 from __future__ import annotations
@@ -15,65 +16,72 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-# Per-check tolerances, overridable from the CLI (--tolerance NAME=VALUE) or a
-# config file (tolerance.NAME=VALUE).  Algebraic identities are held to 1e-12,
-# differential and oracle comparisons to 1e-8, one-sided margins to -1e-10.
-DEFAULT_TOLERANCES: dict[str, float] = {
+_EQUALITY, _BOUND = True, False
+
+# Each check name fixes its kind and its default tolerance: an equality check
+# passes when abs(margin) <= tolerance, a one-sided bound when
+# margin >= -tolerance.  Tolerances are overridable from the CLI (--tolerance
+# NAME=VALUE) or a config file (tolerance.NAME=VALUE).  Algebraic identities
+# are held to 1e-12, differential and oracle comparisons to 1e-8, one-sided
+# margins to -1e-10.
+CHECKS: dict[str, tuple[bool, float]] = {
     # ball geometry
-    "phi_fixed_point": 1e-12,
-    "phi_origin_value": 1e-12,
-    "phi_involution": 1e-12,
-    "phi_norm_identity": 1e-12,
-    "phi_boundary_preservation": 1e-12,
-    "quotient_domination": 1e-12,
-    "quotient_collinear_equality": 1e-12,
-    "dphi_finite_difference": 1e-8,
-    "opnorm_anchor": 1e-8,
-    "opnorm_global_bound": 1e-8,
-    "metric_plane_consistency": 1e-12,
-    "poincare_invariance": 1e-12,
-    "cayley_klein_radial": 1e-12,
+    "phi_fixed_point": (_EQUALITY, 1e-12),
+    "phi_origin_value": (_EQUALITY, 1e-12),
+    "phi_involution": (_EQUALITY, 1e-12),
+    "phi_norm_identity": (_EQUALITY, 1e-12),
+    "phi_boundary_preservation": (_EQUALITY, 1e-12),
+    "quotient_domination": (_BOUND, 1e-12),
+    "quotient_collinear_equality": (_EQUALITY, 1e-12),
+    "dphi_finite_difference": (_EQUALITY, 1e-8),
+    "opnorm_anchor": (_EQUALITY, 1e-8),
+    "opnorm_global_bound": (_BOUND, 1e-8),
+    "metric_plane_consistency": (_EQUALITY, 1e-12),
+    "poincare_invariance": (_EQUALITY, 1e-12),
+    "cayley_klein_radial": (_EQUALITY, 1e-12),
     # holomorphic disks
-    "serialization_roundtrip": 1e-15,
-    "boundary_membership": 1e-10,
-    "growth_margin": 1e-10,
-    "growth_equality_affine": 1e-10,
-    "two_sided_upper": 1e-10,
-    "two_sided_lower": 1e-10,
-    "boundary_origin_margin": 1e-10,
-    "boundary_origin_equality": 1e-10,
-    "boundary_shifted_margin": 1e-10,
-    "shifted_equality_blaschke": 1e-10,
-    "schwarz_derivative": 1e-10,
-    "julia_margin": 1e-10,
-    "julia_equality": 1e-10,
-    "radial_estimate": 1e-6,
-    "extremal_family_values": 1e-12,
-    "strictness_margin": 1e-10,
-    "strictness_closed_form": 1e-10,
-    "affine_rigidity": 1e-8,
+    "serialization_roundtrip": (_EQUALITY, 1e-15),
+    "boundary_membership": (_BOUND, 1e-10),
+    "growth_margin": (_BOUND, 1e-10),
+    "growth_equality_affine": (_EQUALITY, 1e-10),
+    "two_sided_upper": (_BOUND, 1e-10),
+    "two_sided_lower": (_BOUND, 1e-10),
+    "boundary_origin_margin": (_BOUND, 1e-10),
+    "boundary_origin_equality": (_EQUALITY, 1e-10),
+    "boundary_shifted_margin": (_BOUND, 1e-10),
+    "shifted_equality_blaschke": (_EQUALITY, 1e-10),
+    "schwarz_derivative": (_BOUND, 1e-10),
+    "julia_margin": (_BOUND, 1e-10),
+    "julia_equality": (_EQUALITY, 1e-10),
+    "radial_estimate": (_EQUALITY, 1e-6),
+    "extremal_family_values": (_EQUALITY, 1e-12),
+    "strictness_margin": (_BOUND, 1e-10),
+    "strictness_closed_form": (_EQUALITY, 1e-10),
+    "affine_rigidity": (_EQUALITY, 1e-8),
     # minimal disks
-    "null_condition": 1e-12,
-    "isothermal": 1e-10,
-    "antiderivative_quadrature": 1e-10,
-    "gauss_normal_unit": 1e-12,
-    "metric_audit_spread": 1e-10,
-    "lemma0_margin": 1e-10,
-    "lemma0_equality_planar": 1e-10,
-    "distance_decreasing": 1e-10,
-    "distance_equality_planar": 1e-10,
-    "boundary_minimal_margin": 1e-10,
-    "boundary_minimal_equality": 1e-10,
-    "halfsphere_chain": 1e-8,
-    "inverse_lipschitz": 1e-8,
+    "null_condition": (_EQUALITY, 1e-12),
+    "isothermal": (_EQUALITY, 1e-10),
+    "antiderivative_quadrature": (_EQUALITY, 1e-10),
+    "gauss_normal_unit": (_EQUALITY, 1e-12),
+    "metric_audit_spread": (_EQUALITY, 1e-10),
+    "lemma0_margin": (_BOUND, 1e-10),
+    "lemma0_equality_planar": (_EQUALITY, 1e-10),
+    "distance_decreasing": (_BOUND, 1e-10),
+    "distance_equality_planar": (_EQUALITY, 1e-10),
+    "boundary_minimal_margin": (_BOUND, 1e-10),
+    "boundary_minimal_equality": (_EQUALITY, 1e-10),
+    "halfsphere_chain": (_BOUND, 1e-8),
+    "inverse_lipschitz": (_BOUND, 1e-8),
     # sharpness search
-    "search_trace_floor": 1e-8,
-    "family_1d_best": 1e-8,
-    "family_1d_phase": 1e-4,
-    "family_1d_restricted_floor": 1e-4,
-    "family_md_margin": 1e-8,
-    "nelder_mead_optimum": 1e-6,
+    "search_trace_floor": (_BOUND, 1e-8),
+    "family_1d_best": (_EQUALITY, 1e-8),
+    "family_1d_phase": (_EQUALITY, 1e-4),
+    "family_1d_restricted_floor": (_BOUND, 1e-4),
+    "family_md_margin": (_BOUND, 1e-8),
+    "nelder_mead_optimum": (_EQUALITY, 1e-6),
 }
+
+DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, (_, tol) in CHECKS.items()}
 
 
 def resolve_tolerance(name: str, overrides: dict[str, float] | None = None) -> float:
@@ -124,14 +132,13 @@ def make_report(
     rhs: float,
     margin: float,
     *,
-    equality: bool = False,
     tolerances: dict[str, float] | None = None,
     extra: dict | None = None,
 ) -> InequalityReport:
-    """Build a report, judging ``margin`` against the named tolerance."""
+    """Build a report, judging ``margin`` by the named check's kind and tolerance."""
     tol = resolve_tolerance(name, tolerances)
     margin = float(margin)
-    passed = abs(margin) <= tol if equality else margin >= -tol
+    passed = abs(margin) <= tol if CHECKS[name][0] else margin >= -tol
     return InequalityReport(
         name=name,
         instance=instance,
@@ -142,3 +149,13 @@ def make_report(
         passed=bool(passed),
         extra=dict(extra or {}),
     )
+
+
+__all__ = [
+    "CHECKS",
+    "DEFAULT_TOLERANCES",
+    "DomainError",
+    "InequalityReport",
+    "make_report",
+    "resolve_tolerance",
+]

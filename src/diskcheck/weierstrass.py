@@ -26,15 +26,21 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as P
 
-from .ballgeom import cayley_klein_dist, poincare_dist, vnorm
-from .holodisk import BOUNDARY_GRID, INTERIOR_GRID, _boundary_param
+from .ballgeom import _BALL_SLACK, cayley_klein_dist, poincare_dist, vnorm
+from .holodisk import (
+    BOUNDARY_GRID,
+    INTERIOR_GRID,
+    _boundary_grid,
+    _boundary_param,
+    _grid_max_norm,
+    _polar_grid,
+    _require_boundary_contact,
+)
 from .reports import DomainError, InequalityReport, make_report
 
 # Composite Gauss rule used for arc-length and antiderivative validation.
 QUAD_PANELS = 8
 QUAD_NODES = 8
-
-_BALL_SLACK = 1e-10
 
 
 def _coeffs(c) -> np.ndarray:
@@ -42,10 +48,6 @@ def _coeffs(c) -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise DomainError("polynomial data must be a nonempty coefficient vector")
     return arr
-
-
-def _boundary_grid(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 class WeierstrassDisk:
@@ -145,11 +147,7 @@ class WeierstrassDisk:
 
     def max_norm(self, n_boundary: int = BOUNDARY_GRID, n_interior: int = INTERIOR_GRID) -> float:
         """Max of ||F|| over boundary and interior polar grids."""
-        worst = float(np.max(vnorm(self.eval(_boundary_grid(n_boundary)))))
-        radii = np.linspace(0.0, 1.0, n_interior, endpoint=False)
-        thetas = 2.0 * np.pi * np.arange(n_interior) / n_interior
-        zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-        return max(worst, float(np.max(vnorm(self.eval(zs)))))
+        return _grid_max_norm(self.eval, n_boundary, n_interior)
 
     def __repr__(self) -> str:
         def fmt(arr):
@@ -199,9 +197,7 @@ def surface_point(w: WeierstrassDisk, z) -> SurfacePoint:
 def null_condition_report(w: WeierstrassDisk, tolerances=None) -> InequalityReport:
     """Coefficient-level residual of the square-sum cancellation."""
     res = w.null_residual()
-    return make_report(
-        "null_condition", repr(w), lhs=res, rhs=0.0, margin=res, equality=True, tolerances=tolerances
-    )
+    return make_report("null_condition", repr(w), lhs=res, rhs=0.0, margin=res, tolerances=tolerances)
 
 
 def isothermal_report(w: WeierstrassDisk, zs, tolerances=None) -> InequalityReport:
@@ -232,7 +228,6 @@ def isothermal_report(w: WeierstrassDisk, zs, tolerances=None) -> InequalityRepo
         lhs=worst,
         rhs=0.0,
         margin=worst,
-        equality=True,
         tolerances=tolerances,
         extra={"sample_count": int(zs.size)},
     )
@@ -319,9 +314,7 @@ def distance_decreasing_margin(w: WeierstrassDisk, z, ww, tolerances=None) -> In
 def boundary_minimal_margin(w: WeierstrassDisk, zeta, tolerances=None) -> InequalityReport:
     """Boundary bound ||F_r(zeta)|| >= (1 - r0)/(1 + r0) at a sphere-contact point."""
     zeta = _boundary_param(zeta)
-    n = float(vnorm(w.eval(zeta)))
-    if abs(n - 1.0) > 1e-10:
-        raise DomainError(f"not a boundary-contact point: ||F(zeta)|| = {n:.12g}")
+    _require_boundary_contact(w, zeta)
     val = float(vnorm(surface_point(w, zeta).f_r))
     r0 = float(vnorm(w.eval(0j)))
     bound = (1.0 - r0) / (1.0 + r0)
@@ -365,9 +358,7 @@ def halfsphere_chain_check(
     """
     _chain_preconditions(w)
     circle = _boundary_grid(n_boundary)
-    radii = np.linspace(0.0, 1.0, n_interior, endpoint=False)
-    thetas = 2.0 * np.pi * np.arange(n_interior) / n_interior
-    inside = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    inside = _polar_grid(np.linspace(0.0, 1.0, n_interior, endpoint=False), n_interior)
     grid = np.concatenate([inside, circle])
 
     p_abs = np.abs(P.polyval(grid, w.p))
@@ -412,12 +403,16 @@ def halfsphere_chain_check(
     )
 
 
-def _segment_lengths(w: WeierstrassDisk, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Image lengths of parameter segments, by composite Gauss quadrature."""
+def _gauss_panels() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in [0, 1] and weights of the composite Gauss rule."""
     nodes, weights = legendre.leggauss(QUAD_NODES)
     offsets = (np.arange(QUAD_PANELS)[:, None] + (nodes[None, :] + 1.0) / 2.0) / QUAD_PANELS
-    s = offsets.ravel()
-    wts = np.tile(weights / (2.0 * QUAD_PANELS), QUAD_PANELS)
+    return offsets.ravel(), np.tile(weights / (2.0 * QUAD_PANELS), QUAD_PANELS)
+
+
+def _segment_lengths(w: WeierstrassDisk, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Image lengths of parameter segments, by composite Gauss quadrature."""
+    s, wts = _gauss_panels()
     zs = z1[:, None] + s[None, :] * (z2 - z1)[:, None]
     lam = w.conformal_factor(zs.ravel()).reshape(zs.shape)
     return np.abs(z2 - z1) * (lam @ wts)
@@ -455,10 +450,7 @@ def inverse_lipschitz_check(w: WeierstrassDisk, pairs, tolerances=None) -> Inequ
 def antiderivative_quadrature_residual(w: WeierstrassDisk, z) -> float:
     """Exact primitive at ``z`` versus Gauss quadrature of Phi along [0, z]."""
     z = complex(z)
-    nodes, weights = legendre.leggauss(QUAD_NODES)
-    offsets = (np.arange(QUAD_PANELS)[:, None] + (nodes[None, :] + 1.0) / 2.0) / QUAD_PANELS
-    s = offsets.ravel()
-    wts = np.tile(weights / (2.0 * QUAD_PANELS), QUAD_PANELS)
+    s, wts = _gauss_panels()
     phi = w.phi_values(s * z)
     quad = z * np.tensordot(wts, phi, axes=(0, 0))
     exact = np.asarray([P.polyval(z, c) for c in w.antiderivative])
@@ -577,9 +569,7 @@ def load_weierstrass(path) -> WeierstrassDisk:
 
 def surface_sample(w: WeierstrassDisk, n_radial: int = 24, n_angular: int = 48) -> np.ndarray:
     """Polar-grid samples as rows (x_param, y_param, F1, F2, F3, lambda)."""
-    radii = np.linspace(0.0, 1.0, n_radial)
-    thetas = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    zs = _polar_grid(np.linspace(0.0, 1.0, n_radial), n_angular)
     pos = w.eval(zs)
     lam = w.conformal_factor(zs)
     return np.column_stack([np.real(zs), np.imag(zs), pos, lam])

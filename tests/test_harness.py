@@ -23,6 +23,7 @@ from diskcheck import (
     write_report,
 )
 from diskcheck.cli import main as cli_main
+from diskcheck.harness import _SuiteAccumulator
 
 FAST = dict(samples=8, search_restarts=2)
 
@@ -116,6 +117,31 @@ class TestRunSuite:
         assert holo["findings"]["julia_multi_factor_min_margin"] > 1e-10
         ball = run_suite(SuiteConfig(seed=5, suites=("ball",), dimensions=(1,), samples=8)).suites["ball"]
         assert ball["findings"]["opnorm_formula_origin_deviation_m1"] > 0.1
+
+
+class TestSuiteAccumulator:
+    @pytest.mark.parametrize("name,passing", [("growth_margin", 0.5), ("phi_involution", 0.0)])
+    def test_nan_failure_takes_the_worst_slot(self, name, passing):
+        acc = _SuiteAccumulator({})
+        acc.check(name, "a", 0.0, 0.0, passing)
+        acc.check(name, "b", 0.0, 0.0, math.nan)
+        suite = acc.as_dict()
+        slot = suite["checks"][name]
+        assert slot["passed"] is False
+        assert math.isnan(slot["worst_margin"])
+        assert slot["worst_instance"] == "b"
+        if not slot["equality"]:
+            assert math.isnan(suite["min_margin"])
+
+    def test_nan_outranks_every_finite_failure(self):
+        acc = _SuiteAccumulator({"growth_margin": 1.0})
+        acc.check("growth_margin", "pass", 0.0, 0.0, -0.9)
+        acc.check("growth_margin", "fail", 0.0, 0.0, -1.5)
+        acc.check("growth_margin", "nan", 0.0, 0.0, math.nan)
+        acc.check("growth_margin", "fail-again", 0.0, 0.0, -2.0)
+        slot = acc.as_dict()["checks"]["growth_margin"]
+        assert slot["worst_instance"] == "nan"
+        assert slot["count"] == 4
 
 
 class TestReportFiles:
@@ -262,6 +288,27 @@ class TestCli:
             "--tolerance", "phi_involution=1e-30",
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dimensions", "1,x"],
+            ["verify", "--tolerance", "phi_involution=abc"],
+            ["verify", "--config", "{tmp}/bad_seed.cfg"],
+            ["verify", "--seed", "-1"],
+            ["verify", "--config", "{tmp}/missing.cfg"],
+            ["plot-data", "--report", "{tmp}/missing.json", "--out", "{tmp}/plots"],
+            ["verify", "--suites", "ball", "--dimensions", "1", "--samples", "2",
+             "--out", "{tmp}/missing/r.json"],
+        ],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, argv):
+        (tmp_path / "bad_seed.cfg").write_text("seed = abc\n", encoding="utf-8")
+        try:
+            rc = cli_main([arg.format(tmp=tmp_path) for arg in argv])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
 
     def test_verify_rejects_bad_input(self, capsys):
         assert cli_main(["verify", "--suites", "bogus"]) == 2
