@@ -31,12 +31,12 @@ _BALL_SLACK = 1e-10
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
     """Hermitian inner product <x, y> = sum x_j conj(y_j) over the last axis."""
-    return np.sum(np.asarray(x) * np.conj(y), axis=-1)
+    return np.add.reduce(np.asarray(x) * np.conj(y), axis=-1)
 
 
 def vnorm(x: np.ndarray) -> float | np.ndarray:
     """Euclidean norm over the last axis."""
-    return np.sqrt(np.sum(np.abs(np.asarray(x)) ** 2, axis=-1))
+    return np.sqrt(np.add.reduce(np.abs(np.asarray(x)) ** 2, axis=-1))
 
 
 def _check_in_closed_ball(w: np.ndarray, what: str = "w") -> None:
@@ -83,27 +83,35 @@ class BallAutomorphism:
         _check_in_closed_ball(w)
         if self.r == 0.0:
             return -w
-        t = inner(w, self.a)
+        return self._phi(w, inner(w, self.a))
+
+    __call__ = apply
+
+    def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """phi_a(w) for a checked ``w`` with t = <w, a>; needs r > 0."""
         pw = (t / self.r2)[..., None] * self.a
         qw = w - pw
         return (self.a - pw - self.s * qw) / (1.0 - t)[..., None]
 
-    __call__ = apply
-
-    def differential(self, w, v) -> np.ndarray:
-        """Directional derivative D phi_a(w)[v]; broadcasts over (..., m)."""
+    def _apply_and_differential(self, w, v) -> tuple[np.ndarray, np.ndarray]:
+        """(phi_a(w), D phi_a(w)[v]), computing phi_a(w) once; broadcasts over (..., m)."""
         w = np.asarray(w, dtype=complex)
         v = np.asarray(v, dtype=complex)
         if w.shape[-1] != self.dim or v.shape[-1] != self.dim:
             raise DomainError(f"dimension mismatch: automorphism is {self.dim}-dimensional")
         _check_in_closed_ball(w)
         if self.r == 0.0:
-            return -v + np.zeros_like(w)
+            return -w, -v + np.zeros_like(w)
         t = inner(w, self.a)
+        value = self._phi(w, t)
         ta = inner(v, self.a)
         pv = (ta / self.r2)[..., None] * self.a
         qv = v - pv
-        return (-pv - self.s * qv + ta[..., None] * self.apply(w)) / (1.0 - t)[..., None]
+        return value, (-pv - self.s * qv + ta[..., None] * value) / (1.0 - t)[..., None]
+
+    def differential(self, w, v) -> np.ndarray:
+        """Directional derivative D phi_a(w)[v]; broadcasts over (..., m)."""
+        return self._apply_and_differential(w, v)[1]
 
     def matrix(self, w) -> np.ndarray:
         """Complex m x m matrix of D phi_a(w); stacked over leading axes."""

@@ -157,11 +157,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_corpus(args) -> int:
     outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     written = []
 
     disk_files = {f"holo_m{m}.txt": holo_corpus(args.seed, m, args.count) for m in args.dimensions}
     disk_files["julia.txt"] = julia_corpus(args.seed, args.count)
+    os.makedirs(outdir, exist_ok=True)
     for name, members in disk_files.items():
         path = os.path.join(outdir, name)
         with open(path, "w", encoding="utf-8") as fh:

@@ -91,6 +91,8 @@ class CorpusSurface:
 
 def case_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """The per-case random stream; keying is part of the determinism contract."""
+    if int(seed) < 0:
+        raise DomainError("seed must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(stream), int(index))))
 
 

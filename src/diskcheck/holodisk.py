@@ -4,9 +4,13 @@ A :class:`HoloDisk` is a closed-form holomorphic map from the unit disk into
 C^m built from a small node grammar: the coordinate ``z``, constants, complex
 polynomials, Blaschke factors (z + c)/(1 + conj(c) z), products and sums of
 scalar maps, scalar-times-vector embeddings, complex rescaling, and
-post-composition with a ball automorphism.  Evaluation and differentiation
-are exact (chain rule through every node, no numerical differentiation), and
-both accept arrays of points so whole sample batches cost one tree walk.
+post-composition with a ball automorphism.  Differentiation is exact
+forward-mode (dual-number) propagation: each node's ``_jet`` returns the
+value and the complex derivative together, so one walk of the tree yields
+both F and F' (product and chain rule at every node, no numerical
+differentiation).  Value-only ``_eval`` walks serve the bulk sweeps.  Both
+accept arrays of points, so whole sample batches, or the stacked points a
+check needs (such as 0 and a boundary point), cost one tree walk.
 
 The inequality checks at the bottom of the module all return
 :class:`~diskcheck.reports.InequalityReport`; vectorized ``*_margins``
@@ -67,7 +71,8 @@ class HoloDisk:
     def _eval(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _deriv(self, z: np.ndarray) -> np.ndarray:
+    def _jet(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value and complex derivative at the points ``z``, each shaped (N, m)."""
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -82,7 +87,7 @@ class HoloDisk:
     def deriv(self, z):
         """Complex derivative at ``z``, shaped like :meth:`eval`."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = self._deriv(zs)
+        out = self._jet(zs)[1]
         return out[0] if np.ndim(z) == 0 else out
 
     __call__ = eval
@@ -97,8 +102,8 @@ class Identity(HoloDisk):
     def _eval(self, z):
         return z[:, None]
 
-    def _deriv(self, z):
-        return np.ones_like(z)[:, None]
+    def _jet(self, z):
+        return z[:, None], np.ones_like(z)[:, None]
 
     def to_text(self):
         return "z"
@@ -113,8 +118,8 @@ class Const(HoloDisk):
     def _eval(self, z):
         return np.full((z.shape[0], 1), self.c)
 
-    def _deriv(self, z):
-        return np.zeros((z.shape[0], 1), dtype=complex)
+    def _jet(self, z):
+        return self._eval(z), np.zeros((z.shape[0], 1), dtype=complex)
 
     def to_text(self):
         return f"const({_fmt_complex(self.c)})"
@@ -132,8 +137,8 @@ class Poly(HoloDisk):
     def _eval(self, z):
         return P.polyval(z, self.coeffs)[:, None]
 
-    def _deriv(self, z):
-        return P.polyval(z, P.polyder(self.coeffs))[:, None]
+    def _jet(self, z):
+        return self._eval(z), P.polyval(z, P.polyder(self.coeffs))[:, None]
 
     def to_text(self):
         return "poly(" + ", ".join(_fmt_complex(c) for c in self.coeffs) + ")"
@@ -151,8 +156,9 @@ class Blaschke(HoloDisk):
     def _eval(self, z):
         return ((z + self.c) / (1.0 + np.conj(self.c) * z))[:, None]
 
-    def _deriv(self, z):
-        return ((1.0 - abs(self.c) ** 2) / (1.0 + np.conj(self.c) * z) ** 2)[:, None]
+    def _jet(self, z):
+        den = 1.0 + np.conj(self.c) * z
+        return ((z + self.c) / den)[:, None], ((1.0 - abs(self.c) ** 2) / den ** 2)[:, None]
 
     def to_text(self):
         return f"blaschke({_fmt_complex(self.c)})"
@@ -170,8 +176,10 @@ class Mul(HoloDisk):
     def _eval(self, z):
         return self.f._eval(z) * self.g._eval(z)
 
-    def _deriv(self, z):
-        return self.f._deriv(z) * self.g._eval(z) + self.f._eval(z) * self.g._deriv(z)
+    def _jet(self, z):
+        fv, fd = self.f._jet(z)
+        gv, gd = self.g._jet(z)
+        return fv * gv, fd * gv + fv * gd
 
     def to_text(self):
         return f"mul({self.f.to_text()}, {self.g.to_text()})"
@@ -190,8 +198,10 @@ class Add(HoloDisk):
     def _eval(self, z):
         return self.f._eval(z) + self.g._eval(z)
 
-    def _deriv(self, z):
-        return self.f._deriv(z) + self.g._deriv(z)
+    def _jet(self, z):
+        fv, fd = self.f._jet(z)
+        gv, gd = self.g._jet(z)
+        return fv + gv, fd + gd
 
     def to_text(self):
         return f"add({self.f.to_text()}, {self.g.to_text()})"
@@ -208,8 +218,9 @@ class CMul(HoloDisk):
     def _eval(self, z):
         return self.c * self.f._eval(z)
 
-    def _deriv(self, z):
-        return self.c * self.f._deriv(z)
+    def _jet(self, z):
+        fv, fd = self.f._jet(z)
+        return self.c * fv, self.c * fd
 
     def to_text(self):
         return f"cmul({_fmt_complex(self.c)}, {self.f.to_text()})"
@@ -231,8 +242,9 @@ class Embed(HoloDisk):
     def _eval(self, z):
         return self.f._eval(z)[:, 0][:, None] * self.u[None, :]
 
-    def _deriv(self, z):
-        return self.f._deriv(z)[:, 0][:, None] * self.u[None, :]
+    def _jet(self, z):
+        fv, fd = self.f._jet(z)
+        return fv[:, 0][:, None] * self.u[None, :], fd[:, 0][:, None] * self.u[None, :]
 
     def to_text(self):
         return f"scale({self.f.to_text()}, u={_fmt_vector(self.u)})"
@@ -253,8 +265,9 @@ class Vec(HoloDisk):
     def _eval(self, z):
         return np.concatenate([f._eval(z) for f in self.components], axis=1)
 
-    def _deriv(self, z):
-        return np.concatenate([f._deriv(z) for f in self.components], axis=1)
+    def _jet(self, z):
+        jets = [f._jet(z) for f in self.components]
+        return tuple(np.concatenate(parts, axis=1) for parts in zip(*jets))
 
     def to_text(self):
         return "vec(" + ", ".join(f.to_text() for f in self.components) + ")"
@@ -273,8 +286,8 @@ class ComposeAut(HoloDisk):
     def _eval(self, z):
         return self.aut.apply(self.f._eval(z))
 
-    def _deriv(self, z):
-        return self.aut.differential(self.f._eval(z), self.f._deriv(z))
+    def _jet(self, z):
+        return self.aut._apply_and_differential(*self.f._jet(z))
 
     def to_text(self):
         return f"compose(phi(a={_fmt_vector(self.aut.a)}), {self.f.to_text()})"
@@ -511,39 +524,49 @@ def certify_in_ball(f: HoloDisk, n_boundary: int = BOUNDARY_GRID, n_interior: in
     return _grid_max_norm(f._eval, n_boundary, n_interior)
 
 
-def _require_zero_at_origin(f: HoloDisk, tol: float = 1e-12) -> None:
-    n0 = float(vnorm(f.eval(0j)))
+def _require_zero_at_origin(n0: float, tol: float = 1e-12) -> None:
+    """Raise unless ``n0``, a map's ||F(0)||, is zero."""
     if n0 > tol:
         raise DomainError(f"map must fix the origin; got ||F(0)|| = {n0:.6g}")
 
 
-def _require_boundary_contact(f, zeta: complex, tol: float = 1e-10) -> None:
-    """Raise unless the map ``f`` (a disk or a surface) reaches the unit sphere at ``zeta``."""
-    n = float(vnorm(f.eval(zeta)))
+def _require_boundary_contact(n: float, tol: float = 1e-10) -> None:
+    """Raise unless ``n``, the norm of a disk's or a surface's F(zeta), is 1."""
     if abs(n - 1.0) > tol:
         raise DomainError(f"not a boundary-contact point: ||F(zeta)|| = {n:.12g}")
+
+
+def _norm_jet(f: HoloDisk, points) -> tuple[list[float], list[float]]:
+    """||F|| and ||F'|| at each of ``points``, from one walk."""
+    values, derivs = f._jet(np.asarray(points, dtype=complex))
+    return vnorm(values).tolist(), vnorm(derivs).tolist()
 
 
 # ---------------------------------------------------------------------------
 # interior growth bounds
 
 
-def growth_margins(f: HoloDisk, zs) -> np.ndarray:
-    """Vectorized margins |z|(|z| + A)/(1 + |z| A) - ||F(z)||, A = ||F'(0)||."""
-    _require_zero_at_origin(f)
+def _growth(f: HoloDisk, zs) -> tuple[float, np.ndarray]:
+    """||F'(0)|| and the growth margins at ``zs``."""
+    (n0,), (a,) = _norm_jet(f, [0j])
+    _require_zero_at_origin(n0)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(np.abs(zs) >= 1.0):
         raise DomainError("growth margin requires interior points")
-    a = float(vnorm(f.deriv(0j)))
     r = np.abs(zs)
     bound = r * (r + a) / (1.0 + r * a)
-    return bound - vnorm(f._eval(zs))
+    return a, bound - vnorm(f._eval(zs))
+
+
+def growth_margins(f: HoloDisk, zs) -> np.ndarray:
+    """Vectorized margins |z|(|z| + A)/(1 + |z| A) - ||F(z)||, A = ||F'(0)||."""
+    return _growth(f, zs)[1]
 
 
 def growth_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
     """Growth bound at one interior point of an origin-fixing map."""
-    margin = float(growth_margins(f, [complex(z)])[0])
-    a = float(vnorm(f.deriv(0j)))
+    a, margins = _growth(f, [complex(z)])
+    margin = float(margins[0])
     r = abs(complex(z))
     bound = r * (r + a) / (1.0 + r * a)
     return make_report(
@@ -557,6 +580,20 @@ def growth_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
     )
 
 
+def _two_sided(f: HoloDisk, zs) -> tuple[float, np.ndarray, np.ndarray]:
+    """||F'(0)|| and the upper and lower quotient margins at ``zs``."""
+    (n0,), (a,) = _norm_jet(f, [0j])
+    _require_zero_at_origin(n0)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    r = np.abs(zs)
+    if np.any((r <= 0.0) | (r >= 1.0)):
+        raise DomainError("quotient bounds need 0 < |z| < 1")
+    x = vnorm(f._eval(zs)) / r
+    upper = (a + r) / (1.0 + a * r) - x
+    lower = x - np.maximum((a - r) / (1.0 - a * r), 0.0)
+    return a, upper, lower
+
+
 def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
     """Quotient bounds for x = ||F(z)/z||: upper and lower margins.
 
@@ -564,22 +601,13 @@ def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
     x - max((A - |z|)/(1 - A |z|), 0), asserted by callers only for m = 1 or
     collinear-range maps and reported otherwise.
     """
-    _require_zero_at_origin(f)
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    r = np.abs(zs)
-    if np.any((r <= 0.0) | (r >= 1.0)):
-        raise DomainError("quotient bounds need 0 < |z| < 1")
-    a = float(vnorm(f.deriv(0j)))
-    x = vnorm(f._eval(zs)) / r
-    upper = (a + r) / (1.0 + a * r) - x
-    lower = x - np.maximum((a - r) / (1.0 - a * r), 0.0)
+    _, upper, lower = _two_sided(f, zs)
     return upper, lower
 
 
 def two_sided_quotient_check(f: HoloDisk, z, tolerances=None) -> InequalityReport:
     """Two-sided quotient bound at one point; lower margin rides in ``extra``."""
-    upper, lower = two_sided_margins(f, [complex(z)])
-    a = float(vnorm(f.deriv(0j)))
+    a, upper, lower = _two_sided(f, [complex(z)])
     return make_report(
         "two_sided_upper",
         f"{f.to_text()} @ z={_fmt_complex(z)}",
@@ -595,14 +623,18 @@ def two_sided_quotient_check(f: HoloDisk, z, tolerances=None) -> InequalityRepor
 # boundary derivative bounds
 
 
+def _origin_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float]:
+    """||F'(zeta)||, the bound 2/(1 + ||F'(0)||) and ||F'(0)||, from one walk at [0, zeta]."""
+    (n0, n), (a, val) = _norm_jet(f, [0j, zeta])
+    _require_zero_at_origin(n0)
+    _require_boundary_contact(n)
+    return val, 2.0 / (1.0 + a), a
+
+
 def boundary_bound_origin(f: HoloDisk, zeta, tolerances=None) -> InequalityReport:
     """Margin ||F'(zeta)|| - 2/(1 + ||F'(0)||) for origin-fixing contact maps."""
     zeta = _boundary_param(zeta)
-    _require_zero_at_origin(f)
-    _require_boundary_contact(f, zeta)
-    a = float(vnorm(f.deriv(0j)))
-    val = float(vnorm(f.deriv(zeta)))
-    bound = 2.0 / (1.0 + a)
+    val, bound, a = _origin_bound_terms(f, zeta)
     return make_report(
         "boundary_origin_margin",
         f"{f.to_text()} @ zeta={_fmt_complex(zeta)}",
@@ -614,6 +646,15 @@ def boundary_bound_origin(f: HoloDisk, zeta, tolerances=None) -> InequalityRepor
     )
 
 
+def _shifted_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float, float]:
+    """||F'(zeta)||, the main bound, r = ||F(0)|| and ||F'(0)||, from one walk at [0, zeta]."""
+    (r, n), (a, val) = _norm_jet(f, [0j, zeta])
+    _require_boundary_contact(n)
+    if r >= 1.0 - 1e-12:
+        raise DomainError("degenerate map: ||F(0)|| = 1 pins the image to the boundary")
+    return val, 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a), r, a
+
+
 def boundary_bound_shifted(f: HoloDisk, zeta, tolerances=None) -> InequalityReport:
     """Basepoint-shifted boundary bound with the dimension-dependent floor.
 
@@ -623,13 +664,7 @@ def boundary_bound_shifted(f: HoloDisk, zeta, tolerances=None) -> InequalityRepo
     and 1 - r^2 for m = 1 (giving (1 - r)/(1 + r)).
     """
     zeta = _boundary_param(zeta)
-    _require_boundary_contact(f, zeta)
-    r = float(vnorm(f.eval(0j)))
-    if r >= 1.0 - 1e-12:
-        raise DomainError("degenerate map: ||F(0)|| = 1 pins the image to the boundary")
-    a = float(vnorm(f.deriv(0j)))
-    val = float(vnorm(f.deriv(zeta)))
-    main = 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a)
+    val, main, r, a = _shifted_bound_terms(f, zeta)
     if f.dim >= 2:
         floor = 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + math.sqrt(1.0 - r * r))
     else:
@@ -652,10 +687,9 @@ def boundary_bound_shifted(f: HoloDisk, zeta, tolerances=None) -> InequalityRepo
 
 def schwarz_derivative_bound(f: HoloDisk, tolerances=None) -> InequalityReport:
     """Margin sqrt(1 - ||F(0)||^2) - ||F'(0)|| for ball-valued maps."""
-    r = float(vnorm(f.eval(0j)))
+    (r,), (a,) = _norm_jet(f, [0j])
     if r > 1.0:
         raise DomainError("map must send the disk into the closed ball")
-    a = float(vnorm(f.deriv(0j)))
     bound = math.sqrt(max(1.0 - r * r, 0.0))
     return make_report(
         "schwarz_derivative",
@@ -675,10 +709,11 @@ def schwarz_derivative_bound(f: HoloDisk, tolerances=None) -> InequalityReport:
 def _julia_deriv_at_one(f: HoloDisk) -> float:
     if f.dim != 1:
         raise DomainError("Julia bound applies to scalar maps")
-    one = complex(f.eval(1.0 + 0j)[0])
+    values, derivs = f._jet(np.ones(1, dtype=complex))
+    one = complex(values[0, 0])
     if abs(one - 1.0) > 1e-10:
         raise DomainError(f"map must fix 1; got f(1) = {one!r}")
-    d1 = complex(f.deriv(1.0 + 0j)[0])
+    d1 = complex(derivs[0, 0])
     if abs(d1.imag) > 1e-10:
         raise DomainError(f"boundary derivative at 1 must be real; got {d1!r}")
     if d1.real <= 0.0:
@@ -686,8 +721,8 @@ def _julia_deriv_at_one(f: HoloDisk) -> float:
     return d1.real
 
 
-def julia_margins(f: HoloDisk, zs) -> np.ndarray:
-    """Vectorized Julia margins f'(1)|1-z|^2/(1-|z|^2) - |1-f(z)|^2/(1-|f(z)|^2)."""
+def _julia(f: HoloDisk, zs) -> tuple[float, np.ndarray]:
+    """f'(1) and the Julia margins at ``zs``."""
     d1 = _julia_deriv_at_one(f)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(np.abs(zs) >= 1.0):
@@ -695,14 +730,19 @@ def julia_margins(f: HoloDisk, zs) -> np.ndarray:
     w = f._eval(zs)[:, 0]
     lhs = np.abs(1.0 - w) ** 2 / (1.0 - np.abs(w) ** 2)
     rhs = d1 * np.abs(1.0 - zs) ** 2 / (1.0 - np.abs(zs) ** 2)
-    return rhs - lhs
+    return d1, rhs - lhs
+
+
+def julia_margins(f: HoloDisk, zs) -> np.ndarray:
+    """Vectorized Julia margins f'(1)|1-z|^2/(1-|z|^2) - |1-f(z)|^2/(1-|f(z)|^2)."""
+    return _julia(f, zs)[1]
 
 
 def julia_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
     """Julia quotient bound at one interior point of a map fixing 1."""
-    margin = float(julia_margins(f, [complex(z)])[0])
-    d1 = _julia_deriv_at_one(f)
     z = complex(z)
+    d1, margins = _julia(f, [z])
+    margin = float(margins[0])
     rhs = d1 * abs(1.0 - z) ** 2 / (1.0 - abs(z) ** 2)
     return make_report(
         "julia_margin",
@@ -722,8 +762,7 @@ def julia_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
 def analytic_radial_derivative(f: HoloDisk, zeta) -> float:
     """d/dr ||F(r zeta)|| at r = 1, via Re<zeta F'(zeta), F(zeta)> / ||F(zeta)||."""
     zeta = _boundary_param(zeta)
-    val = f.eval(zeta)
-    dval = f.deriv(zeta)
+    (val,), (dval,) = f._jet(np.array([zeta]))
     return float(np.real(inner(zeta * dval, val)) / vnorm(val))
 
 
@@ -791,11 +830,12 @@ def affine_rigidity_check(f: HoloDisk, n_grid: int = 64, tolerances=None) -> Ine
     """
     applicable = True
     try:
-        _require_zero_at_origin(f)
-        _require_boundary_contact(f, 1.0 + 0j)
+        (n0, n1), (_, deriv1_norm) = _norm_jet(f, [0j, 1.0 + 0j])
+        _require_zero_at_origin(n0)
+        _require_boundary_contact(n1)
     except DomainError:
         applicable = False
-    if applicable and float(vnorm(f.deriv(1.0 + 0j))) > 1.0 + 1e-10:
+    if applicable and deriv1_norm > 1.0 + 1e-10:
         applicable = False
     if not applicable:
         return make_report(

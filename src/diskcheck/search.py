@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ballgeom import BallAutomorphism
+from .corpus import case_rng
 from .holodisk import (
     Blaschke,
     ComposeAut,
     Embed,
     Identity,
     Mul,
+    _origin_bound_terms,
+    _shifted_bound_terms,
     blaschke_product,
-    boundary_bound_origin,
-    boundary_bound_shifted,
 )
 from .reports import DomainError
 
@@ -84,7 +85,8 @@ def nelder_mead(
     Stops when the simplex diameter drops below ``diameter_tol``, the value
     spread drops below ``spread_tol``, or ``max_iterations`` is reached.
     Out-of-box candidate points are mirrored back into the box, so the
-    objective is only ever evaluated on feasible parameters.
+    objective is only ever evaluated on feasible parameters.  A NaN value
+    anywhere raises ``DomainError``; the start value must also be finite.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
@@ -103,6 +105,8 @@ def nelder_mead(
     def f(x):
         nonlocal evaluations, min_evaluated
         val = float(objective(x))
+        if math.isnan(val):
+            raise DomainError(f"objective is NaN at {x.tolist()}")
         evaluations += 1
         if val < min_evaluated:
             min_evaluated = val
@@ -235,7 +239,8 @@ def margin_objective_1d(params) -> float:
         raise DomainError(f"modulus out of range: {modulus}")
     c = modulus * complex(math.cos(phase), math.sin(phase))
     f = blaschke_product([c], include_z=True, fix_one=True)
-    return boundary_bound_origin(f, 1.0 + 0j).margin
+    val, bound, _ = _origin_bound_terms(f, 1.0 + 0j)
+    return val - bound
 
 
 def _family_md_disk(params, m: int):
@@ -269,8 +274,8 @@ def margin_objective_md(params, m: int = 2) -> float:
     the basepoint-shifted margin at the boundary point 1 — the construction
     keeps ||F|| = 1 on the whole unit circle.
     """
-    f = _family_md_disk(params, m)
-    return boundary_bound_shifted(f, 1.0 + 0j).margin
+    val, main, _, _ = _shifted_bound_terms(_family_md_disk(params, m), 1.0 + 0j)
+    return val - main
 
 
 def _objective_for(spec: FamilySpec):
@@ -344,7 +349,7 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     min_evaluated = math.inf
     total_evaluations = 0
     for index in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), family_id, index)))
+        rng = case_rng(seed, family_id, index)
         x0 = lower + rng.random(lower.shape[0]) * (upper - lower)
         result = nelder_mead(objective, x0, bounds=(lower, upper))
         traces.append([[int(it), float(val)] for it, val in result.trace])

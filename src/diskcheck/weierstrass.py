@@ -314,7 +314,7 @@ def distance_decreasing_margin(w: WeierstrassDisk, z, ww, tolerances=None) -> In
 def boundary_minimal_margin(w: WeierstrassDisk, zeta, tolerances=None) -> InequalityReport:
     """Boundary bound ||F_r(zeta)|| >= (1 - r0)/(1 + r0) at a sphere-contact point."""
     zeta = _boundary_param(zeta)
-    _require_boundary_contact(w, zeta)
+    _require_boundary_contact(float(vnorm(w.eval(zeta))))
     val = float(vnorm(surface_point(w, zeta).f_r))
     r0 = float(vnorm(w.eval(0j)))
     bound = (1.0 - r0) / (1.0 + r0)

@@ -310,6 +310,12 @@ class TestCli:
             rc = exc.code
         assert rc == 2
 
+    @pytest.mark.parametrize("verb", [["search"], ["corpus", "--count", "2"]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, verb):
+        assert cli_main(verb + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "error: seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_verify_rejects_bad_input(self, capsys):
         assert cli_main(["verify", "--suites", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err

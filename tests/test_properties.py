@@ -1,0 +1,107 @@
+"""Property tests over random expression trees from the node grammar."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diskcheck import (
+    Add,
+    BallAutomorphism,
+    Blaschke,
+    CMul,
+    ComposeAut,
+    Const,
+    Embed,
+    Identity,
+    Mul,
+    Poly,
+    Vec,
+    parse_disk,
+    vnorm,
+)
+
+PARAMETER = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
+POINT = st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False)
+
+
+def _pairs(children, node):
+    return st.tuples(children, children).map(lambda fg: node(*fg))
+
+
+# Scalar maps of the whole grammar; values may leave the unit ball.
+SCALAR = st.recursive(
+    st.one_of(
+        st.just(Identity()),
+        PARAMETER.map(Const),
+        st.lists(PARAMETER, min_size=1, max_size=4).map(Poly),
+        PARAMETER.map(Blaschke),
+    ),
+    lambda children: st.one_of(
+        _pairs(children, Mul),
+        _pairs(children, Add),
+        st.tuples(PARAMETER, children).map(lambda cf: CMul(*cf)),
+    ),
+    max_leaves=6,
+)
+
+# Scalar maps of the disk into the closed disk, the inputs an automorphism accepts.
+BALL_SCALAR = st.recursive(
+    st.one_of(st.just(Identity()), PARAMETER.map(Const), PARAMETER.map(Blaschke)),
+    lambda children: st.one_of(
+        _pairs(children, Mul),
+        st.tuples(PARAMETER, children).map(lambda cf: CMul(*cf)),
+    ),
+    max_leaves=4,
+)
+
+
+def _vector(m: int, max_norm: float):
+    """Vectors of C^m with norm at most ``max_norm``."""
+    return st.lists(PARAMETER, min_size=m, max_size=m).map(
+        lambda v: np.asarray(v) * (max_norm / max(float(vnorm(np.asarray(v))), max_norm))
+    )
+
+
+@st.composite
+def disk_maps(draw):
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["scalar", "embed", "vec", "add", "compose"]))
+    if kind == "scalar":
+        return draw(SCALAR)
+    if kind == "embed":
+        return Embed(draw(SCALAR), draw(_vector(m, 1.0)))
+    if kind == "vec":
+        return Vec([draw(SCALAR) for _ in range(m)])
+    if kind == "add":
+        return Add(Embed(draw(SCALAR), draw(_vector(m, 1.0))), Vec([draw(SCALAR) for _ in range(m)]))
+    node = Embed(draw(BALL_SCALAR), draw(_vector(m, 1.0)))
+    for _ in range(draw(st.integers(1, 2))):
+        node = ComposeAut(BallAutomorphism(draw(_vector(m, 0.5))), node)
+    return node
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk_maps(), st.lists(POINT, min_size=1, max_size=5))
+def test_jet_agrees_with_central_difference(f, points):
+    zs = np.asarray(points)
+    h = 1e-5
+    value, deriv = f._jet(zs)
+    assert value.tobytes() == f._eval(zs).tobytes()
+    fd = (f.eval(zs + h) - f.eval(zs - h)) / (2.0 * h)
+    scale = np.maximum(np.maximum(vnorm(deriv), vnorm(value)), 1.0)
+    assert np.all(vnorm(fd - deriv) <= 1e-7 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk_maps(), st.lists(POINT, min_size=1, max_size=5))
+def test_text_round_trip_is_exact(f, points):
+    # The text keeps every float exactly (repr); a zero part prints without
+    # its sign, so the values compare equal, not always bit for bit.
+    text = f.to_text()
+    parsed = parse_disk(text)
+    assert parsed.to_text() == text
+    zs = np.asarray(points)
+    assert np.array_equal(parsed.eval(zs), f.eval(zs))
+    assert np.array_equal(parsed.deriv(zs), f.deriv(zs))

@@ -67,6 +67,17 @@ class TestNelderMead:
         with pytest.raises(DomainError):
             nelder_mead(lambda x: 0.0, np.asarray([0.0]), bounds=([0.0], [0.0]))
 
+    def test_nan_after_the_start_point_is_rejected(self):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return math.nan if len(calls) > 4 else float(np.sum(x**2))
+
+        with pytest.raises(DomainError, match="NaN"):
+            nelder_mead(objective, np.asarray([1.0, 2.0]))
+        assert len(calls) == 5
+
 
 class TestObjectives:
     def test_real_parameter_gives_zero_margin(self):
