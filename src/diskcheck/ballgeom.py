@@ -14,8 +14,9 @@ batches can be pushed through in one call.
 Two distances are provided: the Poincare distance on the unit disk,
 artanh(|z - w| / |1 - conj(z) w|), the integrated form of |dz| / (1 - |z|^2),
 and the Cayley-Klein distance on the real unit ball,
-arcosh(|1 - <x, y>| / sqrt((1 - ||x||^2)(1 - ||y||^2))).  Both measure
-artanh(r) along a radius from the origin.
+arcosh((1 - <x, y>) / sqrt((1 - ||x||^2)(1 - ||y||^2))), evaluated in a
+cancellation-free arsinh form.  Both measure artanh(r) along a radius from
+the origin.
 """
 
 from __future__ import annotations
@@ -198,11 +199,16 @@ def poincare_dist(z, w) -> float | np.ndarray:
 
 
 def cayley_klein_dist(x, y) -> float | np.ndarray:
-    """Cayley-Klein distance arcosh(|1 - <x, y>| / sqrt((1-||x||^2)(1-||y||^2))).
+    """Cayley-Klein distance arcosh((1 - <x, y>) / sqrt((1-||x||^2)(1-||y||^2))).
 
     ``x`` and ``y`` are real vectors strictly inside the unit ball of R^n;
     the operation broadcasts over leading axes.  Along a common diameter the
     value reduces to the artanh difference |artanh r_x - artanh r_y|.
+
+    Computed as arsinh(sqrt(S)) with v = y - x and
+    S = sinh^2 d = (||v||^2 (1 - ||x||^2) + <x, v>^2) / ((1 - ||x||^2)(1 - ||y||^2)),
+    a sum of nonnegative terms: arcosh of a ratio near 1 would lose the
+    relative accuracy of short distances to cancellation.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -210,8 +216,10 @@ def cayley_klein_dist(x, y) -> float | np.ndarray:
     ny = vnorm(y)
     if np.any(nx >= 1.0) or np.any(ny >= 1.0):
         raise DomainError("cayley_klein_dist requires interior points of the ball")
-    arg = np.abs(1.0 - np.sum(x * y, axis=-1)) / np.sqrt((1.0 - nx**2) * (1.0 - ny**2))
-    val = np.arccosh(np.maximum(arg, 1.0))
+    v = y - x
+    sx = 1.0 - nx**2
+    sinh_sq = (np.sum(v * v, axis=-1) * sx + np.sum(x * v, axis=-1) ** 2) / (sx * (1.0 - ny**2))
+    val = np.arcsinh(np.sqrt(sinh_sq))
     return val if val.ndim > 0 else float(val)
 
 

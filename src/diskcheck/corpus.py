@@ -174,14 +174,14 @@ def holo_corpus(seed: int, m: int, count: int) -> list[CorpusDisk]:
     return members[:count]
 
 
-def julia_corpus(seed: int, count: int, max_factors: int = 3) -> list[CorpusJulia]:
-    """Blaschke products fixing 1; factor counts cycle through 1..max_factors."""
+def julia_corpus(seed: int, count: int) -> list[CorpusJulia]:
+    """Blaschke products fixing 1; factor counts cycle through 1, 2, 3."""
     if count < 1:
         raise DomainError("count must be at least 1")
     members = []
     for index in range(count):
         rng = case_rng(seed, JULIA_STREAM, index)
-        n_factors = 1 + index % max_factors
+        n_factors = 1 + index % 3
         cs = [_disk_points(rng, 1, rmin=0.0, rmax=0.8)[0] for _ in range(n_factors)]
         disk = blaschke_product(cs, include_z=False, fix_one=True)
         members.append(CorpusJulia(f"julia-{n_factors}-{index}", disk, n_factors))

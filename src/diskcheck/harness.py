@@ -58,7 +58,7 @@ from .holodisk import (
     schwarz_derivative_bound,
     two_sided_margins,
 )
-from .reports import CHECKS, DomainError, InequalityReport, make_report, resolve_tolerance
+from .reports import _EQUALITY, CHECKS, DomainError, InequalityReport, make_report
 from .search import (
     family_1d_spec,
     family_md_spec,
@@ -135,9 +135,11 @@ class SuiteConfig:
 class _SuiteAccumulator:
     """Collects reports for one suite: counts, worst per check, failures.
 
-    A check's worst report is the one farthest toward failing: every failure
-    ranks above every pass, and a NaN margin above any number, so the worst
-    report always carries the check's verdict.
+    It is the one place that applies a run's tolerance overrides: every
+    report it records is judged here, through ``make_report``.  A check's
+    worst report is the one farthest toward failing: every failure ranks
+    above every pass, and a NaN margin above any number, so the worst report
+    always carries the check's verdict.
     """
 
     def __init__(self, tolerances: dict) -> None:
@@ -148,12 +150,17 @@ class _SuiteAccumulator:
         self.findings: dict = {}
 
     def add(self, report: InequalityReport) -> InequalityReport:
+        """Judge a check function's report against this run's tolerances and record it."""
+        return self.check(report.name, report.instance, report.lhs, report.rhs, report.margin, extra=report.extra)
+
+    def check(self, name, instance, lhs, rhs, margin, extra=None) -> InequalityReport:
+        report = make_report(name, instance, lhs, rhs, margin, tolerances=self.tolerances, extra=extra)
         self.cases += 1
-        badness = abs(report.margin) if CHECKS[report.name][0] else -report.margin
+        badness = abs(report.margin) if CHECKS[name][0] == _EQUALITY else -report.margin
         key = (not report.passed, math.inf if math.isnan(badness) else badness)
-        slot = self.checks.get(report.name)
+        slot = self.checks.get(name)
         if slot is None:
-            self.checks[report.name] = {"key": key, "worst": report, "count": 1}
+            self.checks[name] = {"key": key, "worst": report, "count": 1}
         else:
             slot["count"] += 1
             if key > slot["key"]:
@@ -163,11 +170,8 @@ class _SuiteAccumulator:
             self.failures.append(report)
         return report
 
-    def check(self, name, instance, lhs, rhs, margin, extra=None) -> InequalityReport:
-        return self.add(make_report(name, instance, lhs, rhs, margin, tolerances=self.tolerances, extra=extra))
-
     def value(self, name, instance, value, extra=None) -> InequalityReport:
-        """Judge ``value`` itself as the margin, against zero."""
+        """Judge ``value`` itself as the margin, against zero (a floor check: against its floor)."""
         return self.check(name, instance, value, 0.0, value, extra=extra)
 
     def sampled(self, name, margins, describe) -> InequalityReport:
@@ -180,7 +184,7 @@ class _SuiteAccumulator:
         one_sided = []
         for name, slot in sorted(self.checks.items()):
             worst = slot["worst"]
-            equality = CHECKS[name][0]
+            equality = CHECKS[name][0] == _EQUALITY
             checks[name] = {
                 "count": slot["count"],
                 "equality": equality,
@@ -315,14 +319,13 @@ def _run_holo(config: SuiteConfig) -> dict:
         acc.value("extremal_family_values", f"a={a:.1f}", dev)
 
     for c in (0.2, 0.5, 0.8):
-        rep = boundary_bound_shifted(Blaschke(c), 1.0 + 0j, tolerances=config.tolerances)
+        rep = boundary_bound_shifted(Blaschke(c), 1.0 + 0j)
         acc.check("shifted_equality_blaschke", f"blaschke({c})", rep.lhs, rep.rhs, rep.margin, extra=rep.extra)
 
     rng = case_rng(config.seed, HOLO_POINT_STREAM, 0)
     for k in range(min(50, config.samples)):
         aa = _disk_points(rng, 1, rmin=0.1, rmax=0.9)[0]
-        rep = nonreal_parameter_strictness(aa, tolerances=config.tolerances)
-        acc.add(rep)
+        rep = acc.add(nonreal_parameter_strictness(aa))
         acc.value("strictness_closed_form", f"a={aa:.6g}", abs(rep.extra["closed_form_deviation"]))
 
     for m in config.dimensions:
@@ -344,8 +347,7 @@ def _run_holo(config: SuiteConfig) -> dict:
             max_norm = certify_in_ball(disk, n_boundary=1024, n_interior=32)
             acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
 
-            rep = schwarz_derivative_bound(disk, tolerances=config.tolerances)
-            acc.add(rep)
+            acc.add(schwarz_derivative_bound(disk))
 
             zs = _disk_points(rng, point_count)
             if member.zero_at_origin:
@@ -364,12 +366,10 @@ def _run_holo(config: SuiteConfig) -> dict:
             if member.boundary_contact is not None:
                 zeta = member.boundary_contact
                 if member.zero_at_origin:
-                    rep = boundary_bound_origin(disk, zeta, tolerances=config.tolerances)
-                    acc.add(rep)
+                    rep = acc.add(boundary_bound_origin(disk, zeta))
                     if member.equality_archetype:
                         acc.check("boundary_origin_equality", tag, rep.lhs, rep.rhs, rep.margin)
-                rep = boundary_bound_shifted(disk, zeta, tolerances=config.tolerances)
-                acc.add(rep)
+                acc.add(boundary_bound_shifted(disk, zeta))
                 estimate, err = radial_derivative_estimate(disk, zeta)
                 analytic = analytic_radial_derivative(disk, zeta)
                 rdev = abs(estimate - analytic)
@@ -377,8 +377,7 @@ def _run_holo(config: SuiteConfig) -> dict:
                 radial_err_max = max(radial_err_max, err)
 
             if member.name == "archetype-affine" or member.name.startswith("zblaschke"):
-                rep = affine_rigidity_check(disk, tolerances=config.tolerances)
-                acc.add(rep)
+                acc.add(affine_rigidity_check(disk))
 
     julia_members = julia_corpus(config.seed, max(9, min(60, config.samples // 4)))
     julia_multi_min = math.inf
@@ -415,10 +414,10 @@ def _run_minimal(config: SuiteConfig) -> dict:
         w = member.surface
         tag = member.name
 
-        acc.add(null_condition_report(w, tolerances=config.tolerances))
+        acc.add(null_condition_report(w))
 
         zs = _disk_points(rng, config.samples)
-        acc.add(isothermal_report(w, zs, tolerances=config.tolerances))
+        acc.add(isothermal_report(w, zs))
 
         # Asserted: unit length and n3 > 0 wherever |q| < 1 (the printed
         # convention).  The residual against tangent-orthogonality, which the
@@ -451,8 +450,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         if in_ball:
             for a in _disk_points(rng, 8, rmin=0.0, rmax=0.95):
-                rep = interior_growth_margin(w, a, tolerances=config.tolerances, certify=False)
-                acc.add(rep)
+                rep = acc.add(interior_growth_margin(w, a, certify=False))
                 if member.planar_through_origin:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", rep.lhs, rep.rhs, rep.margin)
 
@@ -471,22 +469,21 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 acc.value("distance_equality_planar", tag, edev)
 
         if member.boundary_contact_point is not None:
-            rep = boundary_minimal_margin(w, member.boundary_contact_point, tolerances=config.tolerances)
-            acc.add(rep)
+            rep = acc.add(boundary_minimal_margin(w, member.boundary_contact_point))
             if member.planar_through_origin:
                 acc.check("boundary_minimal_equality", tag, rep.lhs, rep.rhs, rep.margin)
 
         if w.halfsphere:
-            acc.add(halfsphere_chain_check(w, tolerances=config.tolerances))
+            acc.add(halfsphere_chain_check(w))
 
         lipschitz_ok = member.full_circle_contact or member.boundary_contact_point is not None
         lipschitz_ok = lipschitz_ok or member.name == "enneper-halfsphere"
         if w.halfsphere and lipschitz_ok:
             pairs = list(zip(_disk_points(rng, 20, rmin=0.0), _disk_points(rng, 20, rmin=0.0)))
-            acc.add(inverse_lipschitz_check(w, pairs, tolerances=config.tolerances))
+            acc.add(inverse_lipschitz_check(w, pairs))
 
     named = WeierstrassDisk([2.0, 1.0], [0.0, 0.5], halfsphere=True)
-    acc.add(halfsphere_chain_check(named, tolerances=config.tolerances))
+    acc.add(halfsphere_chain_check(named))
 
     planar_members = [s for s in surfaces if s.name == "planar"]
     if planar_members:
@@ -526,18 +523,8 @@ def _run_search(config: SuiteConfig) -> dict:
     restricted = sharpness_report(
         restricted_family_1d_spec(), restarts=config.search_restarts, seed=config.seed
     )
-    floor = resolve_tolerance("family_1d_restricted_floor", config.tolerances)
-    rep = InequalityReport(
-        name="family_1d_restricted_floor",
-        instance="family_1d phase in [pi/4, pi]",
-        lhs=restricted["best_margin"],
-        rhs=floor,
-        margin=restricted["best_margin"] - floor,
-        tolerance=floor,
-        passed=restricted["best_margin"] > floor,
-        extra={"argmin": restricted["argmin"]},
-    )
-    acc.add(rep)
+    acc.value("family_1d_restricted_floor", "family_1d phase in [pi/4, pi]", restricted["best_margin"],
+              extra={"argmin": restricted["argmin"]})
     acc.value("search_trace_floor", "family_1d_restricted", restricted["min_evaluated"])
 
     md = sharpness_report(family_md_spec(2), restarts=min(6, config.search_restarts), seed=config.seed)

@@ -13,8 +13,9 @@ accept arrays of points, so whole sample batches, or the stacked points a
 check needs (such as 0 and a boundary point), cost one tree walk.
 
 The inequality checks at the bottom of the module all return
-:class:`~diskcheck.reports.InequalityReport`; vectorized ``*_margins``
-variants return raw margin arrays for bulk sweeps.
+:class:`~diskcheck.reports.InequalityReport`, judged with their check's
+default tolerance (a suite run judges them again with its overrides);
+vectorized ``*_margins`` variants return raw margin arrays for bulk sweeps.
 
 Serialization uses a nested prefix notation, e.g. ``mul(z, blaschke(0.5))``
 or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``; see the README
@@ -50,13 +51,14 @@ def _fmt_real(x: float) -> str:
 
 
 def _fmt_complex(c: complex) -> str:
+    """Text that ``complex()`` parses back bit for bit, zero signs included."""
     c = complex(c)
-    if c.imag == 0.0:
-        return _fmt_real(c.real)
-    if c.real == 0.0:
-        return _fmt_real(c.imag) + "j"
-    sign = "+" if c.imag > 0 else "-"
-    return f"{_fmt_real(c.real)}{sign}{_fmt_real(abs(c.imag))}j"
+    re, im = _fmt_real(c.real), _fmt_real(c.imag)
+    if im == "0.0":
+        return re
+    if re == "0.0":
+        return im + "j"
+    return f"{re}{im}j" if im.startswith("-") else f"{re}+{im}j"
 
 
 def _fmt_vector(u: np.ndarray) -> str:
@@ -478,9 +480,9 @@ class BoundaryPoint:
         _boundary_param(self.zeta)
 
     @classmethod
-    def for_disk(cls, f: HoloDisk, zeta, tol: float = 1e-10) -> "BoundaryPoint":
+    def for_disk(cls, f: HoloDisk, zeta) -> "BoundaryPoint":
         zeta = complex(zeta)
-        on = abs(float(vnorm(f.eval(zeta))) - 1.0) <= tol
+        on = abs(float(vnorm(f.eval(zeta))) - 1.0) <= 1e-10
         return cls(zeta=zeta, on_sphere=on)
 
 
@@ -510,9 +512,9 @@ def _grid_max_norm(evaluate, n_boundary: int, n_interior: int) -> float:
     return max(worst, float(np.max(vnorm(evaluate(inside)))))
 
 
-def sup_boundary_norm(f: HoloDisk, n_grid: int = BOUNDARY_GRID) -> float:
-    """Max of ||f|| over an n-point boundary grid."""
-    return float(np.max(vnorm(f._eval(_boundary_grid(n_grid)))))
+def sup_boundary_norm(f: HoloDisk) -> float:
+    """Max of ||f|| over the ``BOUNDARY_GRID``-point boundary grid."""
+    return float(np.max(vnorm(f._eval(_boundary_grid(BOUNDARY_GRID)))))
 
 
 def certify_in_ball(f: HoloDisk, n_boundary: int = BOUNDARY_GRID, n_interior: int = INTERIOR_GRID) -> float:
@@ -524,15 +526,15 @@ def certify_in_ball(f: HoloDisk, n_boundary: int = BOUNDARY_GRID, n_interior: in
     return _grid_max_norm(f._eval, n_boundary, n_interior)
 
 
-def _require_zero_at_origin(n0: float, tol: float = 1e-12) -> None:
+def _require_zero_at_origin(n0: float) -> None:
     """Raise unless ``n0``, a map's ||F(0)||, is zero."""
-    if n0 > tol:
+    if n0 > 1e-12:
         raise DomainError(f"map must fix the origin; got ||F(0)|| = {n0:.6g}")
 
 
-def _require_boundary_contact(n: float, tol: float = 1e-10) -> None:
+def _require_boundary_contact(n: float) -> None:
     """Raise unless ``n``, the norm of a disk's or a surface's F(zeta), is 1."""
-    if abs(n - 1.0) > tol:
+    if abs(n - 1.0) > 1e-10:
         raise DomainError(f"not a boundary-contact point: ||F(zeta)|| = {n:.12g}")
 
 
@@ -563,7 +565,7 @@ def growth_margins(f: HoloDisk, zs) -> np.ndarray:
     return _growth(f, zs)[1]
 
 
-def growth_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
+def growth_margin(f: HoloDisk, z) -> InequalityReport:
     """Growth bound at one interior point of an origin-fixing map."""
     a, margins = _growth(f, [complex(z)])
     margin = float(margins[0])
@@ -575,7 +577,6 @@ def growth_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
         lhs=bound - margin,
         rhs=bound,
         margin=margin,
-        tolerances=tolerances,
         extra={"deriv0_norm": a},
     )
 
@@ -605,7 +606,7 @@ def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def two_sided_quotient_check(f: HoloDisk, z, tolerances=None) -> InequalityReport:
+def two_sided_quotient_check(f: HoloDisk, z) -> InequalityReport:
     """Two-sided quotient bound at one point; lower margin rides in ``extra``."""
     a, upper, lower = _two_sided(f, [complex(z)])
     return make_report(
@@ -614,7 +615,6 @@ def two_sided_quotient_check(f: HoloDisk, z, tolerances=None) -> InequalityRepor
         lhs=float(vnorm(f.eval(complex(z)))) / abs(complex(z)),
         rhs=(a + abs(complex(z))) / (1.0 + a * abs(complex(z))),
         margin=float(upper[0]),
-        tolerances=tolerances,
         extra={"lower_margin": float(lower[0]), "deriv0_norm": a},
     )
 
@@ -631,7 +631,7 @@ def _origin_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float
     return val, 2.0 / (1.0 + a), a
 
 
-def boundary_bound_origin(f: HoloDisk, zeta, tolerances=None) -> InequalityReport:
+def boundary_bound_origin(f: HoloDisk, zeta) -> InequalityReport:
     """Margin ||F'(zeta)|| - 2/(1 + ||F'(0)||) for origin-fixing contact maps."""
     zeta = _boundary_param(zeta)
     val, bound, a = _origin_bound_terms(f, zeta)
@@ -641,7 +641,6 @@ def boundary_bound_origin(f: HoloDisk, zeta, tolerances=None) -> InequalityRepor
         lhs=val,
         rhs=bound,
         margin=val - bound,
-        tolerances=tolerances,
         extra={"deriv0_norm": a},
     )
 
@@ -655,7 +654,7 @@ def _shifted_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, floa
     return val, 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a), r, a
 
 
-def boundary_bound_shifted(f: HoloDisk, zeta, tolerances=None) -> InequalityReport:
+def boundary_bound_shifted(f: HoloDisk, zeta) -> InequalityReport:
     """Basepoint-shifted boundary bound with the dimension-dependent floor.
 
     Main bound: ||F'(zeta)|| >= 2 (1 - r)^2 / (1 - r^2 + ||F'(0)||) with
@@ -675,7 +674,6 @@ def boundary_bound_shifted(f: HoloDisk, zeta, tolerances=None) -> InequalityRepo
         lhs=val,
         rhs=main,
         margin=val - main,
-        tolerances=tolerances,
         extra={
             "floor_bound": floor,
             "floor_margin": val - floor,
@@ -685,7 +683,7 @@ def boundary_bound_shifted(f: HoloDisk, zeta, tolerances=None) -> InequalityRepo
     )
 
 
-def schwarz_derivative_bound(f: HoloDisk, tolerances=None) -> InequalityReport:
+def schwarz_derivative_bound(f: HoloDisk) -> InequalityReport:
     """Margin sqrt(1 - ||F(0)||^2) - ||F'(0)|| for ball-valued maps."""
     (r,), (a,) = _norm_jet(f, [0j])
     if r > 1.0:
@@ -697,7 +695,6 @@ def schwarz_derivative_bound(f: HoloDisk, tolerances=None) -> InequalityReport:
         lhs=a,
         rhs=bound,
         margin=bound - a,
-        tolerances=tolerances,
         extra={"base_norm": r},
     )
 
@@ -738,7 +735,7 @@ def julia_margins(f: HoloDisk, zs) -> np.ndarray:
     return _julia(f, zs)[1]
 
 
-def julia_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
+def julia_margin(f: HoloDisk, z) -> InequalityReport:
     """Julia quotient bound at one interior point of a map fixing 1."""
     z = complex(z)
     d1, margins = _julia(f, [z])
@@ -750,7 +747,6 @@ def julia_margin(f: HoloDisk, z, tolerances=None) -> InequalityReport:
         lhs=rhs - margin,
         rhs=rhs,
         margin=margin,
-        tolerances=tolerances,
         extra={"deriv_at_one": d1},
     )
 
@@ -793,7 +789,7 @@ def radial_derivative_estimate(f: HoloDisk, zeta, schedule=None) -> tuple[float,
 # sharpness of the boundary bound in the family parameter
 
 
-def nonreal_parameter_strictness(a: complex, tolerances=None) -> InequalityReport:
+def nonreal_parameter_strictness(a: complex) -> InequalityReport:
     """Boundary-bound margin of the rotated map z * b_a(z), strict for arg(a) != 0.
 
     For a = r e^{it} the margin has the closed form
@@ -805,7 +801,7 @@ def nonreal_parameter_strictness(a: complex, tolerances=None) -> InequalityRepor
     if not 0.0 < r < 1.0:
         raise DomainError("parameter must satisfy 0 < |a| < 1")
     f = blaschke_product([a], include_z=True, fix_one=True)
-    rep = boundary_bound_origin(f, 1.0 + 0j, tolerances=tolerances)
+    rep = boundary_bound_origin(f, 1.0 + 0j)
     closed = 2.0 * r * (1.0 - math.cos(t)) * (1.0 - r) / ((1.0 + 2.0 * r * math.cos(t) + r * r) * (1.0 + r))
     return make_report(
         "strictness_margin",
@@ -813,7 +809,6 @@ def nonreal_parameter_strictness(a: complex, tolerances=None) -> InequalityRepor
         lhs=rep.lhs,
         rhs=rep.rhs,
         margin=rep.margin,
-        tolerances=tolerances,
         extra={"closed_form": closed, "closed_form_deviation": rep.margin - closed},
     )
 
@@ -822,7 +817,7 @@ def nonreal_parameter_strictness(a: complex, tolerances=None) -> InequalityRepor
 # affine rigidity
 
 
-def affine_rigidity_check(f: HoloDisk, n_grid: int = 64, tolerances=None) -> InequalityReport:
+def affine_rigidity_check(f: HoloDisk) -> InequalityReport:
     """If F fixes 0, reaches the sphere at 1 and ||F'(1)|| <= 1, F must be affine.
 
     Checks max over an interior polar grid of | ||F(z)|| - |z| |; reported as
@@ -837,26 +832,12 @@ def affine_rigidity_check(f: HoloDisk, n_grid: int = 64, tolerances=None) -> Ine
         applicable = False
     if applicable and deriv1_norm > 1.0 + 1e-10:
         applicable = False
-    if not applicable:
-        return make_report(
-            "affine_rigidity",
-            f.to_text(),
-            lhs=0.0,
-            rhs=0.0,
-            margin=0.0,
-            tolerances=tolerances,
-            extra={"applicable": False},
-        )
-    zs = _polar_grid(np.linspace(0.05, 0.95, n_grid), n_grid)
-    dev = float(np.max(np.abs(vnorm(f._eval(zs)) - np.abs(zs))))
+    dev = 0.0
+    if applicable:
+        zs = _polar_grid(np.linspace(0.05, 0.95, 64), 64)
+        dev = float(np.max(np.abs(vnorm(f._eval(zs)) - np.abs(zs))))
     return make_report(
-        "affine_rigidity",
-        f.to_text(),
-        lhs=dev,
-        rhs=0.0,
-        margin=dev,
-        tolerances=tolerances,
-        extra={"applicable": True},
+        "affine_rigidity", f.to_text(), lhs=dev, rhs=0.0, margin=dev, extra={"applicable": applicable}
     )
 
 

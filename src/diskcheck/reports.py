@@ -3,8 +3,8 @@
 Every inequality check in the package produces an :class:`InequalityReport`
 with an explicit margin and the tolerance it was judged against.  Margins are
 oriented so that ``margin >= -tolerance`` means the inequality held; equality
-cases are asserted as ``abs(margin) <= tolerance``.  Which of the two a check
-is follows from its name, through :data:`CHECKS`.
+cases are asserted as ``abs(margin) <= tolerance``.  Which rule a check
+follows is fixed by its name, through :data:`CHECKS`.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-_EQUALITY, _BOUND = True, False
+_EQUALITY, _BOUND, _FLOOR = "equality", "bound", "floor"
 
 # Each check name fixes its kind and its default tolerance: an equality check
 # passes when abs(margin) <= tolerance, a one-sided bound when
-# margin >= -tolerance.  Tolerances are overridable from the CLI (--tolerance
-# NAME=VALUE) or a config file (tolerance.NAME=VALUE).  Algebraic identities
-# are held to 1e-12, differential and oracle comparisons to 1e-8, one-sided
-# margins to -1e-10.
-CHECKS: dict[str, tuple[bool, float]] = {
+# margin >= -tolerance, and a floor check when lhs > tolerance, the tolerance
+# being the floor itself (its rhs is the floor and its margin lhs - floor).
+# Tolerances are overridable from the CLI (--tolerance NAME=VALUE) or a config
+# file (tolerance.NAME=VALUE).  Algebraic identities are held to 1e-12,
+# differential and oracle comparisons to 1e-8, one-sided margins to -1e-10.
+CHECKS: dict[str, tuple[str, float]] = {
     # ball geometry
     "phi_fixed_point": (_EQUALITY, 1e-12),
     "phi_origin_value": (_EQUALITY, 1e-12),
@@ -76,7 +77,7 @@ CHECKS: dict[str, tuple[bool, float]] = {
     "search_trace_floor": (_BOUND, 1e-8),
     "family_1d_best": (_EQUALITY, 1e-8),
     "family_1d_phase": (_EQUALITY, 1e-4),
-    "family_1d_restricted_floor": (_BOUND, 1e-4),
+    "family_1d_restricted_floor": (_FLOOR, 1e-4),
     "family_md_margin": (_BOUND, 1e-8),
     "nelder_mead_optimum": (_EQUALITY, 1e-6),
 }
@@ -135,15 +136,26 @@ def make_report(
     tolerances: dict[str, float] | None = None,
     extra: dict | None = None,
 ) -> InequalityReport:
-    """Build a report, judging ``margin`` by the named check's kind and tolerance."""
+    """Build a report, judging ``margin`` by the named check's kind and tolerance.
+
+    ``tolerances`` are a run's overrides; without them the table default
+    applies.  A floor check takes only ``lhs``: its rhs and margin follow
+    from the tolerance, so judging a report again recomputes them.
+    """
     tol = resolve_tolerance(name, tolerances)
-    margin = float(margin)
-    passed = abs(margin) <= tol if CHECKS[name][0] else margin >= -tol
+    lhs, rhs, margin = float(lhs), float(rhs), float(margin)
+    kind = CHECKS[name][0]
+    if kind == _FLOOR:
+        rhs, margin, passed = tol, lhs - tol, lhs > tol
+    elif kind == _EQUALITY:
+        passed = abs(margin) <= tol
+    else:
+        passed = margin >= -tol
     return InequalityReport(
         name=name,
         instance=instance,
-        lhs=float(lhs),
-        rhs=float(rhs),
+        lhs=lhs,
+        rhs=rhs,
         margin=margin,
         tolerance=tol,
         passed=bool(passed),

@@ -75,15 +75,13 @@ def nelder_mead(
     x0,
     bounds=None,
     max_iterations: int = MAX_ITERATIONS,
-    diameter_tol: float = DIAMETER_TOL,
-    spread_tol: float = SPREAD_TOL,
     initial_step: float = 0.1,
 ) -> SearchResult:
     """Deterministic Nelder-Mead with reflection-at-bounds feasibility.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    Stops when the simplex diameter drops below ``diameter_tol``, the value
-    spread drops below ``spread_tol``, or ``max_iterations`` is reached.
+    Stops when the simplex diameter drops below ``DIAMETER_TOL``, the value
+    spread drops below ``SPREAD_TOL``, or ``max_iterations`` is reached.
     Out-of-box candidate points are mirrored back into the box, so the
     objective is only ever evaluated on feasible parameters.  A NaN value
     anywhere raises ``DomainError``; the start value must also be finite.
@@ -133,7 +131,7 @@ def nelder_mead(
         trace.append((iteration, float(values[0])))
         diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
         spread = float(values[-1] - values[0])
-        if diameter < diameter_tol or spread < spread_tol or iteration >= max_iterations:
+        if diameter < DIAMETER_TOL or spread < SPREAD_TOL or iteration >= max_iterations:
             break
         iteration += 1
 
@@ -291,7 +289,7 @@ _REFINE_ITERATIONS = 48
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section(f, lo: float, hi: float, iterations: int = _REFINE_ITERATIONS):
+def _golden_section(f, lo: float, hi: float):
     """Golden-section minimization on [lo, hi]; returns (x, value, evaluations).
 
     Termination depends only on the bracket width, so the descent survives
@@ -304,7 +302,7 @@ def _golden_section(f, lo: float, hi: float, iterations: int = _REFINE_ITERATION
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     evaluations = 2
-    for _ in range(iterations):
+    for _ in range(_REFINE_ITERATIONS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)

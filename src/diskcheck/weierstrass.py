@@ -137,17 +137,17 @@ class WeierstrassDisk:
             total = P.polyadd(total, P.polymul(c, c))
         return float(np.max(np.abs(total)))
 
-    def immersion_winding(self, n_grid: int = BOUNDARY_GRID) -> int:
+    def immersion_winding(self) -> int:
         """Number of zeros of p in the disk, by boundary argument counting."""
-        vals = P.polyval(_boundary_grid(n_grid), self.p)
+        vals = P.polyval(_boundary_grid(BOUNDARY_GRID), self.p)
         if np.any(np.abs(vals) < 1e-14):
             raise DomainError("p vanishes on the boundary grid; zero count undefined")
         steps = np.angle(np.roll(vals, -1) / vals)
         return int(round(float(np.sum(steps)) / (2.0 * np.pi)))
 
-    def max_norm(self, n_boundary: int = BOUNDARY_GRID, n_interior: int = INTERIOR_GRID) -> float:
+    def max_norm(self) -> float:
         """Max of ||F|| over boundary and interior polar grids."""
-        return _grid_max_norm(self.eval, n_boundary, n_interior)
+        return _grid_max_norm(self.eval, BOUNDARY_GRID, INTERIOR_GRID)
 
     def __repr__(self) -> str:
         def fmt(arr):
@@ -194,13 +194,13 @@ def surface_point(w: WeierstrassDisk, z) -> SurfacePoint:
 # identity checks
 
 
-def null_condition_report(w: WeierstrassDisk, tolerances=None) -> InequalityReport:
+def null_condition_report(w: WeierstrassDisk) -> InequalityReport:
     """Coefficient-level residual of the square-sum cancellation."""
     res = w.null_residual()
-    return make_report("null_condition", repr(w), lhs=res, rhs=0.0, margin=res, tolerances=tolerances)
+    return make_report("null_condition", repr(w), lhs=res, rhs=0.0, margin=res)
 
 
-def isothermal_report(w: WeierstrassDisk, zs, tolerances=None) -> InequalityReport:
+def isothermal_report(w: WeierstrassDisk, zs) -> InequalityReport:
     """Max deviation from the isothermal identities over a parameter batch.
 
     Checks ||F_x|| = ||F_y|| = lambda, <F_x, F_y> = 0, ||F_r|| = lambda and
@@ -213,11 +213,10 @@ def isothermal_report(w: WeierstrassDisk, zs, tolerances=None) -> InequalityRepo
     res_y = np.abs(vnorm(f_y) - lam)
     res_dot = np.abs(np.sum(f_x * f_y, axis=-1))
     worst = float(max(res_x.max(), res_y.max(), res_dot.max()))
-    nz = zs[np.abs(zs) > 0]
-    if nz.size:
-        r, t = np.abs(nz), np.angle(nz)
-        f_x, f_y = w.partials(nz)
-        lam = w.conformal_factor(nz)
+    nonzero = np.abs(zs) > 0
+    if np.any(nonzero):
+        r, t = np.abs(zs[nonzero]), np.angle(zs[nonzero])
+        f_x, f_y, lam = f_x[nonzero], f_y[nonzero], lam[nonzero]
         f_r = f_x * np.cos(t)[:, None] + f_y * np.sin(t)[:, None]
         f_t = r[:, None] * (-f_x * np.sin(t)[:, None] + f_y * np.cos(t)[:, None])
         worst = max(worst, float(np.max(np.abs(vnorm(f_r) - lam))))
@@ -228,7 +227,6 @@ def isothermal_report(w: WeierstrassDisk, zs, tolerances=None) -> InequalityRepo
         lhs=worst,
         rhs=0.0,
         margin=worst,
-        tolerances=tolerances,
         extra={"sample_count": int(zs.size)},
     )
 
@@ -262,7 +260,7 @@ def _require_in_ball(w: WeierstrassDisk) -> None:
         raise DomainError(f"surface image leaves the unit ball: max grid norm {worst:.12g}")
 
 
-def interior_growth_margin(w: WeierstrassDisk, a, tolerances=None, certify: bool = True) -> InequalityReport:
+def interior_growth_margin(w: WeierstrassDisk, a, certify: bool = True) -> InequalityReport:
     """Pseudo-hyperbolic growth bound ||F(a)|| <= (|a| + r0)/(1 + |a| r0).
 
     ``r0 = ||F(0)||``; requires the image to stay in the closed unit ball
@@ -283,7 +281,6 @@ def interior_growth_margin(w: WeierstrassDisk, a, tolerances=None, certify: bool
         lhs=val,
         rhs=bound,
         margin=bound - val,
-        tolerances=tolerances,
         extra={"base_norm": r0},
     )
 
@@ -297,7 +294,7 @@ def distance_decreasing_margins(w: WeierstrassDisk, zs, ws) -> np.ndarray:
     return poincare_dist(zs, ws) - cayley_klein_dist(w.eval(zs), w.eval(ws))
 
 
-def distance_decreasing_margin(w: WeierstrassDisk, z, ww, tolerances=None) -> InequalityReport:
+def distance_decreasing_margin(w: WeierstrassDisk, z, ww) -> InequalityReport:
     """Hyperbolic distance decrease for one parameter pair."""
     margin = float(distance_decreasing_margins(w, [complex(z)], [complex(ww)])[0])
     lhs = float(cayley_klein_dist(w.eval(complex(z)), w.eval(complex(ww))))
@@ -307,11 +304,10 @@ def distance_decreasing_margin(w: WeierstrassDisk, z, ww, tolerances=None) -> In
         lhs=lhs,
         rhs=lhs + margin,
         margin=margin,
-        tolerances=tolerances,
     )
 
 
-def boundary_minimal_margin(w: WeierstrassDisk, zeta, tolerances=None) -> InequalityReport:
+def boundary_minimal_margin(w: WeierstrassDisk, zeta) -> InequalityReport:
     """Boundary bound ||F_r(zeta)|| >= (1 - r0)/(1 + r0) at a sphere-contact point."""
     zeta = _boundary_param(zeta)
     _require_boundary_contact(float(vnorm(w.eval(zeta))))
@@ -324,7 +320,6 @@ def boundary_minimal_margin(w: WeierstrassDisk, zeta, tolerances=None) -> Inequa
         lhs=val,
         rhs=bound,
         margin=val - bound,
-        tolerances=tolerances,
         extra={"conformal_factor": w.conformal_factor(zeta), "base_norm": r0},
     )
 
@@ -337,12 +332,7 @@ def _chain_preconditions(w: WeierstrassDisk) -> None:
         raise DomainError(f"p has {zeros} zero(s) in the disk; the data is not an immersion")
 
 
-def halfsphere_chain_check(
-    w: WeierstrassDisk,
-    tolerances=None,
-    n_boundary: int = BOUNDARY_GRID,
-    n_interior: int = INTERIOR_GRID,
-) -> InequalityReport:
+def halfsphere_chain_check(w: WeierstrassDisk) -> InequalityReport:
     """Testable links of the half-sphere lower bound on the conformal factor.
 
     For zero-free p with |q| < 1: (i) the minimum modulus of p over the disk
@@ -353,16 +343,16 @@ def halfsphere_chain_check(
 
     The grid minimum of |p| on the circle can overshoot the true minimum, so
     links (i) and (ii) subtract an exact Lipschitz allowance
-    sum_j j |p_j| * pi / n_boundary, which makes their nonnegativity a
+    sum_j j |p_j| * pi / BOUNDARY_GRID, which makes their nonnegativity a
     theorem rather than a grid-resolution accident.
     """
     _chain_preconditions(w)
-    circle = _boundary_grid(n_boundary)
-    inside = _polar_grid(np.linspace(0.0, 1.0, n_interior, endpoint=False), n_interior)
+    circle = _boundary_grid(BOUNDARY_GRID)
+    inside = _polar_grid(np.linspace(0.0, 1.0, INTERIOR_GRID, endpoint=False), INTERIOR_GRID)
     grid = np.concatenate([inside, circle])
 
     p_abs = np.abs(P.polyval(grid, w.p))
-    grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / n_boundary
+    grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / BOUNDARY_GRID
     boundary_min_p = float(np.min(np.abs(P.polyval(circle, w.p)))) - grid_slack
     min_modulus_residual = float(np.min(p_abs)) - boundary_min_p
 
@@ -398,7 +388,6 @@ def halfsphere_chain_check(
         lhs=min_lambda,
         rhs=corollary_bound if boundary_contact else c * boundary_min_p,
         margin=margin,
-        tolerances=tolerances,
         extra=extra,
     )
 
@@ -418,7 +407,7 @@ def _segment_lengths(w: WeierstrassDisk, z1: np.ndarray, z2: np.ndarray) -> np.n
     return np.abs(z2 - z1) * (lam @ wts)
 
 
-def inverse_lipschitz_check(w: WeierstrassDisk, pairs, tolerances=None) -> InequalityReport:
+def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> InequalityReport:
     """Parameter separation against image arc length.
 
     For each pair: |z1 - z2| <= 2 (1 + r0)/(1 - r0) * length(F o segment),
@@ -442,7 +431,6 @@ def inverse_lipschitz_check(w: WeierstrassDisk, pairs, tolerances=None) -> Inequ
         lhs=float(np.abs(arr[worst, 0] - arr[worst, 1])),
         rhs=float(factor * lengths[worst]),
         margin=float(margins[worst]),
-        tolerances=tolerances,
         extra={"factor": factor, "pair_count": int(arr.shape[0])},
     )
 

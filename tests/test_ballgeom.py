@@ -178,6 +178,26 @@ class TestDistances:
                 math.atanh(float(vnorm(x))), rel=1e-12
             )
 
+    def test_cayley_klein_matches_mpmath_on_close_and_far_pairs(self):
+        import mpmath
+
+        def oracle(x, y):
+            with mpmath.workdps(50):
+                x, y = [mpmath.mpf(float(t)) for t in x], [mpmath.mpf(float(t)) for t in y]
+                dot = lambda u, v: mpmath.fsum(a * b for a, b in zip(u, v))
+                return mpmath.acosh((1 - dot(x, y)) / mpmath.sqrt((1 - dot(x, x)) * (1 - dot(y, y))))
+
+        rng = rng_for(12)
+        for separation in (1e-9, 1e-6, 1e-3, 1e-1, 0.35):
+            for index in range(20):
+                m = 1 + index % 3
+                x = rng.normal(size=m)
+                x *= 0.6 * rng.random() / np.linalg.norm(x)
+                step = rng.normal(size=m)
+                y = x + separation * step / np.linalg.norm(step)
+                expected = oracle(x, y)
+                assert abs(cayley_klein_dist(x, y) - expected) <= 4e-15 * expected, (separation, x, y)
+
     def test_cayley_klein_on_diameters_matches_poincare(self):
         u = np.asarray([3.0, 4.0]) / 5.0
         assert cayley_klein_dist(0.5 * u, -0.25 * u) == pytest.approx(

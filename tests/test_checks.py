@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import diskcheck
 from diskcheck import CHECKS, SuiteConfig, run_suite
 from diskcheck import ballgeom, corpus, harness, holodisk, reports, search, weierstrass
@@ -15,7 +17,7 @@ def test_table_names_and_kinds_match_the_suites():
             emitted[name] = slot["equality"]
     assert set(emitted) == set(CHECKS)
     for name, equality in emitted.items():
-        assert equality is CHECKS[name][0], name
+        assert equality is (CHECKS[name][0] == "equality"), name
 
 
 def test_package_exports_every_module_export():
@@ -25,3 +27,42 @@ def test_package_exports_every_module_export():
     assert len(diskcheck.__all__) == len(expected)
     for name in diskcheck.__all__:
         assert hasattr(diskcheck, name), name
+
+
+def test_every_override_reaches_its_check():
+    # A distinct, exactly representable override for every check name.
+    overrides = {name: (i + 1) / 1024 for i, name in enumerate(sorted(CHECKS))}
+    report = run_suite(SuiteConfig(samples=8, search_restarts=2, dimensions=(1, 2), tolerances=overrides))
+    emitted = set()
+    for suite in report.suites.values():
+        for name, slot in suite["checks"].items():
+            emitted.add(name)
+            assert slot["tolerance"] == overrides[name], name
+        for failure in suite["failures"]:
+            assert failure["tolerance"] == overrides[failure["name"]], failure["name"]
+    assert emitted == set(CHECKS)
+    floor = report.suites["search"]["checks"]["family_1d_restricted_floor"]
+    assert floor["worst_rhs"] == overrides["family_1d_restricted_floor"]
+    assert floor["passed"] is (floor["worst_lhs"] > floor["worst_rhs"])
+
+
+def test_check_functions_judge_with_the_table_default():
+    for module in (holodisk, weierstrass):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                assert "tolerances" not in inspect.signature(obj).parameters, name
+    rep = holodisk.boundary_bound_origin(holodisk.extremal_family_1d(0.3), 1.0)
+    assert rep.tolerance == CHECKS["boundary_origin_margin"][1]
+    assert rep.passed
+    rep = weierstrass.null_condition_report(weierstrass.planar_disk())
+    assert rep.tolerance == CHECKS["null_condition"][1]
+    assert rep.passed
+
+
+def test_floor_check_passes_only_above_its_floor():
+    name = "family_1d_restricted_floor"
+    at_default = reports.make_report(name, "best", 0.25, 0.0, 0.0)
+    assert (at_default.rhs, at_default.margin, at_default.passed) == (1e-4, 0.25 - 1e-4, True)
+    at_floor = reports.make_report(name, "best", 0.25, at_default.rhs, at_default.margin, tolerances={name: 0.25})
+    assert (at_floor.rhs, at_floor.margin, at_floor.passed) == (0.25, 0.0, False)
