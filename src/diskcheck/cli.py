@@ -188,7 +188,12 @@ def _cmd_plot_data(args) -> int:
     report = {}
     if args.report:
         with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+            try:
+                report = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DomainError(f"{args.report}: {exc}") from None
+        if not isinstance(report, dict):
+            raise DomainError(f"{args.report}: a report must be a JSON object")
     files = emit_plot_data(report, args.out)
     for path in files:
         print(f"wrote {path}")

@@ -672,24 +672,28 @@ def load_config_file(path: str) -> dict:
     """
     values: dict = {"tolerances": {}}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            target, name, parse = values, key, _CONFIG_KEYS.get(key)
-            if key.startswith("tolerance."):
-                target, name, parse = values["tolerances"], key[len("tolerance."):], float
-            if parse is None:
-                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                target[name] = parse(value)
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        target, name, parse = values, key, _CONFIG_KEYS.get(key)
+        if key.startswith("tolerance."):
+            target, name, parse = values["tolerances"], key[len("tolerance."):], float
+        if parse is None:
+            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            target[name] = parse(value)
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -723,7 +727,7 @@ def emit_plot_data(report: dict, outdir: str) -> list[str]:
         rows = ([repr(float(z.real)), repr(float(z.imag)), repr(float(margin))] for z, margin in zip(zs, margins))
         written.append(_write_csv(os.path.join(outdir, fname), ["re_z", "im_z", "margin"], rows))
 
-    search = report.get("suites", {}).get("search") if isinstance(report, dict) else None
+    search = report.get("suites", {}).get("search")
     if search and "reports" in search:
         rows = (
             [family_name, restart, iteration, repr(float(value))]

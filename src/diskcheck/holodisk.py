@@ -19,11 +19,15 @@ vectorized ``*_margins`` variants return raw margin arrays for bulk sweeps.
 
 Serialization uses a nested prefix notation, e.g. ``mul(z, blaschke(0.5))``
 or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``; see the README
-for the exact grammar.  ``parse_disk`` inverts ``to_text``.
+for the exact grammar.  The notation is a subset of Python call syntax, and
+``parse_disk`` inverts ``to_text`` by walking the tree :mod:`ast` parses,
+evaluating nothing: each number is ``complex()`` of its own source text.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -299,130 +303,68 @@ class ComposeAut(HoloDisk):
 # parsing
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> HoloDisk:
-        node = self._node()
-        self._ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"trailing input at offset {self.pos}: {self.text[self.pos:]!r}")
-        return node
-
-    def _ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _expect(self, ch: str):
-        self._ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise ParseError(f"expected {ch!r} at offset {self.pos}, got {got!r}")
-        self.pos += 1
-
-    def _ident(self) -> str:
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected a name at offset {start}")
-        return self.text[start:self.pos]
-
-    def _number(self) -> complex:
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ",)]":
-            self.pos += 1
-        token = self.text[start:self.pos].strip()
-        try:
-            return complex(token)
-        except ValueError:
-            raise ParseError(f"bad number {token!r} at offset {start}") from None
-
-    def _items(self, parse) -> list:
-        """One or more comma-separated items, each read by ``parse``."""
-        items = [parse()]
-        self._ws()
-        while self.pos < len(self.text) and self.text[self.pos] == ",":
-            self.pos += 1
-            items.append(parse())
-            self._ws()
-        return items
-
-    def _vector(self) -> np.ndarray:
-        self._expect("[")
-        vals = self._items(self._number)
-        self._expect("]")
-        return np.asarray(vals, dtype=complex)
-
-    def _node(self) -> HoloDisk:
-        name = self._ident()
-        self._ws()
-        if name == "z" and (self.pos >= len(self.text) or self.text[self.pos] != "("):
-            return Identity()
-        self._expect("(")
-        if name == "const":
-            c = self._number()
-            self._expect(")")
-            return Const(c)
-        if name == "blaschke":
-            c = self._number()
-            self._expect(")")
-            return Blaschke(c)
-        if name == "poly":
-            coeffs = self._items(self._number)
-            self._expect(")")
-            return Poly(coeffs)
-        if name in ("mul", "add"):
-            f = self._node()
-            self._expect(",")
-            g = self._node()
-            self._expect(")")
-            return Mul(f, g) if name == "mul" else Add(f, g)
-        if name == "cmul":
-            c = self._number()
-            self._expect(",")
-            f = self._node()
-            self._expect(")")
-            return CMul(c, f)
-        if name == "scale":
-            f = self._node()
-            self._expect(",")
-            key = self._ident()
-            if key != "u":
-                raise ParseError(f"scale expects 'u=', got {key!r}")
-            self._expect("=")
-            u = self._vector()
-            self._expect(")")
-            return Embed(f, u)
-        if name == "vec":
-            comps = self._items(self._node)
-            self._expect(")")
-            return Vec(comps)
-        if name == "compose":
-            key = self._ident()
-            if key != "phi":
-                raise ParseError(f"compose expects phi(a=[...]), got {key!r}")
-            self._expect("(")
-            akey = self._ident()
-            if akey != "a":
-                raise ParseError(f"phi expects 'a=', got {akey!r}")
-            self._expect("=")
-            a = self._vector()
-            self._expect(")")
-            self._expect(",")
-            f = self._node()
-            self._expect(")")
-            return ComposeAut(BallAutomorphism(a), f)
-        raise ParseError(f"unknown node {name!r}")
-
-
 def parse_disk(text: str) -> HoloDisk:
-    """Parse the nested prefix notation produced by ``HoloDisk.to_text``."""
-    return _Parser(text).parse()
+    """Read the text ``HoloDisk.to_text`` writes back into a tree.
+
+    The text is parsed as a Python expression with :mod:`ast`, and nothing in
+    it is evaluated: the walk matches only ``z``, the node calls of the
+    grammar and ``[...]`` vectors, and each number is ``complex()`` of its own
+    source text.  Malformed text raises :class:`ParseError`; values a node
+    rejects raise :class:`~diskcheck.reports.DomainError`.
+    """
+    text = text.strip()
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, Python 3.10
+        raise ParseError(f"not a disk expression: {exc}") from None
+    # ast positions are (line, UTF-8 byte column); ast.get_source_segment
+    # would split the whole text into lines again for every number.
+    data = text.encode()
+    line_starts = list(itertools.accumulate(map(len, data.splitlines(keepends=True)), initial=0))
+
+    def source(node) -> str:
+        start = line_starts[node.lineno - 1] + node.col_offset
+        return data[start:line_starts[node.end_lineno - 1] + node.end_col_offset].decode()
+
+    def number(node) -> complex:
+        try:
+            return complex(source(node))
+        except ValueError:
+            raise ParseError(f"bad number {source(node)!r}") from None
+
+    def vector(nodes) -> np.ndarray:
+        return np.asarray([number(x) for x in nodes], dtype=complex)
+
+    def disk(node) -> HoloDisk:
+        match node:
+            case ast.Name(id="z"):
+                return Identity()
+            case ast.Call(func=ast.Name(id="const" | "blaschke" as name), args=[c], keywords=[]):
+                return (Const if name == "const" else Blaschke)(number(c))
+            case ast.Call(func=ast.Name(id="poly"), args=coeffs, keywords=[]):
+                return Poly(vector(coeffs))
+            case ast.Call(func=ast.Name(id="mul" | "add" as name), args=[f, g], keywords=[]):
+                return (Mul if name == "mul" else Add)(disk(f), disk(g))
+            case ast.Call(func=ast.Name(id="cmul"), args=[c, f], keywords=[]):
+                return CMul(number(c), disk(f))
+            case ast.Call(
+                func=ast.Name(id="scale"), args=[f], keywords=[ast.keyword(arg="u", value=ast.List(elts=u))]
+            ):
+                return Embed(disk(f), vector(u))
+            case ast.Call(func=ast.Name(id="vec"), args=components, keywords=[]):
+                return Vec([disk(f) for f in components])
+            case ast.Call(
+                func=ast.Name(id="compose"),
+                args=[
+                    ast.Call(func=ast.Name(id="phi"), args=[], keywords=[ast.keyword(arg="a", value=ast.List(elts=a))]),
+                    f,
+                ],
+                keywords=[],
+            ):
+                return ComposeAut(BallAutomorphism(vector(a)), disk(f))
+        raise ParseError(f"not a disk expression: {source(node)!r}")
+
+    return disk(tree.body)
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,16 @@ class TestCli:
             ["plot-data", "--report", "{tmp}/missing.json", "--out", "{tmp}/plots"],
             ["verify", "--suites", "ball", "--dimensions", "1", "--samples", "2",
              "--out", "{tmp}/missing/r.json"],
+            ["plot-data", "--report", "{tmp}/bad.json", "--out", "{tmp}/plots"],
+            ["verify", "--config", "{tmp}/latin1.cfg"],
+            ["plot-data", "--report", "{tmp}/list.json", "--out", "{tmp}/plots"],
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):
         (tmp_path / "bad_seed.cfg").write_text("seed = abc\n", encoding="utf-8")
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+        (tmp_path / "latin1.cfg").write_bytes("# caf\u00e9\nseed = 1\n".encode("latin-1"))
+        (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
         try:
             rc = cli_main([arg.format(tmp=tmp_path) for arg in argv])
         except SystemExit as exc:

@@ -116,9 +116,34 @@ class TestSerialization:
 
     def test_parse_rejects_malformed_text(self):
         for bad in ("", "mul(z", "frob(z)", "blaschke(2)", "scale(z, v=[1])",
-                    "compose(psi(a=[0]), z)", "poly()"):
+                    "compose(psi(a=[0]), z)", "poly()",
+                    "z + 1", "mul(z, z, z)", "blaschke(c=0.5)", "scale(z, u=[1], u=[2])",
+                    "compose(phi([0.1]), z)", "z()", "const(True)", "const(0x10)",
+                    "const(1.0 - 0.5j)", "__import__('os')", "mul(z, blaschke(0.5)) extra",
+                    "z\x00"):
             with pytest.raises((ParseError, DomainError)):
                 parse_disk(bad)
+
+    def test_parse_rejects_nesting_past_the_200_bracket_limit(self):
+        """Python's parser allows at most 200 nested brackets; deeper text is a ParseError."""
+        assert parse_disk("mul(z, " * 200 + "z" + ")" * 200).to_text().count("(") == 200
+        with pytest.raises(ParseError):
+            parse_disk("mul(z, " * 201 + "z" + ")" * 201)
+        with pytest.raises(ParseError):
+            parse_disk("mul(z, " * 2000 + "z" + ")" * 2000)
+
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("poly(1,)", "poly(1)"),
+            ("vec(z,)", "vec(z)"),
+            ("const((1+2j))", "const(1+2j)"),
+            ("z  # note", "z"),
+        ],
+    )
+    def test_parse_accepts_python_call_syntax_extras(self, text, canonical):
+        """Trailing commas, a parenthesized number and a trailing comment read as the canonical form."""
+        assert parse_disk(text).to_text() == parse_disk(canonical).to_text()
 
     def test_family_text_form(self):
         f = extremal_family_1d(0.5)
