@@ -29,6 +29,11 @@ from .reports import DomainError
 # where the closed ball is the legal domain.
 _BALL_SLACK = 1e-10
 
+# Below this ||a||^2 (the smallest normal double), phi_a(w) is a - w to double
+# precision, since s and 1 - <w, a> both round to 1; numpy's complex division
+# by a subnormal ||a||^2 would give inf and NaN.
+_TINY = np.finfo(float).tiny
+
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
     """Hermitian inner product <x, y> = sum x_j conj(y_j) over the last axis."""
@@ -62,8 +67,8 @@ class BallAutomorphism:
 
     def __init__(self, a) -> None:
         a = np.atleast_1d(np.asarray(a, dtype=complex))
-        if a.ndim != 1:
-            raise DomainError("a must be a vector")
+        if a.ndim != 1 or a.size == 0:
+            raise DomainError("a must be a nonempty vector")
         r = float(vnorm(a))
         if r >= 1.0:
             raise DomainError(f"a must lie strictly inside the unit ball; got norm {r:.6g}")
@@ -82,14 +87,14 @@ class BallAutomorphism:
         if w.shape[-1] != self.dim:
             raise DomainError(f"dimension mismatch: automorphism is {self.dim}-dimensional")
         _check_in_closed_ball(w)
-        if self.r == 0.0:
-            return -w
+        if self.r2 < _TINY:
+            return self.a - w
         return self._phi(w, inner(w, self.a))
 
     __call__ = apply
 
     def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """phi_a(w) for a checked ``w`` with t = <w, a>; needs r > 0."""
+        """phi_a(w) for a checked ``w`` with t = <w, a>; needs a normal r^2."""
         pw = (t / self.r2)[..., None] * self.a
         qw = w - pw
         return (self.a - pw - self.s * qw) / (1.0 - t)[..., None]
@@ -101,8 +106,8 @@ class BallAutomorphism:
         if w.shape[-1] != self.dim or v.shape[-1] != self.dim:
             raise DomainError(f"dimension mismatch: automorphism is {self.dim}-dimensional")
         _check_in_closed_ball(w)
-        if self.r == 0.0:
-            return -w, -v + np.zeros_like(w)
+        if self.r2 < _TINY:
+            return self.a - w, -v + np.zeros_like(w)
         t = inner(w, self.a)
         value = self._phi(w, t)
         ta = inner(v, self.a)

@@ -226,23 +226,12 @@ def weierstrass_corpus(seed: int, count: int) -> list[CorpusSurface]:
     return members[:count]
 
 
-def corpus_generate(seed: int, m: int, count: int) -> list:
-    """Combined reproducible corpus: disk members first, then surfaces.
-
-    Returns :class:`CorpusDisk` descriptors for dimension ``m`` followed by
-    :class:`CorpusSurface` descriptors; both lists are deterministic in
-    ``(seed, m, count)``.
-    """
-    return list(holo_corpus(seed, m, count)) + list(weierstrass_corpus(seed, count))
-
-
 __all__ = [
     "CorpusDisk",
     "CorpusJulia",
     "CorpusSurface",
     "FAMILY_PARAMETERS",
     "case_rng",
-    "corpus_generate",
     "holo_corpus",
     "julia_corpus",
     "weierstrass_corpus",

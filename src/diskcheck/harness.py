@@ -117,9 +117,11 @@ class SuiteConfig:
             raise DomainError("dimensions must be a nonempty list of integers >= 1")
         if self.search_restarts < 1:
             raise DomainError("search_restarts must be at least 1")
-        for name in self.tolerances:
+        for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise DomainError(f"tolerance override names an unknown check: {name!r}")
+            if not math.isfinite(value):
+                raise DomainError(f"tolerance override for {name!r} must be finite; got {value!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -710,6 +712,7 @@ def emit_plot_data(report: dict, outdir: str) -> list[str]:
     """
     from .weierstrass import enneper_disk, planar_disk, scaled_into_ball
 
+    trace_rows = _search_trace_rows(report)
     os.makedirs(outdir, exist_ok=True)
     curve = []
     for k in range(100):
@@ -727,17 +730,39 @@ def emit_plot_data(report: dict, outdir: str) -> list[str]:
         rows = ([repr(float(z.real)), repr(float(z.imag)), repr(float(margin))] for z, margin in zip(zs, margins))
         written.append(_write_csv(os.path.join(outdir, fname), ["re_z", "im_z", "margin"], rows))
 
-    search = report.get("suites", {}).get("search")
-    if search and "reports" in search:
-        rows = (
-            [family_name, restart, iteration, repr(float(value))]
-            for family_name, srep in sorted(search["reports"].items())
-            for restart, trace in enumerate(srep["traces"])
-            for iteration, value in trace
-        )
+    if trace_rows is not None:
         header = ["family", "restart", "iteration", "best_margin"]
-        written.append(_write_csv(os.path.join(outdir, "search_traces.csv"), header, rows))
+        written.append(_write_csv(os.path.join(outdir, "search_traces.csv"), header, trace_rows))
     return written
+
+
+def _search_trace_rows(report: dict) -> list | None:
+    """CSV rows of a report's search traces; None when it has no search reports.
+
+    Raises DomainError unless ``suites`` and its ``search`` are objects,
+    ``search.reports`` is an object of objects, and each ``traces`` is a
+    list of traces of [iteration, value] number pairs.
+    """
+    suites = report.get("suites", {})
+    search = suites.get("search", {}) if isinstance(suites, dict) else None
+    if not isinstance(search, dict):
+        raise DomainError("report 'suites' and 'suites.search' must be objects")
+    reports = search.get("reports")
+    if reports is None:
+        return None
+    if not isinstance(reports, dict) or not all(isinstance(srep, dict) for srep in reports.values()):
+        raise DomainError("report 'suites.search.reports' must be an object of objects")
+    rows = []
+    for family_name, srep in sorted(reports.items()):
+        traces = srep.get("traces")
+        if not isinstance(traces, list) or not all(isinstance(trace, list) for trace in traces):
+            raise DomainError(f"search traces of {family_name!r} must be a list of lists")
+        for restart, trace in enumerate(traces):
+            for pair in trace:
+                if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair)):
+                    raise DomainError(f"search trace entries of {family_name!r} must be [iteration, value] pairs")
+                rows.append([family_name, restart, pair[0], repr(float(pair[1]))])
+    return rows
 
 
 __all__ = [

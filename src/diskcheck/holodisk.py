@@ -12,10 +12,11 @@ differentiation).  Value-only ``_eval`` walks serve the bulk sweeps.  Both
 accept arrays of points, so whole sample batches, or the stacked points a
 check needs (such as 0 and a boundary point), cost one tree walk.
 
-The inequality checks at the bottom of the module all return
+The sampled checks (growth, two-sided quotient, Julia) are the
+``*_margins`` functions: each returns one raw margin per sample point, and a
+suite run judges the array.  The per-instance checks return an
 :class:`~diskcheck.reports.InequalityReport`, judged with their check's
-default tolerance (a suite run judges them again with its overrides);
-vectorized ``*_margins`` variants return raw margin arrays for bulk sweeps.
+default tolerance (a suite run judges them again with its overrides).
 
 Serialization uses a nested prefix notation, e.g. ``mul(z, blaschke(0.5))``
 or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``; see the README
@@ -29,7 +30,6 @@ from __future__ import annotations
 import ast
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -411,26 +411,7 @@ def extremal_family_1d(a: float) -> HoloDisk:
 # boundary machinery
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A unit-circle parameter, tagged with whether the image reaches the sphere."""
-
-    zeta: complex
-    on_sphere: bool = False
-
-    def __post_init__(self):
-        _boundary_param(self.zeta)
-
-    @classmethod
-    def for_disk(cls, f: HoloDisk, zeta) -> "BoundaryPoint":
-        zeta = complex(zeta)
-        on = abs(float(vnorm(f.eval(zeta))) - 1.0) <= 1e-10
-        return cls(zeta=zeta, on_sphere=on)
-
-
 def _boundary_param(zeta) -> complex:
-    if isinstance(zeta, BoundaryPoint):
-        return complex(zeta.zeta)
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-14:
         raise DomainError(f"boundary parameter must have |zeta| = 1; got {abs(zeta):.17g}")
@@ -490,8 +471,8 @@ def _norm_jet(f: HoloDisk, points) -> tuple[list[float], list[float]]:
 # interior growth bounds
 
 
-def _growth(f: HoloDisk, zs) -> tuple[float, np.ndarray]:
-    """||F'(0)|| and the growth margins at ``zs``."""
+def growth_margins(f: HoloDisk, zs) -> np.ndarray:
+    """Vectorized margins |z|(|z| + A)/(1 + |z| A) - ||F(z)||, A = ||F'(0)||."""
     (n0,), (a,) = _norm_jet(f, [0j])
     _require_zero_at_origin(n0)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
@@ -499,42 +480,7 @@ def _growth(f: HoloDisk, zs) -> tuple[float, np.ndarray]:
         raise DomainError("growth margin requires interior points")
     r = np.abs(zs)
     bound = r * (r + a) / (1.0 + r * a)
-    return a, bound - vnorm(f._eval(zs))
-
-
-def growth_margins(f: HoloDisk, zs) -> np.ndarray:
-    """Vectorized margins |z|(|z| + A)/(1 + |z| A) - ||F(z)||, A = ||F'(0)||."""
-    return _growth(f, zs)[1]
-
-
-def growth_margin(f: HoloDisk, z) -> InequalityReport:
-    """Growth bound at one interior point of an origin-fixing map."""
-    a, margins = _growth(f, [complex(z)])
-    margin = float(margins[0])
-    r = abs(complex(z))
-    bound = r * (r + a) / (1.0 + r * a)
-    return make_report(
-        "growth_margin",
-        f"{f.to_text()} @ z={_fmt_complex(z)}",
-        lhs=bound - margin,
-        rhs=bound,
-        margin=margin,
-        extra={"deriv0_norm": a},
-    )
-
-
-def _two_sided(f: HoloDisk, zs) -> tuple[float, np.ndarray, np.ndarray]:
-    """||F'(0)|| and the upper and lower quotient margins at ``zs``."""
-    (n0,), (a,) = _norm_jet(f, [0j])
-    _require_zero_at_origin(n0)
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    r = np.abs(zs)
-    if np.any((r <= 0.0) | (r >= 1.0)):
-        raise DomainError("quotient bounds need 0 < |z| < 1")
-    x = vnorm(f._eval(zs)) / r
-    upper = (a + r) / (1.0 + a * r) - x
-    lower = x - np.maximum((a - r) / (1.0 - a * r), 0.0)
-    return a, upper, lower
+    return bound - vnorm(f._eval(zs))
 
 
 def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -544,21 +490,16 @@ def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
     x - max((A - |z|)/(1 - A |z|), 0), asserted by callers only for m = 1 or
     collinear-range maps and reported otherwise.
     """
-    _, upper, lower = _two_sided(f, zs)
+    (n0,), (a,) = _norm_jet(f, [0j])
+    _require_zero_at_origin(n0)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    r = np.abs(zs)
+    if np.any((r <= 0.0) | (r >= 1.0)):
+        raise DomainError("quotient bounds need 0 < |z| < 1")
+    x = vnorm(f._eval(zs)) / r
+    upper = (a + r) / (1.0 + a * r) - x
+    lower = x - np.maximum((a - r) / (1.0 - a * r), 0.0)
     return upper, lower
-
-
-def two_sided_quotient_check(f: HoloDisk, z) -> InequalityReport:
-    """Two-sided quotient bound at one point; lower margin rides in ``extra``."""
-    a, upper, lower = _two_sided(f, [complex(z)])
-    return make_report(
-        "two_sided_upper",
-        f"{f.to_text()} @ z={_fmt_complex(z)}",
-        lhs=float(vnorm(f.eval(complex(z)))) / abs(complex(z)),
-        rhs=(a + abs(complex(z))) / (1.0 + a * abs(complex(z))),
-        margin=float(upper[0]),
-        extra={"lower_margin": float(lower[0]), "deriv0_norm": a},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +601,8 @@ def _julia_deriv_at_one(f: HoloDisk) -> float:
     return d1.real
 
 
-def _julia(f: HoloDisk, zs) -> tuple[float, np.ndarray]:
-    """f'(1) and the Julia margins at ``zs``."""
+def julia_margins(f: HoloDisk, zs) -> np.ndarray:
+    """Vectorized Julia margins f'(1)|1-z|^2/(1-|z|^2) - |1-f(z)|^2/(1-|f(z)|^2)."""
     d1 = _julia_deriv_at_one(f)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(np.abs(zs) >= 1.0):
@@ -669,28 +610,7 @@ def _julia(f: HoloDisk, zs) -> tuple[float, np.ndarray]:
     w = f._eval(zs)[:, 0]
     lhs = np.abs(1.0 - w) ** 2 / (1.0 - np.abs(w) ** 2)
     rhs = d1 * np.abs(1.0 - zs) ** 2 / (1.0 - np.abs(zs) ** 2)
-    return d1, rhs - lhs
-
-
-def julia_margins(f: HoloDisk, zs) -> np.ndarray:
-    """Vectorized Julia margins f'(1)|1-z|^2/(1-|z|^2) - |1-f(z)|^2/(1-|f(z)|^2)."""
-    return _julia(f, zs)[1]
-
-
-def julia_margin(f: HoloDisk, z) -> InequalityReport:
-    """Julia quotient bound at one interior point of a map fixing 1."""
-    z = complex(z)
-    d1, margins = _julia(f, [z])
-    margin = float(margins[0])
-    rhs = d1 * abs(1.0 - z) ** 2 / (1.0 - abs(z) ** 2)
-    return make_report(
-        "julia_margin",
-        f"{f.to_text()} @ z={_fmt_complex(z)}",
-        lhs=rhs - margin,
-        rhs=rhs,
-        margin=margin,
-        extra={"deriv_at_one": d1},
-    )
+    return rhs - lhs
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +706,6 @@ def affine_rigidity_check(f: HoloDisk) -> InequalityReport:
 __all__ = [
     "Add",
     "Blaschke",
-    "BoundaryPoint",
     "CMul",
     "ComposeAut",
     "Const",
@@ -805,9 +724,7 @@ __all__ = [
     "boundary_bound_shifted",
     "certify_in_ball",
     "extremal_family_1d",
-    "growth_margin",
     "growth_margins",
-    "julia_margin",
     "julia_margins",
     "nonreal_parameter_strictness",
     "parse_disk",
@@ -815,5 +732,4 @@ __all__ = [
     "schwarz_derivative_bound",
     "sup_boundary_norm",
     "two_sided_margins",
-    "two_sided_quotient_check",
 ]

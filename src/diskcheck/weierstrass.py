@@ -20,8 +20,6 @@ half-sphere minimum-modulus chain, and an inverse Lipschitz estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as P
@@ -157,39 +155,6 @@ class WeierstrassDisk:
         return f"WeierstrassDisk(p={fmt(self.p)}, q={fmt(self.q)}, base={base}, halfsphere={self.halfsphere!r})"
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Position and first-order data of the surface at one parameter value."""
-
-    z: complex
-    position: np.ndarray
-    f_x: np.ndarray
-    f_y: np.ndarray
-    f_r: np.ndarray
-    f_t: np.ndarray
-    conformal_factor: float
-
-
-def surface_point(w: WeierstrassDisk, z) -> SurfacePoint:
-    """Exact partials at one nonzero parameter, in Cartesian and polar form."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("polar partials are undefined at the parameter origin")
-    f_x, f_y = w.partials(z)
-    r, t = abs(z), np.angle(z)
-    f_r = f_x * np.cos(t) + f_y * np.sin(t)
-    f_t = r * (-f_x * np.sin(t) + f_y * np.cos(t))
-    return SurfacePoint(
-        z=z,
-        position=w.eval(z),
-        f_x=f_x,
-        f_y=f_y,
-        f_r=f_r,
-        f_t=f_t,
-        conformal_factor=w.conformal_factor(z),
-    )
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -294,24 +259,13 @@ def distance_decreasing_margins(w: WeierstrassDisk, zs, ws) -> np.ndarray:
     return poincare_dist(zs, ws) - cayley_klein_dist(w.eval(zs), w.eval(ws))
 
 
-def distance_decreasing_margin(w: WeierstrassDisk, z, ww) -> InequalityReport:
-    """Hyperbolic distance decrease for one parameter pair."""
-    margin = float(distance_decreasing_margins(w, [complex(z)], [complex(ww)])[0])
-    lhs = float(cayley_klein_dist(w.eval(complex(z)), w.eval(complex(ww))))
-    return make_report(
-        "distance_decreasing",
-        f"{w!r} @ ({z!r}, {ww!r})",
-        lhs=lhs,
-        rhs=lhs + margin,
-        margin=margin,
-    )
-
-
 def boundary_minimal_margin(w: WeierstrassDisk, zeta) -> InequalityReport:
     """Boundary bound ||F_r(zeta)|| >= (1 - r0)/(1 + r0) at a sphere-contact point."""
     zeta = _boundary_param(zeta)
     _require_boundary_contact(float(vnorm(w.eval(zeta))))
-    val = float(vnorm(surface_point(w, zeta).f_r))
+    f_x, f_y = w.partials(zeta)
+    t = np.angle(zeta)
+    val = float(vnorm(f_x * np.cos(t) + f_y * np.sin(t)))
     r0 = float(vnorm(w.eval(0j)))
     bound = (1.0 - r0) / (1.0 + r0)
     return make_report(
@@ -564,11 +518,9 @@ def surface_sample(w: WeierstrassDisk, n_radial: int = 24, n_angular: int = 48) 
 
 
 __all__ = [
-    "SurfacePoint",
     "WeierstrassDisk",
     "antiderivative_quadrature_residual",
     "boundary_minimal_margin",
-    "distance_decreasing_margin",
     "distance_decreasing_margins",
     "enneper_disk",
     "halfsphere_chain_check",
@@ -582,7 +534,6 @@ __all__ = [
     "rotated_planar_disk",
     "save_weierstrass",
     "scaled_into_ball",
-    "surface_point",
     "surface_sample",
     "translated_planar_disk",
 ]

@@ -46,6 +46,15 @@ class TestPointMap:
         w = ball_point(rng_for(7), 3)
         assert float(vnorm(aut.apply(w) + w)) == 0.0
 
+    def test_subnormal_parameter_norm_is_finite(self):
+        # ||a||^2 = 1e-320 is subnormal; phi_a(w) is a - w to double precision.
+        aut = BallAutomorphism([1e-160, 0.0])
+        w = np.asarray([0.5, 0.1j])
+        assert np.array_equal(aut.apply(w), aut.a - w)
+        value, dv = aut._apply_and_differential(w, np.asarray([1.0, 0.0]))
+        assert np.array_equal(value, aut.a - w)
+        assert np.array_equal(dv, np.asarray([-1.0, 0.0]))
+
     def test_involution_and_norm_identity(self):
         for index in range(40):
             m = 1 + index % 4
@@ -70,6 +79,10 @@ class TestPointMap:
             BallAutomorphism([1.0, 0.0])
         with pytest.raises(DomainError):
             aut.apply(np.asarray([0.1, 0.1, 0.1], dtype=complex))
+
+    def test_rejects_empty_parameter(self):
+        with pytest.raises(DomainError):
+            BallAutomorphism([])
 
 
 class TestDifferential:

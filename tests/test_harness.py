@@ -13,7 +13,6 @@ from diskcheck import (
     DomainError,
     KNOWN_SUITES,
     SuiteConfig,
-    corpus_generate,
     emit_plot_data,
     holo_corpus,
     julia_corpus,
@@ -208,8 +207,8 @@ class TestConfigFile:
 
 class TestCorpus:
     def test_generation_is_deterministic(self):
-        a = corpus_generate(seed=3, m=2, count=10)
-        b = corpus_generate(seed=3, m=2, count=10)
+        a = holo_corpus(seed=3, m=2, count=10) + weierstrass_corpus(seed=3, count=10)
+        b = holo_corpus(seed=3, m=2, count=10) + weierstrass_corpus(seed=3, count=10)
         assert len(a) == len(b) > 0
         for left, right in zip(a, b):
             assert left.name == right.name
@@ -303,6 +302,12 @@ class TestCli:
             ["plot-data", "--report", "{tmp}/bad.json", "--out", "{tmp}/plots"],
             ["verify", "--config", "{tmp}/latin1.cfg"],
             ["plot-data", "--report", "{tmp}/list.json", "--out", "{tmp}/plots"],
+            ["plot-data", "--report", "{tmp}/suites_list.json", "--out", "{tmp}/plots"],
+            ["plot-data", "--report", "{tmp}/bad_trace.json", "--out", "{tmp}/plots"],
+            ["verify", "--suites", "holo", "--dimensions", "1", "--samples", "4",
+             "--tolerance", "growth_margin=nan"],
+            ["verify", "--suites", "holo", "--dimensions", "1", "--samples", "4",
+             "--tolerance", "growth_margin=inf"],
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):
@@ -310,11 +315,15 @@ class TestCli:
         (tmp_path / "bad.json").write_text("{", encoding="utf-8")
         (tmp_path / "latin1.cfg").write_bytes("# caf\u00e9\nseed = 1\n".encode("latin-1"))
         (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+        (tmp_path / "suites_list.json").write_text('{"suites": []}', encoding="utf-8")
+        bad_trace = {"suites": {"search": {"reports": {"x": {"traces": [[1]]}}}}}
+        (tmp_path / "bad_trace.json").write_text(json.dumps(bad_trace), encoding="utf-8")
         try:
             rc = cli_main([arg.format(tmp=tmp_path) for arg in argv])
         except SystemExit as exc:
             rc = exc.code
         assert rc == 2
+        assert not (tmp_path / "plots").exists()
 
     @pytest.mark.parametrize("verb", [["search"], ["corpus", "--count", "2"]])
     def test_negative_seed_exits_2(self, tmp_path, capsys, verb):

@@ -1,4 +1,4 @@
-"""Property tests over random expression trees from the node grammar."""
+"""Property tests over random expression trees and ball automorphisms."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskcheck import (
+    CHECKS,
     Add,
     BallAutomorphism,
     Blaschke,
@@ -106,3 +107,36 @@ def test_text_round_trip_is_exact(f, points):
     zs = np.asarray(points)
     assert parsed.eval(zs).tobytes() == f.eval(zs).tobytes()
     assert parsed.deriv(zs).tobytes() == f.deriv(zs).tobytes()
+
+
+def _direction(draw, m: int) -> np.ndarray:
+    """A unit vector of C^m."""
+    v = np.asarray(draw(st.lists(PARAMETER, min_size=m, max_size=m)))
+    norm = float(vnorm(v))
+    return v / norm if norm > 1e-3 else np.eye(m, dtype=complex)[0]
+
+
+@st.composite
+def automorphism_cases(draw):
+    """(a, w, u): ||a|| <= 0.95 (tiny norms included), w in the closed ball, u on the sphere."""
+    m = draw(st.integers(1, 3))
+    r = draw(st.one_of(st.floats(0.0, 0.95), st.floats(0.0, 1e-150), st.sampled_from([1e-160, 1e-200])))
+    rho = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-12).map(lambda d: 1.0 - d)))
+    return r * _direction(draw, m), rho * _direction(draw, m), _direction(draw, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(automorphism_cases())
+@example((np.array([1e-160, 0.0]), np.array([0.5, 0.1j]), np.array([1.0, 0.0])))
+def test_automorphism_identities(case):
+    a, w, u = case
+    aut = BallAutomorphism(a)
+    residuals = {
+        "phi_fixed_point": float(vnorm(aut.apply(a))),
+        "phi_origin_value": float(vnorm(aut.apply(np.zeros_like(a)) - a)),
+        "phi_involution": float(vnorm(aut.apply(aut.apply(w)) - w)),
+        "phi_norm_identity": aut.norm_identity_residual(w),
+        "phi_boundary_preservation": abs(float(vnorm(aut.apply(u))) - 1.0),
+    }
+    for name, residual in residuals.items():
+        assert residual <= CHECKS[name][1], name

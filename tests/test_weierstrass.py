@@ -12,7 +12,6 @@ from diskcheck import (
     WeierstrassDisk,
     antiderivative_quadrature_residual,
     boundary_minimal_margin,
-    distance_decreasing_margin,
     distance_decreasing_margins,
     enneper_disk,
     halfsphere_chain_check,
@@ -27,7 +26,6 @@ from diskcheck import (
     rotated_planar_disk,
     save_weierstrass,
     scaled_into_ball,
-    surface_point,
     surface_sample,
     translated_planar_disk,
     vnorm,
@@ -81,13 +79,14 @@ class TestEvaluation:
         rng = rng_for(2)
         w = random_surface(rng)
         for z in disk_points(rng, 5, 0.9):
-            sp = surface_point(w, z)
-            lam = sp.conformal_factor
-            assert float(vnorm(sp.f_r)) == pytest.approx(lam, rel=1e-12)
-            assert float(vnorm(sp.f_t)) == pytest.approx(abs(z) * lam, rel=1e-12)
-            assert abs(float(np.dot(sp.f_r, sp.f_t))) < 1e-12 * max(lam, 1.0) ** 2
-        with pytest.raises(DomainError):
-            surface_point(w, 0.0)
+            f_x, f_y = w.partials(z)
+            t = np.angle(z)
+            f_r = f_x * np.cos(t) + f_y * np.sin(t)
+            f_t = abs(z) * (-f_x * np.sin(t) + f_y * np.cos(t))
+            lam = w.conformal_factor(z)
+            assert float(vnorm(f_r)) == pytest.approx(lam, rel=1e-12)
+            assert float(vnorm(f_t)) == pytest.approx(abs(z) * lam, rel=1e-12)
+            assert abs(float(np.dot(f_r, f_t))) < 1e-12 * max(lam, 1.0) ** 2
 
 
 class TestStructuralIdentities:
@@ -163,9 +162,9 @@ class TestDistanceDecreasing:
         assert float(np.max(np.abs(diam))) < 1e-12
 
     def test_planar_general_pair_probe_value(self):
-        rep = distance_decreasing_margin(planar_disk(), 0.5, 0.5j)
-        assert rep.margin == pytest.approx(0.04498442499009636, rel=1e-9)
-        assert rep.margin > 0.04
+        (margin,) = distance_decreasing_margins(planar_disk(), [0.5], [0.5j])
+        assert margin == pytest.approx(0.04498442499009636, rel=1e-9)
+        assert margin > 0.04
 
     def test_enneper_margins_strictly_positive(self):
         rng = rng_for(9)
