@@ -21,6 +21,8 @@ the origin.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .reports import DomainError
@@ -45,9 +47,20 @@ def vnorm(x: np.ndarray) -> float | np.ndarray:
     return np.sqrt(np.add.reduce(np.abs(np.asarray(x)) ** 2, axis=-1))
 
 
+def _param_norm(a: np.ndarray) -> np.ndarray:
+    """``vnorm(a)``, rescaled by the largest modulus where the sum of squares is subnormal."""
+    squares = np.add.reduce(np.abs(a) ** 2, axis=-1)
+    r = np.sqrt(squares)
+    if (squares < _TINY).any():
+        scale = np.max(np.abs(a), axis=-1, keepdims=True)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        r = np.where(squares < _TINY, vnorm(a / scale) * scale[..., 0], r)
+    return r
+
+
 def _check_in_closed_ball(w: np.ndarray, what: str = "w") -> None:
     n = vnorm(w)
-    if np.any(n > 1.0 + _BALL_SLACK):
+    if (n > 1.0 + _BALL_SLACK).any():
         raise DomainError(f"{what} must lie in the closed unit ball; got norm {np.max(n):.6g}")
 
 
@@ -56,8 +69,12 @@ class BallAutomorphism:
 
     Parameters
     ----------
-    a : array_like of complex, shape (m,)
+    a : array_like of complex, shape (m,) or (K, m)
         Interior point exchanged with the origin: phi_a(0) = a, phi_a(a) = 0.
+        A (K, m) stack gives K involutions evaluated together: ``r``, ``r2``
+        and ``s`` are then (K,) arrays and ``e`` is (K, m), and every method
+        takes points shaped (..., K, m), sending row k through phi_{a_k} with
+        the arithmetic of a one-point call.
 
     Raises
     ------
@@ -67,53 +84,76 @@ class BallAutomorphism:
 
     def __init__(self, a) -> None:
         a = np.atleast_1d(np.asarray(a, dtype=complex))
-        if a.ndim != 1 or a.size == 0:
-            raise DomainError("a must be a nonempty vector")
-        r = float(vnorm(a))
-        if r >= 1.0:
-            raise DomainError(f"a must lie strictly inside the unit ball; got norm {r:.6g}")
+        if a.ndim > 2 or a.size == 0:
+            raise DomainError("a must be a nonempty vector or a stack of them")
+        r = _param_norm(a)
+        if (r >= 1.0).any():
+            raise DomainError(f"a must lie strictly inside the unit ball; got norm {np.max(r):.6g}")
+        if a.ndim == 1:
+            r = float(r)
         self.a = a
-        self.dim = a.shape[0]
+        self.dim = a.shape[-1]
         self.r = r
         self.r2 = r * r
-        self.s = float(np.sqrt(1.0 - self.r2))
-        self.e = a / r if r > 0 else None
+        self.s = np.sqrt(1.0 - self.r2) if a.ndim == 2 else float(np.sqrt(1.0 - self.r2))
+        self._s = self._col(self.s)
+        self._conj_a = np.conj(a)
+        # Rows with ||a||^2 below _TINY map w to a - w; dividing them by 1
+        # instead keeps every row's arithmetic finite.
+        self._tiny = self.r2 < _TINY
+        self._any_tiny = bool(np.any(self._tiny))
+        self._r2 = np.where(self._tiny, 1.0, self.r2) if self._any_tiny else self.r2
+
+    @functools.cached_property
+    def e(self):
+        """The unit vector a / ||a||, zero where a = 0."""
+        return self.a / self._col(np.where(self.r > 0.0, self.r, 1.0))
+
+    def _col(self, x):
+        """A per-parameter quantity, shaped to broadcast against points (..., K, m)."""
+        return x[..., None] if self.a.ndim == 2 else x
+
+    def _points(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=complex)
+        if w.shape[-1] != self.dim:
+            raise DomainError(f"dimension mismatch: automorphism is {self.dim}-dimensional")
+        return w
 
     # -- point map -----------------------------------------------------
 
     def apply(self, w) -> np.ndarray:
-        """Evaluate phi_a(w) for ``w`` in the closed ball, shape (..., m)."""
-        w = np.asarray(w, dtype=complex)
-        if w.shape[-1] != self.dim:
-            raise DomainError(f"dimension mismatch: automorphism is {self.dim}-dimensional")
+        """Evaluate phi_a(w) for ``w`` in the closed ball, shape (..., m) or (..., K, m)."""
+        w = self._points(w)
         _check_in_closed_ball(w)
-        if self.r2 < _TINY:
-            return self.a - w
-        return self._phi(w, inner(w, self.a))
+        return self._phi(w, np.add.reduce(w * self._conj_a, axis=-1))
 
     __call__ = apply
 
     def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """phi_a(w) for a checked ``w`` with t = <w, a>; needs a normal r^2."""
-        pw = (t / self.r2)[..., None] * self.a
-        qw = w - pw
-        return (self.a - pw - self.s * qw) / (1.0 - t)[..., None]
+        """phi_a(w) for a checked ``w`` with t = <w, a>."""
+        pw = (t / self._r2)[..., None] * self.a
+        value = (self.a - pw - self._s * (w - pw)) / (1.0 - t)[..., None]
+        if self._any_tiny:
+            value = np.where(self._col(self._tiny), self.a - w, value)
+        return value
 
     def _apply_and_differential(self, w, v) -> tuple[np.ndarray, np.ndarray]:
         """(phi_a(w), D phi_a(w)[v]), computing phi_a(w) once; broadcasts over (..., m)."""
-        w = np.asarray(w, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        if w.shape[-1] != self.dim or v.shape[-1] != self.dim:
-            raise DomainError(f"dimension mismatch: automorphism is {self.dim}-dimensional")
+        w = self._points(w)
+        v = self._points(v)
         _check_in_closed_ball(w)
-        if self.r2 < _TINY:
-            return self.a - w, -v + np.zeros_like(w)
-        t = inner(w, self.a)
+        return self._value_and_differential(w, v)
+
+    def _value_and_differential(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_apply_and_differential`` for complex arrays, ``w`` known to lie in the closed ball."""
+        t = np.add.reduce(w * self._conj_a, axis=-1)
         value = self._phi(w, t)
-        ta = inner(v, self.a)
-        pv = (ta / self.r2)[..., None] * self.a
-        qv = v - pv
-        return value, (-pv - self.s * qv + ta[..., None] * value) / (1.0 - t)[..., None]
+        ta = np.add.reduce(v * self._conj_a, axis=-1)
+        pv = (ta / self._r2)[..., None] * self.a
+        deriv = (-pv - self._s * (v - pv) + ta[..., None] * value) / (1.0 - t)[..., None]
+        if self._any_tiny:
+            deriv = np.where(self._col(self._tiny), -v + np.zeros_like(w), deriv)
+        return value, deriv
 
     def differential(self, w, v) -> np.ndarray:
         """Directional derivative D phi_a(w)[v]; broadcasts over (..., m)."""
@@ -143,32 +183,36 @@ class BallAutomorphism:
         Callers should treat it as a diagnostic, not a bound.
         """
         w = np.asarray(w, dtype=complex)
-        if self.r == 0.0:
-            return np.ones(w.shape[:-1]) if w.ndim > 1 else 1.0
         t = inner(w, self.a)
-        x = -self.e + self.r * self.apply(w)
+        x = -self.e + self._col(self.r) * self.apply(w)
         val = np.maximum(self.s, vnorm(x)) / np.abs(1.0 - t)
-        return val if w.ndim > 1 else float(val)
+        return val if np.ndim(val) else float(val)
 
     def opnorm_oracle(self, w) -> float | np.ndarray:
         """Exact operator norm of D phi_a(w): largest singular value."""
         w = np.asarray(w, dtype=complex)
         sv = np.linalg.svd(self.matrix(w), compute_uv=False)
         val = sv[..., 0]
-        return val if w.ndim > 1 else float(val)
+        return val if np.ndim(val) else float(val)
 
     def opnorm_global_bound(self) -> float:
         """Supremum (1 + r) / (1 - r) of the operator norm over the closed ball."""
         return (1.0 + self.r) / (1.0 - self.r)
 
     def norm_identity_residual(self, w) -> float | np.ndarray:
-        """Residual of (1 - ||phi_a(w)||^2) |1 - <w, a>|^2 = (1 - r^2)(1 - ||w||^2)."""
+        """Residual of (1 - ||phi_a(w)||^2) |1 - <w, a>|^2 = (1 - r^2)(1 - ||w||^2).
+
+        Squares go through ``np.float_power``, which rounds like C ``pow``,
+        as ``**`` does on the scalars of a one-point call; ``**`` on arrays
+        squares instead, and the two differ in the last bit about once in
+        a thousand.
+        """
         w = np.asarray(w, dtype=complex)
         t = inner(w, self.a)
-        lhs = (1.0 - vnorm(self.apply(w)) ** 2) * np.abs(1.0 - t) ** 2
-        rhs = (1.0 - self.r2) * (1.0 - vnorm(w) ** 2)
+        lhs = (1.0 - np.float_power(vnorm(self.apply(w)), 2)) * np.float_power(np.abs(1.0 - t), 2)
+        rhs = (1.0 - self.r2) * (1.0 - np.float_power(vnorm(w), 2))
         res = np.abs(lhs - rhs)
-        return res if w.ndim > 1 else float(res)
+        return res if np.ndim(res) else float(res)
 
 
 def pseudo_hyperbolic_quotient(a, w) -> float | np.ndarray:
@@ -179,11 +223,11 @@ def pseudo_hyperbolic_quotient(a, w) -> float | np.ndarray:
     """
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     w = np.asarray(w, dtype=complex)
-    if float(vnorm(a)) >= 1.0:
+    if np.any(vnorm(a) >= 1.0):
         raise DomainError("a must lie strictly inside the unit ball")
     _check_in_closed_ball(w)
     val = vnorm(w - a) / np.abs(1.0 - inner(w, a))
-    return val if w.ndim > 1 else float(val)
+    return val if np.ndim(val) else float(val)
 
 
 def poincare_dist(z, w) -> float | np.ndarray:

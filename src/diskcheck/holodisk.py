@@ -506,12 +506,17 @@ def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
 # boundary derivative bounds
 
 
+def _origin_bound(n0: float, n: float, a: float) -> float:
+    """The bound 2/(1 + a) for a map with ||F(0)|| = n0, ||F(zeta)|| = n and ||F'(0)|| = a."""
+    _require_zero_at_origin(n0)
+    _require_boundary_contact(n)
+    return 2.0 / (1.0 + a)
+
+
 def _origin_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float]:
     """||F'(zeta)||, the bound 2/(1 + ||F'(0)||) and ||F'(0)||, from one walk at [0, zeta]."""
     (n0, n), (a, val) = _norm_jet(f, [0j, zeta])
-    _require_zero_at_origin(n0)
-    _require_boundary_contact(n)
-    return val, 2.0 / (1.0 + a), a
+    return val, _origin_bound(n0, n, a), a
 
 
 def boundary_bound_origin(f: HoloDisk, zeta) -> InequalityReport:
@@ -528,13 +533,18 @@ def boundary_bound_origin(f: HoloDisk, zeta) -> InequalityReport:
     )
 
 
-def _shifted_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float, float]:
-    """||F'(zeta)||, the main bound, r = ||F(0)|| and ||F'(0)||, from one walk at [0, zeta]."""
-    (r, n), (a, val) = _norm_jet(f, [0j, zeta])
+def _shifted_bound(r: float, n: float, a: float) -> float:
+    """The main bound 2 (1 - r)^2 / (1 - r^2 + a) for ||F(0)|| = r, ||F(zeta)|| = n and ||F'(0)|| = a."""
     _require_boundary_contact(n)
     if r >= 1.0 - 1e-12:
         raise DomainError("degenerate map: ||F(0)|| = 1 pins the image to the boundary")
-    return val, 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a), r, a
+    return 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a)
+
+
+def _shifted_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float, float]:
+    """||F'(zeta)||, the main bound, r = ||F(0)|| and ||F'(0)||, from one walk at [0, zeta]."""
+    (r, n), (a, val) = _norm_jet(f, [0j, zeta])
+    return val, _shifted_bound(r, n, a), r, a
 
 
 def boundary_bound_shifted(f: HoloDisk, zeta) -> InequalityReport:

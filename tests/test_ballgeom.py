@@ -84,6 +84,56 @@ class TestPointMap:
         with pytest.raises(DomainError):
             BallAutomorphism([])
 
+    def test_tiny_parameter_keeps_its_norm(self):
+        # ||a||^2 = 1e-320 is subnormal; r is rescaled, not the root of it.
+        aut = BallAutomorphism([1e-160, 0.0])
+        assert aut.r == 1e-160
+        assert np.array_equal(aut.e, [1.0, 0.0])
+        w = np.asarray([0.5, 0.1j])
+        assert abs(aut.opnorm_formula(w) - aut.opnorm_oracle(w)) <= 1e-15
+        stacked = BallAutomorphism([[1e-160, 0.0], [0.3, 0.1j], [0.0, 0.0]])
+        assert stacked.r.tolist() == [1e-160, BallAutomorphism([0.3, 0.1j]).r, 0.0]
+
+    def test_rejects_deeper_stacks_and_outside_rows(self):
+        with pytest.raises(DomainError):
+            BallAutomorphism(np.zeros((2, 2, 2)))
+        with pytest.raises(DomainError):
+            BallAutomorphism([[0.5, 0.0], [1.0, 0.0]])
+        with pytest.raises(DomainError):
+            BallAutomorphism(np.zeros((0, 2)))
+
+
+class TestStackedParameters:
+    """A (K, m) stack evaluates K automorphisms with the bits of K one-point calls."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_stack_equals_one_point_calls_bitwise(self, m):
+        rng = rng_for(600 + m)
+        count = 200
+        a = np.stack([ball_point(rng, m, 0.9) for _ in range(count)])
+        a[0] = 0.0
+        a[1] = 0.0
+        a[1, 0] = 1e-160
+        sphere = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+        sphere /= vnorm(sphere)[:, None]
+        inside = np.stack([ball_point(rng, m, 0.999) for _ in range(count)])
+        v = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+        stacked = BallAutomorphism(a)
+        single = [BallAutomorphism(row) for row in a]
+        assert np.array_equal(stacked.r, [aut.r for aut in single])
+        assert np.array_equal(stacked.s, [aut.s for aut in single])
+        assert np.array_equal(stacked.opnorm_global_bound(), [aut.opnorm_global_bound() for aut in single])
+        for w in (inside, sphere, a, np.zeros_like(a)):
+            for method, args in (
+                ("apply", (w,)),
+                ("differential", (w, v)),
+                ("opnorm_formula", (w,)),
+                ("opnorm_oracle", (w,)),
+                ("norm_identity_residual", (w,)),
+            ):
+                expected = [getattr(aut, method)(*(x[k] for x in args)) for k, aut in enumerate(single)]
+                assert np.array_equal(getattr(stacked, method)(*args), np.asarray(expected)), method
+
 
 class TestDifferential:
     def test_matches_finite_differences(self):

@@ -23,7 +23,8 @@ from diskcheck import (
     margin_objective_md,
     vnorm,
 )
-from diskcheck.search import _family_md_disk
+from diskcheck.search import _family_1d_margins, _family_md_margins
+from oracles import family_md_tree, tree_objective_1d, tree_objective_md
 
 DIMENSIONS = (1, 2, 3)
 
@@ -83,7 +84,7 @@ class TestOneWalkBounds:
             for member in holo_corpus(0, m, 40):
                 if member.boundary_contact is not None:
                     cases.append((member.disk, member.boundary_contact, member.zero_at_origin))
-            cases += [(_family_md_disk(p, m), 1.0 + 0j, False) for p in family_md_params(m, 10)]
+            cases += [(family_md_tree(p, m), 1.0 + 0j, False) for p in family_md_params(m, 10)]
         cases += [(Blaschke(c), 1.0 + 0j, False) for c in (0.2, -0.5j, 0.3 + 0.6j)]
         assert sum(origin for _, _, origin in cases) > 10
         for f, zeta, origin in cases:
@@ -102,7 +103,7 @@ class TestOneWalkBounds:
         one = [(0.05 + 0.9 * t, 3.0 * math.cos(7.0 * t)) for t in np.linspace(0.0, 1.0, 7)]
         expected_md = [margin_objective_md(p, m) for p, m in md]
         expected_1d = [margin_objective_1d(q) for q in one]
-        assert expected_md == [boundary_bound_shifted(_family_md_disk(p, m), 1.0).margin for p, m in md]
+        assert expected_md == [boundary_bound_shifted(family_md_tree(p, m), 1.0).margin for p, m in md]
 
         def refuse(*args, **kwargs):
             raise AssertionError("search objective built report text")
@@ -120,3 +121,24 @@ class TestOneWalkBounds:
             boundary_bound_origin(Blaschke(0.5), 1.0)
         with pytest.raises(DomainError, match="degenerate map"):
             boundary_bound_shifted(Const(1.0), 1.0)
+
+
+class TestBatchedObjectives:
+    """The search evaluates each family from its node formulas, a block of rows per call."""
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    def test_family_md_rows_equal_tree_walks_bitwise(self, m):
+        params = np.asarray(family_md_params(m, 2000, seed=20 + m))
+        params[0] = 0.0  # b = 0, c = 0 and the default direction
+        params[1, : 2 * m + 2] = 0.0  # b = 0: the automorphism is -identity
+        params[2, 2 * m + 2 :] = 1e-12  # a direction below the normalization floor
+        tree = np.asarray([tree_objective_md(p, m) for p in params])
+        assert _family_md_margins(params, m).tobytes() == tree.tobytes()
+        assert np.asarray([margin_objective_md(p, m) for p in params[:50]]).tobytes() == tree[:50].tobytes()
+
+    def test_family_1d_rows_equal_tree_walks_bitwise(self):
+        rng = np.random.default_rng(30)
+        params = np.column_stack([rng.uniform(0.0, 1.0 - 1e-6, 2000), rng.uniform(-math.pi, math.pi, 2000)])
+        tree = np.asarray([tree_objective_1d(p) for p in params])
+        assert _family_1d_margins(params).tobytes() == tree.tobytes()
+        assert np.asarray([margin_objective_1d(p) for p in params[:50]]).tobytes() == tree[:50].tobytes()

@@ -18,6 +18,8 @@ from diskcheck import (
     restricted_family_1d_spec,
     sharpness_report,
 )
+from diskcheck.search import _lockstep_nelder_mead
+from oracles import sequential_nelder_mead, sequential_sharpness_report
 
 
 class TestNelderMead:
@@ -77,6 +79,57 @@ class TestNelderMead:
         with pytest.raises(DomainError, match="NaN"):
             nelder_mead(objective, np.asarray([1.0, 2.0]))
         assert len(calls) == 5
+
+
+class TestLockstep:
+    """K runs advanced together give each run's sequential result."""
+
+    def test_runs_equal_sequential_runs(self):
+        lower, upper = np.asarray([-2.0, -1.0, -1.5]), np.asarray([2.0, 3.0, 1.5])
+        rosen = lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        starts = np.random.default_rng(3).uniform(lower, upper, size=(5, 3))
+        for bounds, steps in (((lower, upper), 60), (None, 10_000)):
+            batched = lambda points: [rosen(x) for x in points]
+            together = _lockstep_nelder_mead(batched, starts, bounds=bounds, max_iterations=steps)
+            for start, result in zip(starts, together):
+                alone = sequential_nelder_mead(rosen, start, bounds=bounds, max_iterations=steps)
+                assert np.array_equal(result.x, alone.x)
+                assert (result.value, result.iterations, result.evaluations) == (
+                    alone.value,
+                    alone.iterations,
+                    alone.evaluations,
+                )
+                assert result.trace == alone.trace
+                assert result.min_evaluated == alone.min_evaluated
+
+    def test_nan_or_infinite_start_in_any_run_is_rejected(self):
+        starts = np.asarray([[0.5, 0.5], [1.0, 2.0], [-1.0, 0.3]])
+        calls = []
+
+        def objective(points):
+            calls.append(len(points))
+            values = np.sum(points**2, axis=1)
+            if len(calls) == 4:
+                values[-1] = math.nan
+            return values
+
+        with pytest.raises(DomainError, match="NaN"):
+            _lockstep_nelder_mead(objective, starts)
+        assert len(calls) == 4
+        infinite_start = lambda points: np.where(points[:, 0] > 0.9, math.inf, np.sum(points**2, axis=1))
+        with pytest.raises(DomainError, match="not finite at the start point"):
+            _lockstep_nelder_mead(infinite_start, starts)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sharpness_reports_equal_the_sequential_search(self, seed):
+        # The restart counts of a default verify run.
+        for spec, restarts in (
+            (family_1d_spec(), 8),
+            (restricted_family_1d_spec(), 8),
+            (family_md_spec(2), 6),
+        ):
+            expected = sequential_sharpness_report(spec, restarts=restarts, seed=seed)
+            assert sharpness_report(spec, restarts=restarts, seed=seed) == expected, spec.family
 
 
 class TestObjectives:
