@@ -48,20 +48,18 @@ def vnorm(x: np.ndarray) -> float | np.ndarray:
 
 
 def _param_norm(a: np.ndarray) -> np.ndarray:
-    """``vnorm(a)``, rescaled by the largest modulus where the sum of squares is subnormal."""
+    """``vnorm(a)``, or ``np.hypot`` over the moduli where the sum of squares is subnormal."""
     squares = np.add.reduce(np.abs(a) ** 2, axis=-1)
     r = np.sqrt(squares)
     if (squares < _TINY).any():
-        scale = np.max(np.abs(a), axis=-1, keepdims=True)
-        scale = np.where(scale > 0.0, scale, 1.0)
-        r = np.where(squares < _TINY, vnorm(a / scale) * scale[..., 0], r)
+        r = np.where(squares < _TINY, np.hypot.reduce(np.abs(a), axis=-1), r)
     return r
 
 
-def _check_in_closed_ball(w: np.ndarray, what: str = "w") -> None:
+def _check_in_closed_ball(w: np.ndarray) -> None:
     n = vnorm(w)
     if (n > 1.0 + _BALL_SLACK).any():
-        raise DomainError(f"{what} must lie in the closed unit ball; got norm {np.max(n):.6g}")
+        raise DomainError(f"w must lie in the closed unit ball; got norm {np.max(n):.6g}")
 
 
 class BallAutomorphism:
@@ -107,7 +105,14 @@ class BallAutomorphism:
     @functools.cached_property
     def e(self):
         """The unit vector a / ||a||, zero where a = 0."""
-        return self.a / self._col(np.where(self.r > 0.0, self.r, 1.0))
+        r = self._col(np.where(self.r > 0.0, self.r, 1.0))
+        if not self._any_tiny:
+            return self.a / r
+        # numpy divides a complex number by a real one through the divisor's
+        # reciprocal, which overflows for a subnormal ||a||; tiny rows divide
+        # each part instead.
+        tiny = self._col(self._tiny)
+        return np.where(tiny, self.a.real / r + 1j * (self.a.imag / r), self.a / np.where(tiny, 1.0, r))
 
     def _col(self, x):
         """A per-parameter quantity, shaped to broadcast against points (..., K, m)."""
@@ -126,8 +131,6 @@ class BallAutomorphism:
         w = self._points(w)
         _check_in_closed_ball(w)
         return self._phi(w, np.add.reduce(w * self._conj_a, axis=-1))
-
-    __call__ = apply
 
     def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
         """phi_a(w) for a checked ``w`` with t = <w, a>."""

@@ -183,7 +183,7 @@ def julia_corpus(seed: int, count: int) -> list[CorpusJulia]:
         rng = case_rng(seed, JULIA_STREAM, index)
         n_factors = 1 + index % 3
         cs = [_disk_points(rng, 1, rmin=0.0, rmax=0.8)[0] for _ in range(n_factors)]
-        disk = blaschke_product(cs, include_z=False, fix_one=True)
+        disk = blaschke_product(cs)
         members.append(CorpusJulia(f"julia-{n_factors}-{index}", disk, n_factors))
     return members
 

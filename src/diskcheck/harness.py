@@ -319,7 +319,6 @@ def _run_ball(config: SuiteConfig) -> dict:
 def _run_holo(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
     corpus_count = max(12, min(60, config.samples // 4))
-    point_count = config.samples
     lower_min_md = math.inf
     radial_err_max = 0.0
 
@@ -363,8 +362,8 @@ def _run_holo(config: SuiteConfig) -> dict:
 
             acc.add(schwarz_derivative_bound(disk))
 
-            zs = _disk_points(rng, point_count)
             if member.zero_at_origin:
+                zs = _disk_points(rng, config.samples)
                 at_z = lambda i: f"{tag} z={zs[i]:.6g}"
                 margins = growth_margins(disk, zs)
                 acc.sampled("growth_margin", margins, at_z)

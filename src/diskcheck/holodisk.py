@@ -41,7 +41,7 @@ from .reports import DomainError, InequalityReport, make_report
 BOUNDARY_GRID = 4096
 INTERIOR_GRID = 128
 
-# Default radius schedule for the boundary difference quotients: 1 - 2^-k.
+# Radius schedule for the boundary difference quotients: 1 - 2^-k.
 RADIAL_SCHEDULE_KMIN = 3
 RADIAL_SCHEDULE_KMAX = 20
 
@@ -95,8 +95,6 @@ class HoloDisk:
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = self._jet(zs)[1]
         return out[0] if np.ndim(z) == 0 else out
-
-    __call__ = eval
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()!r})"
@@ -376,11 +374,11 @@ def affine_disk(u) -> HoloDisk:
     return Embed(Identity(), u)
 
 
-def blaschke_product(cs, include_z: bool = False, fix_one: bool = True) -> HoloDisk:
-    """Finite Blaschke product, optionally z-premultiplied and rotated to fix 1.
+def blaschke_product(cs, include_z: bool = False) -> HoloDisk:
+    """Finite Blaschke product, optionally z-premultiplied, rotated to fix 1.
 
-    With ``fix_one`` the product is multiplied by the unimodular constant that
-    makes f(1) = 1 (so Julia-type checks apply directly).
+    The product is multiplied by the unimodular constant that makes
+    f(1) = 1 (so Julia-type checks apply directly).
     """
     cs = list(cs)
     if not cs and not include_z:
@@ -389,10 +387,8 @@ def blaschke_product(cs, include_z: bool = False, fix_one: bool = True) -> HoloD
     for c in cs:
         factor = Blaschke(c)
         node = factor if node is None else Mul(node, factor)
-    if fix_one:
-        value_at_one = complex(node.eval(1.0 + 0j)[0])
-        node = CMul(np.conj(value_at_one) / abs(value_at_one) ** 2, node)
-    return node
+    value_at_one = complex(node.eval(1.0 + 0j)[0])
+    return CMul(np.conj(value_at_one) / abs(value_at_one) ** 2, node)
 
 
 def extremal_family_1d(a: float) -> HoloDisk:
@@ -634,21 +630,15 @@ def analytic_radial_derivative(f: HoloDisk, zeta) -> float:
     return float(np.real(inner(zeta * dval, val)) / vnorm(val))
 
 
-def radial_derivative_estimate(f: HoloDisk, zeta, schedule=None) -> tuple[float, float]:
+def radial_derivative_estimate(f: HoloDisk, zeta) -> tuple[float, float]:
     """Estimate lim_{r->1} (1 - ||F(r zeta)||) / (1 - r) by extrapolation.
 
-    Difference quotients on the radius schedule (default r_k = 1 - 2^-k,
-    k = 3..20) are refined by one level of Richardson extrapolation; the
-    returned error estimate is the last extrapolated increment.
+    Difference quotients on the radius schedule r_k = 1 - 2^-k, k = 3..20,
+    are refined by one level of Richardson extrapolation; the returned error
+    estimate is the last extrapolated increment.
     """
     zeta = _boundary_param(zeta)
-    if schedule is None:
-        ks = np.arange(RADIAL_SCHEDULE_KMIN, RADIAL_SCHEDULE_KMAX + 1)
-        rs = 1.0 - 0.5**ks
-    else:
-        rs = np.asarray(schedule, dtype=float)
-        if rs.size < 3 or np.any(rs <= 0.0) or np.any(rs >= 1.0) or np.any(np.diff(rs) <= 0):
-            raise DomainError("schedule must be an increasing sequence in (0, 1) of length >= 3")
+    rs = 1.0 - 0.5 ** np.arange(RADIAL_SCHEDULE_KMIN, RADIAL_SCHEDULE_KMAX + 1)
     h = 1.0 - rs
     q = (1.0 - vnorm(f._eval(rs * zeta))) / h
     rich = (h[:-1] * q[1:] - h[1:] * q[:-1]) / (h[:-1] - h[1:])
@@ -672,16 +662,16 @@ def nonreal_parameter_strictness(a: complex) -> InequalityReport:
     r, t = abs(a), math.atan2(a.imag, a.real)
     if not 0.0 < r < 1.0:
         raise DomainError("parameter must satisfy 0 < |a| < 1")
-    f = blaschke_product([a], include_z=True, fix_one=True)
-    rep = boundary_bound_origin(f, 1.0 + 0j)
+    val, bound, _ = _origin_bound_terms(blaschke_product([a], include_z=True), 1.0 + 0j)
+    margin = val - bound
     closed = 2.0 * r * (1.0 - math.cos(t)) * (1.0 - r) / ((1.0 + 2.0 * r * math.cos(t) + r * r) * (1.0 + r))
     return make_report(
         "strictness_margin",
         f"z*blaschke({_fmt_complex(a)}) rotated to fix 1",
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        margin=rep.margin,
-        extra={"closed_form": closed, "closed_form_deviation": rep.margin - closed},
+        lhs=val,
+        rhs=bound,
+        margin=margin,
+        extra={"closed_form": closed, "closed_form_deviation": margin - closed},
     )
 
 

@@ -9,7 +9,7 @@ follows is fixed by its name, through :data:`CHECKS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 class DomainError(ValueError):
@@ -85,16 +85,6 @@ CHECKS: dict[str, tuple[str, float]] = {
 DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, (_, tol) in CHECKS.items()}
 
 
-def resolve_tolerance(name: str, overrides: dict[str, float] | None = None) -> float:
-    """Look up the tolerance for a named check, applying any overrides."""
-    if overrides and name in overrides:
-        return float(overrides[name])
-    try:
-        return DEFAULT_TOLERANCES[name]
-    except KeyError:
-        raise KeyError(f"unknown check name {name!r}; see DEFAULT_TOLERANCES") from None
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     """Outcome of one inequality or equality check.
@@ -114,16 +104,7 @@ class InequalityReport:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instance": self.instance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
 
 def make_report(
@@ -142,9 +123,10 @@ def make_report(
     applies.  A floor check takes only ``lhs``: its rhs and margin follow
     from the tolerance, so judging a report again recomputes them.
     """
-    tol = resolve_tolerance(name, tolerances)
+    kind, tol = CHECKS[name]
+    if tolerances and name in tolerances:
+        tol = float(tolerances[name])
     lhs, rhs, margin = float(lhs), float(rhs), float(margin)
-    kind = CHECKS[name][0]
     if kind == _FLOOR:
         rhs, margin, passed = tol, lhs - tol, lhs > tol
     elif kind == _EQUALITY:
@@ -169,5 +151,4 @@ __all__ = [
     "DomainError",
     "InequalityReport",
     "make_report",
-    "resolve_tolerance",
 ]

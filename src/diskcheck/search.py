@@ -103,11 +103,11 @@ def _lockstep_nelder_mead(
 
     ``objective`` maps a (p, n) block of points to their p values.  Each
     round evaluates, in one call, the points every unfinished run needs
-    next: its start point, its initial simplex, a reflection, an expansion
-    or contraction, or a shrink.  A run's steps depend only on its own
-    values, so its result, trace, evaluation count and ``min_evaluated`` are
-    those it would have alone.  A NaN value from any run raises
-    ``DomainError``.
+    next: its initial simplex (the start point is its first vertex), a
+    reflection, an expansion or contraction, or a shrink.  A run's steps
+    depend only on its own values, so its result, trace, evaluation count
+    and ``min_evaluated`` are those it would have alone.  A NaN value from
+    any run raises ``DomainError``.
     """
     starts = np.asarray(starts, dtype=float)
     if bounds is not None:
@@ -153,18 +153,15 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
     values; it returns (x, value, iterations, trace).
     """
     n = x0.shape[0]
-    (f_start,) = yield x0[None, :]
-    if not math.isfinite(f_start):
-        raise DomainError("objective is not finite at the start point")
-
     simplex = [x0]
     for i in range(n):
         step = np.zeros(n)
         step[i] = initial_step if x0[i] == 0.0 else initial_step * max(abs(x0[i]), 1.0)
         simplex.append(clip(x0 + step))
     simplex = np.asarray(simplex)
-    # The start point is evaluated again with its simplex, and counted again.
     values = np.asarray((yield simplex), dtype=float)
+    if not math.isfinite(values[0]):
+        raise DomainError("objective is not finite at the start point")
 
     trace = []
     iteration = 0
@@ -295,7 +292,7 @@ def _family_1d_margins(params: np.ndarray) -> np.ndarray:
             raise DomainError(f"modulus out of range: {modulus}")
         c.append(modulus * complex(math.cos(phase), math.sin(phase)))
     value, deriv = _blaschke_jet(np.asarray(c))
-    # blaschke_product(fix_one=True) multiplies by conj(f(1)) / |f(1)|^2.
+    # blaschke_product multiplies by conj(f(1)) / |f(1)|^2.
     rotation = np.asarray([complex(np.conj(v) / abs(v) ** 2) for v in value[:, 1].tolist()])[:, None]
     (n0, n), (a, val) = (vnorm((rotation * x)[..., None]).T.tolist() for x in (value, deriv))
     return np.asarray([v - _origin_bound(n0_k, n_k, a_k) for n0_k, n_k, a_k, v in zip(n0, n, a, val)])

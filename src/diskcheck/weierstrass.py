@@ -96,8 +96,6 @@ class WeierstrassDisk:
         out = self.base + np.stack([np.real(P.polyval(zs, c)) for c in self.antiderivative], axis=-1)
         return out[0] if np.ndim(z) == 0 else out
 
-    __call__ = eval
-
     def partials(self, z):
         """Cartesian partials (F_x, F_y) with F_x = Re Phi, F_y = -Im Phi."""
         phi = self.phi_values(z)
@@ -509,14 +507,6 @@ def load_weierstrass(path) -> WeierstrassDisk:
     return WeierstrassDisk(p, q, base=base, halfsphere="halfsphere" in flags)
 
 
-def surface_sample(w: WeierstrassDisk, n_radial: int = 24, n_angular: int = 48) -> np.ndarray:
-    """Polar-grid samples as rows (x_param, y_param, F1, F2, F3, lambda)."""
-    zs = _polar_grid(np.linspace(0.0, 1.0, n_radial), n_angular)
-    pos = w.eval(zs)
-    lam = w.conformal_factor(zs)
-    return np.column_stack([np.real(zs), np.imag(zs), pos, lam])
-
-
 __all__ = [
     "WeierstrassDisk",
     "antiderivative_quadrature_residual",
@@ -534,6 +524,5 @@ __all__ = [
     "rotated_planar_disk",
     "save_weierstrass",
     "scaled_into_ball",
-    "surface_sample",
     "translated_planar_disk",
 ]

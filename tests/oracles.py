@@ -67,9 +67,6 @@ def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERAT
         return val
 
     x0 = clip(x0)
-    if not math.isfinite(f(x0)):
-        raise DomainError("objective is not finite at the start point")
-
     simplex = [x0]
     for i in range(n):
         step = np.zeros(n)
@@ -77,6 +74,8 @@ def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERAT
         simplex.append(clip(x0 + step))
     simplex = np.asarray(simplex)
     values = np.asarray([f(x) for x in simplex])
+    if not math.isfinite(values[0]):
+        raise DomainError("objective is not finite at the start point")
 
     trace = []
     iteration = 0
@@ -138,7 +137,7 @@ def tree_objective_1d(params) -> float:
     if not 0.0 <= modulus <= MODULUS_CEIL:
         raise DomainError(f"modulus out of range: {modulus}")
     c = modulus * complex(math.cos(phase), math.sin(phase))
-    f = blaschke_product([c], include_z=True, fix_one=True)
+    f = blaschke_product([c], include_z=True)
     val, bound, _ = _origin_bound_terms(f, 1.0 + 0j)
     return val - bound
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,9 +129,16 @@ def automorphism_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(automorphism_cases())
 @example((np.array([1e-160, 0.0]), np.array([0.5, 0.1j]), np.array([1.0, 0.0])))
+@example((np.array([5e-324]), np.array([0.5j]), np.array([1.0])))
+@example((np.array([5e-324, 0.0]), np.array([0.5, 0.1j]), np.array([1.0, 0.0])))
+@example((np.array([2.2250738585072e-309]), np.array([-0.3]), np.array([1j])))
 def test_automorphism_identities(case):
     a, w, u = case
     aut = BallAutomorphism(a)
+    with mpmath.workprec(200):
+        norm = float(mpmath.norm([mpmath.mpc(complex(x)) for x in a]))
+    assert abs(aut.r - norm) <= 4 * np.spacing(norm)
+    assert np.all(np.isfinite(aut.e))
     residuals = {
         "phi_fixed_point": float(vnorm(aut.apply(a))),
         "phi_origin_value": float(vnorm(aut.apply(np.zeros_like(a)) - a)),

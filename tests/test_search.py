@@ -69,6 +69,17 @@ class TestNelderMead:
         with pytest.raises(DomainError):
             nelder_mead(lambda x: 0.0, np.asarray([0.0]), bounds=([0.0], [0.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_start_point_is_evaluated_once(self, n):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return float(np.sum(x**2))
+
+        res = nelder_mead(objective, np.linspace(0.2, 1.0, n), max_iterations=0)
+        assert len(calls) == res.evaluations == n + 1
+
     def test_nan_after_the_start_point_is_rejected(self):
         calls = []
 

@@ -26,7 +26,6 @@ from diskcheck import (
     rotated_planar_disk,
     save_weierstrass,
     scaled_into_ball,
-    surface_sample,
     translated_planar_disk,
     vnorm,
 )
@@ -278,14 +277,6 @@ class TestSerialization:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DomainError):
             load_weierstrass(path)
-
-    def test_surface_sample_layout(self):
-        rows = surface_sample(planar_disk(), n_radial=4, n_angular=8)
-        assert rows.shape == (32, 6)
-        x, y = rows[:, 0], rows[:, 1]
-        assert np.allclose(rows[:, 2], x, atol=1e-14)
-        assert np.allclose(rows[:, 3], -y, atol=1e-14)
-        assert np.allclose(rows[:, 5], 1.0, atol=1e-14)
 
 
 class TestScaling:
