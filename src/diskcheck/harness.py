@@ -56,7 +56,6 @@ from .holodisk import (
     parse_disk,
     radial_derivative_estimate,
     schwarz_derivative_bound,
-    two_sided_margins,
 )
 from .reports import _EQUALITY, CHECKS, DomainError, InequalityReport, make_report
 from .search import (
@@ -74,9 +73,8 @@ from .weierstrass import (
     halfsphere_chain_check,
     interior_growth_margin,
     inverse_lipschitz_check,
-    isothermal_report,
-    metric_identity_audit,
     null_condition_report,
+    surface_identities,
 )
 
 TOOL_NAME = "diskcheck"
@@ -365,11 +363,10 @@ def _run_holo(config: SuiteConfig) -> dict:
             if member.zero_at_origin:
                 zs = _disk_points(rng, config.samples)
                 at_z = lambda i: f"{tag} z={zs[i]:.6g}"
-                margins = growth_margins(disk, zs)
+                margins, upper, lower = growth_margins(disk, zs)
                 acc.sampled("growth_margin", margins, at_z)
                 if member.growth_equality:
                     acc.value("growth_equality_affine", tag, float(np.max(np.abs(margins))))
-                upper, lower = two_sided_margins(disk, zs)
                 acc.sampled("two_sided_upper", upper, at_z)
                 if m == 1:
                     acc.sampled("two_sided_lower", lower, at_z)
@@ -430,31 +427,11 @@ def _run_minimal(config: SuiteConfig) -> dict:
         acc.add(null_condition_report(w))
 
         zs = _disk_points(rng, config.samples)
-        acc.add(isothermal_report(w, zs))
-
-        # Asserted: unit length and n3 > 0 wherever |q| < 1 (the printed
-        # convention).  The residual against tangent-orthogonality, which the
-        # printed formula does not satisfy for generic complex q (its mirror
-        # with third component |q|^2 - 1 does), is recorded as a finding.
-        normals = w.gauss_normal(zs)
-        f_x, f_y = w.partials(zs)
-        lam = w.conformal_factor(zs)
-        qvals = np.polynomial.polynomial.polyval(zs, w.q)
-        ndev = float(np.max(np.abs(vnorm(normals) - 1.0)))
-        inside = np.abs(qvals) < 1.0
-        sign_violation = 0.0
-        if np.any(inside):
-            sign_violation = max(0.0, -float(np.min(normals[inside, 2])))
-        gdev = max(ndev, sign_violation)
-        orth = max(
-            float(np.max(np.abs(np.sum(normals * f_x, axis=-1)) / (1.0 + lam))),
-            float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
-        )
+        iso, gdev, orth, ratio = surface_identities(w, zs)
+        acc.check("isothermal", repr(w), iso, 0.0, iso, extra={"sample_count": len(zs)})
         orthogonality_max = max(orthogonality_max, orth)
         acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
         acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, complex(zs[0])))
-
-        lam_sq, rhs, ratio = metric_identity_audit(w, zs)
         ratios.append(ratio[np.isfinite(ratio)])
 
         max_norm = w.max_norm()
@@ -575,10 +552,11 @@ class RunReport:
         return {"config": self.config, "tool": self.tool, "passed": self.passed, "suites": self.suites}
 
     def json_text(self) -> str:
-        return json.dumps(_jsonify(self.as_dict()), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonify(self.as_dict()), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _jsonify(obj):
+    """Plain JSON values; a non-finite float becomes its CSV text "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -590,9 +568,9 @@ def _jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
     return obj
 
 

@@ -12,9 +12,11 @@ differentiation).  Value-only ``_eval`` walks serve the bulk sweeps.  Both
 accept arrays of points, so whole sample batches, or the stacked points a
 check needs (such as 0 and a boundary point), cost one tree walk.
 
-The sampled checks (growth, two-sided quotient, Julia) are the
-``*_margins`` functions: each returns one raw margin per sample point, and a
-suite run judges the array.  The per-instance checks return an
+The sampled checks are the ``*_margins`` functions: each returns one raw
+margin per sample point, and a suite run judges the array.
+``growth_margins`` gives the growth and both quotient margins from one walk
+of F over the batch, so like the quotient bounds it needs 0 < |z| < 1;
+``julia_margins`` gives the Julia margins.  The per-instance checks return an
 :class:`~diskcheck.reports.InequalityReport`, judged with their check's
 default tolerance (a suite run judges them again with its overrides).
 
@@ -467,35 +469,27 @@ def _norm_jet(f: HoloDisk, points) -> tuple[list[float], list[float]]:
 # interior growth bounds
 
 
-def growth_margins(f: HoloDisk, zs) -> np.ndarray:
-    """Vectorized margins |z|(|z| + A)/(1 + |z| A) - ||F(z)||, A = ||F'(0)||."""
-    (n0,), (a,) = _norm_jet(f, [0j])
-    _require_zero_at_origin(n0)
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if np.any(np.abs(zs) >= 1.0):
-        raise DomainError("growth margin requires interior points")
-    r = np.abs(zs)
-    bound = r * (r + a) / (1.0 + r * a)
-    return bound - vnorm(f._eval(zs))
+def growth_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Growth and quotient margins at each of ``zs``, from one walk of F.
 
-
-def two_sided_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient bounds for x = ||F(z)/z||: upper and lower margins.
-
-    Upper: (A + |z|)/(1 + A |z|) - x, valid in every dimension.  Lower:
-    x - max((A - |z|)/(1 - A |z|), 0), asserted by callers only for m = 1 or
-    collinear-range maps and reported otherwise.
+    With A = ||F'(0)|| and x = ||F(z)/z||: growth
+    |z|(|z| + A)/(1 + |z| A) - ||F(z)||; upper (A + |z|)/(1 + A |z|) - x,
+    valid in every dimension; lower x - max((A - |z|)/(1 - A |z|), 0),
+    asserted by callers only for m = 1 or collinear-range maps and reported
+    otherwise.
     """
     (n0,), (a,) = _norm_jet(f, [0j])
     _require_zero_at_origin(n0)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     r = np.abs(zs)
     if np.any((r <= 0.0) | (r >= 1.0)):
-        raise DomainError("quotient bounds need 0 < |z| < 1")
-    x = vnorm(f._eval(zs)) / r
+        raise DomainError("growth and quotient bounds need 0 < |z| < 1")
+    norms = vnorm(f._eval(zs))
+    x = norms / r
+    growth = r * (r + a) / (1.0 + r * a) - norms
     upper = (a + r) / (1.0 + a * r) - x
     lower = x - np.maximum((a - r) / (1.0 - a * r), 0.0)
-    return upper, lower
+    return growth, upper, lower
 
 
 # ---------------------------------------------------------------------------
@@ -731,5 +725,4 @@ __all__ = [
     "radial_derivative_estimate",
     "schwarz_derivative_bound",
     "sup_boundary_norm",
-    "two_sided_margins",
 ]

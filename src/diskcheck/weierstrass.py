@@ -16,6 +16,8 @@ Checks cover the null condition, isothermal identities, the Gauss normal,
 an interior pseudo-hyperbolic growth bound, hyperbolic distance decrease
 from the disk to the ball, the boundary conformal-factor lower bound, the
 half-sphere minimum-modulus chain, and an inverse Lipschitz estimate.
+``surface_identities`` measures the isothermal, Gauss-vector and metric
+audit identities over a batch from one evaluation of p, q and Phi.
 """
 
 from __future__ import annotations
@@ -104,9 +106,7 @@ class WeierstrassDisk:
     def conformal_factor(self, z):
         """lambda(z) = |p(z)| (1 + |q(z)|^2) / 2: float or (N,) array."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        pv = np.abs(P.polyval(zs, self.p))
-        qv = np.abs(P.polyval(zs, self.q))
-        lam = 0.5 * pv * (1.0 + qv * qv)
+        lam = _conformal_factor(P.polyval(zs, self.p), P.polyval(zs, self.q))
         return float(lam[0]) if np.ndim(z) == 0 else lam
 
     def gauss_normal(self, z):
@@ -119,9 +119,7 @@ class WeierstrassDisk:
         normal should flip the sign of the third component.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        qv = P.polyval(zs, self.q)
-        denom = 1.0 + np.abs(qv) ** 2
-        n = np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - np.abs(qv) ** 2], axis=-1) / denom[..., None]
+        n = _gauss_vector(P.polyval(zs, self.q))
         return n[0] if np.ndim(z) == 0 else n
 
     # -- structure certificates ----------------------------------------------
@@ -153,6 +151,18 @@ class WeierstrassDisk:
         return f"WeierstrassDisk(p={fmt(self.p)}, q={fmt(self.q)}, base={base}, halfsphere={self.halfsphere!r})"
 
 
+def _conformal_factor(pv, qv):
+    """lambda = |p| (1 + |q|^2) / 2 from values of p and q."""
+    q_abs = np.abs(qv)
+    return 0.5 * np.abs(pv) * (1.0 + q_abs * q_abs)
+
+
+def _gauss_vector(qv):
+    """(2 Re q, 2 Im q, 1 - |q|^2) / (1 + |q|^2) from values of q: (N, 3)."""
+    q_sq = np.abs(qv) ** 2
+    return np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq], axis=-1) / (1.0 + q_sq)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -163,54 +173,54 @@ def null_condition_report(w: WeierstrassDisk) -> InequalityReport:
     return make_report("null_condition", repr(w), lhs=res, rhs=0.0, margin=res)
 
 
-def isothermal_report(w: WeierstrassDisk, zs) -> InequalityReport:
-    """Max deviation from the isothermal identities over a parameter batch.
+def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.ndarray]:
+    """A surface's pointwise identities over a batch, from one evaluation of p, q and Phi.
 
-    Checks ||F_x|| = ||F_y|| = lambda, <F_x, F_y> = 0, ||F_r|| = lambda and
-    ||F_t|| = r lambda (polar identities at nonzero parameters only).
+    Returns the max deviation from ||F_x|| = ||F_y|| = lambda, <F_x, F_y> = 0,
+    ||F_r|| = lambda and ||F_t|| = r lambda (polar ones at z != 0); the Gauss
+    vector's max deviation from unit length, or its most negative third
+    component where |q| < 1 if larger; its tangent-orthogonality residual
+    max |<N, F_x or F_y>| / (1 + lambda), which the printed formula does not
+    satisfy for generic complex q (its mirror with third component |q|^2 - 1
+    does), so it is a finding; and the metric audit ratios ||F_x||^2 over
+    the bare product |p|^2 (1 + |q|^2)^2 (NaN where p vanishes).
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     f_x, f_y = w.partials(zs)
-    lam = w.conformal_factor(zs)
-    res_x = np.abs(vnorm(f_x) - lam)
+    pv = P.polyval(zs, w.p)
+    qv = P.polyval(zs, w.q)
+    lam = _conformal_factor(pv, qv)
+
+    norm_x = vnorm(f_x)
+    res_x = np.abs(norm_x - lam)
     res_y = np.abs(vnorm(f_y) - lam)
     res_dot = np.abs(np.sum(f_x * f_y, axis=-1))
-    worst = float(max(res_x.max(), res_y.max(), res_dot.max()))
+    iso = float(max(res_x.max(), res_y.max(), res_dot.max()))
     nonzero = np.abs(zs) > 0
     if np.any(nonzero):
         r, t = np.abs(zs[nonzero]), np.angle(zs[nonzero])
-        f_x, f_y, lam = f_x[nonzero], f_y[nonzero], lam[nonzero]
-        f_r = f_x * np.cos(t)[:, None] + f_y * np.sin(t)[:, None]
-        f_t = r[:, None] * (-f_x * np.sin(t)[:, None] + f_y * np.cos(t)[:, None])
-        worst = max(worst, float(np.max(np.abs(vnorm(f_r) - lam))))
-        worst = max(worst, float(np.max(np.abs(vnorm(f_t) - r * lam))))
-    return make_report(
-        "isothermal",
-        repr(w),
-        lhs=worst,
-        rhs=0.0,
-        margin=worst,
-        extra={"sample_count": int(zs.size)},
+        fx, fy, lam_nz = f_x[nonzero], f_y[nonzero], lam[nonzero]
+        f_r = fx * np.cos(t)[:, None] + fy * np.sin(t)[:, None]
+        f_t = r[:, None] * (-fx * np.sin(t)[:, None] + fy * np.cos(t)[:, None])
+        iso = max(iso, float(np.max(np.abs(vnorm(f_r) - lam_nz))))
+        iso = max(iso, float(np.max(np.abs(vnorm(f_t) - r * lam_nz))))
+
+    normals = _gauss_vector(qv)
+    gdev = float(np.max(np.abs(vnorm(normals) - 1.0)))
+    inside = np.abs(qv) < 1.0
+    if np.any(inside):
+        gdev = max(gdev, max(0.0, -float(np.min(normals[inside, 2]))))
+    orth = max(
+        float(np.max(np.abs(np.sum(normals * f_x, axis=-1)) / (1.0 + lam))),
+        float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
     )
 
-
-def metric_identity_audit(w: WeierstrassDisk, z):
-    """Measured lambda^2, the bare product |p|^2 (1 + |q|^2)^2, and their ratio.
-
-    The ratio exposes the convention constant relating the conformal factor
-    to the raw Weierstrass data; points where p vanishes yield NaN ratios.
-    """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    f_x, _ = w.partials(zs)
-    lam_sq = vnorm(f_x) ** 2
-    pv = np.abs(P.polyval(zs, w.p))
-    qv = np.abs(P.polyval(zs, w.q))
-    rhs = pv**2 * (1.0 + qv**2) ** 2
+    lam_sq = norm_x**2
+    p_abs, q_abs = np.abs(pv), np.abs(qv)
+    bare = p_abs**2 * (1.0 + q_abs**2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rhs > 0, lam_sq / rhs, np.nan)
-    if np.ndim(z) == 0:
-        return float(lam_sq[0]), float(rhs[0]), float(ratio[0])
-    return lam_sq, rhs, ratio
+        ratios = np.where(bare > 0, lam_sq / bare, np.nan)
+    return iso, gdev, orth, ratios
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +526,12 @@ __all__ = [
     "halfsphere_chain_check",
     "interior_growth_margin",
     "inverse_lipschitz_check",
-    "isothermal_report",
     "load_weierstrass",
-    "metric_identity_audit",
     "null_condition_report",
     "planar_disk",
     "rotated_planar_disk",
     "save_weierstrass",
     "scaled_into_ball",
+    "surface_identities",
     "translated_planar_disk",
 ]

@@ -20,7 +20,6 @@ from diskcheck import (
     Embed,
     Identity,
     Mul,
-    Poly,
     SuiteConfig,
     boundary_bound_origin,
     boundary_bound_shifted,
@@ -32,16 +31,15 @@ from diskcheck import (
     family_md_spec,
     growth_margins,
     holo_corpus,
-    isothermal_report,
     julia_corpus,
     julia_margins,
     margin_objective_md,
-    metric_identity_audit,
     null_condition_report,
     planar_disk,
     restricted_family_1d_spec,
     run_suite,
     sharpness_report,
+    surface_identities,
     translated_planar_disk,
     vnorm,
     weierstrass_corpus,
@@ -149,7 +147,7 @@ def test_criterion_03_interior_growth_bound():
         rng = _rng(30 + m)
         for member in members:
             zs = _disk_points(rng, 1000, 0.97)
-            margins = growth_margins(member.disk, zs)
+            margins = growth_margins(member.disk, zs)[0]
             min_margin = min(min_margin, float(np.min(margins)))
             if member.growth_equality:
                 affine_dev = max(affine_dev, float(np.max(np.abs(margins))))
@@ -247,7 +245,7 @@ def test_criterion_07_weierstrass_structure():
     for member in surfaces:
         null_worst = max(null_worst, null_condition_report(member.surface).margin)
         zs = _disk_points(rng, 1000, 0.98)
-        iso_worst = max(iso_worst, isothermal_report(member.surface, zs).margin)
+        iso_worst = max(iso_worst, surface_identities(member.surface, zs)[0])
     _criterion(
         "weierstrass_structure",
         null_worst <= 1e-12 and iso_worst <= 1e-10,
@@ -264,7 +262,7 @@ def test_criterion_08_metric_convention_audit():
     rng = _rng(80)
     ratios = []
     for member in weierstrass_corpus(SEED, 24):
-        _, _, r = metric_identity_audit(member.surface, _disk_points(rng, 200, 0.95))
+        r = surface_identities(member.surface, _disk_points(rng, 200, 0.95))[3]
         ratios.append(r[np.isfinite(r)])
     allr = np.concatenate(ratios)
     mean = float(np.mean(allr))

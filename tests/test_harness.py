@@ -6,7 +6,6 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 from diskcheck import (
@@ -19,10 +18,9 @@ from diskcheck import (
     load_config_file,
     run_suite,
     weierstrass_corpus,
-    write_report,
 )
 from diskcheck.cli import main as cli_main
-from diskcheck.harness import _SuiteAccumulator
+from diskcheck.harness import RunReport, _SuiteAccumulator
 
 FAST = dict(samples=8, search_restarts=2)
 
@@ -171,6 +169,25 @@ class TestReportFiles:
         data = json.loads(text)
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
         assert data["suites"]["ball"]["cases"] > 0
+
+    def test_non_finite_values_are_written_as_standard_json(self):
+        acc = _SuiteAccumulator({})
+        acc.check("growth_margin", "nan-case", 0.0, 0.0, math.nan)
+        acc.check("boundary_membership", "far", 0.0, 1.0, math.inf)
+        acc.findings["negative"] = -math.inf
+        acc.findings["complex"] = complex(math.nan, 0.5)
+        report = RunReport(config=SuiteConfig().as_dict(), tool={}, passed=False, suites={"holo": acc.as_dict()})
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        suite = json.loads(report.json_text(), parse_constant=refuse)["suites"]["holo"]
+        # The same spelling as the margins CSV, which writes repr(float(x)).
+        assert suite["checks"]["growth_margin"]["worst_margin"] == "nan" == repr(math.nan)
+        assert suite["min_margin"] == "nan"
+        assert suite["failures"][0]["margin"] == "nan"
+        assert suite["checks"]["boundary_membership"]["worst_margin"] == "inf"
+        assert suite["findings"] == {"complex": {"re": "nan", "im": 0.5}, "negative": "-inf"}
 
 
 class TestConfigFile:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from diskcheck import (
-    Add,
     BallAutomorphism,
     Blaschke,
     CMul,
@@ -36,7 +35,6 @@ from diskcheck import (
     radial_derivative_estimate,
     schwarz_derivative_bound,
     sup_boundary_norm,
-    two_sided_margins,
     vnorm,
 )
 
@@ -157,14 +155,14 @@ class TestBoundary:
 class TestGrowthBound:
     def test_zero_margin_along_positive_axis_for_family(self):
         f = Embed(extremal_family_1d(0.3), [1.0, 0.0])
-        (margin,) = growth_margins(f, [0.7])
+        (margin,), _, _ = growth_margins(f, [0.7])
         assert abs(margin) < 1e-14
 
     def test_equality_for_affine_disks_everywhere(self):
         f = affine_disk([0.6, 0.8j])
         rng = rng_for(1)
         zs = 0.95 * (rng.random(200) * np.exp(2j * np.pi * rng.random(200)))
-        assert float(np.max(np.abs(growth_margins(f, zs)))) < 1e-13
+        assert float(np.max(np.abs(growth_margins(f, zs)[0]))) < 1e-13
 
     def test_nonnegative_on_random_products(self):
         rng = rng_for(2)
@@ -172,19 +170,31 @@ class TestGrowthBound:
             cs = 0.7 * (rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             f = blaschke_product(cs, include_z=True)
             zs = 0.97 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
-            assert float(np.min(growth_margins(f, zs))) > -1e-12
+            assert float(np.min(growth_margins(f, zs)[0])) > -1e-12
 
     def test_requires_origin_fixing_and_interior_points(self):
         with pytest.raises(DomainError):
             growth_margins(Blaschke(0.5), [0.1])
         with pytest.raises(DomainError):
             growth_margins(Identity(), [1.0])
+        with pytest.raises(DomainError):
+            growth_margins(Identity(), [0.5, 0.0])
+
+    def test_one_walk_of_f_and_one_jet_at_origin(self, monkeypatch):
+        f = Mul(Identity(), Blaschke(0.4))
+        calls = []
+        for name in ("_eval", "_jet"):
+            method = getattr(f, name)
+            monkeypatch.setattr(f, name, lambda z, name=name, method=method: calls.append((name, len(z))) or method(z))
+        growth, upper, lower = growth_margins(f, [0.5, 0.3j, -0.2])
+        assert calls == [("_jet", 1), ("_eval", 3)]
+        assert growth.shape == upper.shape == lower.shape == (3,)
 
 
 class TestTwoSidedBound:
     def test_oracle_values_at_half(self):
         f = Mul(Identity(), Blaschke(0.4))
-        (upper,), (lower,) = two_sided_margins(f, [0.5])
+        _, (upper,), (lower,) = growth_margins(f, [0.5])
         assert float(vnorm(f.eval(0.5))) / 0.5 == pytest.approx(0.75, rel=1e-14)
         assert abs(upper) < 1e-14
         # (A - |z|)/(1 - A|z|) < 0 here, so the lower bound clamps to zero.
@@ -196,7 +206,7 @@ class TestTwoSidedBound:
         rng = rng_for(3)
         zs = 0.3 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
         zs = zs[np.abs(zs) > 1e-3]
-        upper, lower = two_sided_margins(f, zs)
+        _, upper, lower = growth_margins(f, zs)
         assert float(np.min(upper)) > -1e-12
         assert float(np.min(lower)) > -1e-12
 

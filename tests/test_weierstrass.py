@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from diskcheck import (
     DomainError,
@@ -17,15 +16,14 @@ from diskcheck import (
     halfsphere_chain_check,
     interior_growth_margin,
     inverse_lipschitz_check,
-    isothermal_report,
     load_weierstrass,
-    metric_identity_audit,
     null_condition_report,
     planar_disk,
     poincare_dist,
     rotated_planar_disk,
     save_weierstrass,
     scaled_into_ball,
+    surface_identities,
     translated_planar_disk,
     vnorm,
 )
@@ -100,9 +98,8 @@ class TestStructuralIdentities:
         rng = rng_for(4)
         for _ in range(5):
             w = random_surface(rng)
-            rep = isothermal_report(w, disk_points(rng, 100))
-            assert rep.margin <= 1e-10
-            assert rep.passed
+            iso, _, _, _ = surface_identities(w, disk_points(rng, 100))
+            assert abs(iso) <= 1e-10
 
     def test_gauss_map_direction(self):
         n = rotated_planar_disk(0.5).gauss_normal(0.2 + 0.1j)
@@ -117,10 +114,35 @@ class TestStructuralIdentities:
     def test_metric_audit_ratio_is_a_quarter(self):
         rng = rng_for(6)
         for w in (planar_disk(), enneper_disk(), random_surface(rng)):
-            _, _, ratio = metric_identity_audit(w, 0.3 + 0.4j)
+            (ratio,) = surface_identities(w, [0.3 + 0.4j])[3]
             assert ratio == pytest.approx(0.25, rel=1e-12)
-        lam_sq, bare, ratios = metric_identity_audit(enneper_disk(), disk_points(rng, 50))
+        ratios = surface_identities(enneper_disk(), disk_points(rng, 50))[3]
         assert np.allclose(ratios, 0.25, rtol=1e-12)
+
+    def test_gauss_terms_match_the_public_formulas(self):
+        rng = rng_for(8)
+        w = random_surface(rng)
+        zs = disk_points(rng, 40)
+        _, gdev, orth, _ = surface_identities(w, zs)
+        normals = w.gauss_normal(zs)
+        f_x, f_y = w.partials(zs)
+        lam = w.conformal_factor(zs)
+        assert gdev == float(np.max(np.abs(vnorm(normals) - 1.0)))
+        assert gdev <= 1e-12
+        assert orth == max(
+            float(np.max(np.abs(np.sum(normals * f, axis=-1)) / (1.0 + lam))) for f in (f_x, f_y)
+        )
+        # The printed Gauss vector is the mirror of the metric normal, so the
+        # residual is far from zero on a surface with nonconstant q.
+        assert orth > 1e-3
+
+    def test_one_evaluation_of_p_q_and_phi(self, monkeypatch):
+        w = random_surface(rng_for(9))
+        calls = []
+        polyval = P.polyval
+        monkeypatch.setattr(P, "polyval", lambda x, c: calls.append(len(x)) or polyval(x, c))
+        surface_identities(w, disk_points(rng_for(10), 30))
+        assert calls == [30] * 5
 
     def test_antiderivative_matches_quadrature(self):
         rng = rng_for(7)
