@@ -62,6 +62,24 @@ def _check_in_closed_ball(w: np.ndarray) -> None:
         raise DomainError(f"w must lie in the closed unit ball; got norm {np.max(n):.6g}")
 
 
+def _phi_value(a, r2, s, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """phi_a(w) with t = <w, a>, for ||a||^2 = ``r2`` >= ``_TINY`` and s = sqrt(1 - r2).
+
+    ``a`` may be a (K, m) stack, with ``r2`` (K,) and ``s`` (K, 1).
+    """
+    pw = (t / r2)[..., None] * a
+    return (a - pw - s * (w - pw)) / (1.0 - t)[..., None]
+
+
+def _phi_jet(a, conj_a, r2, s, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_a(w), D phi_a(w)[v]) with the arguments of :func:`_phi_value`."""
+    t = np.add.reduce(w * conj_a, axis=-1)
+    value = _phi_value(a, r2, s, w, t)
+    ta = np.add.reduce(v * conj_a, axis=-1)
+    pv = (ta / r2)[..., None] * a
+    return value, (-pv - s * (v - pv) + ta[..., None] * value) / (1.0 - t)[..., None]
+
+
 class BallAutomorphism:
     """The Moebius involution phi_a of the unit ball of C^m.
 
@@ -134,8 +152,7 @@ class BallAutomorphism:
 
     def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
         """phi_a(w) for a checked ``w`` with t = <w, a>."""
-        pw = (t / self._r2)[..., None] * self.a
-        value = (self.a - pw - self._s * (w - pw)) / (1.0 - t)[..., None]
+        value = _phi_value(self.a, self._r2, self._s, w, t)
         if self._any_tiny:
             value = np.where(self._col(self._tiny), self.a - w, value)
         return value
@@ -149,13 +166,11 @@ class BallAutomorphism:
 
     def _value_and_differential(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_apply_and_differential`` for complex arrays, ``w`` known to lie in the closed ball."""
-        t = np.add.reduce(w * self._conj_a, axis=-1)
-        value = self._phi(w, t)
-        ta = np.add.reduce(v * self._conj_a, axis=-1)
-        pv = (ta / self._r2)[..., None] * self.a
-        deriv = (-pv - self._s * (v - pv) + ta[..., None] * value) / (1.0 - t)[..., None]
+        value, deriv = _phi_jet(self.a, self._conj_a, self._r2, self._s, w, v)
         if self._any_tiny:
-            deriv = np.where(self._col(self._tiny), -v + np.zeros_like(w), deriv)
+            tiny = self._col(self._tiny)
+            value = np.where(tiny, self.a - w, value)
+            deriv = np.where(tiny, -v + np.zeros_like(w), deriv)
         return value, deriv
 
     def differential(self, w, v) -> np.ndarray:

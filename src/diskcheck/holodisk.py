@@ -30,6 +30,7 @@ evaluating nothing: each number is ``complex()`` of its own source text.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import math
 
@@ -416,9 +417,15 @@ def _boundary_param(zeta) -> complex:
     return zeta
 
 
+def _read_only(grid: np.ndarray) -> np.ndarray:
+    grid.setflags(write=False)
+    return grid
+
+
+@functools.lru_cache(maxsize=None)
 def _boundary_grid(n: int) -> np.ndarray:
-    """The n-th roots of unity, counterclockwise from 1."""
-    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    """The n-th roots of unity, counterclockwise from 1 (cached, read-only)."""
+    return _read_only(np.exp(1j * (2.0 * np.pi * np.arange(n) / n)))
 
 
 def _polar_grid(radii: np.ndarray, n_angles: int) -> np.ndarray:
@@ -426,11 +433,16 @@ def _polar_grid(radii: np.ndarray, n_angles: int) -> np.ndarray:
     return (radii[:, None] * _boundary_grid(n_angles)[None, :]).ravel()
 
 
+@functools.lru_cache(maxsize=None)
+def _interior_grid(n: int) -> np.ndarray:
+    """The polar grid of n radii in [0, 1) and n angles (cached, read-only)."""
+    return _read_only(_polar_grid(np.linspace(0.0, 1.0, n, endpoint=False), n))
+
+
 def _grid_max_norm(evaluate, n_boundary: int, n_interior: int) -> float:
     """Max of the norm of ``evaluate`` over boundary and interior polar grids."""
     worst = float(np.max(vnorm(evaluate(_boundary_grid(n_boundary)))))
-    inside = _polar_grid(np.linspace(0.0, 1.0, n_interior, endpoint=False), n_interior)
-    return max(worst, float(np.max(vnorm(evaluate(inside)))))
+    return max(worst, float(np.max(vnorm(evaluate(_interior_grid(n_interior))))))
 
 
 def sup_boundary_norm(f: HoloDisk) -> float:

@@ -15,17 +15,21 @@ no tightness claim is made (best found margins are reported as such).
 
 The restarts of a search run in lockstep, and each family's objective
 evaluates a whole block of parameter rows in one call, with the bits a
-separate tree walk per row would give.
+separate tree walk per row would give.  The golden-section sweeps that
+finish a search look three steps ahead: one call evaluates every point the
+next steps can need, and the sweep follows the comparisons that occur, so
+it reaches the result one call per step would give.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ballgeom import BallAutomorphism, vnorm
+from .ballgeom import BallAutomorphism, _phi_jet, vnorm
 from .corpus import case_rng
 from .holodisk import _origin_bound, _shifted_bound
 from .reports import DomainError
@@ -126,14 +130,17 @@ def _lockstep_nelder_mead(
     results = [None] * len(runs)
     active = list(range(len(runs)))
     while active:
-        values = np.asarray(objective(np.concatenate([requests[k] for k in active])), dtype=float).tolist()
+        block = np.concatenate([requests[k] for k in active])
+        values = np.asarray(objective(block), dtype=float).tolist()
+        if any(map(math.isnan, values)):
+            first = next(i for i, value in enumerate(values) if math.isnan(value))
+            raise DomainError(f"objective is NaN at {block[first].tolist()}")
         waiting = []
+        start = 0
         for k in active:
             count = requests[k].shape[0]
-            own, values = values[:count], values[count:]
-            for x, value in zip(requests[k], own):
-                if math.isnan(value):
-                    raise DomainError(f"objective is NaN at {x.tolist()}")
+            own = values[start : start + count]
+            start += count
             evaluations[k] += count
             min_evaluated[k] = min(min_evaluated[k], *own)
             try:
@@ -150,7 +157,10 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
     """One Nelder-Mead run as a generator driven by :func:`_lockstep_nelder_mead`.
 
     It yields each (p, n) block of points it needs and is sent back their p
-    values; it returns (x, value, iterations, trace).
+    values; it returns (x, value, iterations, trace).  The vertices stay in
+    the order a stable argsort of their values gives: a replacing vertex is
+    inserted after every vertex whose value it does not undercut, and only a
+    shrink sorts them all again.
     """
     n = x0.shape[0]
     simplex = [x0]
@@ -159,21 +169,19 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
         step[i] = initial_step if x0[i] == 0.0 else initial_step * max(abs(x0[i]), 1.0)
         simplex.append(clip(x0 + step))
     simplex = np.asarray(simplex)
-    values = np.asarray((yield simplex), dtype=float)
+    values = (yield simplex)
     if not math.isfinite(values[0]):
         raise DomainError("objective is not finite at the start point")
 
+    simplex, values = _ranked(simplex, values)
     trace = []
     iteration = 0
     while True:
-        order = values.argsort(kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        trace.append((iteration, float(values[0])))
+        trace.append((iteration, values[0]))
+        if values[-1] - values[0] < SPREAD_TOL or iteration >= max_iterations:
+            break
         edges = simplex[1:] - simplex[0]
-        diameter = float(np.sqrt(np.add.reduce(edges * edges, axis=1)).max())
-        spread = float(values[-1] - values[0])
-        if diameter < DIAMETER_TOL or spread < SPREAD_TOL or iteration >= max_iterations:
+        if math.sqrt(max(np.add.reduce(edges * edges, axis=1).tolist())) < DIAMETER_TOL:
             break
         iteration += 1
 
@@ -183,31 +191,31 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
         if f_reflected < values[0]:
             expanded = clip(centroid + 2.0 * (centroid - simplex[-1]))
             (f_expanded,) = yield expanded[None, :]
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-1]:
-            contracted = clip(centroid + 0.5 * (reflected - centroid))
-            (f_contracted,) = yield contracted[None, :]
-            if f_contracted <= f_reflected:
-                simplex[-1], values[-1] = contracted, f_contracted
-                continue
+            x, value = (expanded, f_expanded) if f_expanded < f_reflected else (reflected, f_reflected)
+        elif f_reflected < values[-2]:
+            x, value = reflected, f_reflected
         else:
-            contracted = clip(centroid + 0.5 * (simplex[-1] - centroid))
-            (f_contracted,) = yield contracted[None, :]
-            if f_contracted < values[-1]:
-                simplex[-1], values[-1] = contracted, f_contracted
+            outside = f_reflected < values[-1]
+            x = clip(centroid + 0.5 * ((reflected if outside else simplex[-1]) - centroid))
+            (value,) = yield x[None, :]
+            if not (value <= f_reflected if outside else value < values[-1]):
+                simplex[1:] = clip(simplex[0] + 0.5 * (simplex[1:] - simplex[0]))
+                values[1:] = yield simplex[1:]
+                simplex, values = _ranked(simplex, values)
                 continue
-        simplex[1:] = clip(simplex[0] + 0.5 * (simplex[1:] - simplex[0]))
-        values[1:] = yield simplex[1:]
+        rank = bisect.bisect_right(values, value, 0, n)
+        simplex[rank + 1 :] = simplex[rank:-1]
+        simplex[rank] = x
+        values.insert(rank, value)
+        del values[-1]
 
-    best = int(np.argmin(values))
-    return simplex[best].copy(), float(values[best]), iteration, trace
+    return simplex[0].copy(), values[0], iteration, trace
+
+
+def _ranked(simplex: np.ndarray, values: list) -> tuple[np.ndarray, list]:
+    """The vertices and their values in the order of a stable argsort of the values."""
+    order = np.argsort(values, kind="stable").tolist()
+    return simplex[order], [values[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +275,15 @@ def family_md_spec(m: int) -> FamilySpec:
 # complex arithmetic of the node constructors), so do these functions, row by
 # row: numpy rounds some of those operations differently on arrays.
 _WALK_POINTS = np.array([0.0, 1.0], dtype=complex)
+_WALK_ONES = np.ones(2, dtype=complex)
+# Above this norm, ||b||^2 is far from subnormal, so phi_{-b} takes the
+# formula of a BallAutomorphism with no tiny rows.
+_SMALL = 1e-150
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a complex (K, m) block, rounded as it rounds one row."""
-    dot = lambda y: np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    """``np.linalg.norm`` of each row of a complex (..., m) block, rounded as it rounds one row."""
+    dot = lambda y: np.matmul(y[..., None, :], y[..., :, None])[..., 0, 0]
     return np.sqrt(dot(x.real) + dot(x.imag))
 
 
@@ -281,7 +293,7 @@ def _blaschke_jet(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     den = 1.0 + np.conj(c)[:, None] * z
     value = (z + c[:, None]) / den
     deriv = np.asarray([1.0 - abs(ck) ** 2 for ck in c.tolist()])[:, None] / den**2
-    return z * value, np.ones_like(z) * value + z * deriv
+    return z * value, _WALK_ONES * value + z * deriv
 
 
 def _family_1d_margins(params: np.ndarray) -> np.ndarray:
@@ -302,26 +314,37 @@ def _family_md_margins(params: np.ndarray, m: int) -> np.ndarray:
     """``margin_objective_md`` of each row of a (K, 4m + 2) block."""
     if params.shape[1] != 4 * m + 2:
         raise DomainError(f"expected {4 * m + 2} parameters, got {params.shape[1]}")
-    b = params[:, :m] + 1j * params[:, m : 2 * m]
-    norm_b = _row_norms(b)
+    # b and u as one (K, 2, m) block, so that one call takes both norms.
+    parts = np.concatenate([params[:, : 2 * m], params[:, 2 * m + 2 :]], axis=1).reshape(-1, 2, 2, m)
+    bu = parts[:, :, 0] + 1j * parts[:, :, 1]
+    norm_b, norm_u = _row_norms(bu).T
+    b = bu[:, 0]
     far = norm_b > 0.9
-    b[far] *= (0.9 / norm_b[far])[:, None]
+    if any(far.tolist()):
+        b[far] *= (0.9 / norm_b[far])[:, None]
     c = []
     for re, im in params[:, 2 * m : 2 * m + 2].tolist():
         ck = complex(re, im)
         if abs(ck) > 0.9:
             ck *= 0.9 / abs(ck)
         c.append(ck)
-    u = params[:, 2 * m + 2 : 3 * m + 2] + 1j * params[:, 3 * m + 2 :]
-    norm_u = _row_norms(u)
     tiny = norm_u < 1e-9
-    u = u / np.where(tiny, 1.0, norm_u)[:, None]
-    u[tiny] = np.eye(1, m)
-    # F = phi_{-b}(z * blaschke(c)(z) * u); the stacked automorphism takes
-    # the points axis first.
-    value, deriv = (x.T[:, :, None] * u for x in _blaschke_jet(np.asarray(c)))
-    value, deriv = BallAutomorphism(-b)._value_and_differential(value, deriv)
-    (r, n), (a, val) = vnorm(value).tolist(), vnorm(deriv).tolist()
+    if any(tiny.tolist()):
+        u = bu[:, 1] / np.where(tiny, 1.0, norm_u)[:, None]
+        u[tiny] = np.eye(1, m)
+    else:
+        u = bu[:, 1] / norm_u[:, None]
+    # F = phi_{-b}(z * blaschke(c)(z) * u): the value and derivative of
+    # the inner map are one (2, 2, K, m) block, points axis second.
+    w, v = np.array(_blaschke_jet(np.asarray(c))).transpose(0, 2, 1)[..., None] * u
+    a = -b
+    norm_a = vnorm(a)
+    if min(norm_a.tolist()) < _SMALL:
+        jet = BallAutomorphism(a)._value_and_differential(w, v)
+    else:
+        r2 = norm_a * norm_a
+        jet = _phi_jet(a, np.conj(a), r2, np.sqrt(1.0 - r2)[:, None], w, v)
+    (r, n), (a, val) = vnorm(np.array(jet)).tolist()
     return np.asarray([v - _shifted_bound(r_k, n_k, a_k) for r_k, n_k, a_k, v in zip(r, n, a, val)])
 
 
@@ -347,51 +370,59 @@ def margin_objective_md(params, m: int = 2) -> float:
     return float(_family_md_margins(np.asarray(params, dtype=float)[None, :], m)[0])
 
 
-def _objectives_for(spec: FamilySpec):
-    """The family's batched objective, (K, n) rows to K margins, and its one-point form."""
-    if spec.family == "family_1d":
-        return _family_1d_margins, margin_objective_1d
-    return (
-        lambda params: _family_md_margins(params, spec.dim),
-        lambda params: margin_objective_md(params, spec.dim),
-    )
-
-
 POLISH_STEPS = (0.1, 0.02, 0.004, 8e-4, 1.6e-4, 3.2e-5)
 REFINE_SPAN = 0.01
 REFINE_SWEEPS = 2
 _REFINE_ITERATIONS = 48
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LOOKAHEAD = 3
 
 
-def _golden_section(f, lo: float, hi: float):
+def _golden_move(bracket: tuple, left: bool) -> tuple[tuple, float]:
+    """The golden-section bracket (a, b, c, d) after keeping [a, d] (``left``) or [c, b], and its new point."""
+    a, b, c, d = bracket
+    if left:
+        x = d - _INV_GOLDEN * (d - a)
+        return (a, d, x, c), x
+    x = c + _INV_GOLDEN * (b - c)
+    return (c, b, d, x), x
+
+
+def _golden_section(line, lo: float, hi: float):
     """Golden-section minimization on [lo, hi]; returns (x, value, evaluations).
 
-    Termination depends only on the bracket width, so the descent survives
-    value plateaus far below any value-spread resolution.  The returned point
-    is the best *evaluated* one, never an unevaluated midpoint.
+    ``line`` maps a list of points to the list of their values.  Termination
+    depends only on the bracket width, so the descent survives value
+    plateaus far below any value-spread resolution.  The returned point is
+    the best *evaluated* one, never an unevaluated midpoint.  Each step's
+    point follows from comparisons alone, so one call evaluates the points
+    of the next ``_LOOKAHEAD`` steps under every outcome of the comparisons
+    still to come (1 + 2 + 4), and the search follows the outcomes that
+    occur; ``evaluations`` counts only the points it uses.
     """
     a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    evaluations = 2
-    for _ in range(_REFINE_ITERATIONS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-            x, fx = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-            x, fx = d, fd
-        evaluations += 1
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f, evaluations
+    bracket = (a, b, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+    fc, fd = line(list(bracket[2:]))
+    best_x, best_f = (bracket[2], fc) if fc <= fd else (bracket[3], fd)
+    steps = 0
+    while steps < _REFINE_ITERATIONS:
+        # Each step keyed by the outcomes (left or not) of the steps up to it.
+        depth = min(_LOOKAHEAD, _REFINE_ITERATIONS - steps)
+        level = [(fc < fd,)]
+        moves = {level[0]: _golden_move(bracket, level[0][0])}
+        for _ in range(depth - 1):
+            level = [path + (left,) for path in level for left in (True, False)]
+            moves.update((path, _golden_move(moves[path[:-1]][0], path[-1])) for path in level)
+        values = dict(zip(moves, line([x for _, x in moves.values()])))
+        path = ()
+        for _ in range(depth):
+            path += (fc < fd,)
+            (bracket, x), fx = moves[path], values[path]
+            fc, fd = (fx, fc) if path[-1] else (fd, fx)
+            if fx < best_f:
+                best_x, best_f = x, fx
+        steps += depth
+    return best_x, best_f, 2 + steps
 
 
 def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dict:
@@ -414,38 +445,27 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
         raise DomainError("need at least one restart")
     lower = np.asarray(spec.lower, dtype=float)
     upper = np.asarray(spec.upper, dtype=float)
-    margins, objective = _objectives_for(spec)
+    if spec.family == "family_1d":
+        margins = _family_1d_margins
+    else:
+        margins = lambda params: _family_md_margins(params, spec.dim)
     family_id = _FAMILY_IDS[spec.family]
 
     starts = [
         lower + case_rng(seed, family_id, index).random(lower.shape[0]) * (upper - lower)
         for index in range(restarts)
     ]
-    best = None
-    best_index = -1
-    traces = []
-    min_evaluated = math.inf
-    total_evaluations = 0
-    for index, result in enumerate(_lockstep_nelder_mead(margins, starts, bounds=(lower, upper))):
-        traces.append([[int(it), float(val)] for it, val in result.trace])
-        min_evaluated = min(min_evaluated, result.min_evaluated)
-        total_evaluations += result.evaluations
-        if best is None or result.value < best.value:
-            best = result
-            best_index = index
-
-    best_x = np.asarray(best.x, dtype=float)
-    best_value = float(best.value)
-    polish_rounds = 0
+    runs = _lockstep_nelder_mead(margins, starts, bounds=(lower, upper))
+    best_index = min(range(restarts), key=lambda index: runs[index].value)
+    best_x, best_value = runs[best_index].x, float(runs[best_index].value)
     for step in POLISH_STEPS:
         (result,) = _lockstep_nelder_mead(margins, best_x[None, :], bounds=(lower, upper), initial_step=step)
-        traces.append([[int(it), float(val)] for it, val in result.trace])
-        min_evaluated = min(min_evaluated, result.min_evaluated)
-        total_evaluations += result.evaluations
-        polish_rounds += 1
+        runs.append(result)
         if result.value < best_value:
-            best_value = float(result.value)
-            best_x = np.asarray(result.x, dtype=float)
+            best_x, best_value = result.x, float(result.value)
+    traces = [[[int(it), float(val)] for it, val in result.trace] for result in runs]
+    min_evaluated = min(result.min_evaluated for result in runs)
+    total_evaluations = sum(result.evaluations for result in runs)
 
     # Near the attainable minimum the margin can sit below the simplex
     # value-spread stop, which then halts every polish round at iteration
@@ -460,10 +480,10 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
             hi = min(float(upper[i]), float(best_x[i]) + REFINE_SPAN)
             base = best_x.copy()
 
-            def line(t, i=i, base=base):
-                point = base.copy()
-                point[i] = t
-                return objective(point)
+            def line(ts, i=i, base=base):
+                points = np.repeat(base[None, :], len(ts), axis=0)
+                points[:, i] = ts
+                return margins(points).tolist()
 
             x_i, value, evaluations = _golden_section(line, lo, hi)
             total_evaluations += evaluations
@@ -484,7 +504,7 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
         "best_margin": best_value,
         "argmin": [float(v) for v in best_x],
         "best_restart": int(best_index),
-        "polish_rounds": int(polish_rounds),
+        "polish_rounds": len(POLISH_STEPS),
         "refine_sweeps": int(REFINE_SWEEPS),
         "min_evaluated": float(min_evaluated),
         "evaluations": int(total_evaluations),

@@ -33,7 +33,7 @@ from .holodisk import (
     _boundary_grid,
     _boundary_param,
     _grid_max_norm,
-    _polar_grid,
+    _interior_grid,
     _require_boundary_contact,
 )
 from .reports import DomainError, InequalityReport, make_report
@@ -310,7 +310,7 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> InequalityReport:
     """
     _chain_preconditions(w)
     circle = _boundary_grid(BOUNDARY_GRID)
-    inside = _polar_grid(np.linspace(0.0, 1.0, INTERIOR_GRID, endpoint=False), INTERIOR_GRID)
+    inside = _interior_grid(INTERIOR_GRID)
     grid = np.concatenate([inside, circle])
 
     p_abs = np.abs(P.polyval(grid, w.p))

@@ -1,10 +1,12 @@
 """Reference implementations the batched search code is tested against.
 
 ``sequential_nelder_mead`` is the one-simplex-at-a-time Nelder-Mead loop,
-the ``tree_objective_*`` functions build each family member as a
+sorting every vertex after each step, ``sequential_golden_section`` the
+golden-section search with one objective call per step, the
+``tree_objective_*`` functions build each family member as a
 ``HoloDisk`` tree and take its margin from the library's boundary-bound
 terms, and ``sequential_sharpness_report`` runs the multi-start search with
-both, one restart after another.  The search's lockstep core and batched
+these, one restart after another.  The search's lockstep core and batched
 objectives must reproduce them bit for bit.
 """
 
@@ -28,7 +30,8 @@ from diskcheck.search import (
     SPREAD_TOL,
     FamilySpec,
     SearchResult,
-    _golden_section,
+    _INV_GOLDEN,
+    _REFINE_ITERATIONS,
 )
 
 
@@ -131,6 +134,31 @@ def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERAT
     )
 
 
+def sequential_golden_section(f, lo: float, hi: float):
+    """Golden-section minimization on [lo, hi], one call of ``f`` per point; returns (x, value, evaluations)."""
+    a, b = float(lo), float(hi)
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    evaluations = 2
+    for _ in range(_REFINE_ITERATIONS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+            x, fx = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+            x, fx = d, fd
+        evaluations += 1
+        if fx < best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f, evaluations
+
+
 def tree_objective_1d(params) -> float:
     """Origin boundary-bound margin of the tree rotation * (z * blaschke(c))."""
     modulus, phase = float(params[0]), float(params[1])
@@ -230,7 +258,7 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
                 point[i] = t
                 return objective(point)
 
-            x_i, value, evaluations = _golden_section(line, lo, hi)
+            x_i, value, evaluations = sequential_golden_section(line, lo, hi)
             total_evaluations += evaluations
             min_evaluated = min(min_evaluated, value)
             refine_step += evaluations

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import diskcheck.holodisk as holodisk
 from diskcheck import (
     BallAutomorphism,
     Blaschke,
@@ -150,6 +151,17 @@ class TestBoundary:
         for f in (Identity(), Blaschke(0.3), extremal_family_1d(0.7), affine_disk([0.6, 0.8])):
             assert sup_boundary_norm(f) == pytest.approx(1.0, abs=1e-12)
             assert certify_in_ball(f) <= 1.0 + 1e-12
+
+    def test_grids_are_cached_and_read_only(self):
+        circle = holodisk._boundary_grid(64)
+        inside = holodisk._interior_grid(16)
+        assert circle is holodisk._boundary_grid(64) and inside is holodisk._interior_grid(16)
+        assert circle.tobytes() == np.exp(1j * (2.0 * np.pi * np.arange(64) / 64)).tobytes()
+        radii = np.linspace(0.0, 1.0, 16, endpoint=False)
+        assert inside.tobytes() == holodisk._polar_grid(radii, 16).tobytes()
+        for grid in (circle, inside):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 0.5
 
 
 class TestGrowthBound:

@@ -18,8 +18,14 @@ from diskcheck import (
     restricted_family_1d_spec,
     sharpness_report,
 )
-from diskcheck.search import _lockstep_nelder_mead
-from oracles import sequential_nelder_mead, sequential_sharpness_report
+from diskcheck.search import (
+    REFINE_SPAN,
+    _family_1d_margins,
+    _family_md_margins,
+    _golden_section,
+    _lockstep_nelder_mead,
+)
+from oracles import sequential_golden_section, sequential_nelder_mead, sequential_sharpness_report
 
 
 class TestNelderMead:
@@ -141,6 +147,118 @@ class TestLockstep:
         ):
             expected = sequential_sharpness_report(spec, restarts=restarts, seed=seed)
             assert sharpness_report(spec, restarts=restarts, seed=seed) == expected, spec.family
+
+
+def same_run(result, alone) -> bool:
+    """Whether two Nelder-Mead results agree bit for bit, zero signs included."""
+    return (
+        result.x.tobytes() == alone.x.tobytes()
+        and repr((result.value, result.iterations, result.evaluations, result.min_evaluated))
+        == repr((alone.value, alone.iterations, alone.evaluations, alone.min_evaluated))
+        and repr(result.trace) == repr(alone.trace)
+    )
+
+
+class TestInsertionOrderedSimplex:
+    """Inserting each replacing vertex by rank gives the runs a full stable argsort gives."""
+
+    def floor_steps(self, x):
+        return math.floor(4.0 * float(np.sum((x - 0.3) ** 2))) / 4.0
+
+    def signed_zeros(self, x):
+        # -0.0 and +0.0 compare equal, so only the order of ties decides
+        # which zero vertex is best.
+        r = float(np.sum(x**2)) - 0.25
+        if r > 0.0:
+            return r
+        return -0.0 if x[0] < x[1] else 0.0
+
+    def walled(self, x):
+        # +inf outside the unit disk and across a moat, so reflections fail.
+        if float(np.sum(x**2)) > 1.0 or abs(x[0] - 0.9) < 0.05:
+            return math.inf
+        return float((x[0] - 1.0) ** 2 + x[1] ** 2)
+
+    @pytest.mark.parametrize("name", ["floor_steps", "signed_zeros", "walled"])
+    def test_runs_with_ties_equal_sequential_runs(self, name):
+        objective = getattr(self, name)
+        starts = np.random.default_rng(5).uniform(-0.6, 0.6, size=(6, 2))
+        shrinks = iterations = 0
+        for bounds in (None, ([-1.0, -1.0], [1.0, 1.0])):
+            for initial_step in (0.1, 0.5):
+                together = _lockstep_nelder_mead(
+                    lambda points: [objective(x) for x in points], starts, bounds=bounds, initial_step=initial_step
+                )
+                for start, result in zip(starts, together):
+                    alone = sequential_nelder_mead(objective, start, bounds=bounds, initial_step=initial_step)
+                    assert same_run(result, alone)
+                    iterations += alone.iterations
+                    blocks = []
+
+                    def one_run(points):
+                        blocks.append(len(points))
+                        return [objective(x) for x in points]
+
+                    assert same_run(_lockstep_nelder_mead(one_run, start[None, :], bounds, 10_000, initial_step)[0], alone)
+                    # After the initial simplex, only a shrink asks for more than one point.
+                    shrinks += sum(size > 1 for size in blocks[1:])
+        assert iterations > 0
+        assert shrinks > 0 or name == "signed_zeros"
+
+
+class TestLookaheadGoldenSection:
+    """The lookahead golden section returns what one call per step returns."""
+
+    @staticmethod
+    def batched(f, seen=None):
+        def line(ts):
+            if seen is not None:
+                seen.extend(ts)
+            return [f(t) for t in ts]
+
+        return line
+
+    def check(self, f, lo, hi):
+        expected = sequential_golden_section(f, lo, hi)
+        got = _golden_section(self.batched(f), lo, hi)
+        assert repr(got) == repr(expected)
+        assert got[2] == expected[2] == 50
+        return got
+
+    @pytest.mark.parametrize("span", [REFINE_SPAN, 0.3])
+    def test_family_lines_equal_sequential_sections(self, span):
+        md = family_md_spec(2)
+        base_md = np.asarray(md.lower) + 0.37 * (np.asarray(md.upper) - np.asarray(md.lower))
+        lines = [((0.4, 0.01), 0, lambda p: _family_1d_margins(p)), ((0.4, 0.01), 1, lambda p: _family_1d_margins(p))]
+        lines += [(base_md, i, lambda p: _family_md_margins(p, 2)) for i in range(10)]
+        for base, i, margins in lines:
+            base = np.asarray(base, dtype=float)
+
+            def f(t, base=base, i=i, margins=margins):
+                point = base.copy()
+                point[i] = t
+                return float(margins(point[None, :])[0])
+
+            self.check(f, base[i] - span, base[i] + span)
+
+    def test_ties_and_plateaus(self):
+        self.check(lambda t: 0.25, -1.0, 1.0)
+        self.check(lambda t: -0.0, -1.0, 1.0)
+        self.check(lambda t: math.floor(abs(t - 0.3) * 20.0) / 20.0, -1.0, 1.0)
+        self.check(lambda t: math.floor(8.0 * math.sin(5.0 * t)) / 8.0, 0.0, 3.0)
+
+    def test_unused_speculative_points_never_reach_the_result(self):
+        f = lambda t: (t - 0.3) ** 2
+        used = []
+        sequential_golden_section(lambda t: used.append(t) or f(t), -1.0, 1.0)
+        used = set(used)
+        # Every point the sequential search never visits gets the lowest value.
+        trap = lambda t: f(t) if t in used else -1.0
+        seen = []
+        got = _golden_section(self.batched(trap, seen), -1.0, 1.0)
+        assert set(seen) > used
+        assert got == sequential_golden_section(f, -1.0, 1.0)
+        assert got[1] >= 0.0 and got[2] == 50
 
 
 class TestObjectives:
