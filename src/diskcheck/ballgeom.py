@@ -58,7 +58,7 @@ def _param_norm(a: np.ndarray) -> np.ndarray:
 
 def _check_in_closed_ball(w: np.ndarray) -> None:
     n = vnorm(w)
-    if (n > 1.0 + _BALL_SLACK).any():
+    if not (n <= 1.0 + _BALL_SLACK).all():
         raise DomainError(f"w must lie in the closed unit ball; got norm {np.max(n):.6g}")
 
 
@@ -103,7 +103,7 @@ class BallAutomorphism:
         if a.ndim > 2 or a.size == 0:
             raise DomainError("a must be a nonempty vector or a stack of them")
         r = _param_norm(a)
-        if (r >= 1.0).any():
+        if not (r < 1.0).all():
             raise DomainError(f"a must lie strictly inside the unit ball; got norm {np.max(r):.6g}")
         if a.ndim == 1:
             r = float(r)
@@ -241,7 +241,7 @@ def pseudo_hyperbolic_quotient(a, w) -> float | np.ndarray:
     """
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     w = np.asarray(w, dtype=complex)
-    if np.any(vnorm(a) >= 1.0):
+    if not np.all(vnorm(a) < 1.0):
         raise DomainError("a must lie strictly inside the unit ball")
     _check_in_closed_ball(w)
     val = vnorm(w - a) / np.abs(1.0 - inner(w, a))
@@ -258,7 +258,7 @@ def poincare_dist(z, w) -> float | np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(z) >= 1.0) or np.any(np.abs(w) >= 1.0):
+    if not (np.all(np.abs(z) < 1.0) and np.all(np.abs(w) < 1.0)):
         raise DomainError("poincare_dist requires interior points of the disk")
     rho = np.abs(z - w) / np.abs(1.0 - np.conj(z) * w)
     val = np.arctanh(rho)
@@ -281,7 +281,7 @@ def cayley_klein_dist(x, y) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     nx = vnorm(x)
     ny = vnorm(y)
-    if np.any(nx >= 1.0) or np.any(ny >= 1.0):
+    if not (np.all(nx < 1.0) and np.all(ny < 1.0)):
         raise DomainError("cayley_klein_dist requires interior points of the ball")
     v = y - x
     sx = 1.0 - nx**2

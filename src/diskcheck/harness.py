@@ -57,7 +57,7 @@ from .holodisk import (
     radial_derivative_estimate,
     schwarz_derivative_bound,
 )
-from .reports import _EQUALITY, CHECKS, DomainError, InequalityReport, make_report
+from .reports import _EQUALITY, CHECKS, DomainError, InequalityReport, _judge, make_report
 from .search import (
     family_1d_spec,
     family_md_spec,
@@ -133,60 +133,65 @@ class SuiteConfig:
 
 
 class _SuiteAccumulator:
-    """Collects reports for one suite: counts, worst per check, failures.
+    """Collects one suite's cases: counts, worst case per check, failures.
 
-    It is the one place that applies a run's tolerance overrides: every
-    report it records is judged here, through ``make_report``.  A check's
-    worst report is the one farthest toward failing: every failure ranks
-    above every pass, and a NaN margin above any number, so the worst report
-    always carries the check's verdict.
+    It is the one place that applies a run's tolerance overrides: it judges
+    each check once, over every case recorded for it, in :meth:`as_dict`,
+    by the rule of ``reports._judge``.  Reports, and their instance text,
+    are built only for a check's worst case and for its failures, which are
+    listed case by case in recording order, within a case in column order.
     """
 
     def __init__(self, tolerances: dict) -> None:
         self.tolerances = tolerances
-        self.cases = 0
-        self.checks: dict = {}
-        self.failures: list = []
+        self.rows = 0
+        self.tables: dict = {}
         self.findings: dict = {}
 
-    def add(self, report: InequalityReport) -> InequalityReport:
-        """Judge a check function's report against this run's tolerances and record it."""
-        return self.check(report.name, report.instance, report.lhs, report.rhs, report.margin, extra=report.extra)
+    def record(self, describe, columns: dict, extra=None) -> None:
+        """Record a table of cases, of which ``describe(i)`` names case i.
 
-    def check(self, name, instance, lhs, rhs, margin, extra=None) -> InequalityReport:
-        report = make_report(name, instance, lhs, rhs, margin, tolerances=self.tolerances, extra=extra)
-        self.cases += 1
-        badness = abs(report.margin) if CHECKS[name][0] == _EQUALITY else -report.margin
-        key = (not report.passed, math.inf if math.isnan(badness) else badness)
-        slot = self.checks.get(name)
-        if slot is None:
-            self.checks[name] = {"key": key, "worst": report, "count": 1}
-        else:
-            slot["count"] += 1
-            if key > slot["key"]:
-                slot["key"] = key
-                slot["worst"] = report
-        if not report.passed:
-            self.failures.append(report)
-        return report
+        ``columns`` maps check names to (lhs, rhs, margin) columns over the cases:
+        arrays, or scalars in a record of one case, which may pass its name as ``describe``.
+        """
+        for position, (name, (lhs, rhs, margin)) in enumerate(columns.items()):
+            self.tables.setdefault(name, []).append((self.rows, position, describe, extra, lhs, rhs, margin))
+        self.rows += getattr(margin, "size", 1)
 
-    def value(self, name, instance, value, extra=None) -> InequalityReport:
-        """Judge ``value`` itself as the margin, against zero (a floor check: against its floor)."""
-        return self.check(name, instance, value, 0.0, value, extra=extra)
+    def add(self, report: InequalityReport) -> None:
+        self.check(report.name, report.instance, report.lhs, report.rhs, report.margin, report.extra)
 
-    def sampled(self, name, margins, describe) -> InequalityReport:
-        """Judge the smallest of sampled margins; ``describe(i)`` names sample i."""
-        worst = int(np.argmin(margins))
-        return self.check(name, describe(worst), 0.0, 0.0, float(margins[worst]))
+    def check(self, name, instance, lhs, rhs, margin, extra=None) -> None:
+        self.record(instance, {name: (lhs, rhs, margin)}, extra)
+
+    def value(self, name, instance, value, extra=None) -> None:
+        """Record ``value`` itself as the margin, against zero (a floor check: against its floor)."""
+        self.check(name, instance, value, 0.0, value, extra)
+
+    def sampled(self, name, margins, describe) -> None:
+        """Record the smallest of sampled margins; ``describe(i)`` names sample i."""
+        i = int(np.argmin(margins))
+        self.check(name, describe(i), 0.0, 0.0, margins[i])
 
     def as_dict(self) -> dict:
-        checks = {}
-        one_sided = []
-        for name, slot in sorted(self.checks.items()):
-            worst = slot["worst"]
+        checks, failures, one_sided = {}, [], []
+        for name, table in sorted(self.tables.items()):
+            lhs, rhs, margin = (np.hstack([chunk[j] for chunk in table], dtype=float) for j in (4, 5, 6))
+            passed, badness = _judge(name, lhs, rhs, margin, self.tolerances)[2:4]
+            starts = np.cumsum([0] + [getattr(chunk[6], "size", 1) for chunk in table])
+
+            def report(i):
+                k = int(np.searchsorted(starts, i, side="right")) - 1
+                first, position, describe, extra = table[k][:4]
+                case = i - int(starts[k])
+                rep = make_report(name, describe(case) if callable(describe) else describe, lhs[i], rhs[i], margin[i], tolerances=self.tolerances, extra=extra)
+                return first + case, position, rep
+
+            failures.extend(report(i) for i in np.flatnonzero(~passed).tolist())
+            worst = report(int(np.argmax(badness)))[2]
             equality = CHECKS[name][0] == _EQUALITY
             checks[name] = {
-                "count": slot["count"],
+                "count": len(margin),
                 "equality": equality,
                 "worst_margin": worst.margin,
                 "worst_lhs": worst.lhs,
@@ -197,12 +202,13 @@ class _SuiteAccumulator:
             }
             if not equality:
                 one_sided.append(worst.margin)
+        failures.sort(key=lambda failure: failure[:2])
         return {
-            "cases": self.cases,
+            "cases": sum(slot["count"] for slot in checks.values()),
             "checks": checks,
             # A NaN margin counts as the smallest.
             "min_margin": min(one_sided, key=lambda m: (not math.isnan(m), m), default=None),
-            "failures": [r.as_dict() for r in self.failures],
+            "failures": [rep.as_dict() for *_, rep in failures],
             "findings": self.findings,
         }
 
@@ -222,7 +228,7 @@ def _run_ball(config: SuiteConfig) -> dict:
         # Each case draws from its own stream, in a fixed order.  The distance
         # checks take scalars and run per case as they are drawn; every
         # automorphism identity is then evaluated for all cases at once, with
-        # the arithmetic of a one-point call, and recorded case by case.
+        # the arithmetic of a one-point call, and recorded as one table.
         points = np.empty((5, config.samples, m), dtype=complex)
         distance_devs = np.empty((3, config.samples))
         for index in range(config.samples):
@@ -254,54 +260,36 @@ def _run_ball(config: SuiteConfig) -> dict:
         fd = (aut.apply(w8 + h * v) - aut.apply(w8 - h * v)) / (2.0 * h)
         exact = aut.differential(w8, v)
         anchors = [a, a / vnorm(a)[:, None], zero]
-        columns = np.stack([
-            vnorm(aut.apply(a)),
-            vnorm(aut.apply(zero) - a),
-            vnorm(aut.apply(aut.apply(w)) - w),
-            aut.norm_identity_residual(w),
-            vnorm(aut.apply(b)),
-            pseudo_hyperbolic_quotient(a, w),
-            vnorm(aut.apply(w)),
-            np.abs(pseudo_hyperbolic_quotient(a, collinear) - vnorm(aut.apply(collinear))),
-            vnorm(fd - exact),
-            vnorm(exact),
-            aut.opnorm_oracle(w),
-            aut.opnorm_global_bound(),
-            aut.opnorm_formula(w),
-            *(aut.opnorm_formula(anchor) for anchor in anchors),
-            *(aut.opnorm_oracle(anchor) for anchor in anchors),
-            *distance_devs,
-        ])
+        formulas = [aut.opnorm_formula(anchor) for anchor in anchors]
+        oracles = [aut.opnorm_oracle(anchor) for anchor in anchors]
         # The origin anchor is exact only when an orthogonal direction exists
         # (m >= 2); for m = 1 the deviation there is recorded as a finding
         # instead of asserted.
         anchor_count = 3 if m >= 2 else 2
-
-        for k in range(config.samples):
-            tag = f"m={m} case={k}"
-            (fixed, origin, involution, norm_res, boundary, quot, moved, cres, fd_err, exact_norm,
-             oracle_w, bound, formula_w, *anchor_values, plane_dev, inv_dev, radial_dev) = columns[:, k].tolist()
-            formulas, oracles = anchor_values[:3], anchor_values[3:]
-            acc.value("phi_fixed_point", tag, fixed)
-            acc.value("phi_origin_value", tag, origin)
-            acc.value("phi_involution", tag, involution)
-            acc.value("phi_norm_identity", tag, norm_res)
-            acc.value("phi_boundary_preservation", tag, abs(boundary - 1.0))
-            acc.check("quotient_domination", tag, moved, quot, quot - moved)
-            acc.value("quotient_collinear_equality", tag, cres)
-            acc.value("dphi_finite_difference", tag, fd_err / (1.0 + exact_norm))
-            anchor_dev = 0.0
-            for formula, oracle in zip(formulas[:anchor_count], oracles[:anchor_count]):
-                anchor_dev = max(anchor_dev, abs(formula - oracle) / oracle)
-            acc.value("opnorm_anchor", tag, anchor_dev)
-            if m == 1:
-                origin_dev_m1 = max(origin_dev_m1, abs(formulas[2] - oracles[2]))
-            acc.check("opnorm_global_bound", tag, oracle_w, bound, bound - oracle_w)
-            underest = max(underest, oracle_w - formula_w)
-            overest = max(overest, formula_w - oracle_w)
-            acc.value("metric_plane_consistency", tag, plane_dev)
-            acc.value("poincare_invariance", tag, inv_dev)
-            acc.value("cayley_klein_radial", tag, radial_dev)
+        anchor_dev = np.max([np.abs(f - o) / o for f, o in zip(formulas, oracles)][:anchor_count], axis=0)
+        quot, moved = pseudo_hyperbolic_quotient(a, w), vnorm(aut.apply(w))
+        oracle_w, formula_w, bound = aut.opnorm_oracle(w), aut.opnorm_formula(w), aut.opnorm_global_bound()
+        value = lambda column: (column, np.zeros_like(column), column)
+        acc.record(lambda k, m=m: f"m={m} case={k}", {
+            "phi_fixed_point": value(vnorm(aut.apply(a))),
+            "phi_origin_value": value(vnorm(aut.apply(zero) - a)),
+            "phi_involution": value(vnorm(aut.apply(aut.apply(w)) - w)),
+            "phi_norm_identity": value(aut.norm_identity_residual(w)),
+            "phi_boundary_preservation": value(np.abs(vnorm(aut.apply(b)) - 1.0)),
+            "quotient_domination": (moved, quot, quot - moved),
+            "quotient_collinear_equality": value(
+                np.abs(pseudo_hyperbolic_quotient(a, collinear) - vnorm(aut.apply(collinear)))),
+            "dphi_finite_difference": value(vnorm(fd - exact) / (1.0 + vnorm(exact))),
+            "opnorm_anchor": value(anchor_dev),
+            "opnorm_global_bound": (oracle_w, bound, bound - oracle_w),
+            "metric_plane_consistency": value(distance_devs[0]),
+            "poincare_invariance": value(distance_devs[1]),
+            "cayley_klein_radial": value(distance_devs[2]),
+        })
+        if m == 1:
+            origin_dev_m1 = max(origin_dev_m1, float(np.max(np.abs(formulas[2] - oracles[2]))))
+        underest = max(underest, float(np.max(oracle_w - formula_w)))
+        overest = max(overest, float(np.max(formula_w - oracle_w)))
 
     acc.findings["opnorm_formula_max_underestimate"] = float(underest)
     acc.findings["opnorm_formula_max_overestimate"] = float(overest)
@@ -322,11 +310,11 @@ def _run_holo(config: SuiteConfig) -> dict:
 
     for a in (0.0,) + tuple(0.1 * k for k in range(1, 10)):
         f = extremal_family_1d(a)
-        dev = max(
+        dev = np.max([
             abs(complex(f.eval(1.0 + 0j)[0]) - 1.0),
             abs(complex(f.deriv(1.0 + 0j)[0]) - 2.0 / (1.0 + a)),
             abs(complex(f.deriv(0j)[0]) - a),
-        )
+        ])
         acc.value("extremal_family_values", f"a={a:.1f}", dev)
 
     for c in (0.2, 0.5, 0.8):
@@ -336,7 +324,7 @@ def _run_holo(config: SuiteConfig) -> dict:
     rng = case_rng(config.seed, HOLO_POINT_STREAM, 0)
     for k in range(min(50, config.samples)):
         aa = _disk_points(rng, 1, rmin=0.1, rmax=0.9)[0]
-        rep = acc.add(nonreal_parameter_strictness(aa))
+        acc.add(rep := nonreal_parameter_strictness(aa))
         acc.value("strictness_closed_form", f"a={aa:.6g}", abs(rep.extra["closed_form_deviation"]))
 
     for m in config.dimensions:
@@ -376,7 +364,7 @@ def _run_holo(config: SuiteConfig) -> dict:
             if member.boundary_contact is not None:
                 zeta = member.boundary_contact
                 if member.zero_at_origin:
-                    rep = acc.add(boundary_bound_origin(disk, zeta))
+                    acc.add(rep := boundary_bound_origin(disk, zeta))
                     if member.equality_archetype:
                         acc.check("boundary_origin_equality", tag, rep.lhs, rep.rhs, rep.margin)
                 acc.add(boundary_bound_shifted(disk, zeta))
@@ -440,7 +428,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         if in_ball:
             for a in _disk_points(rng, 8, rmin=0.0, rmax=0.95):
-                rep = acc.add(interior_growth_margin(w, a, certify=False))
+                acc.add(rep := interior_growth_margin(w, a, certify=False))
                 if member.planar_through_origin:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", rep.lhs, rep.rhs, rep.margin)
 
@@ -455,11 +443,11 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 s = -0.95 + 1.9 * rng.random(config.samples)
                 t = -0.95 + 1.9 * rng.random(config.samples)
                 diameter = distance_decreasing_margins(w, s * direction, t * direction)
-                edev = max(float(np.max(np.abs(anchored))), float(np.max(np.abs(diameter))))
+                edev = np.max([np.max(np.abs(anchored)), np.max(np.abs(diameter))])
                 acc.value("distance_equality_planar", tag, edev)
 
         if member.boundary_contact_point is not None:
-            rep = acc.add(boundary_minimal_margin(w, member.boundary_contact_point))
+            acc.add(rep := boundary_minimal_margin(w, member.boundary_contact_point))
             if member.planar_through_origin:
                 acc.check("boundary_minimal_equality", tag, rep.lhs, rep.rhs, rep.margin)
 

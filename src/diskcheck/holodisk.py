@@ -17,8 +17,8 @@ margin per sample point, and a suite run judges the array.
 ``growth_margins`` gives the growth and both quotient margins from one walk
 of F over the batch, so like the quotient bounds it needs 0 < |z| < 1;
 ``julia_margins`` gives the Julia margins.  The per-instance checks return an
-:class:`~diskcheck.reports.InequalityReport`, judged with their check's
-default tolerance (a suite run judges them again with its overrides).
+:class:`~diskcheck.reports.InequalityReport` judged with their check's default
+tolerance; a suite run judges each check once, with the run's overrides.
 
 Serialization uses a nested prefix notation, e.g. ``mul(z, blaschke(0.5))``
 or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``; see the README
@@ -72,6 +72,13 @@ def _fmt_vector(u: np.ndarray) -> str:
     return "[" + ", ".join(_fmt_complex(x) for x in u) + "]"
 
 
+def _finite(values, what: str):
+    """``values``, unless one is not finite: then DomainError."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} must be finite; got {values!r}")
+    return values
+
+
 class HoloDisk:
     """Base class for holomorphic disk maps D -> C^m."""
 
@@ -120,7 +127,7 @@ class Const(HoloDisk):
     """Constant scalar map."""
 
     def __init__(self, c) -> None:
-        self.c = complex(c)
+        self.c = _finite(complex(c), "const value")
 
     def _eval(self, z):
         return np.full((z.shape[0], 1), self.c)
@@ -139,7 +146,7 @@ class Poly(HoloDisk):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1 or c.shape[0] == 0:
             raise DomainError("poly needs a nonempty coefficient vector")
-        self.coeffs = P.polytrim(c, tol=0.0)
+        self.coeffs = P.polytrim(_finite(c, "poly coefficients"), tol=0.0)
 
     def _eval(self, z):
         return P.polyval(z, self.coeffs)[:, None]
@@ -156,7 +163,7 @@ class Blaschke(HoloDisk):
 
     def __init__(self, c) -> None:
         c = complex(c)
-        if abs(c) >= 1.0:
+        if not abs(c) < 1.0:
             raise DomainError(f"Blaschke parameter must satisfy |c| < 1; got {abs(c):.6g}")
         self.c = c
 
@@ -218,7 +225,7 @@ class CMul(HoloDisk):
     """Complex scalar multiple of a map."""
 
     def __init__(self, c, f: HoloDisk) -> None:
-        self.c = complex(c)
+        self.c = _finite(complex(c), "cmul factor")
         self.f = f
         self.dim = f.dim
 
@@ -243,7 +250,7 @@ class Embed(HoloDisk):
         if u.ndim != 1 or u.shape[0] == 0:
             raise DomainError("scale direction must be a nonempty vector")
         self.f = f
-        self.u = u
+        self.u = _finite(u, "scale direction")
         self.dim = u.shape[0]
 
     def _eval(self, z):

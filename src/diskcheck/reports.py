@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
@@ -107,6 +109,24 @@ class InequalityReport:
         return asdict(self)
 
 
+def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None = None):
+    """Judge cases of the named check, elementwise: ``(rhs, margin, passed, badness, tolerance)``.
+
+    A floor check's rhs is its tolerance and its margin ``lhs - tolerance``.
+    With the tolerance fixed, a case fails exactly where its badness passes a
+    threshold (``> tolerance``; ``>= 0`` for a floor check), and a NaN margin
+    has badness +inf, so a check's first largest badness carries its verdict.
+    """
+    kind, tol = CHECKS[name]
+    if tolerances and name in tolerances:
+        tol = float(tolerances[name])
+    if kind == _FLOOR:
+        rhs, margin = tol, lhs - tol
+    badness = abs(margin) if kind == _EQUALITY else -margin
+    passed = badness < 0.0 if kind == _FLOOR else badness <= tol
+    return rhs, margin, passed, np.where(badness == badness, badness, np.inf), tol
+
+
 def make_report(
     name: str,
     instance: str,
@@ -123,16 +143,8 @@ def make_report(
     applies.  A floor check takes only ``lhs``: its rhs and margin follow
     from the tolerance, so judging a report again recomputes them.
     """
-    kind, tol = CHECKS[name]
-    if tolerances and name in tolerances:
-        tol = float(tolerances[name])
     lhs, rhs, margin = float(lhs), float(rhs), float(margin)
-    if kind == _FLOOR:
-        rhs, margin, passed = tol, lhs - tol, lhs > tol
-    elif kind == _EQUALITY:
-        passed = abs(margin) <= tol
-    else:
-        passed = margin >= -tol
+    rhs, margin, passed, _, tol = _judge(name, lhs, rhs, margin, tolerances)
     return InequalityReport(
         name=name,
         instance=instance,

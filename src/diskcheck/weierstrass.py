@@ -81,7 +81,7 @@ class WeierstrassDisk:
         self.antiderivative = [P.polyint(c) for c in self.phi]
         if self.halfsphere:
             worst = float(np.max(np.abs(P.polyval(_boundary_grid(BOUNDARY_GRID), self.q))))
-            if worst >= 1.0:
+            if not worst < 1.0:
                 raise DomainError(f"half-sphere flag requires |q| < 1 on the closed disk; boundary max {worst:.6g}")
 
     # -- raw evaluation -----------------------------------------------------
@@ -195,21 +195,21 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
     res_x = np.abs(norm_x - lam)
     res_y = np.abs(vnorm(f_y) - lam)
     res_dot = np.abs(np.sum(f_x * f_y, axis=-1))
-    iso = float(max(res_x.max(), res_y.max(), res_dot.max()))
+    iso = [res_x.max(), res_y.max(), res_dot.max()]
     nonzero = np.abs(zs) > 0
     if np.any(nonzero):
         r, t = np.abs(zs[nonzero]), np.angle(zs[nonzero])
         fx, fy, lam_nz = f_x[nonzero], f_y[nonzero], lam[nonzero]
         f_r = fx * np.cos(t)[:, None] + fy * np.sin(t)[:, None]
         f_t = r[:, None] * (-fx * np.sin(t)[:, None] + fy * np.cos(t)[:, None])
-        iso = max(iso, float(np.max(np.abs(vnorm(f_r) - lam_nz))))
-        iso = max(iso, float(np.max(np.abs(vnorm(f_t) - r * lam_nz))))
+        iso += [np.max(np.abs(vnorm(f_r) - lam_nz)), np.max(np.abs(vnorm(f_t) - r * lam_nz))]
+    iso = float(np.max(iso))
 
     normals = _gauss_vector(qv)
     gdev = float(np.max(np.abs(vnorm(normals) - 1.0)))
     inside = np.abs(qv) < 1.0
     if np.any(inside):
-        gdev = max(gdev, max(0.0, -float(np.min(normals[inside, 2]))))
+        gdev = float(np.max([gdev, 0.0, -np.min(normals[inside, 2])]))
     orth = max(
         float(np.max(np.abs(np.sum(normals * f_x, axis=-1)) / (1.0 + lam))),
         float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
@@ -343,7 +343,7 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> InequalityReport:
         margins.append(corollary_margin)
         extra["corollary_margin"] = corollary_margin
         extra["corollary_bound"] = corollary_bound
-    margin = float(min(margins))
+    margin = float(np.min(margins))
     return make_report(
         "halfsphere_chain",
         repr(w),

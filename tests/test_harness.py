@@ -6,6 +6,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from diskcheck import (
@@ -20,7 +21,9 @@ from diskcheck import (
     weierstrass_corpus,
 )
 from diskcheck.cli import main as cli_main
+from diskcheck import harness
 from diskcheck.harness import RunReport, _SuiteAccumulator
+from diskcheck.reports import make_report
 
 FAST = dict(samples=8, search_restarts=2)
 
@@ -116,6 +119,18 @@ class TestRunSuite:
         assert ball["findings"]["opnorm_formula_origin_deviation_m1"] > 0.1
 
 
+def _built_reports(monkeypatch) -> list:
+    """The instance of every report the suite accumulator builds, in order."""
+    built = []
+
+    def counting(name, instance, *args, **kwargs):
+        built.append(instance)
+        return make_report(name, instance, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_report", counting)
+    return built
+
+
 class TestSuiteAccumulator:
     @pytest.mark.parametrize("name,passing", [("growth_margin", 0.5), ("phi_involution", 0.0)])
     def test_nan_failure_takes_the_worst_slot(self, name, passing):
@@ -139,6 +154,87 @@ class TestSuiteAccumulator:
         slot = acc.as_dict()["checks"]["growth_margin"]
         assert slot["worst_instance"] == "nan"
         assert slot["count"] == 4
+
+
+    def test_a_passing_column_builds_one_report_per_check(self, monkeypatch):
+        built = _built_reports(monkeypatch)
+        described = []
+
+        def describe(i):
+            described.append(i)
+            return f"case {i}"
+
+        acc = _SuiteAccumulator({})
+        margins = np.linspace(0.0, 1e-13, 1000)
+        acc.record(describe, {"phi_involution": (margins, np.zeros(1000), margins),
+                              "growth_margin": (margins, np.zeros(1000), 1.0 - margins)})
+        suite = acc.as_dict()
+        assert suite["cases"] == 2000 and suite["failures"] == []
+        assert suite["checks"]["phi_involution"]["worst_instance"] == "case 999"
+        assert suite["checks"]["growth_margin"]["worst_instance"] == "case 999"
+        assert sorted(described) == [999, 999]
+        assert built == ["case 999", "case 999"]
+
+    def test_reports_are_built_only_for_failures_and_the_worst_case(self, monkeypatch):
+        built = _built_reports(monkeypatch)
+        acc = _SuiteAccumulator({})
+        margins = np.zeros(1000)
+        margins[[10, 500, 990]] = [-1.0, -3.0, -2.0]
+        acc.record(lambda i: f"case {i}", {"growth_margin": (margins, margins, margins)})
+        suite = acc.as_dict()
+        assert [f["instance"] for f in suite["failures"]] == ["case 10", "case 500", "case 990"]
+        assert suite["checks"]["growth_margin"]["worst_instance"] == "case 500"
+        assert set(built) == {"case 10", "case 500", "case 990"}
+
+    @pytest.mark.parametrize("name", ["growth_margin", "phi_involution"])
+    def test_a_nan_in_the_middle_of_a_column_takes_the_worst_slot(self, name):
+        acc = _SuiteAccumulator({})
+        margins = np.full(1000, 1e-14)
+        margins[500] = math.nan
+        acc.record(lambda i: f"case {i}", {name: (margins, np.zeros(1000), margins)})
+        suite = acc.as_dict()
+        slot = suite["checks"][name]
+        assert slot["worst_instance"] == "case 500" and slot["passed"] is False
+        assert math.isnan(slot["worst_margin"])
+        assert [f["instance"] for f in suite["failures"]] == ["case 500"]
+
+    @pytest.mark.parametrize(
+        "name,margins,worst",
+        [
+            ("phi_involution", [0.0, -0.0, 0.0], 0),
+            ("phi_involution", [-0.0, 0.0], 0),
+            ("growth_margin", [0.0, -0.0, 0.0], 0),
+            ("growth_margin", [-0.0, 0.0], 0),
+            ("phi_involution", [1e-3, -2e-3, 2e-3, -2e-3], 1),
+            ("growth_margin", [-1.0, -2.0, -2.0, -1.0], 1),
+            ("family_1d_restricted_floor", [0.5, 0.0, 0.0, 1e-4], 1),
+            ("growth_margin", [1.0, -math.inf, math.nan], 1),
+            ("phi_involution", [0.0, math.inf, math.nan], 1),
+        ],
+    )
+    def test_equal_badness_keeps_the_first_case(self, name, margins, worst):
+        table, scalars = _SuiteAccumulator({}), _SuiteAccumulator({})
+        column = np.asarray(margins)
+        table.record(lambda i: f"case {i}", {name: (column, np.zeros(len(margins)), column)})
+        for i, margin in enumerate(margins):
+            scalars.value(name, f"case {i}", margin)
+        for acc in (table, scalars):
+            slot = acc.as_dict()["checks"][name]
+            assert slot["worst_instance"] == f"case {worst}"
+            assert math.copysign(1.0, slot["worst_lhs"]) == math.copysign(1.0, margins[worst])
+
+    def test_ball_failures_are_listed_case_by_case_in_column_order(self):
+        # Both overrides fail every case: quotient_domination records before
+        # opnorm_anchor in each case, though it sorts after it by name.
+        tolerances = {"quotient_domination": -10.0, "opnorm_anchor": -1.0}
+        suite = run_suite(SuiteConfig(suites=("ball",), dimensions=(1, 2), samples=3, tolerances=tolerances))
+        failures = [(f["name"], f["instance"]) for f in suite.suites["ball"]["failures"]]
+        assert failures == [
+            (name, f"m={m} case={k}")
+            for m in (1, 2)
+            for k in range(3)
+            for name in ("quotient_domination", "opnorm_anchor")
+        ]
 
 
 class TestReportFiles:
