@@ -21,6 +21,7 @@ import json
 import math
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +154,20 @@ class _SuiteAccumulator:
 
         ``columns`` maps check names to (lhs, rhs, margin) columns over the cases:
         arrays, or scalars in a record of one case, which may pass its name as ``describe``.
+        Each check keeps its cases' values in one flat float array, and a key per case that orders failures.
         """
-        for position, (name, (lhs, rhs, margin)) in enumerate(columns.items()):
-            self.tables.setdefault(name, []).append((self.rows, position, describe, extra, lhs, rhs, margin))
-        self.rows += getattr(margin, "size", 1)
+        stride = len(columns)
+        for position, (name, values) in enumerate(columns.items()):
+            table = getattr(values[2], "ndim", 0)
+            cases = len(values[2]) if table else 1
+            floats, keys, starts, describes, extras = self.tables.setdefault(
+                name, (array("d"), array("q"), array("q"), [], []))
+            floats.extend(np.transpose(values).ravel() if table else values)
+            keys.extend(range(self.rows + position, self.rows + stride * cases, stride))
+            starts.append(len(keys) - cases)
+            describes.append(describe)
+            extras.append(extra)
+        self.rows += stride * cases
 
     def add(self, report: InequalityReport) -> None:
         self.check(report.name, report.instance, report.lhs, report.rhs, report.margin, report.extra)
@@ -174,25 +185,22 @@ class _SuiteAccumulator:
         self.check(name, describe(i), 0.0, 0.0, margins[i])
 
     def as_dict(self) -> dict:
-        checks, failures, one_sided = {}, [], []
-        for name, table in sorted(self.tables.items()):
-            lhs, rhs, margin = (np.hstack([chunk[j] for chunk in table], dtype=float) for j in (4, 5, 6))
+        checks, failures = {}, []
+        for name, (floats, keys, starts, describes, extras) in sorted(self.tables.items()):
+            lhs, rhs, margin = np.frombuffer(floats).reshape(-1, 3).T
             passed, badness = _judge(name, lhs, rhs, margin, self.tolerances)[2:4]
-            starts = np.cumsum([0] + [getattr(chunk[6], "size", 1) for chunk in table])
 
             def report(i):
                 k = int(np.searchsorted(starts, i, side="right")) - 1
-                first, position, describe, extra = table[k][:4]
-                case = i - int(starts[k])
-                rep = make_report(name, describe(case) if callable(describe) else describe, lhs[i], rhs[i], margin[i], tolerances=self.tolerances, extra=extra)
-                return first + case, position, rep
+                describe = describes[k]
+                instance = describe(i - starts[k]) if callable(describe) else describe
+                return keys[i], make_report(name, instance, lhs[i], rhs[i], margin[i], tolerances=self.tolerances, extra=extras[k])
 
             failures.extend(report(i) for i in np.flatnonzero(~passed).tolist())
-            worst = report(int(np.argmax(badness)))[2]
-            equality = CHECKS[name][0] == _EQUALITY
+            worst = report(int(np.argmax(badness)))[1]
             checks[name] = {
                 "count": len(margin),
-                "equality": equality,
+                "equality": CHECKS[name][0] == _EQUALITY,
                 "worst_margin": worst.margin,
                 "worst_lhs": worst.lhs,
                 "worst_rhs": worst.rhs,
@@ -200,14 +208,13 @@ class _SuiteAccumulator:
                 "passed": worst.passed,
                 "worst_instance": worst.instance,
             }
-            if not equality:
-                one_sided.append(worst.margin)
-        failures.sort(key=lambda failure: failure[:2])
+        failures.sort(key=lambda failure: failure[0])
         return {
             "cases": sum(slot["count"] for slot in checks.values()),
             "checks": checks,
             # A NaN margin counts as the smallest.
-            "min_margin": min(one_sided, key=lambda m: (not math.isnan(m), m), default=None),
+            "min_margin": min((slot["worst_margin"] for slot in checks.values() if not slot["equality"]),
+                              key=lambda m: (not math.isnan(m), m), default=None),
             "failures": [rep.as_dict() for *_, rep in failures],
             "findings": self.findings,
         }
@@ -287,9 +294,9 @@ def _run_ball(config: SuiteConfig) -> dict:
             "cayley_klein_radial": value(distance_devs[2]),
         })
         if m == 1:
-            origin_dev_m1 = max(origin_dev_m1, float(np.max(np.abs(formulas[2] - oracles[2]))))
-        underest = max(underest, float(np.max(oracle_w - formula_w)))
-        overest = max(overest, float(np.max(formula_w - oracle_w)))
+            origin_dev_m1 = np.max([origin_dev_m1, np.max(np.abs(formulas[2] - oracles[2]))])
+        underest = np.max([underest, np.max(oracle_w - formula_w)])
+        overest = np.max([overest, np.max(formula_w - oracle_w)])
 
     acc.findings["opnorm_formula_max_underestimate"] = float(underest)
     acc.findings["opnorm_formula_max_overestimate"] = float(overest)

@@ -109,7 +109,7 @@ class InequalityReport:
         return asdict(self)
 
 
-def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None = None):
+def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None):
     """Judge cases of the named check, elementwise: ``(rhs, margin, passed, badness, tolerance)``.
 
     A floor check's rhs is its tolerance and its margin ``lhs - tolerance``.
@@ -137,11 +137,9 @@ def make_report(
     tolerances: dict[str, float] | None = None,
     extra: dict | None = None,
 ) -> InequalityReport:
-    """Build a report, judging ``margin`` by the named check's kind and tolerance.
+    """Build a report judged by ``_judge``, with a run's ``tolerances`` overrides or the table default.
 
-    ``tolerances`` are a run's overrides; without them the table default
-    applies.  A floor check takes only ``lhs``: its rhs and margin follow
-    from the tolerance, so judging a report again recomputes them.
+    A floor check takes only ``lhs``: its rhs and margin follow from the tolerance.
     """
     lhs, rhs, margin = float(lhs), float(rhs), float(margin)
     rhs, margin, passed, _, tol = _judge(name, lhs, rhs, margin, tolerances)

@@ -95,6 +95,13 @@ class TestNanReachesTheVerdict:
         assert math.isnan(checks["opnorm_anchor"]["worst_margin"])
         assert checks["opnorm_global_bound"]["passed"] is True
 
+    def test_opnorm_findings(self, monkeypatch):
+        formula = BallAutomorphism.opnorm_formula
+        monkeypatch.setattr(BallAutomorphism, "opnorm_formula", lambda self, w: formula(self, w) * NAN)
+        findings = run_suite(SuiteConfig(suites=("ball",), dimensions=(1, 2), samples=4)).suites["ball"]["findings"]
+        for key in ("max_underestimate", "max_overestimate", "origin_deviation_m1"):
+            assert math.isnan(findings[f"opnorm_formula_{key}"])
+
 
 @pytest.mark.parametrize(
     "call",
