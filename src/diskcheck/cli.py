@@ -12,6 +12,9 @@ Verbs:
 ``corpus``
     Dump the reproducible corpora: serialized disk maps as text files and
     surface data files in the documented ``.wd`` format.
+``diff``
+    Compare two ``verify`` JSON reports check by check and exit 0 exactly
+    when every verdict matches.
 ``plot-data``
     Emit plotting CSVs (extremal-family margin curve, distance-margin grids,
     and — when a JSON report with a search suite is supplied — search traces).
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import struct
 import sys
 import time
 
@@ -41,7 +46,7 @@ from .harness import (
 from .reports import DomainError
 from .search import (
     family_1d_spec,
-    family_md_spec,
+    family_md_quotient_spec,
     restricted_family_1d_spec,
     sharpness_report,
 )
@@ -101,6 +106,15 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--out", default="corpus", help="output directory")
     corpus.set_defaults(func=_cmd_corpus)
 
+    diff = sub.add_parser("diff", help="compare two verify reports check by check")
+    diff.add_argument("first", help="JSON report from `verify --out`")
+    diff.add_argument("second", help="JSON report to compare with the first")
+    diff.add_argument(
+        "--rtol", type=float, default=0.0,
+        help="list only worst-margin moves above RTOL times the larger magnitude (default 0: every move)",
+    )
+    diff.set_defaults(func=_cmd_diff)
+
     plot = sub.add_parser("plot-data", help="emit CSV files for external plotting")
     plot.add_argument("--report", default=None, help="JSON report from `verify --out` (adds search traces)")
     plot.add_argument("--out", default="plots", help="output directory")
@@ -142,10 +156,12 @@ def _cmd_search(args) -> int:
     elif args.family == "family_1d_restricted":
         spec = restricted_family_1d_spec()
     else:
-        spec = family_md_spec(args.dimension)
+        spec = family_md_quotient_spec(args.dimension)
     report = sharpness_report(spec, restarts=args.restarts, seed=args.seed)
     print(f"family={report['family']} dimension={report['dimension']} restarts={report['restarts']}")
     print(f"best_margin={report['best_margin']:.6e} at argmin={report['argmin']}")
+    if "full_argmin" in report:
+        print(f"full parameters (b, c, u)={report['full_argmin']}")
     print(f"evaluations={report['evaluations']} min_evaluated={report['min_evaluated']:.6e}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -184,16 +200,107 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> dict:
+    """The JSON object in ``path``; DomainError if the file holds anything else."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DomainError(f"{path}: {exc}") from None
+    if not isinstance(report, dict):
+        raise DomainError(f"{path}: a report must be a JSON object")
+    return report
+
+
+_ABSENT = object()
+
+
+def _checks_of(report: dict, label: str) -> dict:
+    """``{(suite, check): (passed, worst margin, worst instance, count)}`` of a report; DomainError on another shape."""
+    try:
+        return {
+            (name, check): (slot["passed"], float(slot["worst_margin"]), slot["worst_instance"], slot["count"])
+            for name, suite in report["suites"].items()
+            for check, slot in suite["checks"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise DomainError(
+            f"{label}: 'suites' must map each suite to a 'checks' object of checks with "
+            "passed, worst_margin, worst_instance and count"
+        ) from None
+
+
+def _ulps(x: float, y: float) -> float:
+    """How many doubles lie between x and y, counting one of them (NaN if either is NaN)."""
+    if math.isnan(x) or math.isnan(y):
+        return math.nan
+
+    def line(v: float) -> int:
+        """The bits of ``v`` as an integer, ordered as the doubles are (both zeros at 0)."""
+        bits = struct.unpack("<q", struct.pack("<d", v))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(line(x) - line(y))
+
+
+def _changed_fields(a, b, path: str):
+    """Dotted paths below ``path`` where two JSON values differ; lists are compared whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from _changed_fields(a.get(key, _ABSENT), b.get(key, _ABSENT), f"{path}.{key}" if path else key)
+    elif a != b:
+        yield path
+
+
+def diff_reports(a: dict, b: dict, rtol: float = 0.0) -> tuple[list[str], bool]:
+    """Compare two ``verify`` reports check by check: (lines, whether every verdict matches).
+
+    Lines name each verdict flip (a check found in one report only counts
+    as one), each worst-margin move, by its absolute size and in ulps, each
+    changed worst instance and each changed case count, then, by dotted
+    path, every other field that differs (config, findings, search reports).
+    With ``rtol``, only margin moves above ``rtol`` times the larger
+    magnitude are listed.
+    """
+    if not 0.0 <= rtol < math.inf:
+        raise DomainError(f"rtol must be finite and nonnegative; got {rtol!r}")
+    old_checks, new_checks = _checks_of(a, "first report"), _checks_of(b, "second report")
+    names = sorted(set(old_checks) | set(new_checks))
+    lines, flips = [], 0
+    for key in names:
+        label = "/".join(key)
+        if key not in old_checks or key not in new_checks:
+            flips += 1
+            lines.append(f"verdict   {label}: only in the {'first' if key in old_checks else 'second'} report")
+            continue
+        (old_passed, x, old_instance, old_count), (passed, y, instance, count) = old_checks[key], new_checks[key]
+        if old_passed != passed:
+            flips += 1
+            lines.append(f"verdict   {label}: {'pass' if old_passed else 'FAIL'} -> {'pass' if passed else 'FAIL'}")
+        if not (x == y or math.isnan(x) and math.isnan(y)) and not abs(x - y) <= rtol * max(abs(x), abs(y)):
+            lines.append(f"margin    {label}: {x!r} -> {y!r} (by {y - x:.3g}, {_ulps(x, y)} ulps)")
+        if old_instance != instance:
+            lines.append(f"instance  {label}: {old_instance!r} -> {instance!r}")
+        if old_count != count:
+            lines.append(f"count     {label}: {old_count} -> {count}")
+
+    def without_checks(report: dict) -> dict:
+        suites = report["suites"]
+        return {**report, "suites": {name: {k: v for k, v in suites[name].items() if k != "checks"} for name in suites}}
+
+    lines += [f"field     {path}" for path in _changed_fields(without_checks(a), without_checks(b), "")]
+    lines.append(f"{flips} verdict flip(s) over {len(names)} checks")
+    return lines, flips == 0
+
+
+def _cmd_diff(args) -> int:
+    lines, same = diff_reports(_read_report(args.first), _read_report(args.second), rtol=args.rtol)
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
 def _cmd_plot_data(args) -> int:
-    report = {}
-    if args.report:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            try:
-                report = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DomainError(f"{args.report}: {exc}") from None
-        if not isinstance(report, dict):
-            raise DomainError(f"{args.report}: a report must be a JSON object")
+    report = _read_report(args.report) if args.report else {}
     files = emit_plot_data(report, args.out)
     for path in files:
         print(f"wrote {path}")

@@ -61,7 +61,7 @@ from .holodisk import (
 from .reports import _EQUALITY, CHECKS, DomainError, InequalityReport, _judge, make_report
 from .search import (
     family_1d_spec,
-    family_md_spec,
+    family_md_quotient_spec,
     nelder_mead,
     restricted_family_1d_spec,
     sharpness_report,
@@ -512,8 +512,9 @@ def _run_search(config: SuiteConfig) -> dict:
               extra={"argmin": restricted["argmin"]})
     acc.value("search_trace_floor", "family_1d_restricted", restricted["min_evaluated"])
 
-    md = sharpness_report(family_md_spec(2), restarts=min(6, config.search_restarts), seed=config.seed)
-    acc.value("family_md_margin", "family_md m=2", md["best_margin"], extra={"argmin": md["argmin"]})
+    md = sharpness_report(family_md_quotient_spec(2), restarts=min(6, config.search_restarts), seed=config.seed)
+    acc.value("family_md_margin", "family_md m=2", md["best_margin"],
+              extra={"argmin": md["argmin"], "full_argmin": md["full_argmin"]})
     acc.value("search_trace_floor", "family_md", md["min_evaluated"])
 
     out = acc.as_dict()

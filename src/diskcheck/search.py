@@ -10,8 +10,17 @@ along its trace.
 Two families are provided: a scalar family rotation * (z * blaschke(c))
 parametrized by the modulus and phase of c, whose zero-margin set should be
 exactly the real-parameter ray, and a vector family
-phi_b(z * blaschke(c)(z) * u) probing the basepoint-shifted bound, for which
-no tightness claim is made (best found margins are reported as such).
+F = phi_{-b}(z * blaschke(c)(z) * u) probing the basepoint-shifted bound.
+Ball automorphisms commute with unitaries, phi_{Ua}(Uz) = U phi_a(z), so the
+vector family's margin depends only on ||b||, <b, u> and c, and it is
+searched in that quotient: b = r e^{i psi} e_1 and
+u = cos(theta) e_1 + sin(theta) e_2 (u = e_1 for m = 1), five real
+coordinates (r, theta, psi, Re c, Im c) for every m >= 2 and four for
+m = 1.  On the slice b = t u with t in [0, 0.9] and real c in [0, 0.9]
+(in the quotient: Im c = 0, Re c >= 0, and r = 0 or theta = psi = 0) the
+margin is exactly zero, since there ||F'(1)|| = 2 (1 - t)/((1 + t)(1 + c))
+is the bound; so the best margin found should be 0 to rounding.  Off that
+slice no closed form is proved, and best margins are reported as found.
 
 The restarts of a search run in lockstep, and each family's objective
 evaluates a whole block of parameter rows in one call, with the bits a
@@ -46,7 +55,9 @@ MODULUS_CEIL = 1.0 - 1e-6
 RESTRICTED_MODULUS_CEIL = 0.9
 RESTRICTED_PHASE_FLOOR = math.pi / 4.0
 
-_FAMILY_IDS = {"family_1d": 1, "family_md": 2}
+# Start-point stream of each family.  The full family_md box is not searched:
+# its search runs in the unitary quotient and draws from family_md's stream.
+_FAMILY_IDS = {"family_1d": 1, "family_md": 2, "family_md_quotient": 2}
 
 
 @dataclass
@@ -259,12 +270,30 @@ def restricted_family_1d_spec() -> FamilySpec:
 
 
 def family_md_spec(m: int) -> FamilySpec:
-    """Vector family box: basepoint (2m), factor parameter (2), direction (2m)."""
+    """Vector family box of ``margin_objective_md``: basepoint (2m), factor parameter (2), direction (2m).
+
+    Searches run in the quotient box of :func:`family_md_quotient_spec`.
+    """
     if m < 1:
         raise DomainError("dimension must be at least 1")
     lower = [-0.9] * (2 * m) + [-0.9, -0.9] + [-1.0] * (2 * m)
     upper = [0.9] * (2 * m) + [0.9, 0.9] + [1.0] * (2 * m)
     return FamilySpec(family="family_md", lower=tuple(lower), upper=tuple(upper), dim=int(m))
+
+
+def family_md_quotient_spec(m: int) -> FamilySpec:
+    """Vector family box in its unitary quotient: (r, theta, psi, Re c, Im c), without theta for m = 1.
+
+    A row stands for b = r e^{i psi} e_1, the factor parameter c and
+    u = cos(theta) e_1 + sin(theta) e_2 (u = e_1 for m = 1), which meet
+    every orbit of the family under unitaries: any <b, u> with
+    |<b, u>| <= r is r e^{i psi} cos(theta).
+    """
+    if m < 1:
+        raise DomainError("dimension must be at least 1")
+    theta = [(0.0, math.pi / 2.0)] if m >= 2 else []
+    lower, upper = zip((0.0, 0.9), *theta, (-math.pi, math.pi), (-0.9, 0.9), (-0.9, 0.9))
+    return FamilySpec(family="family_md_quotient", lower=lower, upper=upper, dim=int(m))
 
 
 # The objectives evaluate each family's fixed tree written out from its node
@@ -348,6 +377,30 @@ def _family_md_margins(params: np.ndarray, m: int) -> np.ndarray:
     return np.asarray([v - _shifted_bound(r_k, n_k, a_k) for r_k, n_k, a_k, v in zip(r, n, a, val)])
 
 
+def _quotient_rows(params: np.ndarray, m: int) -> np.ndarray:
+    """The ``family_md`` rows (b, c, u) of a (K, 4) block (m = 1) or (K, 5) block of quotient rows.
+
+    c is projected onto |c| <= 0.9 here, so a row reads as the map it
+    evaluates to; each row is built from Python scalars, so its bits do not
+    depend on the block it came in.
+    """
+    if params.shape[1] != 4 + (m >= 2):
+        raise DomainError(f"expected {4 + (m >= 2)} quotient parameters, got {params.shape[1]}")
+    rows = np.zeros((params.shape[0], 4 * m + 2))
+    for row, (r, *theta, psi, re, im) in zip(rows, params.tolist()):
+        scale = 0.9 / max(math.hypot(re, im), 0.9)
+        row[[0, m, 2 * m, 2 * m + 1]] = r * math.cos(psi), r * math.sin(psi), re * scale, im * scale
+        u = (math.cos(theta[0]), math.sin(theta[0])) if theta else (1.0,)
+        row[2 * m + 2 : 2 * m + 2 + len(u)] = u
+    return rows
+
+
+_BLOCK_MARGINS = {
+    "family_1d": lambda params, m: _family_1d_margins(params),
+    "family_md_quotient": lambda params, m: _family_md_margins(_quotient_rows(params, m), m),
+}
+
+
 def margin_objective_1d(params) -> float:
     """Origin boundary-bound margin of rotation * (z * blaschke(c)), f(1) = 1.
 
@@ -361,7 +414,7 @@ def margin_objective_1d(params) -> float:
 def margin_objective_md(params, m: int = 2) -> float:
     """Shifted boundary-bound margin over the vector family in dimension m.
 
-    Builds F(z) = phi_b(z * blaschke(c)(z) * u) from a flat real parameter
+    Builds F(z) = phi_{-b}(z * blaschke(c)(z) * u) from a flat real parameter
     vector (basepoint is projected to norm <= 0.9, the factor parameter to
     modulus <= 0.9, the direction normalized to a unit vector), and returns
     the basepoint-shifted margin at the boundary point 1 — the construction
@@ -443,12 +496,12 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
+    block_margins = _BLOCK_MARGINS.get(spec.family)
+    if block_margins is None:
+        raise DomainError(f"{spec.family} is searched in its unitary quotient (family_md_quotient_spec)")
     lower = np.asarray(spec.lower, dtype=float)
     upper = np.asarray(spec.upper, dtype=float)
-    if spec.family == "family_1d":
-        margins = _family_1d_margins
-    else:
-        margins = lambda params: _family_md_margins(params, spec.dim)
+    margins = lambda params: block_margins(params, spec.dim)
     family_id = _FAMILY_IDS[spec.family]
 
     starts = [
@@ -495,7 +548,7 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
                 best_x[i] = float(x_i)
                 refine_trace.append([refine_step, best_value])
     traces.append(refine_trace)
-    return {
+    report = {
         "family": spec.family,
         "dimension": spec.dim,
         "bounds": {"lower": list(map(float, spec.lower)), "upper": list(map(float, spec.upper))},
@@ -510,12 +563,16 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
         "evaluations": int(total_evaluations),
         "traces": traces,
     }
+    if spec.family == "family_md_quotient":
+        report["full_argmin"] = _quotient_rows(best_x[None, :], spec.dim)[0].tolist()
+    return report
 
 
 __all__ = [
     "FamilySpec",
     "SearchResult",
     "family_1d_spec",
+    "family_md_quotient_spec",
     "family_md_spec",
     "margin_objective_1d",
     "margin_objective_md",

@@ -241,7 +241,7 @@ def interior_growth_margin(w: WeierstrassDisk, a, certify: bool = True) -> Inequ
     certified the surface).
     """
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:
         raise DomainError("interior growth bound needs |a| < 1")
     if certify:
         _require_in_ball(w)
@@ -262,7 +262,7 @@ def distance_decreasing_margins(w: WeierstrassDisk, zs, ws) -> np.ndarray:
     """Vectorized margins poincare_dist(z, w) - cayley_klein_dist(F(z), F(w))."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
-    if np.any(np.abs(zs) >= 1.0) or np.any(np.abs(ws) >= 1.0):
+    if not (np.all(np.abs(zs) < 1.0) and np.all(np.abs(ws) < 1.0)):
         raise DomainError("distance comparison needs interior parameters")
     return poincare_dist(zs, ws) - cayley_klein_dist(w.eval(zs), w.eval(ws))
 

@@ -6,8 +6,10 @@ golden-section search with one objective call per step, the
 ``tree_objective_*`` functions build each family member as a
 ``HoloDisk`` tree and take its margin from the library's boundary-bound
 terms, and ``sequential_sharpness_report`` runs the multi-start search with
-these, one restart after another.  The search's lockstep core and batched
-objectives must reproduce them bit for bit.
+these, one restart after another (a ``family_md`` quotient row is mapped to
+its full parameter vector by the library's ``_quotient_rows``, which
+``tests/test_search.py`` checks against unitary invariance).  The search's
+lockstep core and batched objectives must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from diskcheck.search import (
     SearchResult,
     _INV_GOLDEN,
     _REFINE_ITERATIONS,
+    _quotient_rows,
 )
 
 
@@ -205,10 +208,11 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
         raise DomainError("need at least one restart")
     lower = np.asarray(spec.lower, dtype=float)
     upper = np.asarray(spec.upper, dtype=float)
+    full_row = lambda params: _quotient_rows(np.asarray(params)[None, :], spec.dim)[0]
     if spec.family == "family_1d":
         objective = tree_objective_1d
     else:
-        objective = lambda params: tree_objective_md(params, spec.dim)
+        objective = lambda params: tree_objective_md(full_row(params), spec.dim)
     family_id = _FAMILY_IDS[spec.family]
 
     best = None
@@ -268,7 +272,7 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
                 best_x[i] = float(x_i)
                 refine_trace.append([refine_step, best_value])
     traces.append(refine_trace)
-    return {
+    report = {
         "family": spec.family,
         "dimension": spec.dim,
         "bounds": {"lower": list(map(float, spec.lower)), "upper": list(map(float, spec.upper))},
@@ -283,3 +287,6 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
         "evaluations": int(total_evaluations),
         "traces": traces,
     }
+    if spec.family == "family_md_quotient":
+        report["full_argmin"] = full_row(best_x).tolist()
+    return report

@@ -20,7 +20,7 @@ from diskcheck import (
     run_suite,
     weierstrass_corpus,
 )
-from diskcheck.cli import main as cli_main
+from diskcheck.cli import _ulps, diff_reports, main as cli_main
 from diskcheck import harness
 from diskcheck.harness import RunReport, _SuiteAccumulator
 from diskcheck.reports import make_report
@@ -382,6 +382,66 @@ class TestPlotData:
         assert {r["family"] for r in rows} >= {"family_1d"}
 
 
+class TestDiff:
+    @pytest.fixture(scope="class")
+    def report(self):
+        config = SuiteConfig(suites=("ball", "search"), dimensions=(1,), samples=4, search_restarts=1)
+        return json.loads(run_suite(config).json_text())
+
+    def test_equal_reports_match(self, report):
+        lines, same = diff_reports(report, json.loads(json.dumps(report)))
+        assert same and lines == [f"0 verdict flip(s) over {sum(len(s['checks']) for s in report['suites'].values())} checks"]
+
+    def test_each_kind_of_change_is_listed(self, report):
+        other = json.loads(json.dumps(report))
+        checks = other["suites"]["ball"]["checks"]
+        checks["phi_involution"]["passed"] = False
+        margin = checks["phi_fixed_point"]["worst_margin"]
+        checks["phi_fixed_point"]["worst_margin"] = math.nextafter(margin, math.inf)
+        checks["phi_norm_identity"]["worst_instance"] = "elsewhere"
+        checks["poincare_invariance"]["count"] += 1
+        checks["opnorm_anchor"]["worst_margin"] = "nan"
+        del other["suites"]["search"]["checks"]["family_md_margin"]
+        other["suites"]["search"]["reports"]["family_md"]["evaluations"] += 1
+        lines, same = diff_reports(report, other)
+        assert not same
+        assert "verdict   ball/phi_involution: pass -> FAIL" in lines
+        assert "verdict   search/family_md_margin: only in the first report" in lines
+        assert any(line.startswith("margin    ball/phi_fixed_point:") and line.endswith(", 1 ulps)") for line in lines)
+        assert any(line.startswith("margin    ball/opnorm_anchor:") and line.endswith("nan ulps)") for line in lines)
+        assert any(line.startswith("instance  ball/phi_norm_identity:") for line in lines)
+        assert any(line.startswith("count     ball/poincare_invariance:") for line in lines)
+        assert "field     suites.search.reports.family_md.evaluations" in lines
+        assert lines[-1].startswith("2 verdict flip(s)")
+        # rtol hides the one-ulp move, never the NaN.
+        lines, _ = diff_reports(report, other, rtol=1e-12)
+        assert not any(line.startswith("margin    ball/phi_fixed_point:") for line in lines)
+        assert any(line.startswith("margin    ball/opnorm_anchor:") for line in lines)
+        with pytest.raises(DomainError):
+            diff_reports(report, other, rtol=math.nan)
+        checks["phi_involution"]["worst_margin"] = "abc"
+        with pytest.raises(DomainError, match="second report"):
+            diff_reports(report, other)
+
+    def test_ulps(self):
+        assert _ulps(1.0, math.nextafter(1.0, 2.0)) == 1
+        assert _ulps(-0.0, 0.0) == 0
+        assert _ulps(-5e-324, 5e-324) == 2
+        assert _ulps(-1.0, 1.0) == 2 * _ulps(0.0, 1.0)
+        assert math.isnan(_ulps(math.nan, 1.0))
+
+    def test_diff_verb_exit_codes(self, report, tmp_path, capsys):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            path.write_text(json.dumps(report), encoding="utf-8")
+        assert cli_main(["diff", *map(str, paths)]) == 0
+        report = json.loads(json.dumps(report))
+        report["suites"]["ball"]["checks"]["phi_involution"]["passed"] = False
+        paths[1].write_text(json.dumps(report), encoding="utf-8")
+        assert cli_main(["diff", *map(str, paths)]) == 1
+        assert "verdict   ball/phi_involution: pass -> FAIL" in capsys.readouterr().out
+
+
 class TestCli:
     def test_verify_pass_and_outputs(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -421,6 +481,10 @@ class TestCli:
              "--tolerance", "growth_margin=nan"],
             ["verify", "--suites", "holo", "--dimensions", "1", "--samples", "4",
              "--tolerance", "growth_margin=inf"],
+            ["diff", "{tmp}/list.json", "{tmp}/list.json"],
+            ["diff", "{tmp}/suites_list.json", "{tmp}/suites_list.json"],
+            ["diff", "{tmp}/bad_trace.json", "{tmp}/missing.json"],
+            ["diff", "{tmp}/bad.json", "{tmp}/bad.json"],
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):
@@ -468,6 +532,17 @@ class TestCli:
         assert data["family"] == "family_1d"
         assert data["best_margin"] <= 1e-6
         assert "best_margin" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_search_verb_family_md_quotient(self, tmp_path, capsys, m):
+        out = tmp_path / "search.json"
+        rc = cli_main(["search", "--family", "family_md", "--dimension", str(m), "--restarts", "2",
+                       "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["family"] == "family_md_quotient" and data["dimension"] == m
+        assert len(data["argmin"]) == 4 + (m >= 2) and len(data["full_argmin"]) == 4 * m + 2
+        assert f"full parameters (b, c, u)={data['full_argmin']}" in capsys.readouterr().out
 
     def test_corpus_verb(self, tmp_path):
         rc = cli_main(["corpus", "--seed", "2", "--count", "6", "--dimensions", "1,2",

@@ -16,9 +16,30 @@ from diskcheck.ballgeom import (
     vnorm,
 )
 from diskcheck.harness import SuiteConfig, run_suite
-from diskcheck.holodisk import Blaschke, CMul, Const, Embed, Identity, parse_disk
+from diskcheck import holodisk
+from diskcheck.holodisk import (
+    Blaschke,
+    CMul,
+    Const,
+    Embed,
+    Identity,
+    affine_disk,
+    affine_rigidity_check,
+    blaschke_product,
+    boundary_bound_origin,
+    growth_margins,
+    julia_margins,
+    parse_disk,
+)
 from diskcheck.reports import DomainError
-from diskcheck.weierstrass import WeierstrassDisk, halfsphere_chain_check, surface_identities
+from diskcheck.weierstrass import (
+    WeierstrassDisk,
+    distance_decreasing_margins,
+    halfsphere_chain_check,
+    interior_growth_margin,
+    planar_disk,
+    surface_identities,
+)
 
 NAN = math.nan
 
@@ -95,6 +116,15 @@ class TestNanReachesTheVerdict:
         assert math.isnan(checks["opnorm_anchor"]["worst_margin"])
         assert checks["opnorm_global_bound"]["passed"] is True
 
+    def test_affine_rigidity_premise(self, monkeypatch):
+        # An affine map passes; with a NaN premise it must fail, not read as "not applicable".
+        f = affine_disk([0.6, 0.8])
+        assert affine_rigidity_check(f).passed is True
+        norm_jet = holodisk._norm_jet
+        monkeypatch.setattr(holodisk, "_norm_jet", lambda f, points: ([NAN, 1.0], norm_jet(f, points)[1]))
+        rep = affine_rigidity_check(f)
+        assert math.isnan(rep.margin) and rep.passed is False
+
     def test_opnorm_findings(self, monkeypatch):
         formula = BallAutomorphism.opnorm_formula
         monkeypatch.setattr(BallAutomorphism, "opnorm_formula", lambda self, w: formula(self, w) * NAN)
@@ -117,10 +147,16 @@ class TestNanReachesTheVerdict:
         lambda: Const(NAN),
         lambda: CMul(math.inf, Identity()),
         lambda: Embed(Identity(), [1.0, NAN]),
+        lambda: growth_margins(Embed(Identity(), [0.6, 0.8]), [0.5, NAN]),
+        lambda: julia_margins(blaschke_product([0.3], include_z=True), [NAN]),
+        lambda: boundary_bound_origin(Identity(), complex(NAN, 0.0)),
+        lambda: interior_growth_margin(planar_disk(), complex(0.1, NAN)),
+        lambda: distance_decreasing_margins(planar_disk(), [0.1], [NAN]),
     ],
     ids=[
         "automorphism", "apply", "poincare_dist", "cayley_klein_dist", "quotient", "blaschke",
-        "halfsphere", "parse_poly", "const", "cmul", "embed",
+        "halfsphere", "parse_poly", "const", "cmul", "embed", "growth_margins", "julia_margins",
+        "boundary_bound_origin", "interior_growth_margin", "distance_decreasing_margins",
     ],
 )
 def test_domain_guards_refuse_non_finite_input(call):

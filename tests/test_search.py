@@ -11,6 +11,7 @@ from diskcheck import (
     DomainError,
     FamilySpec,
     family_1d_spec,
+    family_md_quotient_spec,
     family_md_spec,
     margin_objective_1d,
     margin_objective_md,
@@ -24,8 +25,10 @@ from diskcheck.search import (
     _family_md_margins,
     _golden_section,
     _lockstep_nelder_mead,
+    _quotient_rows,
 )
-from oracles import sequential_golden_section, sequential_nelder_mead, sequential_sharpness_report
+from diskcheck.holodisk import _shifted_bound_terms
+from oracles import family_md_tree, sequential_golden_section, sequential_nelder_mead, sequential_sharpness_report
 
 
 class TestNelderMead:
@@ -143,7 +146,7 @@ class TestLockstep:
         for spec, restarts in (
             (family_1d_spec(), 8),
             (restricted_family_1d_spec(), 8),
-            (family_md_spec(2), 6),
+            (family_md_quotient_spec(2), 6),
         ):
             expected = sequential_sharpness_report(spec, restarts=restarts, seed=seed)
             assert sharpness_report(spec, restarts=restarts, seed=seed) == expected, spec.family
@@ -227,10 +230,10 @@ class TestLookaheadGoldenSection:
 
     @pytest.mark.parametrize("span", [REFINE_SPAN, 0.3])
     def test_family_lines_equal_sequential_sections(self, span):
-        md = family_md_spec(2)
+        md = family_md_quotient_spec(2)
         base_md = np.asarray(md.lower) + 0.37 * (np.asarray(md.upper) - np.asarray(md.lower))
         lines = [((0.4, 0.01), 0, lambda p: _family_1d_margins(p)), ((0.4, 0.01), 1, lambda p: _family_1d_margins(p))]
-        lines += [(base_md, i, lambda p: _family_md_margins(p, 2)) for i in range(10)]
+        lines += [(base_md, i, lambda p: _family_md_margins(_quotient_rows(p, 2), 2)) for i in range(5)]
         for base, i, margins in lines:
             base = np.asarray(base, dtype=float)
 
@@ -302,6 +305,13 @@ class TestFamilySpecs:
         assert len(v.lower) == 10 and v.dim == 2
         with pytest.raises(DomainError):
             family_md_spec(0)
+        assert family_md_quotient_spec(1).lower == (0.0, -math.pi, -0.9, -0.9)
+        q = family_md_quotient_spec(3)
+        assert q.lower == (0.0, 0.0, -math.pi, -0.9, -0.9) and q.upper == (0.9, math.pi / 2.0, math.pi, 0.9, 0.9)
+        with pytest.raises(DomainError):
+            family_md_quotient_spec(0)
+        with pytest.raises(DomainError):
+            _quotient_rows(np.zeros((1, 5)), 1)
         with pytest.raises(DomainError):
             FamilySpec(family="nope", lower=(0.0,), upper=(1.0,))
 
@@ -333,11 +343,110 @@ class TestSharpnessReport:
         assert c["argmin"] != a["argmin"] or c["evaluations"] != a["evaluations"]
 
     def test_vector_family_margin_nonnegative(self):
-        report = sharpness_report(family_md_spec(2), restarts=2, seed=0)
+        report = sharpness_report(family_md_quotient_spec(2), restarts=2, seed=0)
         assert report["best_margin"] > -1e-8
         assert report["min_evaluated"] > -1e-8
         assert report["dimension"] == 2
+        with pytest.raises(DomainError, match="quotient"):
+            sharpness_report(family_md_spec(2), restarts=2, seed=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_quotient_report_carries_its_full_parameters(self, m):
+        report = sharpness_report(family_md_quotient_spec(m), restarts=2, seed=0)
+        full = report["full_argmin"]
+        assert len(full) == 4 * m + 2 and len(report["argmin"]) == 4 + (m >= 2)
+        assert repr(margin_objective_md(full, m)) == repr(report["best_margin"])
+        assert abs(complex(full[2 * m], full[2 * m + 1])) <= 0.9 + 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_quotient_search_ends_on_the_equality_slice(self, seed):
+        # The default verify search; its argmin is on the slice b = t u,
+        # t in [0, 0.9], real c >= 0, measured without coordinates:
+        # ||b - max(Re<b, u>, 0) u|| stays small wherever r is.
+        report = sharpness_report(family_md_quotient_spec(2), restarts=6, seed=seed)
+        assert abs(report["best_margin"]) <= 1e-12
+        full = np.asarray(report["full_argmin"])
+        b, c, u = full[[0, 1]] + 1j * full[[2, 3]], complex(*full[4:6]), full[[6, 7]] + 1j * full[[8, 9]]
+        assert abs(c.imag) <= 1e-5 and c.real >= 0.0
+        assert float(np.linalg.norm(b - max(np.vdot(u, b).real, 0.0) * u)) <= 1e-5
 
     def test_restart_validation(self):
         with pytest.raises(DomainError):
             sharpness_report(family_1d_spec(), restarts=0)
+
+
+def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Gaussian matrix, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def split(rows: np.ndarray, m: int):
+    """The complex b, c and u of family_md rows."""
+    b = rows[:, :m] + 1j * rows[:, m : 2 * m]
+    u = rows[:, 2 * m + 2 : 3 * m + 2] + 1j * rows[:, 3 * m + 2 :]
+    return b, rows[:, 2 * m] + 1j * rows[:, 2 * m + 1], u
+
+
+def join(b, c, u) -> np.ndarray:
+    """The family_md rows of complex b, c and u."""
+    return np.concatenate([b.real, b.imag, c.real[:, None], c.imag[:, None], u.real, u.imag], axis=1)
+
+
+def full_rows(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """Random family_md rows (b, c, u) from the full box, with b and c projected as the objective projects them."""
+    spec = family_md_spec(m)
+    lower, upper = np.asarray(spec.lower), np.asarray(spec.upper)
+    b, c, u = split(lower + rng.random((count, 4 * m + 2)) * (upper - lower), m)
+    b *= np.minimum(1.0, 0.9 / np.linalg.norm(b, axis=1))[:, None]
+    return join(b, c * np.minimum(1.0, 0.9 / np.abs(c)), u)
+
+
+def assert_margins_agree(got: np.ndarray, expected: np.ndarray) -> None:
+    """Agreement to 1e-13, relative where a margin exceeds 1: at ||b|| near 0.9 margins reach about 50."""
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+class TestUnitaryQuotient:
+    """The family_md margin depends only on ||b||, <b, u> and c, so the quotient search loses nothing."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_random_unitaries_leave_margins_unchanged(self, m):
+        rng = np.random.default_rng(40 + m)
+        rows = full_rows(rng, m, 1200)
+        b, c, u = split(rows, m)
+        unitaries = np.asarray([haar_unitary(rng, m) for _ in range(len(rows))])
+        moved = join(np.einsum("kij,kj->ki", unitaries, b), c, np.einsum("kij,kj->ki", unitaries, u))
+        assert_margins_agree(_family_md_margins(moved, m), _family_md_margins(rows, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_full_rows_equal_their_representatives(self, m):
+        rows = full_rows(np.random.default_rng(50 + m), m, 1200)
+        b, c, u = split(rows, m)
+        u = u / np.linalg.norm(u, axis=1)[:, None]
+        r = np.linalg.norm(b, axis=1)
+        inner = np.einsum("ki,ki->k", np.conj(u), b)
+        theta = [np.arccos(np.minimum(np.abs(inner) / r, 1.0))] if m >= 2 else []
+        quotient = np.stack([r, *theta, np.angle(inner), c.real, c.imag], axis=1)
+        assert quotient.shape[1] == len(family_md_quotient_spec(m).lower)
+        assert_margins_agree(_family_md_margins(_quotient_rows(quotient, m), m), _family_md_margins(rows, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_closed_form_on_the_equality_slice(self, m):
+        # b = t u with real c: ||F'(1)|| = 2 (1 - t)/((1 + t)(1 + c)), which is the bound.
+        rng = np.random.default_rng(60 + m)
+        t, c = rng.uniform(0.0, 0.9, size=(2, 300))
+        t[:3], c[:3] = (0.0, 0.9, 0.9), (0.9, 0.0, 0.9)
+        u = full_rows(rng, m, len(t))[:, 2 * m + 2 :]
+        u = u[:, :m] + 1j * u[:, m:]
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        rows = join(t[:, None] * u, c + 0j, u)
+        closed = 2.0 * (1.0 - t) / ((1.0 + t) * (1.0 + c))
+        for row, expected in zip(rows[:40], closed):
+            val, main, _, _ = _shifted_bound_terms(family_md_tree(row, m), 1.0 + 0j)
+            assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert main == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert float(np.max(np.abs(_family_md_margins(rows, m)))) <= 1e-12
+        theta = [np.zeros_like(t)] if m >= 2 else []
+        quotient = np.stack([t, *theta, np.zeros_like(t), c, np.zeros_like(t)], axis=1)
+        assert float(np.max(np.abs(_family_md_margins(_quotient_rows(quotient, m), m)))) <= 1e-12
