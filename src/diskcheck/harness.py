@@ -44,6 +44,7 @@ from .corpus import (
 )
 from .holodisk import (
     Blaschke,
+    _fmt_complex,
     _polar_grid,
     analytic_radial_derivative,
     affine_rigidity_check,
@@ -58,7 +59,7 @@ from .holodisk import (
     radial_derivative_estimate,
     schwarz_derivative_bound,
 )
-from .reports import _EQUALITY, CHECKS, DomainError, InequalityReport, _judge, make_report
+from .reports import _EQUALITY, CHECKS, DomainError, _judge, make_report
 from .search import (
     family_1d_spec,
     family_md_quotient_spec,
@@ -136,11 +137,12 @@ class SuiteConfig:
 class _SuiteAccumulator:
     """Collects one suite's cases: counts, worst case per check, failures.
 
-    It is the one place that applies a run's tolerance overrides: it judges
-    each check once, over every case recorded for it, in :meth:`as_dict`,
-    by the rule of ``reports._judge``.  Reports, and their instance text,
-    are built only for a check's worst case and for its failures, which are
-    listed case by case in recording order, within a case in column order.
+    It is the one place that names and judges cases: check functions return
+    raw values, and :meth:`as_dict` judges each check once, over every case
+    recorded for it, by the rule of ``reports._judge`` with the run's
+    tolerance overrides.  Reports, and their instance text, are built only
+    for a check's worst case and for its failures, which are listed case by
+    case in recording order, within a case in column order.
     """
 
     def __init__(self, tolerances: dict) -> None:
@@ -169,11 +171,9 @@ class _SuiteAccumulator:
             extras.append(extra)
         self.rows += stride * cases
 
-    def add(self, report: InequalityReport) -> None:
-        self.check(report.name, report.instance, report.lhs, report.rhs, report.margin, report.extra)
-
-    def check(self, name, instance, lhs, rhs, margin, extra=None) -> None:
-        self.record(instance, {name: (lhs, rhs, margin)}, extra)
+    def check(self, name, describe, lhs, rhs, margin, extra=None) -> None:
+        """Record one case, named by the text ``describe`` or by ``describe(0)``."""
+        self.record(describe, {name: (lhs, rhs, margin)}, extra)
 
     def value(self, name, instance, value, extra=None) -> None:
         """Record ``value`` itself as the margin, against zero (a floor check: against its floor)."""
@@ -325,14 +325,14 @@ def _run_holo(config: SuiteConfig) -> dict:
         acc.value("extremal_family_values", f"a={a:.1f}", dev)
 
     for c in (0.2, 0.5, 0.8):
-        rep = boundary_bound_shifted(Blaschke(c), 1.0 + 0j)
-        acc.check("shifted_equality_blaschke", f"blaschke({c})", rep.lhs, rep.rhs, rep.margin, extra=rep.extra)
+        acc.check("shifted_equality_blaschke", f"blaschke({c})", *boundary_bound_shifted(Blaschke(c), 1.0 + 0j))
 
     rng = case_rng(config.seed, HOLO_POINT_STREAM, 0)
     for k in range(min(50, config.samples)):
         aa = _disk_points(rng, 1, rmin=0.1, rmax=0.9)[0]
-        acc.add(rep := nonreal_parameter_strictness(aa))
-        acc.value("strictness_closed_form", f"a={aa:.6g}", abs(rep.extra["closed_form_deviation"]))
+        strict = nonreal_parameter_strictness(aa)
+        acc.check("strictness_margin", lambda k, aa=aa: f"z*blaschke({_fmt_complex(aa)}) rotated to fix 1", *strict)
+        acc.value("strictness_closed_form", f"a={aa:.6g}", abs(strict.extra["closed_form_deviation"]))
 
     for m in config.dimensions:
         m = int(m)
@@ -353,7 +353,7 @@ def _run_holo(config: SuiteConfig) -> dict:
             max_norm = certify_in_ball(disk, n_boundary=1024, n_interior=32)
             acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
 
-            acc.add(schwarz_derivative_bound(disk))
+            acc.check("schwarz_derivative", text, *schwarz_derivative_bound(disk))
 
             if member.zero_at_origin:
                 zs = _disk_points(rng, config.samples)
@@ -370,11 +370,12 @@ def _run_holo(config: SuiteConfig) -> dict:
 
             if member.boundary_contact is not None:
                 zeta = member.boundary_contact
+                at_zeta = lambda k, text=text, zeta=zeta: f"{text} @ zeta={_fmt_complex(zeta)}"
                 if member.zero_at_origin:
-                    acc.add(rep := boundary_bound_origin(disk, zeta))
+                    acc.check("boundary_origin_margin", at_zeta, *(origin := boundary_bound_origin(disk, zeta)))
                     if member.equality_archetype:
-                        acc.check("boundary_origin_equality", tag, rep.lhs, rep.rhs, rep.margin)
-                acc.add(boundary_bound_shifted(disk, zeta))
+                        acc.check("boundary_origin_equality", tag, *origin[:3])
+                acc.check("boundary_shifted_margin", at_zeta, *boundary_bound_shifted(disk, zeta))
                 estimate, err = radial_derivative_estimate(disk, zeta)
                 analytic = analytic_radial_derivative(disk, zeta)
                 rdev = abs(estimate - analytic)
@@ -382,7 +383,7 @@ def _run_holo(config: SuiteConfig) -> dict:
                 radial_err_max = max(radial_err_max, err)
 
             if member.name == "archetype-affine" or member.name.startswith("zblaschke"):
-                acc.add(affine_rigidity_check(disk))
+                acc.check("affine_rigidity", text, *affine_rigidity_check(disk))
 
     julia_members = julia_corpus(config.seed, max(9, min(60, config.samples // 4)))
     julia_multi_min = math.inf
@@ -418,12 +419,13 @@ def _run_minimal(config: SuiteConfig) -> dict:
         rng = case_rng(config.seed, MINIMAL_POINT_STREAM, index)
         w = member.surface
         tag = member.name
+        text = repr(w)
 
-        acc.add(null_condition_report(w))
+        acc.check("null_condition", text, *null_condition_report(w))
 
         zs = _disk_points(rng, config.samples)
         iso, gdev, orth, ratio = surface_identities(w, zs)
-        acc.check("isothermal", repr(w), iso, 0.0, iso, extra={"sample_count": len(zs)})
+        acc.check("isothermal", text, iso, 0.0, iso, extra={"sample_count": len(zs)})
         orthogonality_max = max(orthogonality_max, orth)
         acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
         acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, complex(zs[0])))
@@ -435,9 +437,10 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         if in_ball:
             for a in _disk_points(rng, 8, rmin=0.0, rmax=0.95):
-                acc.add(rep := interior_growth_margin(w, a, certify=False))
+                growth = interior_growth_margin(w, a, certify=False)
+                acc.check("lemma0_margin", lambda k, text=text, a=a: f"{text} @ a={complex(a)!r}", *growth)
                 if member.planar_through_origin:
-                    acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", rep.lhs, rep.rhs, rep.margin)
+                    acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth[:3])
 
             pair_a = _disk_points(rng, config.samples, rmin=0.0)
             pair_b = _disk_points(rng, config.samples, rmin=0.0)
@@ -453,22 +456,24 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 edev = np.max([np.max(np.abs(anchored)), np.max(np.abs(diameter))])
                 acc.value("distance_equality_planar", tag, edev)
 
-        if member.boundary_contact_point is not None:
-            acc.add(rep := boundary_minimal_margin(w, member.boundary_contact_point))
+        if (zeta := member.boundary_contact_point) is not None:
+            contact = boundary_minimal_margin(w, zeta)
+            acc.check("boundary_minimal_margin", lambda k, text=text, zeta=zeta: f"{text} @ zeta={complex(zeta)!r}",
+                      *contact)
             if member.planar_through_origin:
-                acc.check("boundary_minimal_equality", tag, rep.lhs, rep.rhs, rep.margin)
+                acc.check("boundary_minimal_equality", tag, *contact[:3])
 
         if w.halfsphere:
-            acc.add(halfsphere_chain_check(w))
+            acc.check("halfsphere_chain", text, *halfsphere_chain_check(w))
 
         lipschitz_ok = member.full_circle_contact or member.boundary_contact_point is not None
         lipschitz_ok = lipschitz_ok or member.name == "enneper-halfsphere"
         if w.halfsphere and lipschitz_ok:
             pairs = list(zip(_disk_points(rng, 20, rmin=0.0), _disk_points(rng, 20, rmin=0.0)))
-            acc.add(inverse_lipschitz_check(w, pairs))
+            acc.check("inverse_lipschitz", f"{text} @ {len(pairs)} pairs", *inverse_lipschitz_check(w, pairs))
 
     named = WeierstrassDisk([2.0, 1.0], [0.0, 0.5], halfsphere=True)
-    acc.add(halfsphere_chain_check(named))
+    acc.check("halfsphere_chain", repr(named), *halfsphere_chain_check(named))
 
     planar_members = [s for s in surfaces if s.name == "planar"]
     if planar_members:

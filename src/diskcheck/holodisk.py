@@ -16,9 +16,10 @@ The sampled checks are the ``*_margins`` functions: each returns one raw
 margin per sample point, and a suite run judges the array.
 ``growth_margins`` gives the growth and both quotient margins from one walk
 of F over the batch, so like the quotient bounds it needs 0 < |z| < 1;
-``julia_margins`` gives the Julia margins.  The per-instance checks return an
-:class:`~diskcheck.reports.InequalityReport` judged with their check's default
-tolerance; a suite run judges each check once, with the run's overrides.
+``julia_margins`` gives the Julia margins.  The per-instance checks return
+the raw :class:`~diskcheck.reports.CheckValues` (lhs, rhs, margin, extra) of
+one case and judge nothing: only a suite run names and judges cases, each
+check once, with the run's tolerances.
 
 Serialization uses a nested prefix notation, e.g. ``mul(z, blaschke(0.5))``
 or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``; see the README
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .ballgeom import BallAutomorphism, inner, vnorm
-from .reports import DomainError, InequalityReport, make_report
+from .reports import CheckValues, DomainError
 
 # Grid sizes for in-ball certification of corpus members.
 BOUNDARY_GRID = 4096
@@ -522,24 +523,11 @@ def _origin_bound(n0: float, n: float, a: float) -> float:
     return 2.0 / (1.0 + a)
 
 
-def _origin_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float]:
-    """||F'(zeta)||, the bound 2/(1 + ||F'(0)||) and ||F'(0)||, from one walk at [0, zeta]."""
-    (n0, n), (a, val) = _norm_jet(f, [0j, zeta])
-    return val, _origin_bound(n0, n, a), a
-
-
-def boundary_bound_origin(f: HoloDisk, zeta) -> InequalityReport:
-    """Margin ||F'(zeta)|| - 2/(1 + ||F'(0)||) for origin-fixing contact maps."""
-    zeta = _boundary_param(zeta)
-    val, bound, a = _origin_bound_terms(f, zeta)
-    return make_report(
-        "boundary_origin_margin",
-        f"{f.to_text()} @ zeta={_fmt_complex(zeta)}",
-        lhs=val,
-        rhs=bound,
-        margin=val - bound,
-        extra={"deriv0_norm": a},
-    )
+def boundary_bound_origin(f: HoloDisk, zeta) -> CheckValues:
+    """Margin ||F'(zeta)|| - 2/(1 + ||F'(0)||) for origin-fixing contact maps, from one walk at [0, zeta]."""
+    (n0, n), (a, val) = _norm_jet(f, [0j, _boundary_param(zeta)])
+    bound = _origin_bound(n0, n, a)
+    return CheckValues(val, bound, val - bound, {"deriv0_norm": a})
 
 
 def _shifted_bound(r: float, n: float, a: float) -> float:
@@ -550,55 +538,40 @@ def _shifted_bound(r: float, n: float, a: float) -> float:
     return 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a)
 
 
-def _shifted_bound_terms(f: HoloDisk, zeta: complex) -> tuple[float, float, float, float]:
-    """||F'(zeta)||, the main bound, r = ||F(0)|| and ||F'(0)||, from one walk at [0, zeta]."""
-    (r, n), (a, val) = _norm_jet(f, [0j, zeta])
-    return val, _shifted_bound(r, n, a), r, a
-
-
-def boundary_bound_shifted(f: HoloDisk, zeta) -> InequalityReport:
-    """Basepoint-shifted boundary bound with the dimension-dependent floor.
+def boundary_bound_shifted(f: HoloDisk, zeta) -> CheckValues:
+    """Basepoint-shifted boundary bound with the dimension-dependent floor, from one walk at [0, zeta].
 
     Main bound: ||F'(zeta)|| >= 2 (1 - r)^2 / (1 - r^2 + ||F'(0)||) with
     r = ||F(0)|| < 1.  The floor substitutes the maximal ||F'(0)||:
     sqrt(1 - r^2) for m >= 2 (giving 2 (1 - r)^2 / (1 - r^2 + sqrt(1 - r^2)))
     and 1 - r^2 for m = 1 (giving (1 - r)/(1 + r)).
+
+    The floor is reported, not claimed sharp: it has no witness in the
+    search's ``family_md``.  On that family's equality slice, with
+    ||F(0)|| = |t|, ||F'(0)|| = (1 - t^2)|c| < sqrt(1 - t^2), so
+    ``floor_margin`` stays positive there.
     """
-    zeta = _boundary_param(zeta)
-    val, main, r, a = _shifted_bound_terms(f, zeta)
+    (r, n), (a, val) = _norm_jet(f, [0j, _boundary_param(zeta)])
+    main = _shifted_bound(r, n, a)
     if f.dim >= 2:
         floor = 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + math.sqrt(1.0 - r * r))
     else:
         floor = (1.0 - r) / (1.0 + r)
-    return make_report(
-        "boundary_shifted_margin",
-        f"{f.to_text()} @ zeta={_fmt_complex(zeta)}",
-        lhs=val,
-        rhs=main,
-        margin=val - main,
-        extra={
-            "floor_bound": floor,
-            "floor_margin": val - floor,
-            "base_norm": r,
-            "deriv0_norm": a,
-        },
-    )
+    return CheckValues(val, main, val - main, {
+        "floor_bound": floor,
+        "floor_margin": val - floor,
+        "base_norm": r,
+        "deriv0_norm": a,
+    })
 
 
-def schwarz_derivative_bound(f: HoloDisk) -> InequalityReport:
+def schwarz_derivative_bound(f: HoloDisk) -> CheckValues:
     """Margin sqrt(1 - ||F(0)||^2) - ||F'(0)|| for ball-valued maps."""
     (r,), (a,) = _norm_jet(f, [0j])
     if r > 1.0:
         raise DomainError("map must send the disk into the closed ball")
     bound = math.sqrt(max(1.0 - r * r, 0.0))
-    return make_report(
-        "schwarz_derivative",
-        f.to_text(),
-        lhs=a,
-        rhs=bound,
-        margin=bound - a,
-        extra={"base_norm": r},
-    )
+    return CheckValues(a, bound, bound - a, {"base_norm": r})
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +637,7 @@ def radial_derivative_estimate(f: HoloDisk, zeta) -> tuple[float, float]:
 # sharpness of the boundary bound in the family parameter
 
 
-def nonreal_parameter_strictness(a: complex) -> InequalityReport:
+def nonreal_parameter_strictness(a: complex) -> CheckValues:
     """Boundary-bound margin of the rotated map z * b_a(z), strict for arg(a) != 0.
 
     For a = r e^{it} the margin has the closed form
@@ -675,24 +648,16 @@ def nonreal_parameter_strictness(a: complex) -> InequalityReport:
     r, t = abs(a), math.atan2(a.imag, a.real)
     if not 0.0 < r < 1.0:
         raise DomainError("parameter must satisfy 0 < |a| < 1")
-    val, bound, _ = _origin_bound_terms(blaschke_product([a], include_z=True), 1.0 + 0j)
-    margin = val - bound
+    val, bound, margin, _ = boundary_bound_origin(blaschke_product([a], include_z=True), 1.0 + 0j)
     closed = 2.0 * r * (1.0 - math.cos(t)) * (1.0 - r) / ((1.0 + 2.0 * r * math.cos(t) + r * r) * (1.0 + r))
-    return make_report(
-        "strictness_margin",
-        f"z*blaschke({_fmt_complex(a)}) rotated to fix 1",
-        lhs=val,
-        rhs=bound,
-        margin=margin,
-        extra={"closed_form": closed, "closed_form_deviation": margin - closed},
-    )
+    return CheckValues(val, bound, margin, {"closed_form": closed, "closed_form_deviation": margin - closed})
 
 
 # ---------------------------------------------------------------------------
 # affine rigidity
 
 
-def affine_rigidity_check(f: HoloDisk) -> InequalityReport:
+def affine_rigidity_check(f: HoloDisk) -> CheckValues:
     """If F fixes 0, reaches the sphere at 1 and ||F'(1)|| <= 1, F must be affine.
 
     Checks max over an interior polar grid of | ||F(z)|| - |z| |; reported as
@@ -705,9 +670,7 @@ def affine_rigidity_check(f: HoloDisk) -> InequalityReport:
     if applicable:
         zs = _polar_grid(np.linspace(0.05, 0.95, 64), 64)
         dev = float(np.max(np.abs(vnorm(f._eval(zs)) - np.abs(zs))))
-    return make_report(
-        "affine_rigidity", f.to_text(), lhs=dev, rhs=0.0, margin=dev, extra={"applicable": applicable}
-    )
+    return CheckValues(dev, 0.0, dev, {"applicable": applicable})
 
 
 __all__ = [

@@ -1,7 +1,8 @@
 """Shared result records, error types and the tolerance table.
 
-Every inequality check in the package produces an :class:`InequalityReport`
-with an explicit margin and the tolerance it was judged against.  Margins are
+A check function returns the raw :class:`CheckValues` of one case; a suite
+names the case and judges it into an :class:`InequalityReport`, with an
+explicit margin and the tolerance it was judged against.  Margins are
 oriented so that ``margin >= -tolerance`` means the inequality held; equality
 cases are asserted as ``abs(margin) <= tolerance``.  Which rule a check
 follows is fixed by its name, through :data:`CHECKS`.
@@ -10,6 +11,7 @@ follows is fixed by its name, through :data:`CHECKS`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +76,8 @@ CHECKS: dict[str, tuple[str, float]] = {
     "boundary_minimal_margin": (_BOUND, 1e-10),
     "boundary_minimal_equality": (_EQUALITY, 1e-10),
     "halfsphere_chain": (_BOUND, 1e-8),
+    # Conservative by construction: the factor 2(1 + r0)/(1 - r0) and the
+    # segment length both overestimate, so its margin is no sharpness probe.
     "inverse_lipschitz": (_BOUND, 1e-8),
     # sharpness search
     "search_trace_floor": (_BOUND, 1e-8),
@@ -85,6 +89,15 @@ CHECKS: dict[str, tuple[str, float]] = {
 }
 
 DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, (_, tol) in CHECKS.items()}
+
+
+class CheckValues(NamedTuple):
+    """The unjudged values of one case of a check: its sides, signed margin and secondary quantities."""
+
+    lhs: float
+    rhs: float
+    margin: float
+    extra: dict
 
 
 @dataclass(frozen=True)
@@ -134,10 +147,10 @@ def make_report(
     rhs: float,
     margin: float,
     *,
-    tolerances: dict[str, float] | None = None,
+    tolerances: dict[str, float] | None,
     extra: dict | None = None,
 ) -> InequalityReport:
-    """Build a report judged by ``_judge``, with a run's ``tolerances`` overrides or the table default.
+    """Build a report judged by ``_judge``, with a run's ``tolerances`` overrides of the table default.
 
     A floor check takes only ``lhs``: its rhs and margin follow from the tolerance.
     """
@@ -157,6 +170,7 @@ def make_report(
 
 __all__ = [
     "CHECKS",
+    "CheckValues",
     "DEFAULT_TOLERANCES",
     "DomainError",
     "InequalityReport",

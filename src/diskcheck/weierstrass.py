@@ -17,7 +17,10 @@ an interior pseudo-hyperbolic growth bound, hyperbolic distance decrease
 from the disk to the ball, the boundary conformal-factor lower bound, the
 half-sphere minimum-modulus chain, and an inverse Lipschitz estimate.
 ``surface_identities`` measures the isothermal, Gauss-vector and metric
-audit identities over a batch from one evaluation of p, q and Phi.
+audit identities over a batch from one evaluation of p, q and Phi.  The
+per-instance checks return the raw :class:`~diskcheck.reports.CheckValues`
+(lhs, rhs, margin, extra) of one case and judge nothing: only a suite run
+names and judges cases, with the run's tolerances.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .holodisk import (
     _interior_grid,
     _require_boundary_contact,
 )
-from .reports import DomainError, InequalityReport, make_report
+from .reports import CheckValues, DomainError
 
 # Composite Gauss rule used for arc-length and antiderivative validation.
 QUAD_PANELS = 8
@@ -167,10 +170,10 @@ def _gauss_vector(qv):
 # identity checks
 
 
-def null_condition_report(w: WeierstrassDisk) -> InequalityReport:
+def null_condition_report(w: WeierstrassDisk) -> CheckValues:
     """Coefficient-level residual of the square-sum cancellation."""
     res = w.null_residual()
-    return make_report("null_condition", repr(w), lhs=res, rhs=0.0, margin=res)
+    return CheckValues(res, 0.0, res, {})
 
 
 def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.ndarray]:
@@ -233,7 +236,7 @@ def _require_in_ball(w: WeierstrassDisk) -> None:
         raise DomainError(f"surface image leaves the unit ball: max grid norm {worst:.12g}")
 
 
-def interior_growth_margin(w: WeierstrassDisk, a, certify: bool = True) -> InequalityReport:
+def interior_growth_margin(w: WeierstrassDisk, a, certify: bool = True) -> CheckValues:
     """Pseudo-hyperbolic growth bound ||F(a)|| <= (|a| + r0)/(1 + |a| r0).
 
     ``r0 = ||F(0)||``; requires the image to stay in the closed unit ball
@@ -248,14 +251,7 @@ def interior_growth_margin(w: WeierstrassDisk, a, certify: bool = True) -> Inequ
     r0 = float(vnorm(w.eval(0j)))
     val = float(vnorm(w.eval(a)))
     bound = (abs(a) + r0) / (1.0 + abs(a) * r0)
-    return make_report(
-        "lemma0_margin",
-        f"{w!r} @ a={a!r}",
-        lhs=val,
-        rhs=bound,
-        margin=bound - val,
-        extra={"base_norm": r0},
-    )
+    return CheckValues(val, bound, bound - val, {"base_norm": r0})
 
 
 def distance_decreasing_margins(w: WeierstrassDisk, zs, ws) -> np.ndarray:
@@ -267,7 +263,7 @@ def distance_decreasing_margins(w: WeierstrassDisk, zs, ws) -> np.ndarray:
     return poincare_dist(zs, ws) - cayley_klein_dist(w.eval(zs), w.eval(ws))
 
 
-def boundary_minimal_margin(w: WeierstrassDisk, zeta) -> InequalityReport:
+def boundary_minimal_margin(w: WeierstrassDisk, zeta) -> CheckValues:
     """Boundary bound ||F_r(zeta)|| >= (1 - r0)/(1 + r0) at a sphere-contact point."""
     zeta = _boundary_param(zeta)
     _require_boundary_contact(float(vnorm(w.eval(zeta))))
@@ -276,14 +272,7 @@ def boundary_minimal_margin(w: WeierstrassDisk, zeta) -> InequalityReport:
     val = float(vnorm(f_x * np.cos(t) + f_y * np.sin(t)))
     r0 = float(vnorm(w.eval(0j)))
     bound = (1.0 - r0) / (1.0 + r0)
-    return make_report(
-        "boundary_minimal_margin",
-        f"{w!r} @ zeta={zeta!r}",
-        lhs=val,
-        rhs=bound,
-        margin=val - bound,
-        extra={"conformal_factor": w.conformal_factor(zeta), "base_norm": r0},
-    )
+    return CheckValues(val, bound, val - bound, {"conformal_factor": w.conformal_factor(zeta), "base_norm": r0})
 
 
 def _chain_preconditions(w: WeierstrassDisk) -> None:
@@ -294,14 +283,14 @@ def _chain_preconditions(w: WeierstrassDisk) -> None:
         raise DomainError(f"p has {zeros} zero(s) in the disk; the data is not an immersion")
 
 
-def halfsphere_chain_check(w: WeierstrassDisk) -> InequalityReport:
+def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     """Testable links of the half-sphere lower bound on the conformal factor.
 
     For zero-free p with |q| < 1: (i) the minimum modulus of p over the disk
     is attained on the boundary; (ii) lambda >= c * min boundary |p| with the
     audited convention constant c; (iii) when the surface touches the sphere
     along the whole boundary circle, lambda >= c (1 - r0)/(1 + r0) on the
-    disk with r0 = ||F(0)||.  The report margin is the worst link.
+    disk with r0 = ||F(0)||.  The margin is the worst link.
 
     The grid minimum of |p| on the circle can overshoot the true minimum, so
     links (i) and (ii) subtract an exact Lipschitz allowance
@@ -343,15 +332,8 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> InequalityReport:
         margins.append(corollary_margin)
         extra["corollary_margin"] = corollary_margin
         extra["corollary_bound"] = corollary_bound
-    margin = float(np.min(margins))
-    return make_report(
-        "halfsphere_chain",
-        repr(w),
-        lhs=min_lambda,
-        rhs=corollary_bound if boundary_contact else c * boundary_min_p,
-        margin=margin,
-        extra=extra,
-    )
+    rhs = corollary_bound if boundary_contact else c * boundary_min_p
+    return CheckValues(min_lambda, rhs, float(np.min(margins)), extra)
 
 
 def _gauss_panels() -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +351,7 @@ def _segment_lengths(w: WeierstrassDisk, z1: np.ndarray, z2: np.ndarray) -> np.n
     return np.abs(z2 - z1) * (lam @ wts)
 
 
-def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> InequalityReport:
+def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> CheckValues:
     """Parameter separation against image arc length.
 
     For each pair: |z1 - z2| <= 2 (1 + r0)/(1 - r0) * length(F o segment),
@@ -387,13 +369,11 @@ def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> InequalityReport:
     lengths = _segment_lengths(w, arr[:, 0], arr[:, 1])
     margins = factor * lengths - np.abs(arr[:, 0] - arr[:, 1])
     worst = int(np.argmin(margins))
-    return make_report(
-        "inverse_lipschitz",
-        f"{w!r} @ {arr.shape[0]} pairs",
-        lhs=float(np.abs(arr[worst, 0] - arr[worst, 1])),
-        rhs=float(factor * lengths[worst]),
-        margin=float(margins[worst]),
-        extra={"factor": factor, "pair_count": int(arr.shape[0])},
+    return CheckValues(
+        float(np.abs(arr[worst, 0] - arr[worst, 1])),
+        float(factor * lengths[worst]),
+        float(margins[worst]),
+        {"factor": factor, "pair_count": int(arr.shape[0])},
     )
 
 

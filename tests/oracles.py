@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from diskcheck import BallAutomorphism, Blaschke, ComposeAut, DomainError, Embed, Identity, Mul, blaschke_product
-from diskcheck.holodisk import _origin_bound_terms, _shifted_bound_terms
+from diskcheck.holodisk import boundary_bound_origin, boundary_bound_shifted
 from diskcheck.corpus import case_rng
 from diskcheck.search import (
     _FAMILY_IDS,
@@ -169,8 +169,7 @@ def tree_objective_1d(params) -> float:
         raise DomainError(f"modulus out of range: {modulus}")
     c = modulus * complex(math.cos(phase), math.sin(phase))
     f = blaschke_product([c], include_z=True)
-    val, bound, _ = _origin_bound_terms(f, 1.0 + 0j)
-    return val - bound
+    return boundary_bound_origin(f, 1.0 + 0j).margin
 
 
 def family_md_tree(params, m: int):
@@ -198,8 +197,7 @@ def family_md_tree(params, m: int):
 
 def tree_objective_md(params, m: int = 2) -> float:
     """Shifted boundary-bound margin of ``family_md_tree(params, m)`` at 1."""
-    val, main, _, _ = _shifted_bound_terms(family_md_tree(params, m), 1.0 + 0j)
-    return val - main
+    return boundary_bound_shifted(family_md_tree(params, m), 1.0 + 0j).margin
 
 
 def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dict:

@@ -46,23 +46,35 @@ def test_every_override_reaches_its_check():
     assert floor["passed"] is (floor["worst_lhs"] > floor["worst_rhs"])
 
 
-def test_check_functions_judge_with_the_table_default():
+def test_check_functions_return_raw_values():
+    planar, named = weierstrass.planar_disk(), weierstrass.WeierstrassDisk([2.0, 1.0], [0.0, 0.5], halfsphere=True)
+    family = holodisk.extremal_family_1d(0.3)
+    values = [
+        holodisk.boundary_bound_origin(family, 1.0),
+        holodisk.boundary_bound_shifted(holodisk.Blaschke(0.5), 1.0),
+        holodisk.schwarz_derivative_bound(family),
+        holodisk.nonreal_parameter_strictness(0.5j),
+        holodisk.affine_rigidity_check(holodisk.affine_disk([0.6, 0.8])),
+        weierstrass.null_condition_report(planar),
+        weierstrass.interior_growth_margin(planar, 0.5),
+        weierstrass.boundary_minimal_margin(planar, 1.0),
+        weierstrass.halfsphere_chain_check(named),
+        weierstrass.inverse_lipschitz_check(planar, [(0.0, 0.5)]),
+    ]
     for module in (holodisk, weierstrass):
         for name in module.__all__:
             obj = getattr(module, name)
             if inspect.isfunction(obj):
                 assert "tolerances" not in inspect.signature(obj).parameters, name
-    rep = holodisk.boundary_bound_origin(holodisk.extremal_family_1d(0.3), 1.0)
-    assert rep.tolerance == CHECKS["boundary_origin_margin"][1]
-    assert rep.passed
-    rep = weierstrass.null_condition_report(weierstrass.planar_disk())
-    assert rep.tolerance == CHECKS["null_condition"][1]
-    assert rep.passed
+    for v in values:
+        assert type(v) is reports.CheckValues
+        assert v._fields == ("lhs", "rhs", "margin", "extra")
+        assert all(isinstance(x, float) for x in v[:3]) and isinstance(v.extra, dict)
 
 
 def test_floor_check_passes_only_above_its_floor():
     name = "family_1d_restricted_floor"
-    at_default = reports.make_report(name, "best", 0.25, 0.0, 0.0)
+    at_default = reports.make_report(name, "best", 0.25, 0.0, 0.0, tolerances={})
     assert (at_default.rhs, at_default.margin, at_default.passed) == (1e-4, 0.25 - 1e-4, True)
     at_floor = reports.make_report(name, "best", 0.25, at_default.rhs, at_default.margin, tolerances={name: 0.25})
     assert (at_floor.rhs, at_floor.margin, at_floor.passed) == (0.25, 0.0, False)

@@ -13,11 +13,22 @@ from diskcheck import (
     DomainError,
     KNOWN_SUITES,
     SuiteConfig,
+    WeierstrassDisk,
+    affine_rigidity_check,
+    boundary_bound_origin,
+    boundary_bound_shifted,
+    boundary_minimal_margin,
     emit_plot_data,
+    halfsphere_chain_check,
     holo_corpus,
+    interior_growth_margin,
+    inverse_lipschitz_check,
     julia_corpus,
     load_config_file,
+    nonreal_parameter_strictness,
+    null_condition_report,
     run_suite,
+    schwarz_derivative_bound,
     weierstrass_corpus,
 )
 from diskcheck.cli import _ulps, diff_reports, main as cli_main
@@ -117,6 +128,86 @@ class TestRunSuite:
         assert holo["findings"]["julia_multi_factor_min_margin"] > 1e-10
         ball = run_suite(SuiteConfig(seed=5, suites=("ball",), dimensions=(1,), samples=8)).suites["ball"]
         assert ball["findings"]["opnorm_formula_origin_deviation_m1"] > 0.1
+
+
+# A tolerance of -10 fails every case of each per-instance check: a bound
+# check passes only at margin >= 10, an equality check never.
+EVERY_CASE_FAILS = dict.fromkeys([
+    "boundary_origin_margin", "boundary_shifted_margin", "schwarz_derivative", "strictness_margin",
+    "affine_rigidity", "null_condition", "lemma0_margin", "boundary_minimal_margin", "halfsphere_chain",
+    "inverse_lipschitz"], -10.0)
+
+
+def _holo_cases(config):
+    """Per check, (member text, values of a direct call) for every corpus case, in corpus order."""
+    cases = {name: [] for name in ("schwarz_derivative", "boundary_origin_margin", "boundary_shifted_margin",
+                                   "affine_rigidity")}
+    for m in config.dimensions:
+        for member in holo_corpus(config.seed, m, max(12, min(60, config.samples // 4))):
+            disk, text, zeta = member.disk, member.disk.to_text(), member.boundary_contact
+            cases["schwarz_derivative"].append((text, schwarz_derivative_bound(disk)))
+            if zeta is not None and member.zero_at_origin:
+                cases["boundary_origin_margin"].append((text, boundary_bound_origin(disk, zeta)))
+            if zeta is not None:
+                cases["boundary_shifted_margin"].append((text, boundary_bound_shifted(disk, zeta)))
+            if member.name == "archetype-affine" or member.name.startswith("zblaschke"):
+                cases["affine_rigidity"].append((text, affine_rigidity_check(disk)))
+    return cases
+
+
+def _minimal_cases(config, failures):
+    """As ``_holo_cases`` for the minimal suite; sample points are read back from the failures."""
+    points = iter(complex(f["instance"].rpartition(" @ a=")[2]) for f in failures if f["name"] == "lemma0_margin")
+    cases = {name: [] for name in ("null_condition", "lemma0_margin", "boundary_minimal_margin", "halfsphere_chain",
+                                   "inverse_lipschitz")}
+    for member in weierstrass_corpus(config.seed, max(8, min(24, config.samples // 10))):
+        w, text, zeta = member.surface, repr(member.surface), member.boundary_contact_point
+        cases["null_condition"].append((text, null_condition_report(w)))
+        if w.max_norm() <= 1.0 + 1e-10:
+            cases["lemma0_margin"] += [(text, interior_growth_margin(w, next(points))) for _ in range(8)]
+        if zeta is not None:
+            cases["boundary_minimal_margin"].append((text, boundary_minimal_margin(w, zeta)))
+        if w.halfsphere:
+            cases["halfsphere_chain"].append((text, halfsphere_chain_check(w)))
+        if w.halfsphere and (member.full_circle_contact or zeta is not None or member.name == "enneper-halfsphere"):
+            # The direct call's pairs differ, but its extra does not depend on them.
+            cases["inverse_lipschitz"].append((text, inverse_lipschitz_check(w, [(0.0, 0.5)] * 20)))
+    named = WeierstrassDisk([2.0, 1.0], [0.0, 0.5], halfsphere=True)
+    cases["halfsphere_chain"].append((repr(named), halfsphere_chain_check(named)))
+    return cases
+
+
+class TestFailuresNameTheirCases:
+    """With every case of the per-instance checks failing, each failure names its own member."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        config = SuiteConfig(suites=("holo", "minimal"), samples=20, tolerances=EVERY_CASE_FAILS)
+        return config, run_suite(config)
+
+    @pytest.mark.parametrize("suite", ["holo", "minimal"])
+    def test_each_failure_names_its_member_in_corpus_order(self, run, suite):
+        config, report = run
+        failures = report.suites[suite]["failures"]
+        cases = _holo_cases(config) if suite == "holo" else _minimal_cases(config, failures)
+        for name, expected in cases.items():
+            failed = [f for f in failures if f["name"] == name]
+            assert len(failed) == len(expected) == report.suites[suite]["checks"][name]["count"] > 0, name
+            for failure, (text, values) in zip(failed, expected):
+                instance = failure["instance"]
+                assert instance == text or instance.startswith(text + " @ "), (name, instance, text)
+                assert failure["extra"] == values.extra, (name, instance)
+                if name != "inverse_lipschitz":
+                    assert (failure["lhs"], failure["rhs"], failure["margin"]) == values[:3], (name, instance)
+
+    def test_strictness_failures_name_their_parameter(self, run):
+        _, report = run
+        failed = [f for f in report.suites["holo"]["failures"] if f["name"] == "strictness_margin"]
+        assert len(failed) == report.suites["holo"]["checks"]["strictness_margin"]["count"] == 20
+        for failure in failed:
+            text = failure["instance"].removeprefix("z*blaschke(").removesuffix(") rotated to fix 1")
+            values = nonreal_parameter_strictness(complex(text))
+            assert (failure["lhs"], failure["rhs"], failure["margin"], failure["extra"]) == values
 
 
 def _built_reports(monkeypatch) -> list:

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import diskcheck.holodisk as holodisk
 from diskcheck import (
     Blaschke,
     Const,
@@ -110,7 +109,6 @@ class TestOneWalkBounds:
 
         for cls in [HoloDisk, *HoloDisk.__subclasses__()]:
             monkeypatch.setattr(cls, "to_text", refuse)
-        monkeypatch.setattr(holodisk, "make_report", refuse)
         assert [margin_objective_md(p, m) for p, m in md] == expected_md
         assert [margin_objective_1d(q) for q in one] == expected_1d
 

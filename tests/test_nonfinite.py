@@ -31,7 +31,7 @@ from diskcheck.holodisk import (
     julia_margins,
     parse_disk,
 )
-from diskcheck.reports import DomainError
+from diskcheck.reports import DomainError, _judge
 from diskcheck.weierstrass import (
     WeierstrassDisk,
     distance_decreasing_margins,
@@ -55,7 +55,7 @@ class TestNanReachesTheVerdict:
         rep = halfsphere_chain_check(w)
         assert math.isfinite(rep.extra["min_modulus_residual"])
         assert math.isnan(rep.extra["lambda_link_margin"])
-        assert math.isnan(rep.margin) and rep.passed is False
+        assert math.isnan(rep.margin) and not _judge("halfsphere_chain", rep.lhs, rep.rhs, rep.margin, {})[2]
 
     def test_surface_identities_isothermal(self, monkeypatch):
         w = WeierstrassDisk([1.0, 0.2], [0.1, 0.3])
@@ -119,11 +119,12 @@ class TestNanReachesTheVerdict:
     def test_affine_rigidity_premise(self, monkeypatch):
         # An affine map passes; with a NaN premise it must fail, not read as "not applicable".
         f = affine_disk([0.6, 0.8])
-        assert affine_rigidity_check(f).passed is True
+        rep = affine_rigidity_check(f)
+        assert _judge("affine_rigidity", rep.lhs, rep.rhs, rep.margin, {})[2]
         norm_jet = holodisk._norm_jet
         monkeypatch.setattr(holodisk, "_norm_jet", lambda f, points: ([NAN, 1.0], norm_jet(f, points)[1]))
         rep = affine_rigidity_check(f)
-        assert math.isnan(rep.margin) and rep.passed is False
+        assert math.isnan(rep.margin) and not _judge("affine_rigidity", rep.lhs, rep.rhs, rep.margin, {})[2]
 
     def test_opnorm_findings(self, monkeypatch):
         formula = BallAutomorphism.opnorm_formula

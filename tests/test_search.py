@@ -27,7 +27,7 @@ from diskcheck.search import (
     _lockstep_nelder_mead,
     _quotient_rows,
 )
-from diskcheck.holodisk import _shifted_bound_terms
+from diskcheck.holodisk import boundary_bound_shifted
 from oracles import family_md_tree, sequential_golden_section, sequential_nelder_mead, sequential_sharpness_report
 
 
@@ -443,7 +443,7 @@ class TestUnitaryQuotient:
         rows = join(t[:, None] * u, c + 0j, u)
         closed = 2.0 * (1.0 - t) / ((1.0 + t) * (1.0 + c))
         for row, expected in zip(rows[:40], closed):
-            val, main, _, _ = _shifted_bound_terms(family_md_tree(row, m), 1.0 + 0j)
+            val, main = boundary_bound_shifted(family_md_tree(row, m), 1.0 + 0j)[:2]
             assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert main == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert float(np.max(np.abs(_family_md_margins(rows, m)))) <= 1e-12
