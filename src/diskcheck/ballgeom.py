@@ -43,8 +43,25 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
 
 
 def vnorm(x: np.ndarray) -> float | np.ndarray:
-    """Euclidean norm over the last axis."""
-    return np.sqrt(np.add.reduce(np.abs(np.asarray(x)) ** 2, axis=-1))
+    """Euclidean norm over the last axis, summed in numpy's order for a C-ordered ``x``.
+
+    numpy sums a contiguous axis of 8 to 128 terms in eight running sums and a
+    strided one column by column: a strided ``x`` (a component-major batch) gets
+    the eight sums as column adds, and above 128 terms a C-ordered copy.
+    """
+    sq = np.abs(np.asarray(x)) ** 2
+    m = sq.shape[-1]
+    if m > 128:
+        sq = np.ascontiguousarray(sq)
+    if sq.flags.c_contiguous or m < 8:
+        return np.sqrt(np.add.reduce(sq, axis=-1))
+    r = [sq[..., j] for j in range(8)]
+    for i in range(8, m - m % 8, 8):
+        r = [r[j] + sq[..., i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(m - m % 8, m):
+        total += sq[..., i]
+    return np.sqrt(total)
 
 
 def _param_norm(a: np.ndarray) -> np.ndarray:

@@ -73,6 +73,16 @@ def _fmt_vector(u: np.ndarray) -> str:
     return "[" + ", ".join(_fmt_complex(x) for x in u) + "]"
 
 
+def _horner(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``P.polyval(z, c)`` by its steps in two buffers (an in-place one-element product skips FMA)."""
+    out = c[-1] + z * 0
+    prod = np.empty_like(out)
+    for coeff in c[-2::-1]:
+        np.multiply(out, z, out=prod)
+        np.add(prod, coeff, out=out)
+    return out
+
+
 def _finite(values, what: str):
     """``values``, unless one is not finite: then DomainError."""
     if not np.isfinite(values).all():
@@ -150,10 +160,10 @@ class Poly(HoloDisk):
         self.coeffs = P.polytrim(_finite(c, "poly coefficients"), tol=0.0)
 
     def _eval(self, z):
-        return P.polyval(z, self.coeffs)[:, None]
+        return _horner(z, self.coeffs)[:, None]
 
     def _jet(self, z):
-        return self._eval(z), P.polyval(z, P.polyder(self.coeffs))[:, None]
+        return self._eval(z), _horner(z, P.polyder(self.coeffs))[:, None]
 
     def to_text(self):
         return "poly(" + ", ".join(_fmt_complex(c) for c in self.coeffs) + ")"
@@ -254,12 +264,13 @@ class Embed(HoloDisk):
         self.u = _finite(u, "scale direction")
         self.dim = u.shape[0]
 
+    # (1, N) by (m, 1): one point and m = 1 is a same-shape product, rounded as before.
     def _eval(self, z):
-        return self.f._eval(z)[:, 0][:, None] * self.u[None, :]
+        return (self.f._eval(z).T * self.u[:, None]).T
 
     def _jet(self, z):
         fv, fd = self.f._jet(z)
-        return fv[:, 0][:, None] * self.u[None, :], fd[:, 0][:, None] * self.u[None, :]
+        return (fv.T * self.u[:, None]).T, (fd.T * self.u[:, None]).T
 
     def to_text(self):
         return f"scale({self.f.to_text()}, u={_fmt_vector(self.u)})"
@@ -278,11 +289,11 @@ class Vec(HoloDisk):
         self.dim = len(comps)
 
     def _eval(self, z):
-        return np.concatenate([f._eval(z) for f in self.components], axis=1)
+        return np.stack([f._eval(z)[:, 0] for f in self.components]).T
 
     def _jet(self, z):
         jets = [f._jet(z) for f in self.components]
-        return tuple(np.concatenate(parts, axis=1) for parts in zip(*jets))
+        return tuple(np.stack([part[:, 0] for part in parts]).T for parts in zip(*jets))
 
     def to_text(self):
         return "vec(" + ", ".join(f.to_text() for f in self.components) + ")"
@@ -298,11 +309,12 @@ class ComposeAut(HoloDisk):
         self.f = f
         self.dim = f.dim
 
+    # From m = 4 numpy's complex sums over a strided axis round differently: pass C order.
     def _eval(self, z):
-        return self.aut.apply(self.f._eval(z))
+        return self.aut.apply(np.ascontiguousarray(self.f._eval(z)))
 
     def _jet(self, z):
-        return self.aut._apply_and_differential(*self.f._jet(z))
+        return self.aut._apply_and_differential(*map(np.ascontiguousarray, self.f._jet(z)))
 
     def to_text(self):
         return f"compose(phi(a={_fmt_vector(self.aut.a)}), {self.f.to_text()})"

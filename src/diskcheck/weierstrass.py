@@ -36,6 +36,7 @@ from .holodisk import (
     _boundary_grid,
     _boundary_param,
     _grid_max_norm,
+    _horner,
     _interior_grid,
     _require_boundary_contact,
 )
@@ -83,7 +84,7 @@ class WeierstrassDisk:
         ]
         self.antiderivative = [P.polyint(c) for c in self.phi]
         if self.halfsphere:
-            worst = float(np.max(np.abs(P.polyval(_boundary_grid(BOUNDARY_GRID), self.q))))
+            worst = float(np.max(np.abs(_horner(_boundary_grid(BOUNDARY_GRID), self.q))))
             if not worst < 1.0:
                 raise DomainError(f"half-sphere flag requires |q| < 1 on the closed disk; boundary max {worst:.6g}")
 
@@ -92,13 +93,13 @@ class WeierstrassDisk:
     def phi_values(self, z):
         """The holomorphic component triple at ``z``: (3,) or (N, 3) complex."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.stack([P.polyval(zs, c) for c in self.phi], axis=-1)
+        out = np.stack([_horner(zs, c) for c in self.phi]).T
         return out[0] if np.ndim(z) == 0 else out
 
     def eval(self, z):
         """Surface position base + Re A(z): (3,) or (N, 3) real."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = self.base + np.stack([np.real(P.polyval(zs, c)) for c in self.antiderivative], axis=-1)
+        out = (self.base[:, None] + np.stack([np.real(_horner(zs, c)) for c in self.antiderivative])).T
         return out[0] if np.ndim(z) == 0 else out
 
     def partials(self, z):
@@ -109,7 +110,7 @@ class WeierstrassDisk:
     def conformal_factor(self, z):
         """lambda(z) = |p(z)| (1 + |q(z)|^2) / 2: float or (N,) array."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        lam = _conformal_factor(P.polyval(zs, self.p), P.polyval(zs, self.q))
+        lam = _conformal_factor(_horner(zs, self.p), _horner(zs, self.q))
         return float(lam[0]) if np.ndim(z) == 0 else lam
 
     def gauss_normal(self, z):
@@ -122,7 +123,7 @@ class WeierstrassDisk:
         normal should flip the sign of the third component.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        n = _gauss_vector(P.polyval(zs, self.q))
+        n = _gauss_vector(_horner(zs, self.q))
         return n[0] if np.ndim(z) == 0 else n
 
     # -- structure certificates ----------------------------------------------
@@ -136,7 +137,7 @@ class WeierstrassDisk:
 
     def immersion_winding(self) -> int:
         """Number of zeros of p in the disk, by boundary argument counting."""
-        vals = P.polyval(_boundary_grid(BOUNDARY_GRID), self.p)
+        vals = _horner(_boundary_grid(BOUNDARY_GRID), self.p)
         if np.any(np.abs(vals) < 1e-14):
             raise DomainError("p vanishes on the boundary grid; zero count undefined")
         steps = np.angle(np.roll(vals, -1) / vals)
@@ -163,7 +164,7 @@ def _conformal_factor(pv, qv):
 def _gauss_vector(qv):
     """(2 Re q, 2 Im q, 1 - |q|^2) / (1 + |q|^2) from values of q: (N, 3)."""
     q_sq = np.abs(qv) ** 2
-    return np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq], axis=-1) / (1.0 + q_sq)[..., None]
+    return (np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq]) / (1.0 + q_sq)).T
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +191,21 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     f_x, f_y = w.partials(zs)
-    pv = P.polyval(zs, w.p)
-    qv = P.polyval(zs, w.q)
+    pv = _horner(zs, w.p)
+    qv = _horner(zs, w.q)
     lam = _conformal_factor(pv, qv)
 
     norm_x = vnorm(f_x)
-    res_x = np.abs(norm_x - lam)
-    res_y = np.abs(vnorm(f_y) - lam)
-    res_dot = np.abs(np.sum(f_x * f_y, axis=-1))
-    iso = [res_x.max(), res_y.max(), res_dot.max()]
-    nonzero = np.abs(zs) > 0
+    iso = [np.abs(norm_x - lam).max(), np.abs(vnorm(f_y) - lam).max(), np.abs(np.sum(f_x * f_y, axis=-1)).max()]
+    r = np.abs(zs)
+    nonzero = r > 0
     if np.any(nonzero):
-        r, t = np.abs(zs[nonzero]), np.angle(zs[nonzero])
-        fx, fy, lam_nz = f_x[nonzero], f_y[nonzero], lam[nonzero]
-        f_r = fx * np.cos(t)[:, None] + fy * np.sin(t)[:, None]
-        f_t = r[:, None] * (-fx * np.sin(t)[:, None] + fy * np.cos(t)[:, None])
-        iso += [np.max(np.abs(vnorm(f_r) - lam_nz)), np.max(np.abs(vnorm(f_t) - r * lam_nz))]
+        # The polar partials at every point, rows of (3, N); z = 0 is masked out of the max.
+        t = np.angle(zs)
+        cos, sin = np.cos(t), np.sin(t)
+        norm_r = vnorm((f_x.T * cos + f_y.T * sin).T)
+        norm_t = vnorm((r * (-f_x.T * sin + f_y.T * cos)).T)
+        iso += [np.max(np.abs(norm_r - lam)[nonzero]), np.max(np.abs(norm_t - r * lam)[nonzero])]
     iso = float(np.max(iso))
 
     normals = _gauss_vector(qv)
@@ -302,9 +302,9 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     inside = _interior_grid(INTERIOR_GRID)
     grid = np.concatenate([inside, circle])
 
-    p_abs = np.abs(P.polyval(grid, w.p))
+    p_abs = np.abs(_horner(grid, w.p))
     grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / BOUNDARY_GRID
-    boundary_min_p = float(np.min(np.abs(P.polyval(circle, w.p)))) - grid_slack
+    boundary_min_p = float(np.min(np.abs(_horner(circle, w.p)))) - grid_slack
     min_modulus_residual = float(np.min(p_abs)) - boundary_min_p
 
     c = 0.5  # audited convention constant: lambda = c |p| (1 + |q|^2)
@@ -381,7 +381,8 @@ def antiderivative_quadrature_residual(w: WeierstrassDisk, z) -> float:
     """Exact primitive at ``z`` versus Gauss quadrature of Phi along [0, z]."""
     z = complex(z)
     s, wts = _gauss_panels()
-    phi = w.phi_values(s * z)
+    # tensordot sums a C-ordered phi in another order than its component-major view.
+    phi = np.ascontiguousarray(w.phi_values(s * z))
     quad = z * np.tensordot(wts, phi, axes=(0, 0))
     exact = np.asarray([P.polyval(z, c) for c in w.antiderivative])
     return float(np.max(np.abs(exact - quad)))

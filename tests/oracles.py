@@ -9,7 +9,10 @@ terms, and ``sequential_sharpness_report`` runs the multi-start search with
 these, one restart after another (a ``family_md`` quotient row is mapped to
 its full parameter vector by the library's ``_quotient_rows``, which
 ``tests/test_search.py`` checks against unitary invariance).  The search's
-lockstep core and batched objectives must reproduce them bit for bit.
+lockstep core and batched objectives must reproduce them bit for bit.  The
+``row_major_*`` functions build every sample batch in C order, as the
+library did before it stored batches component-major; ``tests/test_layout.py``
+requires both layouts to give the same bits.
 """
 
 from __future__ import annotations
@@ -17,8 +20,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from diskcheck import BallAutomorphism, Blaschke, ComposeAut, DomainError, Embed, Identity, Mul, blaschke_product
+from diskcheck import (
+    Add,
+    BallAutomorphism,
+    Blaschke,
+    CMul,
+    ComposeAut,
+    DomainError,
+    Embed,
+    HoloDisk,
+    Identity,
+    Mul,
+    Poly,
+    Vec,
+    WeierstrassDisk,
+    blaschke_product,
+    vnorm,
+)
 from diskcheck.holodisk import boundary_bound_origin, boundary_bound_shifted
 from diskcheck.corpus import case_rng
 from diskcheck.search import (
@@ -288,3 +308,99 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
     if spec.family == "family_md_quotient":
         report["full_argmin"] = full_row(best_x).tolist()
     return report
+
+
+# ---------------------------------------------------------------------------
+# row-major batch forms
+#
+# The library stores a sample batch component-major: an (N, m) batch is the
+# transposed view of (m, N) rows.  These build each batch row-major instead,
+# with ``np.concatenate(axis=1)``, ``[:, None] * u[None, :]``,
+# ``np.stack(axis=-1)`` and ``P.polyval``, and the tests require the two
+# layouts to give bit-identical values.
+
+
+def row_major_eval(f: HoloDisk, z: np.ndarray) -> np.ndarray:
+    """``f._eval(z)``, with every batch built row-major."""
+    match f:
+        case Poly():
+            return P.polyval(z, f.coeffs)[:, None]
+        case Mul():
+            return row_major_eval(f.f, z) * row_major_eval(f.g, z)
+        case Add():
+            return row_major_eval(f.f, z) + row_major_eval(f.g, z)
+        case CMul():
+            return f.c * row_major_eval(f.f, z)
+        case Embed():
+            return row_major_eval(f.f, z)[:, 0][:, None] * f.u[None, :]
+        case Vec():
+            return np.concatenate([row_major_eval(g, z) for g in f.components], axis=1)
+        case ComposeAut():
+            return f.aut.apply(row_major_eval(f.f, z))
+    return f._eval(z)  # the one-column leaves: Identity, Const, Blaschke
+
+
+def row_major_jet(f: HoloDisk, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``f._jet(z)``, with every batch built row-major."""
+    match f:
+        case Poly():
+            return P.polyval(z, f.coeffs)[:, None], P.polyval(z, P.polyder(f.coeffs))[:, None]
+        case Mul():
+            (fv, fd), (gv, gd) = row_major_jet(f.f, z), row_major_jet(f.g, z)
+            return fv * gv, fd * gv + fv * gd
+        case Add():
+            (fv, fd), (gv, gd) = row_major_jet(f.f, z), row_major_jet(f.g, z)
+            return fv + gv, fd + gd
+        case CMul():
+            fv, fd = row_major_jet(f.f, z)
+            return f.c * fv, f.c * fd
+        case Embed():
+            fv, fd = row_major_jet(f.f, z)
+            return fv[:, 0][:, None] * f.u[None, :], fd[:, 0][:, None] * f.u[None, :]
+        case Vec():
+            jets = [row_major_jet(g, z) for g in f.components]
+            return tuple(np.concatenate(parts, axis=1) for parts in zip(*jets))
+        case ComposeAut():
+            return f.aut._apply_and_differential(*row_major_jet(f.f, z))
+    return f._jet(z)
+
+
+def row_major_phi(w: WeierstrassDisk, zs: np.ndarray) -> np.ndarray:
+    """``w.phi_values(zs)`` for a batch ``zs``, built row-major."""
+    return np.stack([P.polyval(zs, c) for c in w.phi], axis=-1)
+
+
+def row_major_surface_eval(w: WeierstrassDisk, zs: np.ndarray) -> np.ndarray:
+    """``w.eval(zs)`` for a batch ``zs``, built row-major."""
+    return w.base + np.stack([np.real(P.polyval(zs, c)) for c in w.antiderivative], axis=-1)
+
+
+def row_major_surface_identities(w: WeierstrassDisk, zs: np.ndarray):
+    """``surface_identities(w, zs)`` with row-major batches and the polar partials of the nonzero points only."""
+    phi = row_major_phi(w, zs)
+    f_x, f_y = np.real(phi), -np.imag(phi)
+    pv, qv = P.polyval(zs, w.p), P.polyval(zs, w.q)
+    lam = 0.5 * np.abs(pv) * (1.0 + np.abs(qv) * np.abs(qv))
+    norm_x = vnorm(f_x)
+    iso = [np.abs(norm_x - lam).max(), np.abs(vnorm(f_y) - lam).max(), np.abs(np.sum(f_x * f_y, axis=-1)).max()]
+    nonzero = np.abs(zs) > 0
+    if np.any(nonzero):
+        r, t = np.abs(zs[nonzero]), np.angle(zs[nonzero])
+        fx, fy, lam_nz = f_x[nonzero], f_y[nonzero], lam[nonzero]
+        f_r = fx * np.cos(t)[:, None] + fy * np.sin(t)[:, None]
+        f_t = r[:, None] * (-fx * np.sin(t)[:, None] + fy * np.cos(t)[:, None])
+        iso += [np.max(np.abs(vnorm(f_r) - lam_nz)), np.max(np.abs(vnorm(f_t) - r * lam_nz))]
+    q_sq = np.abs(qv) ** 2
+    normals = np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq], axis=-1) / (1.0 + q_sq)[..., None]
+    gdev = float(np.max(np.abs(vnorm(normals) - 1.0)))
+    inside = np.abs(qv) < 1.0
+    if np.any(inside):
+        gdev = float(np.max([gdev, 0.0, -np.min(normals[inside, 2])]))
+    orth = max(
+        float(np.max(np.abs(np.sum(normals * f_x, axis=-1)) / (1.0 + lam))),
+        float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
+    )
+    bare = np.abs(pv) ** 2 * (1.0 + np.abs(qv) ** 2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bare > 0, norm_x**2 / bare, np.nan)
+    return float(np.max(iso)), gdev, orth, ratios
