@@ -73,16 +73,6 @@ def _fmt_vector(u: np.ndarray) -> str:
     return "[" + ", ".join(_fmt_complex(x) for x in u) + "]"
 
 
-def _horner(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``P.polyval(z, c)`` by its steps in two buffers (an in-place one-element product skips FMA)."""
-    out = c[-1] + z * 0
-    prod = np.empty_like(out)
-    for coeff in c[-2::-1]:
-        np.multiply(out, z, out=prod)
-        np.add(prod, coeff, out=out)
-    return out
-
-
 def _finite(values, what: str):
     """``values``, unless one is not finite: then DomainError."""
     if not np.isfinite(values).all():
@@ -160,10 +150,10 @@ class Poly(HoloDisk):
         self.coeffs = P.polytrim(_finite(c, "poly coefficients"), tol=0.0)
 
     def _eval(self, z):
-        return _horner(z, self.coeffs)[:, None]
+        return P.polyval(z, self.coeffs)[:, None]
 
     def _jet(self, z):
-        return self._eval(z), _horner(z, P.polyder(self.coeffs))[:, None]
+        return self._eval(z), P.polyval(z, P.polyder(self.coeffs))[:, None]
 
     def to_text(self):
         return "poly(" + ", ".join(_fmt_complex(c) for c in self.coeffs) + ")"
@@ -309,12 +299,11 @@ class ComposeAut(HoloDisk):
         self.f = f
         self.dim = f.dim
 
-    # From m = 4 numpy's complex sums over a strided axis round differently: pass C order.
     def _eval(self, z):
-        return self.aut.apply(np.ascontiguousarray(self.f._eval(z)))
+        return self.aut.apply(self.f._eval(z))
 
     def _jet(self, z):
-        return self.aut._apply_and_differential(*map(np.ascontiguousarray, self.f._jet(z)))
+        return self.aut._apply_and_differential(*self.f._jet(z))
 
     def to_text(self):
         return f"compose(phi(a={_fmt_vector(self.aut.a)}), {self.f.to_text()})"

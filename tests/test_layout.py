@@ -14,18 +14,20 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from diskcheck import (
+    BallAutomorphism,
     Poly,
     Vec,
     antiderivative_quadrature_residual,
     cayley_klein_dist,
     distance_decreasing_margins,
     holo_corpus,
+    inner,
     poincare_dist,
+    pseudo_hyperbolic_quotient,
     surface_identities,
     vnorm,
     weierstrass_corpus,
 )
-from diskcheck.holodisk import _horner
 from diskcheck.weierstrass import _gauss_panels
 from oracles import (
     row_major_eval,
@@ -60,6 +62,21 @@ def test_holo_corpus_values_and_jets(m):
                 assert_identical(part, reference)
 
 
+def test_ball_maps_of_a_batch_at_m_8():
+    # Public entry points given an (N, m) view of component-major storage sum as for C order.
+    rng = np.random.default_rng(8)
+    a = 0.3 * (rng.normal(size=8) + 1j * rng.normal(size=8)) / np.sqrt(8)
+    aut = BallAutomorphism(a)
+    for index, member in enumerate(holo_corpus(0, 8, 60)):
+        z = disk_points(300 + index, 50)
+        value, reference = member.disk.eval(z), row_major_eval(member.disk, z)
+        deriv, deriv_reference = member.disk.deriv(z), row_major_jet(member.disk, z)[1]
+        assert_identical(aut.apply(value), aut.apply(reference))
+        assert_identical(aut.differential(value, deriv), aut.differential(reference, deriv_reference))
+        assert_identical(inner(value, a), inner(reference, a))
+        assert_identical(pseudo_hyperbolic_quotient(a, value), pseudo_hyperbolic_quotient(a, reference))
+
+
 @pytest.mark.parametrize("count", [9, 17])
 def test_vec_of_many_polys(count):
     rng = np.random.default_rng(count)
@@ -71,15 +88,6 @@ def test_vec_of_many_polys(count):
         for part, reference in zip(f._jet(z), row_major_jet(f, z)):
             assert_identical(part, reference)
         assert_identical(vnorm(f._eval(z)), vnorm(row_major_eval(f, z)))
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_horner_is_polyval(n):
-    rng = np.random.default_rng(n)
-    z = disk_points(n, n)
-    for degree in (0, 1, 5):
-        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-        assert_identical(_horner(z, c), P.polyval(z, c))
 
 
 def test_weierstrass_corpus():
