@@ -7,7 +7,7 @@ order-independent, and the JSON serialization is byte-identical for
 identical configurations (wall-clock time is deliberately kept out of the
 report and only printed to the console by the CLI).
 
-Per suite, the report keeps the case count, the worst report per check name,
+Per suite, the report keeps the case count, the worst case per check name,
 the full list of failures, and a ``findings`` block for measured quantities
 that are reported rather than asserted (for example the measured convention
 constant of the metric audit, or minimum margins of bounds whose general
@@ -59,7 +59,7 @@ from .holodisk import (
     radial_derivative_estimate,
     schwarz_derivative_bound,
 )
-from .reports import _EQUALITY, CHECKS, DomainError, _judge, make_report
+from .reports import _EQUALITY, CHECKS, DomainError, _judge
 from .search import (
     family_1d_spec,
     family_md_quotient_spec,
@@ -140,7 +140,7 @@ class _SuiteAccumulator:
     It is the one place that names and judges cases: check functions return
     raw values, and :meth:`as_dict` judges each check once, over every case
     recorded for it, by the rule of ``reports._judge`` with the run's
-    tolerance overrides.  Reports, and their instance text, are built only
+    tolerance overrides.  Records, and their instance text, are built only
     for a check's worst case and for its failures, which are listed case by
     case in recording order, within a case in column order.
     """
@@ -188,25 +188,34 @@ class _SuiteAccumulator:
         checks, failures = {}, []
         for name, (floats, keys, starts, describes, extras) in sorted(self.tables.items()):
             lhs, rhs, margin = np.frombuffer(floats).reshape(-1, 3).T
-            passed, badness = _judge(name, lhs, rhs, margin, self.tolerances)[2:4]
+            rhs, margin, passed, badness, tolerance = _judge(name, lhs, rhs, margin, self.tolerances)
+            rhs = np.broadcast_to(rhs, lhs.shape)
 
-            def report(i):
+            def record(i):
                 k = int(np.searchsorted(starts, i, side="right")) - 1
                 describe = describes[k]
-                instance = describe(i - starts[k]) if callable(describe) else describe
-                return keys[i], make_report(name, instance, lhs[i], rhs[i], margin[i], tolerances=self.tolerances, extra=extras[k])
+                return {
+                    "name": name,
+                    "instance": describe(i - starts[k]) if callable(describe) else describe,
+                    "lhs": float(lhs[i]),
+                    "rhs": float(rhs[i]),
+                    "margin": float(margin[i]),
+                    "tolerance": tolerance,
+                    "passed": bool(passed[i]),
+                    "extra": dict(extras[k] or {}),
+                }
 
-            failures.extend(report(i) for i in np.flatnonzero(~passed).tolist())
-            worst = report(int(np.argmax(badness)))[1]
+            failures.extend((keys[i], record(i)) for i in np.flatnonzero(~passed).tolist())
+            worst = record(int(np.argmax(badness)))
             checks[name] = {
                 "count": len(margin),
                 "equality": CHECKS[name][0] == _EQUALITY,
-                "worst_margin": worst.margin,
-                "worst_lhs": worst.lhs,
-                "worst_rhs": worst.rhs,
-                "tolerance": worst.tolerance,
-                "passed": worst.passed,
-                "worst_instance": worst.instance,
+                "worst_margin": worst["margin"],
+                "worst_lhs": worst["lhs"],
+                "worst_rhs": worst["rhs"],
+                "tolerance": tolerance,
+                "passed": worst["passed"],
+                "worst_instance": worst["instance"],
             }
         failures.sort(key=lambda failure: failure[0])
         return {
@@ -215,7 +224,7 @@ class _SuiteAccumulator:
             # A NaN margin counts as the smallest.
             "min_margin": min((slot["worst_margin"] for slot in checks.values() if not slot["equality"]),
                               key=lambda m: (not math.isnan(m), m), default=None),
-            "failures": [rep.as_dict() for *_, rep in failures],
+            "failures": [failure for _, failure in failures],
             "findings": self.findings,
         }
 

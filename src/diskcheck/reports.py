@@ -1,16 +1,15 @@
 """Shared result records, error types and the tolerance table.
 
 A check function returns the raw :class:`CheckValues` of one case; a suite
-names the case and judges it into an :class:`InequalityReport`, with an
-explicit margin and the tolerance it was judged against.  Margins are
-oriented so that ``margin >= -tolerance`` means the inequality held; equality
-cases are asserted as ``abs(margin) <= tolerance``.  Which rule a check
-follows is fixed by its name, through :data:`CHECKS`.
+names the case and judges it by :func:`_judge` into a record with an explicit
+margin and the tolerance it was judged against.  Margins are oriented so that
+``margin >= -tolerance`` means the inequality held; equality cases are
+asserted as ``abs(margin) <= tolerance``.  Which rule a check follows is
+fixed by its name, through :data:`CHECKS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -100,28 +99,6 @@ class CheckValues(NamedTuple):
     extra: dict
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of one inequality or equality check.
-
-    ``margin`` is bound minus value for one-sided checks (nonnegative when the
-    inequality holds) and signed deviation for equality checks.  ``extra``
-    carries secondary quantities such as floor bounds or lower margins.
-    """
-
-    name: str
-    instance: str
-    lhs: float
-    rhs: float
-    margin: float
-    tolerance: float
-    passed: bool
-    extra: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None):
     """Judge cases of the named check, elementwise: ``(rhs, margin, passed, badness, tolerance)``.
 
@@ -140,39 +117,9 @@ def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None):
     return rhs, margin, passed, np.where(badness == badness, badness, np.inf), tol
 
 
-def make_report(
-    name: str,
-    instance: str,
-    lhs: float,
-    rhs: float,
-    margin: float,
-    *,
-    tolerances: dict[str, float] | None,
-    extra: dict | None = None,
-) -> InequalityReport:
-    """Build a report judged by ``_judge``, with a run's ``tolerances`` overrides of the table default.
-
-    A floor check takes only ``lhs``: its rhs and margin follow from the tolerance.
-    """
-    lhs, rhs, margin = float(lhs), float(rhs), float(margin)
-    rhs, margin, passed, _, tol = _judge(name, lhs, rhs, margin, tolerances)
-    return InequalityReport(
-        name=name,
-        instance=instance,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        tolerance=tol,
-        passed=bool(passed),
-        extra=dict(extra or {}),
-    )
-
-
 __all__ = [
     "CHECKS",
     "CheckValues",
     "DEFAULT_TOLERANCES",
     "DomainError",
-    "InequalityReport",
-    "make_report",
 ]

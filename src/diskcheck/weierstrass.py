@@ -301,13 +301,14 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     inside = _interior_grid(INTERIOR_GRID)
     grid = np.concatenate([inside, circle])
 
-    p_abs = np.abs(P.polyval(grid, w.p))
+    pv = P.polyval(grid, w.p)
+    p_abs = np.abs(pv)
     grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / BOUNDARY_GRID
-    boundary_min_p = float(np.min(np.abs(P.polyval(circle, w.p)))) - grid_slack
+    boundary_min_p = float(np.min(p_abs[len(inside):])) - grid_slack
     min_modulus_residual = float(np.min(p_abs)) - boundary_min_p
 
     c = 0.5  # audited convention constant: lambda = c |p| (1 + |q|^2)
-    lam = w.conformal_factor(grid)
+    lam = _conformal_factor(pv, P.polyval(grid, w.q))
     min_lambda = float(np.min(lam))
     lambda_link_margin = min_lambda - c * boundary_min_p
 

@@ -74,7 +74,13 @@ def test_check_functions_return_raw_values():
 
 def test_floor_check_passes_only_above_its_floor():
     name = "family_1d_restricted_floor"
-    at_default = reports.make_report(name, "best", 0.25, 0.0, 0.0, tolerances={})
-    assert (at_default.rhs, at_default.margin, at_default.passed) == (1e-4, 0.25 - 1e-4, True)
-    at_floor = reports.make_report(name, "best", 0.25, at_default.rhs, at_default.margin, tolerances={name: 0.25})
-    assert (at_floor.rhs, at_floor.margin, at_floor.passed) == (0.25, 0.0, False)
+    at_default = harness._SuiteAccumulator({})
+    at_default.value(name, "best", 0.25)
+    suite = at_default.as_dict()
+    slot = suite["checks"][name]
+    assert (slot["worst_rhs"], slot["worst_margin"], slot["passed"]) == (1e-4, 0.25 - 1e-4, True)
+    assert suite["failures"] == []
+    at_floor = harness._SuiteAccumulator({name: 0.25})
+    at_floor.value(name, "best", 0.25)
+    [failure] = at_floor.as_dict()["failures"]
+    assert (failure["rhs"], failure["margin"], failure["passed"]) == (0.25, 0.0, False)

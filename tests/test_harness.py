@@ -34,7 +34,6 @@ from diskcheck import (
 from diskcheck.cli import _ulps, diff_reports, main as cli_main
 from diskcheck import harness
 from diskcheck.harness import RunReport, _SuiteAccumulator
-from diskcheck.reports import make_report
 
 FAST = dict(samples=8, search_restarts=2)
 
@@ -210,16 +209,15 @@ class TestFailuresNameTheirCases:
             assert (failure["lhs"], failure["rhs"], failure["margin"], failure["extra"]) == values
 
 
-def _built_reports(monkeypatch) -> list:
-    """The instance of every report the suite accumulator builds, in order."""
-    built = []
+def _counting_describe() -> tuple:
+    """A ``describe`` that names case i "case i", and the list of the cases it named, in call order."""
+    described = []
 
-    def counting(name, instance, *args, **kwargs):
-        built.append(instance)
-        return make_report(name, instance, *args, **kwargs)
+    def describe(i):
+        described.append(i)
+        return f"case {i}"
 
-    monkeypatch.setattr(harness, "make_report", counting)
-    return built
+    return describe, described
 
 
 class TestSuiteAccumulator:
@@ -247,14 +245,8 @@ class TestSuiteAccumulator:
         assert slot["count"] == 4
 
 
-    def test_a_passing_column_builds_one_report_per_check(self, monkeypatch):
-        built = _built_reports(monkeypatch)
-        described = []
-
-        def describe(i):
-            described.append(i)
-            return f"case {i}"
-
+    def test_a_passing_column_builds_one_report_per_check(self):
+        describe, described = _counting_describe()
         acc = _SuiteAccumulator({})
         margins = np.linspace(0.0, 1e-13, 1000)
         acc.record(describe, {"phi_involution": (margins, np.zeros(1000), margins),
@@ -264,18 +256,35 @@ class TestSuiteAccumulator:
         assert suite["checks"]["phi_involution"]["worst_instance"] == "case 999"
         assert suite["checks"]["growth_margin"]["worst_instance"] == "case 999"
         assert sorted(described) == [999, 999]
-        assert built == ["case 999", "case 999"]
 
-    def test_reports_are_built_only_for_failures_and_the_worst_case(self, monkeypatch):
-        built = _built_reports(monkeypatch)
+    def test_reports_are_built_only_for_failures_and_the_worst_case(self):
+        describe, described = _counting_describe()
         acc = _SuiteAccumulator({})
         margins = np.zeros(1000)
         margins[[10, 500, 990]] = [-1.0, -3.0, -2.0]
-        acc.record(lambda i: f"case {i}", {"growth_margin": (margins, margins, margins)})
+        acc.record(describe, {"growth_margin": (margins, margins, margins)})
         suite = acc.as_dict()
         assert [f["instance"] for f in suite["failures"]] == ["case 10", "case 500", "case 990"]
         assert suite["checks"]["growth_margin"]["worst_instance"] == "case 500"
-        assert set(built) == {"case 10", "case 500", "case 990"}
+        assert set(described) == {10, 500, 990}
+
+    def test_each_check_is_judged_once_into_plain_failure_records(self, monkeypatch):
+        judged = []
+        judge = harness._judge
+        monkeypatch.setattr(harness, "_judge", lambda name, *args: judged.append(name) or judge(name, *args))
+        # Every case of an equality, a bound and the floor check fails.
+        tolerances = {"phi_involution": -1.0, "quotient_domination": -10.0, "family_1d_restricted_floor": 10.0}
+        report = run_suite(SuiteConfig(suites=("ball", "search"), dimensions=(1,), samples=3, search_restarts=1,
+                                       tolerances=tolerances))
+        checked = [name for suite in report.suites.values() for name in suite["checks"]]
+        assert sorted(judged) == sorted(checked) and len(set(checked)) == len(checked)
+        failures = [f for suite in report.suites.values() for f in suite["failures"]]
+        assert {f["name"] for f in failures} == set(tolerances)
+        for failure in failures:
+            assert list(failure) == ["name", "instance", "lhs", "rhs", "margin", "tolerance", "passed", "extra"]
+            assert type(failure["name"]) is str and type(failure["instance"]) is str
+            assert all(type(failure[key]) is float for key in ("lhs", "rhs", "margin", "tolerance"))
+            assert failure["passed"] is False and type(failure["extra"]) is dict
 
     @pytest.mark.parametrize("name", ["growth_margin", "phi_involution"])
     def test_a_nan_in_the_middle_of_a_column_takes_the_worst_slot(self, name):

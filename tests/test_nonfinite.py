@@ -16,7 +16,7 @@ from diskcheck.ballgeom import (
     vnorm,
 )
 from diskcheck.harness import SuiteConfig, run_suite
-from diskcheck import holodisk
+from diskcheck import holodisk, weierstrass
 from diskcheck.holodisk import (
     Blaschke,
     CMul,
@@ -49,9 +49,10 @@ class TestNanReachesTheVerdict:
 
     def test_halfsphere_chain_link(self, monkeypatch):
         w = WeierstrassDisk([1.0], [0.0, 0.5], halfsphere=True)
-        factor = w.conformal_factor
+        factor = weierstrass._conformal_factor
         # min_lambda feeds the second link; the first stays finite.
-        monkeypatch.setattr(w, "conformal_factor", lambda z: np.where(np.arange(len(z)) == 7, NAN, factor(z)))
+        monkeypatch.setattr(weierstrass, "_conformal_factor",
+                            lambda pv, qv: np.where(np.arange(len(pv)) == 7, NAN, factor(pv, qv)))
         rep = halfsphere_chain_check(w)
         assert math.isfinite(rep.extra["min_modulus_residual"])
         assert math.isnan(rep.extra["lambda_link_margin"])
