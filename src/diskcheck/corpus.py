@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballgeom import BallAutomorphism
+from .ballgeom import BallAutomorphism, vnorm
 from .holodisk import (
+    BOUNDARY_GRID,
     Blaschke,
     CMul,
     ComposeAut,
@@ -25,9 +26,9 @@ from .holodisk import (
     Mul,
     Poly,
     Vec,
+    _boundary_grid,
     blaschke_product,
     extremal_family_1d,
-    sup_boundary_norm,
 )
 from .reports import DomainError
 from .weierstrass import (
@@ -125,7 +126,15 @@ def _scaled_polynomial(rng: np.random.Generator, m: int) -> HoloDisk:
         coeffs[0] = 0.0
         rows.append(Poly(coeffs))
     raw = rows[0] if m == 1 else Vec(rows)
-    scale = 1.0 / ((1.0 + _IN_BALL_SLACK) * sup_boundary_norm(raw))
+    # g = ||F||^2 on the circle is a real trigonometric polynomial of degree at most
+    # ``degree``.  g' = 0 at its extrema and |g''| <= degree^2 (sup g - inf g)/2
+    # (Bernstein), so the node nearest each extremum misses it by at most
+    # kappa (sup g - inf g)/2, with kappa = degree^2 pi^2 / (2 N^2) on N nodes.
+    g = vnorm(raw._eval(_boundary_grid(BOUNDARY_GRID))) ** 2
+    top, bottom = float(np.max(g)), float(np.min(g))
+    kappa = (degree * np.pi / BOUNDARY_GRID) ** 2 / 2.0
+    sup_g = top + kappa * (top - bottom) / (2.0 * (1.0 - kappa))
+    scale = 1.0 / ((1.0 + _IN_BALL_SLACK) * np.sqrt(sup_g))
     return CMul(scale, raw)
 
 

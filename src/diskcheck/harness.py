@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ballgeom import (
+    _BALL_SLACK,
     BallAutomorphism,
     cayley_klein_dist,
     poincare_dist,
@@ -442,11 +443,11 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         max_norm = w.max_norm()
         acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
-        in_ball = max_norm <= 1.0 + 1e-10
+        in_ball = max_norm <= 1.0 + _BALL_SLACK
 
         if in_ball:
             for a in _disk_points(rng, 8, rmin=0.0, rmax=0.95):
-                growth = interior_growth_margin(w, a, certify=False)
+                growth = interior_growth_margin(w, a)
                 acc.check("lemma0_margin", lambda k, text=text, a=a: f"{text} @ a={complex(a)!r}", *growth)
                 if member.planar_through_origin:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth[:3])

@@ -448,24 +448,14 @@ def _interior_grid(n: int) -> np.ndarray:
     return _read_only(_polar_grid(np.linspace(0.0, 1.0, n, endpoint=False), n))
 
 
-def _grid_max_norm(evaluate, n_boundary: int, n_interior: int) -> float:
-    """Max of the norm of ``evaluate`` over boundary and interior polar grids."""
-    worst = float(np.max(vnorm(evaluate(_boundary_grid(n_boundary)))))
-    return max(worst, float(np.max(vnorm(evaluate(_interior_grid(n_interior))))))
-
-
-def sup_boundary_norm(f: HoloDisk) -> float:
-    """Max of ||f|| over the ``BOUNDARY_GRID``-point boundary grid."""
-    return float(np.max(vnorm(f._eval(_boundary_grid(BOUNDARY_GRID)))))
-
-
 def certify_in_ball(f: HoloDisk, n_boundary: int = BOUNDARY_GRID, n_interior: int = INTERIOR_GRID) -> float:
     """Max of ||f|| over boundary and interior polar grids.
 
     ||f||^2 is subharmonic so the boundary grid dominates in exact arithmetic;
     the interior grid is a cheap independent guard.
     """
-    return _grid_max_norm(f._eval, n_boundary, n_interior)
+    worst = float(np.max(vnorm(f._eval(_boundary_grid(n_boundary)))))
+    return max(worst, float(np.max(vnorm(f._eval(_interior_grid(n_interior))))))
 
 
 def _require_zero_at_origin(n0: float) -> None:
@@ -701,5 +691,4 @@ __all__ = [
     "parse_disk",
     "radial_derivative_estimate",
     "schwarz_derivative_bound",
-    "sup_boundary_norm",
 ]

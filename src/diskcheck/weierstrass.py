@@ -35,7 +35,6 @@ from .holodisk import (
     INTERIOR_GRID,
     _boundary_grid,
     _boundary_param,
-    _grid_max_norm,
     _interior_grid,
     _require_boundary_contact,
 )
@@ -82,6 +81,7 @@ class WeierstrassDisk:
             P.polymul(self.p, self.q),
         ]
         self.antiderivative = [P.polyint(c) for c in self.phi]
+        self._max_norm: float | None = None
         if self.halfsphere:
             worst = float(np.max(np.abs(P.polyval(_boundary_grid(BOUNDARY_GRID), self.q))))
             if not worst < 1.0:
@@ -143,8 +143,13 @@ class WeierstrassDisk:
         return int(round(float(np.sum(steps)) / (2.0 * np.pi)))
 
     def max_norm(self) -> float:
-        """Max of ||F|| over boundary and interior polar grids."""
-        return _grid_max_norm(self.eval, BOUNDARY_GRID, INTERIOR_GRID)
+        """Max of ||F|| over the ``BOUNDARY_GRID`` circle, computed once.
+
+        ||F||^2 is subharmonic, so its sup over the disk is its sup on the circle.
+        """
+        if self._max_norm is None:
+            self._max_norm = float(np.max(vnorm(self.eval(_boundary_grid(BOUNDARY_GRID)))))
+        return self._max_norm
 
     def __repr__(self) -> str:
         def fmt(arr):
@@ -229,24 +234,17 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
 # inequality checks
 
 
-def _require_in_ball(w: WeierstrassDisk) -> None:
-    worst = w.max_norm()
-    if worst > 1.0 + _BALL_SLACK:
-        raise DomainError(f"surface image leaves the unit ball: max grid norm {worst:.12g}")
-
-
-def interior_growth_margin(w: WeierstrassDisk, a, certify: bool = True) -> CheckValues:
+def interior_growth_margin(w: WeierstrassDisk, a) -> CheckValues:
     """Pseudo-hyperbolic growth bound ||F(a)|| <= (|a| + r0)/(1 + |a| r0).
 
-    ``r0 = ||F(0)||``; requires the image to stay in the closed unit ball
-    (grid-certified unless ``certify`` is disabled by a caller that already
-    certified the surface).
+    ``r0 = ||F(0)||``; requires the image to stay in the closed unit ball,
+    read from ``w.max_norm()``.
     """
     a = complex(a)
     if not abs(a) < 1.0:
         raise DomainError("interior growth bound needs |a| < 1")
-    if certify:
-        _require_in_ball(w)
+    if (worst := w.max_norm()) > 1.0 + _BALL_SLACK:
+        raise DomainError(f"surface image leaves the unit ball: max grid norm {worst:.12g}")
     r0 = float(vnorm(w.eval(0j)))
     val = float(vnorm(w.eval(a)))
     bound = (abs(a) + r0) / (1.0 + abs(a) * r0)
@@ -431,7 +429,7 @@ def enneper_disk(shrink: float = 1.0) -> WeierstrassDisk:
 
 
 def scaled_into_ball(w: WeierstrassDisk, slack: float = 1e-6) -> WeierstrassDisk:
-    """Rescale a surface so its grid max norm becomes 1/(1 + slack)."""
+    """Rescale a surface so its boundary grid max norm becomes 1/(1 + slack)."""
     s = 1.0 / ((1.0 + slack) * w.max_norm())
     return WeierstrassDisk(s * w.p, w.q, base=tuple(s * w.base), halfsphere=w.halfsphere)
 

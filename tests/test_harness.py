@@ -29,10 +29,12 @@ from diskcheck import (
     null_condition_report,
     run_suite,
     schwarz_derivative_bound,
+    vnorm,
     weierstrass_corpus,
 )
 from diskcheck.cli import _ulps, diff_reports, main as cli_main
-from diskcheck import harness
+from diskcheck import harness, holodisk
+from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
 
 FAST = dict(samples=8, search_restarts=2)
@@ -162,7 +164,7 @@ def _minimal_cases(config, failures):
     for member in weierstrass_corpus(config.seed, max(8, min(24, config.samples // 10))):
         w, text, zeta = member.surface, repr(member.surface), member.boundary_contact_point
         cases["null_condition"].append((text, null_condition_report(w)))
-        if w.max_norm() <= 1.0 + 1e-10:
+        if w.max_norm() <= 1.0 + _BALL_SLACK:
             cases["lemma0_margin"] += [(text, interior_growth_margin(w, next(points))) for _ in range(8)]
         if zeta is not None:
             cases["boundary_minimal_margin"].append((text, boundary_minimal_margin(w, zeta)))
@@ -418,6 +420,11 @@ class TestConfigFile:
             load_config_file(str(bad2))
 
 
+def _fine_circle_max_norm(disk) -> float:
+    """Max of ||F|| over 2^17 roots of unity, 32 times the corpus's grid."""
+    return float(np.max(vnorm(disk._eval(holodisk._boundary_grid(2**17)))))
+
+
 class TestCorpus:
     def test_generation_is_deterministic(self):
         a = holo_corpus(seed=3, m=2, count=10) + weierstrass_corpus(seed=3, count=10)
@@ -437,6 +444,23 @@ class TestCorpus:
         for member in members:
             assert certify_in_ball(member.disk) <= 1.0 + 1e-9
             assert member.disk.dim == 2
+
+    @pytest.mark.parametrize(
+        "seed, m, count, name",
+        [(191, 1, 50, "poly-47"), (74, 2, 50, "poly-34"), (145, 1, 50, "poly-14"), (139, 1, 50, "poly-24"),
+         (79, 1, 60, "poly-54")],
+    )
+    def test_polynomial_members_once_outside_the_ball_are_inside(self, seed, m, count, name):
+        """Scaling by a 4096-node grid maximum left these members up to 1.9e-7 outside the ball."""
+        (member,) = [member for member in holo_corpus(seed, m, count) if member.name == name]
+        assert _fine_circle_max_norm(member.disk) < 1.0
+
+    def test_every_polynomial_member_is_inside_the_ball(self):
+        for seed in range(5):
+            for m in (1, 2, 3, 8):
+                for member in holo_corpus(seed, m, 60):
+                    if member.name.startswith("poly-"):
+                        assert _fine_circle_max_norm(member.disk) < 1.0, (seed, m, member.name)
 
     def test_julia_corpus_members_fix_one(self):
         members = list(julia_corpus(seed=0, count=9))

@@ -35,7 +35,6 @@ from diskcheck import (
     parse_disk,
     radial_derivative_estimate,
     schwarz_derivative_bound,
-    sup_boundary_norm,
     vnorm,
 )
 from diskcheck.reports import _judge
@@ -150,8 +149,7 @@ class TestSerialization:
 class TestBoundary:
     def test_sup_norm_of_inner_functions_is_one(self):
         for f in (Identity(), Blaschke(0.3), extremal_family_1d(0.7), affine_disk([0.6, 0.8])):
-            assert sup_boundary_norm(f) == pytest.approx(1.0, abs=1e-12)
-            assert certify_in_ball(f) <= 1.0 + 1e-12
+            assert certify_in_ball(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_grids_are_cached_and_read_only(self):
         circle = holodisk._boundary_grid(64)

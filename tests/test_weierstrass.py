@@ -27,6 +27,7 @@ from diskcheck import (
     translated_planar_disk,
     vnorm,
 )
+from diskcheck.holodisk import BOUNDARY_GRID
 from diskcheck.reports import _judge
 
 
@@ -163,6 +164,20 @@ class TestInteriorGrowth:
         for a in (0.3, -0.7j, 0.5 + 0.5j):
             rep = interior_growth_margin(w, a)
             assert abs(rep.margin) < 1e-12
+
+    def test_repeated_calls_evaluate_the_circle_once(self, monkeypatch):
+        w = random_surface(rng_for(30))
+        sizes = []
+        evaluate = WeierstrassDisk.eval
+
+        def counting_eval(self, z):
+            sizes.append(np.size(z))
+            return evaluate(self, z)
+
+        monkeypatch.setattr(WeierstrassDisk, "eval", counting_eval)
+        for a in (0.1, 0.5j, -0.3 + 0.2j, 0.7):
+            interior_growth_margin(w, a)
+        assert [size for size in sizes if size > 1] == [BOUNDARY_GRID]
 
     def test_rejects_surfaces_leaving_the_ball(self):
         big = WeierstrassDisk([4.0], [0.0])
