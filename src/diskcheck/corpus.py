@@ -27,6 +27,7 @@ from .holodisk import (
     Poly,
     Vec,
     _boundary_grid,
+    _read_only,
     blaschke_product,
     extremal_family_1d,
 )
@@ -103,11 +104,61 @@ def _unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+_TURN_BITS = 12
+
+
+def _turn_tables() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k / 2^12 for k < 2^12, from the first octant by symmetry."""
+    eighth = 1 << (_TURN_BITS - 3)
+    x = 2.0 * np.pi * (np.arange(eighth + 1) / (1 << _TURN_BITS))
+    c, s = np.cos(x), np.sin(x)
+    # A quarter turn: k <= 2^9 directly, the rest as sin/cos of the complementary angle.
+    qc, qs = np.concatenate([c, s[-2:0:-1]]), np.concatenate([s, c[-2:0:-1]])
+    cos = np.concatenate([qc, 0.0 - qs, 0.0 - qc, qs])
+    sin = np.concatenate([qs, qc, 0.0 - qs, 0.0 - qc])
+    return _read_only(cos), _read_only(sin)
+
+
+_TURN_COS, _TURN_SIN = _turn_tables()
+# Taylor coefficients of sin and 1 - cos at delta = f h, h = 2 pi / 2^12, as polynomials in f.
+_STEP = 2.0 * np.pi / (1 << _TURN_BITS)
+_SIN3, _SIN5 = -_STEP**3 / 6.0, _STEP**5 / 120.0
+_VERS2, _VERS4 = _STEP**2 / 2.0, -_STEP**4 / 24.0
+
+
+def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
+    """``radii * exp(2 pi i turns)`` for an array of ``turns`` in [0, 1), within 4 ulp.
+
+    ``turns * 2^12`` splits exactly into a table index k and a residual f in
+    [0, 1); the table point 2 pi k / 2^12 is rotated by delta = 2 pi f / 2^12
+    (below 1.54e-3) through a degree-5 sin and degree-4 1 - cos Taylor step,
+    whose truncation is below 1e-19.  Every operation is a real elementwise
+    one, so each element's bits do not depend on the batch shape.
+    """
+    f = turns * float(1 << _TURN_BITS)
+    k = f.astype(np.intp)
+    f -= k
+    g = f * f
+    sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
+    vers = (g * _VERS4 + _VERS2) * g
+    c, s = _TURN_COS[k], _TURN_SIN[k]
+    # cos(a + d) = c - (c vers + s sin d) and sin(a + d) = s + (c sin d - s vers).
+    re = c * vers + s * sin_d
+    np.subtract(c, re, out=re)
+    im = c * sin_d - s * vers + s
+    z = np.empty(f.shape, dtype=complex)
+    np.multiply(re, radii, out=z.real)
+    np.multiply(im, radii, out=z.imag)
+    return z
+
+
 def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
-    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0."""
-    radii = rmin + (rmax - rmin) * np.sqrt(rng.random(n))
-    angles = 2.0 * np.pi * rng.random(n)
-    return radii * np.exp(1j * angles)
+    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0.
+
+    Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns).
+    """
+    radii, turns = rng.random((2, n))
+    return _on_circle(rmin + (rmax - rmin) * np.sqrt(radii), turns)
 
 
 def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0.0) -> np.ndarray:

@@ -37,6 +37,7 @@ from .ballgeom import (
 from .corpus import (
     _ball_point,
     _disk_points,
+    _on_circle,
     _unit_vector,
     case_rng,
     holo_corpus,
@@ -459,7 +460,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
             if member.planar_through_origin:
                 planar_general_min = min(planar_general_min, float(np.min(margins)))
                 anchored = distance_decreasing_margins(w, pair_a, np.zeros_like(pair_a))
-                direction = np.exp(2j * np.pi * rng.random(config.samples))
+                direction = _on_circle(1.0, rng.random(config.samples))
                 s = -0.95 + 1.9 * rng.random(config.samples)
                 t = -0.95 + 1.9 * rng.random(config.samples)
                 diameter = distance_decreasing_margins(w, s * direction, t * direction)

@@ -204,9 +204,9 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
     r = np.abs(zs)
     nonzero = r > 0
     if np.any(nonzero):
-        # The polar partials at every point, rows of (3, N); z = 0 is masked out of the max.
-        t = np.angle(zs)
-        cos, sin = np.cos(t), np.sin(t)
+        # The polar partials at every point, rows of (3, N); z = 0 gives NaN, masked out of the max.
+        with np.errstate(invalid="ignore"):
+            cos, sin = zs.real / r, zs.imag / r
         norm_r = vnorm((f_x.T * cos + f_y.T * sin).T)
         norm_t = vnorm((r * (-f_x.T * sin + f_y.T * cos)).T)
         iso += [np.max(np.abs(norm_r - lam)[nonzero]), np.max(np.abs(norm_t - r * lam)[nonzero])]

@@ -385,10 +385,11 @@ def row_major_surface_identities(w: WeierstrassDisk, zs: np.ndarray):
     iso = [np.abs(norm_x - lam).max(), np.abs(vnorm(f_y) - lam).max(), np.abs(np.sum(f_x * f_y, axis=-1)).max()]
     nonzero = np.abs(zs) > 0
     if np.any(nonzero):
-        r, t = np.abs(zs[nonzero]), np.angle(zs[nonzero])
+        r = np.abs(zs[nonzero])
+        cos, sin = zs[nonzero].real / r, zs[nonzero].imag / r
         fx, fy, lam_nz = f_x[nonzero], f_y[nonzero], lam[nonzero]
-        f_r = fx * np.cos(t)[:, None] + fy * np.sin(t)[:, None]
-        f_t = r[:, None] * (-fx * np.sin(t)[:, None] + fy * np.cos(t)[:, None])
+        f_r = fx * cos[:, None] + fy * sin[:, None]
+        f_t = r[:, None] * (-fx * sin[:, None] + fy * cos[:, None])
         iso += [np.max(np.abs(vnorm(f_r) - lam_nz)), np.max(np.abs(vnorm(f_t) - r * lam_nz))]
     q_sq = np.abs(qv) ** 2
     normals = np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq], axis=-1) / (1.0 + q_sq)[..., None]

@@ -33,7 +33,7 @@ from diskcheck import (
     weierstrass_corpus,
 )
 from diskcheck.cli import _ulps, diff_reports, main as cli_main
-from diskcheck import harness, holodisk
+from diskcheck import corpus, harness, holodisk
 from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
 
@@ -461,6 +461,37 @@ class TestCorpus:
                 for member in holo_corpus(seed, m, 60):
                     if member.name.startswith("poly-"):
                         assert _fine_circle_max_norm(member.disk) < 1.0, (seed, m, member.name)
+
+    def test_circle_points_are_within_four_ulp_of_exp(self):
+        import mpmath
+
+        rng = np.random.default_rng(17)
+        turns = np.concatenate([rng.random(3000), [0.0, np.nextafter(1.0, 0.0)], np.arange(4096) / 4096])
+        z = corpus._on_circle(1.0, turns)
+        with mpmath.workdps(40):
+            for u, value in zip(turns, z):
+                exact = mpmath.expjpi(2 * mpmath.mpf(float(u)))
+                assert abs(value.real - exact.real) <= 9e-16, u
+                assert abs(value.imag - exact.imag) <= 9e-16, u
+
+    def test_circle_points_do_not_depend_on_the_batch_shape(self):
+        rng = np.random.default_rng(18)
+        radii, turns = rng.random(500), rng.random(500)
+        z = corpus._on_circle(radii, turns)
+        one = np.array([corpus._on_circle(radii[i : i + 1], turns[i : i + 1])[0] for i in range(500)])
+        assert np.array_equal(z.view(float), one.view(float))
+
+    def test_disk_points_draw_the_same_uniforms(self):
+        drawn, reference = np.random.default_rng(19), np.random.default_rng(19)
+        z = corpus._disk_points(drawn, 2000)
+        radii = 0.02 + (0.97 - 0.02) * np.sqrt(reference.random(2000))
+        reference.random(2000)
+        assert drawn.random() == reference.random()
+        assert np.all(np.abs(np.abs(z) - radii) <= 2 * np.spacing(radii))
+
+    def test_disk_point_angles_are_not_quantised(self):
+        z = corpus._disk_points(np.random.default_rng(20), 50000)
+        assert len(np.unique(np.angle(z))) >= 49000
 
     def test_julia_corpus_members_fix_one(self):
         members = list(julia_corpus(seed=0, count=9))

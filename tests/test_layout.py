@@ -114,7 +114,7 @@ def test_weierstrass_corpus():
 
 
 def test_surface_identities_with_the_origin_in_the_batch():
-    # np.angle gives 0, pi and -pi at these zeros: each must stay out of the polar residuals.
+    # Re z/|z| and Im z/|z| are NaN at these signed zeros: each must stay out of the polar residuals.
     zs = np.array([0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 0.5 + 0.1j])
     for member in weierstrass_corpus(0, 24):
         for value, reference in zip(surface_identities(member.surface, zs),

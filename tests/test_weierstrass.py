@@ -113,6 +113,23 @@ class TestStructuralIdentities:
             nv = w.gauss_normal(z)
             assert float(np.linalg.norm(nv)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_polar_residuals_match_the_angle_form(self):
+        # The polar direction is read as z/|z|; cos and sin of arg z give the same residuals to 1e-15.
+        rng = rng_for(12)
+        for w in [random_surface(rng) for _ in range(5)] + [enneper_disk(), rotated_planar_disk(0.3 + 0.4j)]:
+            zs = disk_points(rng, 200)
+            f_x, f_y = w.partials(zs)
+            lam, r, t = w.conformal_factor(zs), np.abs(zs), np.angle(zs)
+            residuals = []
+            for cos, sin in ((zs.real / r, zs.imag / r), (np.cos(t), np.sin(t))):
+                f_r = f_x * cos[:, None] + f_y * sin[:, None]
+                f_t = r[:, None] * (-f_x * sin[:, None] + f_y * cos[:, None])
+                residuals.append(np.concatenate([vnorm(f_r) - lam, vnorm(f_t) - r * lam]))
+            assert np.max(np.abs(residuals[0] - residuals[1])) <= 1e-15
+            cartesian = np.concatenate([vnorm(f_x) - lam, vnorm(f_y) - lam, np.sum(f_x * f_y, axis=-1)])
+            angle_iso = max(np.max(np.abs(cartesian)), np.max(np.abs(residuals[1])))
+            assert abs(surface_identities(w, zs)[0] - angle_iso) <= 1e-15
+
     def test_metric_audit_ratio_is_a_quarter(self):
         rng = rng_for(6)
         for w in (planar_disk(), enneper_disk(), random_surface(rng)):
