@@ -126,29 +126,47 @@ _SIN3, _SIN5 = -_STEP**3 / 6.0, _STEP**5 / 120.0
 _VERS2, _VERS4 = _STEP**2 / 2.0, -_STEP**4 / 24.0
 
 
+# Bulk checks and circle points run over blocks of at most this many points.
+_POINT_BLOCK = 16384
+
+
+def _point_slices(n: int) -> list[slice]:
+    """Near-equal consecutive slices of ``range(n)``, each of at most ``_POINT_BLOCK`` points.
+
+    No slice holds exactly one point when n >= 2: numpy rounds one-element
+    complex products without FMA.  n = 0 gives one empty slice.
+    """
+    k = max(1, -(-n // _POINT_BLOCK))
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
-    """``radii * exp(2 pi i turns)`` for an array of ``turns`` in [0, 1), within 4 ulp.
+    """``radii * exp(2 pi i turns)`` for a 1-d array of ``turns`` in [0, 1), within 4 ulp.
 
     ``turns * 2^12`` splits exactly into a table index k and a residual f in
     [0, 1); the table point 2 pi k / 2^12 is rotated by delta = 2 pi f / 2^12
     (below 1.54e-3) through a degree-5 sin and degree-4 1 - cos Taylor step,
     whose truncation is below 1e-19.  Every operation is a real elementwise
-    one, so each element's bits do not depend on the batch shape.
+    one, so each element's bits do not depend on the batch shape; the output
+    is filled block by block.
     """
-    f = turns * float(1 << _TURN_BITS)
-    k = f.astype(np.intp)
-    f -= k
-    g = f * f
-    sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
-    vers = (g * _VERS4 + _VERS2) * g
-    c, s = _TURN_COS[k], _TURN_SIN[k]
-    # cos(a + d) = c - (c vers + s sin d) and sin(a + d) = s + (c sin d - s vers).
-    re = c * vers + s * sin_d
-    np.subtract(c, re, out=re)
-    im = c * sin_d - s * vers + s
-    z = np.empty(f.shape, dtype=complex)
-    np.multiply(re, radii, out=z.real)
-    np.multiply(im, radii, out=z.imag)
+    z = np.empty(turns.shape, dtype=complex)
+    for block in _point_slices(len(turns)):
+        f = turns[block] * float(1 << _TURN_BITS)
+        k = f.astype(np.intp)
+        f -= k
+        g = f * f
+        sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
+        vers = (g * _VERS4 + _VERS2) * g
+        c, s = _TURN_COS[k], _TURN_SIN[k]
+        # cos(a + d) = c - (c vers + s sin d) and sin(a + d) = s + (c sin d - s vers).
+        re = c * vers + s * sin_d
+        np.subtract(c, re, out=re)
+        im = c * sin_d - s * vers + s
+        r = radii if np.ndim(radii) == 0 else radii[block]
+        np.multiply(re, r, out=z.real[block])
+        np.multiply(im, r, out=z.imag[block])
     return z
 
 
@@ -158,7 +176,10 @@ def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: flo
     Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns).
     """
     radii, turns = rng.random((2, n))
-    return _on_circle(rmin + (rmax - rmin) * np.sqrt(radii), turns)
+    np.sqrt(radii, out=radii)
+    radii *= rmax - rmin
+    radii += rmin
+    return _on_circle(radii, turns)
 
 
 def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0.0) -> np.ndarray:
