@@ -73,24 +73,6 @@ def _fmt_vector(u: np.ndarray) -> str:
     return "[" + ", ".join(_fmt_complex(x) for x in u) + "]"
 
 
-def _horner(z, c):
-    """``P.polyval(z, c)`` bit for bit: on a batch of two or more points, in one buffer.
-
-    It starts, as ``P.polyval`` does, from c[-1] + z * 0, which carries a
-    non-finite point and the signs of zero through.  An in-place
-    one-element complex product is rounded without FMA, so a single point
-    (or a scalar) takes ``P.polyval`` itself.
-    """
-    if np.size(z) < 2:
-        return P.polyval(z, c)
-    acc = np.multiply(z, 0, dtype=np.result_type(z, c))
-    np.add(acc, c[-1], out=acc)
-    for ck in c[-2::-1]:
-        np.multiply(acc, z, out=acc)
-        np.add(acc, ck, out=acc)
-    return acc
-
-
 def _finite(values, what: str):
     """``values``, unless one is not finite: then DomainError."""
     if not np.isfinite(values).all():
@@ -168,10 +150,10 @@ class Poly(HoloDisk):
         self.coeffs = P.polytrim(_finite(c, "poly coefficients"), tol=0.0)
 
     def _eval(self, z):
-        return _horner(z, self.coeffs)[:, None]
+        return P.polyval(z, self.coeffs)[:, None]
 
     def _jet(self, z):
-        return self._eval(z), _horner(z, P.polyder(self.coeffs))[:, None]
+        return self._eval(z), P.polyval(z, P.polyder(self.coeffs))[:, None]
 
     def to_text(self):
         return "poly(" + ", ".join(_fmt_complex(c) for c in self.coeffs) + ")"

@@ -35,7 +35,6 @@ from .holodisk import (
     INTERIOR_GRID,
     _boundary_grid,
     _boundary_param,
-    _horner,
     _interior_grid,
     _require_boundary_contact,
 )
@@ -84,7 +83,7 @@ class WeierstrassDisk:
         self.antiderivative = [P.polyint(c) for c in self.phi]
         self._max_norm: float | None = None
         if self.halfsphere:
-            worst = float(np.max(np.abs(_horner(_boundary_grid(BOUNDARY_GRID), self.q))))
+            worst = float(np.max(np.abs(P.polyval(_boundary_grid(BOUNDARY_GRID), self.q))))
             if not worst < 1.0:
                 raise DomainError(f"half-sphere flag requires |q| < 1 on the closed disk; boundary max {worst:.6g}")
 
@@ -93,13 +92,13 @@ class WeierstrassDisk:
     def phi_values(self, z):
         """The holomorphic component triple at ``z``: (3,) or (N, 3) complex."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.stack([_horner(zs, c) for c in self.phi]).T
+        out = np.stack([P.polyval(zs, c) for c in self.phi]).T
         return out[0] if np.ndim(z) == 0 else out
 
     def eval(self, z):
         """Surface position base + Re A(z): (3,) or (N, 3) real."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = (self.base[:, None] + np.stack([np.real(_horner(zs, c)) for c in self.antiderivative])).T
+        out = (self.base[:, None] + np.stack([np.real(P.polyval(zs, c)) for c in self.antiderivative])).T
         return out[0] if np.ndim(z) == 0 else out
 
     def partials(self, z):
@@ -110,7 +109,7 @@ class WeierstrassDisk:
     def conformal_factor(self, z):
         """lambda(z) = |p(z)| (1 + |q(z)|^2) / 2: float or (N,) array."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        lam = _conformal_factor(_horner(zs, self.p), _horner(zs, self.q))
+        lam = _conformal_factor(P.polyval(zs, self.p), P.polyval(zs, self.q))
         return float(lam[0]) if np.ndim(z) == 0 else lam
 
     def gauss_normal(self, z):
@@ -123,7 +122,7 @@ class WeierstrassDisk:
         normal should flip the sign of the third component.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        n = _gauss_vector(_horner(zs, self.q))
+        n = _gauss_vector(P.polyval(zs, self.q))
         return n[0] if np.ndim(z) == 0 else n
 
     # -- structure certificates ----------------------------------------------
@@ -137,7 +136,7 @@ class WeierstrassDisk:
 
     def immersion_winding(self) -> int:
         """Number of zeros of p in the disk, by boundary argument counting."""
-        vals = _horner(_boundary_grid(BOUNDARY_GRID), self.p)
+        vals = P.polyval(_boundary_grid(BOUNDARY_GRID), self.p)
         if np.any(np.abs(vals) < 1e-14):
             raise DomainError("p vanishes on the boundary grid; zero count undefined")
         steps = np.angle(np.roll(vals, -1) / vals)
@@ -196,8 +195,8 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     f_x, f_y = w.partials(zs)
-    pv = _horner(zs, w.p)
-    qv = _horner(zs, w.q)
+    pv = P.polyval(zs, w.p)
+    qv = P.polyval(zs, w.q)
     lam = _conformal_factor(pv, qv)
 
     norm_x = vnorm(f_x)
@@ -300,14 +299,14 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     inside = _interior_grid(INTERIOR_GRID)
     grid = np.concatenate([inside, circle])
 
-    pv = _horner(grid, w.p)
+    pv = P.polyval(grid, w.p)
     p_abs = np.abs(pv)
     grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / BOUNDARY_GRID
     boundary_min_p = float(np.min(p_abs[len(inside):])) - grid_slack
     min_modulus_residual = float(np.min(p_abs)) - boundary_min_p
 
     c = 0.5  # audited convention constant: lambda = c |p| (1 + |q|^2)
-    lam = _conformal_factor(pv, _horner(grid, w.q))
+    lam = _conformal_factor(pv, P.polyval(grid, w.q))
     min_lambda = float(np.min(lam))
     lambda_link_margin = min_lambda - c * boundary_min_p
 

@@ -1,11 +1,10 @@
-"""Bulk checks run over point blocks, and polynomial batches in one buffer, bit for bit.
+"""Bulk checks run over point blocks, bit for bit.
 
 A sampled check over N points runs as ``harness._blocked`` calls on blocks of
 at most ``corpus._POINT_BLOCK`` points, so its temporaries scale with the
 block rather than with N.  Each block's values must be those of one call over
 all N points, exactly; a block of one point would break that, since numpy
-rounds one-element complex products without FMA.  ``holodisk._horner`` must
-likewise return ``P.polyval``'s bits at every batch size.
+rounds one-element complex products without FMA.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
 
 from diskcheck import corpus, harness, holo_corpus, weierstrass_corpus
 from diskcheck.harness import SuiteConfig, run_suite
-from diskcheck.holodisk import _horner, growth_margins
+from diskcheck.holodisk import growth_margins
 from diskcheck.weierstrass import distance_decreasing_margins, surface_identities
 
 BLOCKED = 2 * corpus._POINT_BLOCK + 1
@@ -27,55 +25,6 @@ BLOCKED = 2 * corpus._POINT_BLOCK + 1
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((1357, seed)))
-
-
-def disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    return 0.97 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-
-
-def coefficient_sets(count: int):
-    rng = rng_for(0)
-    for _ in range(count):
-        degree = int(rng.integers(0, 27))
-        yield rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-
-
-def assert_same_bits(value, reference) -> None:
-    assert type(value) is type(reference)
-    assert np.shape(value) == np.shape(reference)
-    assert np.asarray(value).dtype == np.asarray(reference).dtype
-    value, reference = np.ascontiguousarray(value), np.ascontiguousarray(reference)
-    assert np.array_equal(value.reshape(-1).view(np.uint64), reference.reshape(-1).view(np.uint64))
-
-
-class TestHorner:
-    @pytest.mark.parametrize("n", [1, 2, 3, 50])
-    def test_batches_equal_polyval(self, n):
-        rng = rng_for(n)
-        for c in coefficient_sets(2000):
-            z = disk_points(rng, n)
-            assert_same_bits(_horner(z, c), P.polyval(z, c))
-
-    def test_large_batches_equal_polyval(self):
-        rng = rng_for(50000)
-        for c in list(coefficient_sets(2000))[::40]:
-            z = disk_points(rng, 50000)
-            assert_same_bits(_horner(z, c), P.polyval(z, c))
-
-    def test_scalars_and_zero_d_arrays_equal_polyval(self):
-        rng = rng_for(1)
-        for c in coefficient_sets(2000):
-            z = complex(disk_points(rng, 1)[0])
-            assert_same_bits(_horner(z, c), P.polyval(z, c))
-            assert_same_bits(_horner(np.asarray(z), c), P.polyval(np.asarray(z), c))
-
-    def test_non_finite_points_and_signed_zeros_equal_polyval(self):
-        z = np.asarray([0.5 + 0.5j, -0.3, -0.2 - 0.1j, math.inf, complex(1.0, math.inf), math.nan, 0j])
-        for c in ([complex(-0.0, 1.0)], [complex(-0.0, -0.0)], [0.0], [2.0, 1.0], [1.0, complex(-0.0, 1.0)],
-                  [0.0, 0.0, complex(-0.0, 2.0)]):
-            c = np.asarray(c, dtype=complex)
-            with np.errstate(invalid="ignore"):
-                assert_same_bits(_horner(z, c), P.polyval(z, c))
 
 
 class TestPointBlocks:
