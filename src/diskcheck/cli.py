@@ -52,7 +52,12 @@ from .search import (
 )
 from .weierstrass import save_weierstrass
 
-_FAMILY_CHOICES = ("family_1d", "family_1d_restricted", "family_md")
+# Each ``search --family`` choice and the builder of its spec, given ``--dimension``.
+_FAMILY_SPECS = {
+    "family_1d": lambda m: family_1d_spec(),
+    "family_1d_restricted": lambda m: restricted_family_1d_spec(),
+    "family_md": family_md_quotient_spec,
+}
 
 
 def _tolerance(text: str) -> tuple[str, float]:
@@ -92,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     search = sub.add_parser("search", help="multi-start sharpness search over a map family")
-    search.add_argument("--family", choices=_FAMILY_CHOICES, default="family_1d")
+    search.add_argument("--family", choices=_FAMILY_SPECS, default="family_1d")
     search.add_argument("--dimension", type=int, default=2, help="target dimension for family_md")
     search.add_argument("--restarts", type=int, default=20)
     search.add_argument("--seed", type=int, default=0)
@@ -151,12 +156,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.family == "family_1d":
-        spec = family_1d_spec()
-    elif args.family == "family_1d_restricted":
-        spec = restricted_family_1d_spec()
-    else:
-        spec = family_md_quotient_spec(args.dimension)
+    spec = _FAMILY_SPECS[args.family](args.dimension)
     report = sharpness_report(spec, restarts=args.restarts, seed=args.seed)
     print(f"family={report['family']} dimension={report['dimension']} restarts={report['restarts']}")
     print(f"best_margin={report['best_margin']:.6e} at argmin={report['argmin']}")

@@ -537,10 +537,11 @@ def boundary_bound_shifted(f: HoloDisk, zeta) -> CheckValues:
     sqrt(1 - r^2) for m >= 2 (giving 2 (1 - r)^2 / (1 - r^2 + sqrt(1 - r^2)))
     and 1 - r^2 for m = 1 (giving (1 - r)/(1 + r)).
 
-    The floor is reported, not claimed sharp: it has no witness in the
-    search's ``family_md``.  On that family's equality slice, with
-    ||F(0)|| = |t|, ||F'(0)|| = (1 - t^2)|c| < sqrt(1 - t^2), so
-    ``floor_margin`` stays positive there.
+    The floor is in ``extra``, which a report writes only for failed cases.
+    It is not claimed sharp: it has no witness in the search's
+    ``family_md``.  On that family's equality slice, with ||F(0)|| = |t|,
+    ||F'(0)|| = (1 - t^2)|c| < sqrt(1 - t^2), so ``floor_margin`` stays
+    positive there.
     """
     (r, n), (a, val) = _norm_jet(f, [0j, _boundary_param(zeta)])
     main = _shifted_bound(r, n, a)

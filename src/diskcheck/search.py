@@ -55,10 +55,6 @@ MODULUS_CEIL = 1.0 - 1e-6
 RESTRICTED_MODULUS_CEIL = 0.9
 RESTRICTED_PHASE_FLOOR = math.pi / 4.0
 
-# Start-point stream of each family.  The full family_md box is not searched:
-# its search runs in the unitary quotient and draws from family_md's stream.
-_FAMILY_IDS = {"family_1d": 1, "family_md": 2, "family_md_quotient": 2}
-
 
 @dataclass
 class SearchResult:
@@ -235,7 +231,7 @@ def _ranked(simplex: np.ndarray, values: list) -> tuple[np.ndarray, list]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named parameter family with its search box."""
+    """A searched family, by its name in ``_FAMILIES``, with its search box."""
 
     family: str
     lower: tuple
@@ -243,42 +239,20 @@ class FamilySpec:
     dim: int = 1
 
     def __post_init__(self):
-        if self.family not in _FAMILY_IDS:
+        if self.family not in _FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
         if len(self.lower) != len(self.upper):
             raise DomainError("bounds length mismatch")
 
 
-def family_1d_spec(
-    modulus_range=(MODULUS_FLOOR, MODULUS_CEIL),
-    phase_range=(-math.pi, math.pi),
-) -> FamilySpec:
+def family_1d_spec() -> FamilySpec:
     """Scalar family box over (c_modulus, c_phase)."""
-    return FamilySpec(
-        family="family_1d",
-        lower=(float(modulus_range[0]), float(phase_range[0])),
-        upper=(float(modulus_range[1]), float(phase_range[1])),
-    )
+    return FamilySpec("family_1d", (MODULUS_FLOOR, -math.pi), (MODULUS_CEIL, math.pi))
 
 
 def restricted_family_1d_spec() -> FamilySpec:
     """Scalar family with the phase kept away from the real ray."""
-    return family_1d_spec(
-        modulus_range=(MODULUS_FLOOR, RESTRICTED_MODULUS_CEIL),
-        phase_range=(RESTRICTED_PHASE_FLOOR, math.pi),
-    )
-
-
-def family_md_spec(m: int) -> FamilySpec:
-    """Vector family box of ``margin_objective_md``: basepoint (2m), factor parameter (2), direction (2m).
-
-    Searches run in the quotient box of :func:`family_md_quotient_spec`.
-    """
-    if m < 1:
-        raise DomainError("dimension must be at least 1")
-    lower = [-0.9] * (2 * m) + [-0.9, -0.9] + [-1.0] * (2 * m)
-    upper = [0.9] * (2 * m) + [0.9, 0.9] + [1.0] * (2 * m)
-    return FamilySpec(family="family_md", lower=tuple(lower), upper=tuple(upper), dim=int(m))
+    return FamilySpec("family_1d", (MODULUS_FLOOR, RESTRICTED_PHASE_FLOOR), (RESTRICTED_MODULUS_CEIL, math.pi))
 
 
 def family_md_quotient_spec(m: int) -> FamilySpec:
@@ -395,9 +369,12 @@ def _quotient_rows(params: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
-_BLOCK_MARGINS = {
-    "family_1d": lambda params, m: _family_1d_margins(params),
-    "family_md_quotient": lambda params, m: _family_md_margins(_quotient_rows(params, m), m),
+# Each searched family: its start-point stream and its objective on a (K, n)
+# block of parameter rows in dimension m.  The full family_md rows are not
+# searched; the quotient keeps the stream family_md drew from.
+_FAMILIES = {
+    "family_1d": (1, lambda params, m: _family_1d_margins(params)),
+    "family_md_quotient": (2, lambda params, m: _family_md_margins(_quotient_rows(params, m), m)),
 }
 
 
@@ -418,7 +395,9 @@ def margin_objective_md(params, m: int = 2) -> float:
     vector (basepoint is projected to norm <= 0.9, the factor parameter to
     modulus <= 0.9, the direction normalized to a unit vector), and returns
     the basepoint-shifted margin at the boundary point 1 — the construction
-    keeps ||F|| = 1 on the whole unit circle.
+    keeps ||F|| = 1 on the whole unit circle.  The vector is (Re b, Im b,
+    Re c, Im c, Re u, Im u); the projections assume b and c coordinates in
+    [-0.9, 0.9] and u coordinates in [-1, 1], a box that holds every member.
     """
     return float(_family_md_margins(np.asarray(params, dtype=float)[None, :], m)[0])
 
@@ -496,13 +475,10 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
-    block_margins = _BLOCK_MARGINS.get(spec.family)
-    if block_margins is None:
-        raise DomainError(f"{spec.family} is searched in its unitary quotient (family_md_quotient_spec)")
+    family_id, block_margins = _FAMILIES[spec.family]
     lower = np.asarray(spec.lower, dtype=float)
     upper = np.asarray(spec.upper, dtype=float)
     margins = lambda params: block_margins(params, spec.dim)
-    family_id = _FAMILY_IDS[spec.family]
 
     starts = [
         lower + case_rng(seed, family_id, index).random(lower.shape[0]) * (upper - lower)
@@ -573,7 +549,6 @@ __all__ = [
     "SearchResult",
     "family_1d_spec",
     "family_md_quotient_spec",
-    "family_md_spec",
     "margin_objective_1d",
     "margin_objective_md",
     "nelder_mead",

@@ -35,6 +35,7 @@ from .holodisk import (
     INTERIOR_GRID,
     _boundary_grid,
     _boundary_param,
+    _finite,
     _interior_grid,
     _require_boundary_contact,
 )
@@ -45,11 +46,11 @@ QUAD_PANELS = 8
 QUAD_NODES = 8
 
 
-def _coeffs(c) -> np.ndarray:
+def _coeffs(c, what: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise DomainError("polynomial data must be a nonempty coefficient vector")
-    return arr
+    return _finite(arr, what)
 
 
 class WeierstrassDisk:
@@ -68,9 +69,9 @@ class WeierstrassDisk:
     """
 
     def __init__(self, p, q, base=(0.0, 0.0, 0.0), halfsphere: bool = False) -> None:
-        self.p = _coeffs(p)
-        self.q = _coeffs(q)
-        self.base = np.asarray(base, dtype=float)
+        self.p = _coeffs(p, "p coefficients")
+        self.q = _coeffs(q, "q coefficients")
+        self.base = _finite(np.asarray(base, dtype=float), "base")
         if self.base.shape != (3,):
             raise DomainError("base must be a real 3-vector")
         self.halfsphere = bool(halfsphere)
@@ -243,7 +244,7 @@ def interior_growth_margin(w: WeierstrassDisk, a) -> CheckValues:
     a = complex(a)
     if not abs(a) < 1.0:
         raise DomainError("interior growth bound needs |a| < 1")
-    if (worst := w.max_norm()) > 1.0 + _BALL_SLACK:
+    if not (worst := w.max_norm()) <= 1.0 + _BALL_SLACK:
         raise DomainError(f"surface image leaves the unit ball: max grid norm {worst:.12g}")
     r0 = float(vnorm(w.eval(0j)))
     val = float(vnorm(w.eval(a)))
@@ -470,25 +471,23 @@ def load_weierstrass(path) -> WeierstrassDisk:
                 raise DomainError(f"surface file has data before any section header: {line!r}")
             sections[current].append(line)
 
-    def parse_complex_lines(name: str) -> list[complex]:
-        out = []
-        for line in sections.get(name, []):
-            parts = line.split()
-            if len(parts) != 2:
-                raise DomainError(f"bad coefficient line in [{name}]: {line!r}")
-            out.append(complex(float(parts[0]), float(parts[1])))
-        return out
+    def numbers(line: str, count: int, what: str) -> list[float]:
+        """The ``count`` numbers on ``line``; DomainError naming the line if it holds anything else."""
+        try:
+            values = [float(x) for x in line.split()]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            raise DomainError(f"bad {what}: {line!r}")
+        return values
 
-    p = parse_complex_lines("p")
-    q = parse_complex_lines("q")
+    p, q = (
+        [complex(*numbers(line, 2, f"coefficient line in [{name}]")) for line in sections.get(name, [])]
+        for name in ("p", "q")
+    )
     if not p or not q:
         raise DomainError("surface file must provide [p] and [q] coefficients")
-    base = (0.0, 0.0, 0.0)
-    if sections.get("base"):
-        parts = sections["base"][0].split()
-        if len(parts) != 3:
-            raise DomainError(f"bad base line: {sections['base'][0]!r}")
-        base = tuple(float(x) for x in parts)
+    base = numbers(sections["base"][0], 3, "base line") if sections.get("base") else (0.0, 0.0, 0.0)
     flags = set(sections.get("flags", []))
     unknown = flags - {"halfsphere"}
     if unknown:

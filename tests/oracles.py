@@ -42,7 +42,7 @@ from diskcheck import (
 from diskcheck.holodisk import boundary_bound_origin, boundary_bound_shifted
 from diskcheck.corpus import case_rng
 from diskcheck.search import (
-    _FAMILY_IDS,
+    _FAMILIES,
     DIAMETER_TOL,
     MAX_ITERATIONS,
     MODULUS_CEIL,
@@ -192,6 +192,12 @@ def tree_objective_1d(params) -> float:
     return boundary_bound_origin(f, 1.0 + 0j).margin
 
 
+def family_md_box(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box (lower, upper) of family_md rows (b, c, u): b and c in [-0.9, 0.9], u in [-1, 1] per coordinate."""
+    lower = np.asarray([-0.9] * (2 * m + 2) + [-1.0] * (2 * m))
+    return lower, -lower
+
+
 def family_md_tree(params, m: int):
     """The tree phi_b(z * blaschke(c)(z) * u) of a family_md parameter vector."""
     params = np.asarray(params, dtype=float)
@@ -231,7 +237,7 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
         objective = tree_objective_1d
     else:
         objective = lambda params: tree_objective_md(full_row(params), spec.dim)
-    family_id = _FAMILY_IDS[spec.family]
+    family_id = _FAMILIES[spec.family][0]
 
     best = None
     best_index = -1

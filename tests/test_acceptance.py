@@ -28,7 +28,6 @@ from diskcheck import (
     enneper_disk,
     extremal_family_1d,
     family_1d_spec,
-    family_md_spec,
     growth_margins,
     holo_corpus,
     julia_corpus,
@@ -44,6 +43,7 @@ from diskcheck import (
     vnorm,
     weierstrass_corpus,
 )
+from oracles import family_md_box
 
 SEED = 0
 _RESULTS: list[str] = []
@@ -201,8 +201,7 @@ def test_criterion_05_boundary_shifted_bound():
         and abs(half.rhs - 1.0 / 3.0) <= 1e-12
         and abs(half.margin) <= 1e-12
     )
-    spec = family_md_spec(2)
-    lower, upper = np.asarray(spec.lower), np.asarray(spec.upper)
+    lower, upper = family_md_box(2)
     sweep_rng = _rng(51)
     sweep_min = math.inf
     for _ in range(1000):

@@ -19,6 +19,8 @@ from diskcheck import (
     boundary_bound_shifted,
     boundary_minimal_margin,
     emit_plot_data,
+    family_1d_spec,
+    family_md_quotient_spec,
     halfsphere_chain_check,
     holo_corpus,
     interior_growth_margin,
@@ -27,12 +29,13 @@ from diskcheck import (
     load_config_file,
     nonreal_parameter_strictness,
     null_condition_report,
+    restricted_family_1d_spec,
     run_suite,
     schwarz_derivative_bound,
     vnorm,
     weierstrass_corpus,
 )
-from diskcheck.cli import _ulps, diff_reports, main as cli_main
+from diskcheck.cli import _FAMILY_SPECS, _ulps, diff_reports, main as cli_main
 from diskcheck import corpus, harness, holodisk
 from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
@@ -640,6 +643,7 @@ class TestCli:
             ["diff", "{tmp}/suites_list.json", "{tmp}/suites_list.json"],
             ["diff", "{tmp}/bad_trace.json", "{tmp}/missing.json"],
             ["diff", "{tmp}/bad.json", "{tmp}/bad.json"],
+            ["search", "--family", "family_md", "--dimension", "0"],
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):
@@ -687,6 +691,33 @@ class TestCli:
         assert data["family"] == "family_1d"
         assert data["best_margin"] <= 1e-6
         assert "best_margin" in capsys.readouterr().out
+
+    def test_search_verb_family_1d_restricted(self, tmp_path):
+        out = tmp_path / "search.json"
+        rc = cli_main(["search", "--family", "family_1d_restricted", "--restarts", "2", "--seed", "1",
+                       "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["family"] == "family_1d"
+        assert data["bounds"] == {"lower": [0.05, math.pi / 4.0], "upper": [0.9, math.pi]}
+        assert data["best_margin"] > 1e-4
+
+    @pytest.mark.parametrize(
+        "choice, spec",
+        [
+            ("family_1d", family_1d_spec()),
+            ("family_1d_restricted", restricted_family_1d_spec()),
+            ("family_md", family_md_quotient_spec(3)),
+        ],
+    )
+    def test_each_family_choice_builds_the_family_its_report_names(self, tmp_path, choice, spec):
+        assert list(_FAMILY_SPECS) == ["family_1d", "family_1d_restricted", "family_md"]
+        out = tmp_path / "search.json"
+        rc = cli_main(["search", "--family", choice, "--dimension", "3", "--restarts", "1", "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert (data["family"], data["dimension"]) == (spec.family, spec.dim)
+        assert data["bounds"] == {"lower": list(spec.lower), "upper": list(spec.upper)}
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_search_verb_family_md_quotient(self, tmp_path, capsys, m):

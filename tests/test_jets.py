@@ -15,7 +15,6 @@ from diskcheck import (
     affine_disk,
     boundary_bound_origin,
     boundary_bound_shifted,
-    family_md_spec,
     holo_corpus,
     julia_corpus,
     margin_objective_1d,
@@ -23,7 +22,7 @@ from diskcheck import (
     vnorm,
 )
 from diskcheck.search import _family_1d_margins, _family_md_margins
-from oracles import family_md_tree, tree_objective_1d, tree_objective_md
+from oracles import family_md_box, family_md_tree, tree_objective_1d, tree_objective_md
 
 DIMENSIONS = (1, 2, 3)
 
@@ -53,8 +52,7 @@ def separate_walks(f: HoloDisk, zeta: complex, stacked: bool) -> tuple[float, fl
 
 
 def family_md_params(m: int, count: int, seed: int = 11) -> list[np.ndarray]:
-    spec = family_md_spec(m)
-    lower, upper = np.asarray(spec.lower), np.asarray(spec.upper)
+    lower, upper = family_md_box(m)
     rng = np.random.default_rng(seed)
     return [lower + rng.random(lower.shape[0]) * (upper - lower) for _ in range(count)]
 

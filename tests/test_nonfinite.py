@@ -145,6 +145,9 @@ class TestNanReachesTheVerdict:
         lambda: pseudo_hyperbolic_quotient([NAN], [0.0]),
         lambda: Blaschke(NAN),
         lambda: WeierstrassDisk([1.0], [0.0, NAN], halfsphere=True),
+        lambda: WeierstrassDisk([NAN], [0.0], halfsphere=True),
+        lambda: WeierstrassDisk([1.0], [0.0, NAN]),
+        lambda: WeierstrassDisk([1.0], [0.0], base=(0.0, math.inf, 0.0)),
         lambda: parse_disk("poly(0, nan)"),
         lambda: Const(NAN),
         lambda: CMul(math.inf, Identity()),
@@ -157,10 +160,19 @@ class TestNanReachesTheVerdict:
     ],
     ids=[
         "automorphism", "apply", "poincare_dist", "cayley_klein_dist", "quotient", "blaschke",
-        "halfsphere", "parse_poly", "const", "cmul", "embed", "growth_margins", "julia_margins",
-        "boundary_bound_origin", "interior_growth_margin", "distance_decreasing_margins",
+        "halfsphere", "surface_p", "surface_q", "surface_base", "parse_poly", "const", "cmul", "embed",
+        "growth_margins", "julia_margins", "boundary_bound_origin", "interior_growth_margin", "distance_decreasing_margins",
     ],
 )
 def test_domain_guards_refuse_non_finite_input(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_interior_growth_refuses_a_nan_max_norm():
+    # Finite data whose image norms overflow: max_norm() is NaN, which is not inside the ball.
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = WeierstrassDisk([1e300], [0.0, 1e10])
+        assert math.isnan(w.max_norm())
+        with pytest.raises(DomainError, match="leaves the unit ball"):
+            interior_growth_margin(w, 0.3)

@@ -12,7 +12,6 @@ from diskcheck import (
     FamilySpec,
     family_1d_spec,
     family_md_quotient_spec,
-    family_md_spec,
     margin_objective_1d,
     margin_objective_md,
     nelder_mead,
@@ -28,7 +27,13 @@ from diskcheck.search import (
     _quotient_rows,
 )
 from diskcheck.holodisk import boundary_bound_shifted
-from oracles import family_md_tree, sequential_golden_section, sequential_nelder_mead, sequential_sharpness_report
+from oracles import (
+    family_md_box,
+    family_md_tree,
+    sequential_golden_section,
+    sequential_nelder_mead,
+    sequential_sharpness_report,
+)
 
 
 class TestNelderMead:
@@ -301,10 +306,6 @@ class TestFamilySpecs:
         assert s.lower == (0.05, -math.pi) and s.upper == (1.0 - 1e-6, math.pi)
         r = restricted_family_1d_spec()
         assert r.lower == (0.05, math.pi / 4.0) and r.upper == (0.9, math.pi)
-        v = family_md_spec(2)
-        assert len(v.lower) == 10 and v.dim == 2
-        with pytest.raises(DomainError):
-            family_md_spec(0)
         assert family_md_quotient_spec(1).lower == (0.0, -math.pi, -0.9, -0.9)
         q = family_md_quotient_spec(3)
         assert q.lower == (0.0, 0.0, -math.pi, -0.9, -0.9) and q.upper == (0.9, math.pi / 2.0, math.pi, 0.9, 0.9)
@@ -314,6 +315,9 @@ class TestFamilySpecs:
             _quotient_rows(np.zeros((1, 5)), 1)
         with pytest.raises(DomainError):
             FamilySpec(family="nope", lower=(0.0,), upper=(1.0,))
+        # Only searched families have specs: the full family_md box is sampled, never searched.
+        with pytest.raises(DomainError, match="unknown family"):
+            FamilySpec(family="family_md", lower=(-0.9,) * 10, upper=(0.9,) * 10, dim=2)
 
 
 class TestSharpnessReport:
@@ -347,8 +351,6 @@ class TestSharpnessReport:
         assert report["best_margin"] > -1e-8
         assert report["min_evaluated"] > -1e-8
         assert report["dimension"] == 2
-        with pytest.raises(DomainError, match="quotient"):
-            sharpness_report(family_md_spec(2), restarts=2, seed=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_quotient_report_carries_its_full_parameters(self, m):
@@ -395,8 +397,7 @@ def join(b, c, u) -> np.ndarray:
 
 def full_rows(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """Random family_md rows (b, c, u) from the full box, with b and c projected as the objective projects them."""
-    spec = family_md_spec(m)
-    lower, upper = np.asarray(spec.lower), np.asarray(spec.upper)
+    lower, upper = family_md_box(m)
     b, c, u = split(lower + rng.random((count, 4 * m + 2)) * (upper - lower), m)
     b *= np.minimum(1.0, 0.9 / np.linalg.norm(b, axis=1))[:, None]
     return join(b, c * np.minimum(1.0, 0.9 / np.abs(c)), u)

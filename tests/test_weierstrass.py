@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -325,12 +327,26 @@ class TestSerialization:
             "[p]\n1.0\n[q]\n0.0 0.0\n",                      # malformed coefficient line
             "[p]\n1.0 0.0\n[q]\n0.0 0.0\n[flags]\nwibble\n",  # unknown flag
             "[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n1 2\n",      # bad base line
+            "[p]\nnan 0.0\n[q]\n0.0 0.0\n",                   # non-finite coefficient
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text):
         path = tmp_path / "bad.wd"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DomainError):
+            load_weierstrass(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[p]\n1.0 abc\n[q]\n0.0 0.0\n", "1.0 abc"),
+            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 x\n", "0 0 x"),
+        ],
+    )
+    def test_unparsable_numbers_name_their_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.wd"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError, match=re.escape(repr(line))):
             load_weierstrass(path)
 
 
