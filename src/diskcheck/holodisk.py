@@ -460,13 +460,13 @@ def certify_in_ball(f: HoloDisk, n_boundary: int = BOUNDARY_GRID, n_interior: in
 
 def _require_zero_at_origin(n0: float) -> None:
     """Raise unless ``n0``, a map's ||F(0)||, is zero."""
-    if n0 > 1e-12:
+    if not n0 <= 1e-12:
         raise DomainError(f"map must fix the origin; got ||F(0)|| = {n0:.6g}")
 
 
 def _require_boundary_contact(n: float) -> None:
     """Raise unless ``n``, the norm of a disk's or a surface's F(zeta), is 1."""
-    if abs(n - 1.0) > 1e-10:
+    if not abs(n - 1.0) <= 1e-10:
         raise DomainError(f"not a boundary-contact point: ||F(zeta)|| = {n:.12g}")
 
 
@@ -575,12 +575,12 @@ def _julia_deriv_at_one(f: HoloDisk) -> float:
         raise DomainError("Julia bound applies to scalar maps")
     values, derivs = f._jet(np.ones(1, dtype=complex))
     one = complex(values[0, 0])
-    if abs(one - 1.0) > 1e-10:
+    if not abs(one - 1.0) <= 1e-10:
         raise DomainError(f"map must fix 1; got f(1) = {one!r}")
     d1 = complex(derivs[0, 0])
-    if abs(d1.imag) > 1e-10:
+    if not abs(d1.imag) <= 1e-10:
         raise DomainError(f"boundary derivative at 1 must be real; got {d1!r}")
-    if d1.real <= 0.0:
+    if not d1.real > 0.0:
         raise DomainError(f"boundary derivative at 1 must be positive; got {d1.real!r}")
     return d1.real
 

@@ -76,11 +76,13 @@ class WeierstrassDisk:
             raise DomainError("base must be a real 3-vector")
         self.halfsphere = bool(halfsphere)
         q2 = P.polymul(self.q, self.q)
-        self.phi = [
-            0.5 * P.polysub(self.p, P.polymul(self.p, q2)),
-            0.5j * P.polyadd(self.p, P.polymul(self.p, q2)),
-            P.polymul(self.p, self.q),
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = [
+                0.5 * P.polysub(self.p, P.polymul(self.p, q2)),
+                0.5j * P.polyadd(self.p, P.polymul(self.p, q2)),
+                P.polymul(self.p, self.q),
+            ]
+        self.phi = [_finite(c, "Weierstrass component coefficients") for c in phi]
         self.antiderivative = [P.polyint(c) for c in self.phi]
         self._max_norm: float | None = None
         if self.halfsphere:
@@ -465,6 +467,8 @@ def load_weierstrass(path) -> WeierstrassDisk:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
+                if current in sections:
+                    raise DomainError(f"surface file repeats a section header: {line!r}")
                 sections[current] = []
                 continue
             if current is None:
@@ -487,7 +491,10 @@ def load_weierstrass(path) -> WeierstrassDisk:
     )
     if not p or not q:
         raise DomainError("surface file must provide [p] and [q] coefficients")
-    base = numbers(sections["base"][0], 3, "base line") if sections.get("base") else (0.0, 0.0, 0.0)
+    base_lines = sections.get("base", [])
+    if len(base_lines) > 1:
+        raise DomainError(f"[base] holds one line; got another: {base_lines[1]!r}")
+    base = numbers(base_lines[0], 3, "base line") if base_lines else (0.0, 0.0, 0.0)
     flags = set(sections.get("flags", []))
     unknown = flags - {"halfsphere"}
     if unknown:

@@ -12,7 +12,9 @@ its full parameter vector by the library's ``_quotient_rows``, which
 lockstep core and batched objectives must reproduce them bit for bit.  The
 ``row_major_*`` functions build every sample batch in C order, as the
 library did before it stored batches component-major; ``tests/test_layout.py``
-requires both layouts to give the same bits.
+requires both layouts to give the same bits.  ``scalar_ball_distances`` is the
+ball suite's distance checks evaluated case by case with scalar calls, as the
+suite did before it stacked them.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from diskcheck import (
     Vec,
     WeierstrassDisk,
     blaschke_product,
+    cayley_klein_dist,
+    poincare_dist,
     vnorm,
 )
 from diskcheck.holodisk import boundary_bound_origin, boundary_bound_shifted
-from diskcheck.corpus import case_rng
+from diskcheck.corpus import _ball_point, _disk_points, _unit_vector, case_rng
+from diskcheck.harness import BALL_POINT_STREAM
 from diskcheck.search import (
     _FAMILIES,
     DIAMETER_TOL,
@@ -411,3 +416,43 @@ def row_major_surface_identities(w: WeierstrassDisk, zs: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bare > 0, norm_x**2 / bare, np.nan)
     return float(np.max(iso)), gdev, orth, ratios
+
+
+# ---------------------------------------------------------------------------
+# per-case ball distance checks
+
+
+def scalar_ball_distances(seed: int, m: int, samples: int) -> np.ndarray:
+    """Rows (plane, invariance, radial, invariance scale) over the ball suite's cases of dimension ``m``.
+
+    Each case draws from its stream as the suite does, and its three distance
+    deviations are evaluated one case at a time, with scalar calls.  The
+    invariance scale is the sum of cosh^2 d / |1 - conj(p) q| over the two
+    Poincare distances d = d(p, q) that the invariance check compares: an
+    absolute change of the points and of conj(p) q by delta moves d by at most
+    about 2 delta times that term.
+    """
+    out = np.empty((4, samples))
+    for index in range(samples):
+        rng = case_rng(seed, BALL_POINT_STREAM + m, index)
+        _ball_point(rng, m, 0.9, rmin=0.05)
+        _ball_point(rng, m, 0.995)
+        _unit_vector(rng, m)
+        rng.random()
+        _unit_vector(rng, m)
+
+        ur = rng.normal(size=m)
+        ur /= np.linalg.norm(ur)
+        s, t = -0.95 + 1.9 * rng.random(2)
+        plane = float(cayley_klein_dist(s * ur, t * ur))
+        plane_dev = abs(plane - float(poincare_dist(complex(s), complex(t))))
+        z1, z2 = _disk_points(rng, 2, rmin=0.0, rmax=0.95)
+        c = _disk_points(rng, 1, rmin=0.0, rmax=0.8)[0]
+        moebius = lambda z: (z + c) / (1.0 + np.conj(c) * z)
+        pairs = [(z1, z2), (moebius(z1), moebius(z2))]
+        d1, d2 = (float(poincare_dist(p, q)) for p, q in pairs)
+        x = 0.9 * rng.random() ** (1.0 / m) * ur
+        radial_dev = abs(float(cayley_klein_dist(np.zeros(m), x)) - math.atanh(float(vnorm(x))))
+        scale = sum(math.cosh(d) ** 2 / abs(1.0 - np.conj(p) * q) for d, (p, q) in zip((d1, d2), pairs))
+        out[:, index] = plane_dev, abs(d1 - d2), radial_dev, scale
+    return out

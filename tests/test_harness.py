@@ -40,6 +40,8 @@ from diskcheck import corpus, harness, holodisk
 from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
 
+from oracles import scalar_ball_distances
+
 FAST = dict(samples=8, search_restarts=2)
 
 
@@ -340,6 +342,28 @@ class TestSuiteAccumulator:
             for k in range(3)
             for name in ("quotient_domination", "opnorm_anchor")
         ]
+
+
+
+class TestStackedBallDistances:
+    def test_every_case_matches_the_per_case_scalar_checks(self):
+        # Tolerance -1 fails every case, so every value is listed.
+        names = ("metric_plane_consistency", "poincare_invariance", "cayley_klein_radial")
+        dims, samples = (1, 2, 3, 8), 200
+        config = SuiteConfig(suites=("ball",), dimensions=dims, samples=samples, tolerances=dict.fromkeys(names, -1.0))
+        listed = {(f["name"], f["instance"]): f["lhs"] for f in run_suite(config).suites["ball"]["failures"]}
+        assert len(listed) == len(names) * len(dims) * samples
+        for m in dims:
+            plane, invariance, radial, scale = scalar_ball_distances(0, m, samples)
+            stacked = {name: np.array([listed[name, f"m={m} case={k}"] for k in range(samples)]) for name in names}
+            assert stacked["metric_plane_consistency"].tobytes() == plane.tobytes()
+            assert stacked["cayley_klein_radial"].tobytes() == radial.tobytes()
+            # The stacked complex products are rounded with FMA, the scalar ones
+            # without.  Each product moves by at most sqrt(2) eps, a Moebius image
+            # by at most 6 eps (|1 + conj(c) z| >= 0.24), so each distance by at
+            # most 32 eps per unit of scale; at most 1.5 was measured.
+            moved = np.abs(stacked["poincare_invariance"] - invariance)
+            assert np.all(moved <= 32.0 * np.finfo(float).eps * scale)
 
 
 class TestReportFiles:

@@ -148,6 +148,8 @@ class TestNanReachesTheVerdict:
         lambda: WeierstrassDisk([NAN], [0.0], halfsphere=True),
         lambda: WeierstrassDisk([1.0], [0.0, NAN]),
         lambda: WeierstrassDisk([1.0], [0.0], base=(0.0, math.inf, 0.0)),
+        # Finite p and q, but p q^2 overflows: every evaluation of this surface would be NaN.
+        lambda: WeierstrassDisk([1e300], [0.0, 1e10]),
         lambda: parse_disk("poly(0, nan)"),
         lambda: Const(NAN),
         lambda: CMul(math.inf, Identity()),
@@ -160,7 +162,7 @@ class TestNanReachesTheVerdict:
     ],
     ids=[
         "automorphism", "apply", "poincare_dist", "cayley_klein_dist", "quotient", "blaschke",
-        "halfsphere", "surface_p", "surface_q", "surface_base", "parse_poly", "const", "cmul", "embed",
+        "halfsphere", "surface_p", "surface_q", "surface_base", "surface_phi", "parse_poly", "const", "cmul", "embed",
         "growth_margins", "julia_margins", "boundary_bound_origin", "interior_growth_margin", "distance_decreasing_margins",
     ],
 )
@@ -170,9 +172,41 @@ def test_domain_guards_refuse_non_finite_input(call):
 
 
 def test_interior_growth_refuses_a_nan_max_norm():
-    # Finite data whose image norms overflow: max_norm() is NaN, which is not inside the ball.
+    # Finite Weierstrass components whose boundary values overflow: max_norm() is NaN,
+    # which is not inside the ball.
     with np.errstate(invalid="ignore", over="ignore"):
-        w = WeierstrassDisk([1e300], [0.0, 1e10])
+        w = WeierstrassDisk([8.9e307] * 10, [1.0])
+        assert all(np.isfinite(c).all() for c in w.phi)
         assert math.isnan(w.max_norm())
         with pytest.raises(DomainError, match="leaves the unit ball"):
             interior_growth_margin(w, 0.3)
+
+
+def _nan_derivative_at_one():
+    f = Identity()
+    f._jet = lambda z: (np.ones((1, 1), dtype=complex), np.full((1, 1), complex(NAN, 0.0)))
+    return f
+
+
+# Each map overflows to NaN in one premise of a boundary check; the guard must refuse it,
+# where a NaN compared in the "outside" form would let it through to a margin.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # F(0) = 0 * inf, while F(1) = 1.
+        (lambda: growth_margins(parse_disk("add(z, cmul(0.0, mul(poly(1e308, -1e308), poly(10, -10))))"), [0.5]),
+         "must fix the origin"),
+        # F(1) = 0 * inf; unguarded, this read as the margin -2, a false counterexample.
+        (lambda: boundary_bound_origin(parse_disk("cmul(0.0, poly(1e308, 1e308))"), 1), "not a boundary-contact point"),
+        # f(1) = 0 * inf + 1; unguarded, every margin read 0.
+        (lambda: julia_margins(parse_disk("add(cmul(0.0, poly(1e308, 1e308)), z)"), [0.5, 0.3j, -0.2]),
+         "must fix 1"),
+        # f(1) = 1, but f'(1) = 1 + 0 * (inf - inf).
+        (lambda: julia_margins(parse_disk("add(z, cmul(0.0, poly(0, 0, 1e308, -1e308)))"), [0.5]), "must be real"),
+        (lambda: julia_margins(_nan_derivative_at_one(), [0.5]), "must be positive"),
+    ],
+    ids=["zero_at_origin", "boundary_contact", "julia_fixes_one", "julia_real_derivative", "julia_positive_derivative"],
+)
+def test_premise_guards_refuse_nan(call, message):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DomainError, match=message):
+        call()

@@ -341,6 +341,12 @@ class TestSerialization:
         [
             ("[p]\n1.0 abc\n[q]\n0.0 0.0\n", "1.0 abc"),
             ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 x\n", "0 0 x"),
+            # No line is dropped: a second [base] line, and then an unparsable one.
+            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 0.1\n0 0 0.9\nnot a number\n", "0 0 0.9"),
+            # A repeated section header.
+            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[p]\n2.0 0.0\n", "[p]"),
+            # Both at once: the header is met first.
+            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 0.1\n0 0 0.9\nnot a number\n[p]\n2.0 0.0\n", "[p]"),
         ],
     )
     def test_unparsable_numbers_name_their_line(self, tmp_path, text, line):
