@@ -27,6 +27,7 @@ from .holodisk import (
     Poly,
     Vec,
     _boundary_grid,
+    _point_slices,
     _read_only,
     blaschke_product,
     extremal_family_1d,
@@ -126,21 +127,6 @@ _SIN3, _SIN5 = -_STEP**3 / 6.0, _STEP**5 / 120.0
 _VERS2, _VERS4 = _STEP**2 / 2.0, -_STEP**4 / 24.0
 
 
-# Bulk checks and circle points run over blocks of at most this many points.
-_POINT_BLOCK = 16384
-
-
-def _point_slices(n: int) -> list[slice]:
-    """Near-equal consecutive slices of ``range(n)``, each of at most ``_POINT_BLOCK`` points.
-
-    No slice holds exactly one point when n >= 2: numpy rounds one-element
-    complex products without FMA.  n = 0 gives one empty slice.
-    """
-    k = max(1, -(-n // _POINT_BLOCK))
-    edges = [n * i // k for i in range(k + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     """``radii * exp(2 pi i turns)`` for a 1-d array of ``turns`` in [0, 1), within 4 ulp.
 
@@ -170,16 +156,49 @@ def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
-    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0.
+def _draw_disk(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The (radius, turn) uniforms of ``n`` disk points with rmin <= |z| <= rmax, uniform by area when rmin = 0.
 
-    Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns).
+    Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns), into
+    the first 2n floats of ``out`` when it is given, and maps the radii in
+    place.  Returns the (2, n) rows: ``_on_circle(*uniforms)`` places the points.
     """
-    radii, turns = rng.random((2, n))
+    uniforms = rng.random((2, n)) if out is None else rng.random(out=out[: 2 * n].reshape(2, n))
+    radii = uniforms[0]
     np.sqrt(radii, out=radii)
     radii *= rmax - rmin
     radii += rmin
-    return _on_circle(radii, turns)
+    return uniforms
+
+
+class _Draw:
+    """Disk points held as their ``_draw_disk`` uniforms; indexing places them.
+
+    ``draw[i]`` and ``draw[a:b]`` are ``_on_circle`` of those uniforms, which
+    is elementwise, so they are the points of ``_disk_points`` bit for bit:
+    a sweep places each block of points as it checks it, and a report places
+    one point again from its index.
+    """
+
+    ndim = 1  # for np.ndim: a 1-d sequence of points
+
+    def __init__(self, uniforms: np.ndarray) -> None:
+        self.uniforms = uniforms
+        self.shape = uniforms.shape[1:]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _on_circle(*self.uniforms[:, index])
+        return _on_circle(*self.uniforms[:, [index]])[0]
+
+
+def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
+    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0 (see ``_draw_disk``)."""
+    return _on_circle(*_draw_disk(rng, n, rmin, rmax))
 
 
 def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0.0) -> np.ndarray:

@@ -37,8 +37,9 @@ from .ballgeom import (
 from .corpus import (
     _ball_point,
     _disk_points,
+    _Draw,
+    _draw_disk,
     _on_circle,
-    _point_slices,
     _unit_vector,
     case_rng,
     holo_corpus,
@@ -48,6 +49,7 @@ from .corpus import (
 from .holodisk import (
     Blaschke,
     _fmt_complex,
+    _point_slices,
     _polar_grid,
     analytic_radial_derivative,
     affine_rigidity_check,
@@ -232,15 +234,17 @@ class _SuiteAccumulator:
         }
 
 
-def _blocked(check, target, *points):
-    """``check(target, *points)`` over point blocks: per-point arrays concatenated, scalars maxed.
+def _suite_buffers(*shapes) -> list[np.ndarray]:
+    """Float buffers that a sampled suite keeps for all of its sweeps.
 
-    Its temporaries then scale with the block, not with the sample count.
+    First one untouched 1 MiB array is allocated and freed: glibc's malloc
+    then raises its mmap threshold to 1 MiB and its trim threshold to 2 MiB,
+    so the temporaries of each point block are served from a heap that is not
+    trimmed and faulted in again after every block.  Under another allocator
+    it is one unused allocation.
     """
-    parts = [check(target, *(p[block] for p in points)) for block in _point_slices(len(points[0]))]
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    return tuple(np.concatenate(c) if isinstance(c[0], np.ndarray) else float(np.max(c)) for c in zip(*parts))
+    np.empty(1 << 17)
+    return [np.empty(shape) for shape in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +262,12 @@ def _run_ball(config: SuiteConfig) -> dict:
         # Each case draws from its own stream, in a fixed order; the loop only
         # draws.  Every check is then evaluated for all cases at once and
         # recorded as one table.  Each has the arithmetic of a one-point call,
-        # except that the invariance check's complex products take FMA.
+        # except that the invariance check's complex products take FMA.  The
+        # disk points z1, z2 and c are kept as their (radius, turn) uniforms
+        # and placed by one call.
         points = np.empty((5, config.samples, m), dtype=complex)
         ur, st, radius = np.empty((config.samples, m)), np.empty((2, config.samples)), np.empty(config.samples)
-        disk = np.empty((3, config.samples), dtype=complex)
+        uniforms = np.empty((2, 3, config.samples))
         for index in range(config.samples):
             rng = case_rng(config.seed, BALL_POINT_STREAM + m, index)
             a = _ball_point(rng, m, 0.9, rmin=0.05)
@@ -273,10 +279,11 @@ def _run_ball(config: SuiteConfig) -> dict:
             u = rng.normal(size=m)
             ur[index] = u / np.linalg.norm(u)
             st[:, index] = -0.95 + 1.9 * rng.random(2)
-            disk[:2, index] = _disk_points(rng, 2, rmin=0.0, rmax=0.95)
-            disk[2, index] = _disk_points(rng, 1, rmin=0.0, rmax=0.8)[0]
+            uniforms[:, :2, index] = _draw_disk(rng, 2, rmin=0.0, rmax=0.95)
+            uniforms[:, 2, index] = _draw_disk(rng, 1, rmin=0.0, rmax=0.8)[:, 0]
             radius[index] = 0.9 * rng.random() ** (1.0 / m)
 
+        disk = _on_circle(*uniforms.reshape(2, -1)).reshape(3, -1)
         (su, tu), (z1, z2, c) = st[:, :, None] * ur, disk
         x = radius[:, None] * ur
         image = (disk[:2] + c) / (1.0 + np.conj(c) * disk[:2])
@@ -333,6 +340,8 @@ def _run_ball(config: SuiteConfig) -> dict:
 
 def _run_holo(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
+    # Buffers for the whole suite: one draw's uniforms and the growth margin columns.
+    uniforms, columns = _suite_buffers(2 * config.samples, (3, config.samples))
     corpus_count = max(12, min(60, config.samples // 4))
     lower_min_md = math.inf
     radial_err_max = 0.0
@@ -378,12 +387,13 @@ def _run_holo(config: SuiteConfig) -> dict:
             acc.check("schwarz_derivative", text, *schwarz_derivative_bound(disk))
 
             if member.zero_at_origin:
-                zs = _disk_points(rng, config.samples)
+                zs = _Draw(_draw_disk(rng, config.samples, out=uniforms))
                 at_z = lambda i: f"{tag} z={zs[i]:.6g}"
-                margins, upper, lower = _blocked(growth_margins, disk, zs)
+                margins, upper, lower = growth_margins(disk, zs, out=columns)
                 acc.sampled("growth_margin", margins, at_z)
                 if member.growth_equality:
-                    acc.value("growth_equality_affine", tag, float(np.max(np.abs(margins))))
+                    # In place: the column is not read again.
+                    acc.value("growth_equality_affine", tag, float(np.max(np.abs(margins, out=margins))))
                 acc.sampled("two_sided_upper", upper, at_z)
                 if m == 1:
                     acc.sampled("two_sided_lower", lower, at_z)
@@ -436,6 +446,12 @@ def _run_minimal(config: SuiteConfig) -> dict:
     audit = []  # per surface: sum, count, max and min of the finite metric audit ratios
     planar_general_min = math.inf
     orthogonality_max = 0.0
+    # Buffers for the whole suite: the uniforms of two point draws, and one
+    # column of per-point values.  Each sweep places its points block by
+    # block; a block's temporaries hold points of R^3.
+    n = config.samples
+    uniforms, column = _suite_buffers(4 * n, n)
+    slices = _point_slices(n, 3)
 
     for index, member in enumerate(surfaces):
         rng = case_rng(config.seed, MINIMAL_POINT_STREAM, index)
@@ -445,14 +461,19 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         acc.check("null_condition", text, *null_condition_report(w))
 
-        zs = _disk_points(rng, config.samples)
-        iso, gdev, orth, ratio = _blocked(surface_identities, w, zs)
-        acc.check("isothermal", text, iso, 0.0, iso, extra={"sample_count": len(zs)})
+        zs = _Draw(_draw_disk(rng, n, out=uniforms))
+        maxima = []  # per block: the three maxima; the audit ratios go to the column
+        for block in slices:
+            *values, column[block] = surface_identities(w, zs[block])
+            maxima.append(values)
+        iso, gdev, orth = (float(np.max(c)) for c in zip(*maxima))
+        acc.check("isothermal", text, iso, 0.0, iso, extra={"sample_count": n})
         orthogonality_max = max(orthogonality_max, orth)
         acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
         acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, complex(zs[0])))
-        if (finite := ratio[np.isfinite(ratio)]).size:
-            audit.append((float(np.sum(finite)), finite.size, float(np.max(finite)), float(np.min(finite))))
+        finite = np.isfinite(column)
+        if (ratio := column if finite.all() else column[finite]).size:
+            audit.append((float(np.sum(ratio)), ratio.size, float(np.max(ratio)), float(np.min(ratio))))
 
         max_norm = w.max_norm()
         acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
@@ -465,19 +486,24 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 if member.planar_through_origin:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth[:3])
 
-            pair_a = _disk_points(rng, config.samples, rmin=0.0)
-            pair_b = _disk_points(rng, config.samples, rmin=0.0)
-            margins = _blocked(distance_decreasing_margins, w, pair_a, pair_b)
-            acc.sampled("distance_decreasing", margins, lambda i: f"{tag} pair=({pair_a[i]:.4g},{pair_b[i]:.4g})")
+            pair_a = _Draw(_draw_disk(rng, n, rmin=0.0, out=uniforms[: 2 * n]))
+            pair_b = _Draw(_draw_disk(rng, n, rmin=0.0, out=uniforms[2 * n :]))
+            deviations = []  # per block of the anchored and diameter sweeps: the max |margin|
+            for block in slices:
+                za = pair_a[block]
+                column[block] = distance_decreasing_margins(w, za, pair_b[block])
+                if member.planar_through_origin:
+                    deviations.append(np.max(np.abs(distance_decreasing_margins(w, za, np.zeros_like(za)))))
+            acc.sampled("distance_decreasing", column, lambda i: f"{tag} pair=({pair_a[i]:.4g},{pair_b[i]:.4g})")
             if member.planar_through_origin:
-                planar_general_min = min(planar_general_min, float(np.min(margins)))
-                anchored = _blocked(distance_decreasing_margins, w, pair_a, np.zeros_like(pair_a))
-                direction = _on_circle(1.0, rng.random(config.samples))
-                s = -0.95 + 1.9 * rng.random(config.samples)
-                t = -0.95 + 1.9 * rng.random(config.samples)
-                diameter = _blocked(distance_decreasing_margins, w, s * direction, t * direction)
-                edev = np.max([np.max(np.abs(anchored)), np.max(np.abs(diameter))])
-                acc.value("distance_equality_planar", tag, edev)
+                planar_general_min = min(planar_general_min, float(np.min(column)))
+                # The diameters' direction turns and s, t uniforms, drawn over the pairs' uniforms.
+                turns, s, t = rng.random(out=uniforms[: 3 * n].reshape(3, n))
+                for block in slices:
+                    direction = _on_circle(1.0, turns[block])
+                    ends = (-0.95 + 1.9 * s[block]) * direction, (-0.95 + 1.9 * t[block]) * direction
+                    deviations.append(np.max(np.abs(distance_decreasing_margins(w, *ends))))
+                acc.value("distance_equality_planar", tag, np.max(deviations))
 
         if (zeta := member.boundary_contact_point) is not None:
             contact = boundary_minimal_margin(w, zeta)

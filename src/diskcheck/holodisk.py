@@ -437,6 +437,22 @@ def _boundary_grid(n: int) -> np.ndarray:
     return _read_only(np.exp(1j * (2.0 * np.pi * np.arange(n) / n)))
 
 
+# Bulk checks and circle points run over blocks of at most this many elements:
+# points times the components of a point's value.
+_POINT_BLOCK = 16384
+
+
+def _point_slices(n: int, width: int = 1) -> list[slice]:
+    """Near-equal consecutive slices of ``range(n)``, each of at most ``_POINT_BLOCK // width`` points.
+
+    No slice holds exactly one point when n >= 2: numpy rounds one-element
+    complex products without FMA.  n = 0 gives one empty slice.
+    """
+    k = max(1, min(n // 2, -(-n * width // _POINT_BLOCK)))
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _polar_grid(radii: np.ndarray, n_angles: int) -> np.ndarray:
     """Every radius times every point of an ``n_angles`` boundary grid, flattened."""
     return (radii[:, None] * _boundary_grid(n_angles)[None, :]).ravel()
@@ -480,27 +496,43 @@ def _norm_jet(f: HoloDisk, points) -> tuple[list[float], list[float]]:
 # interior growth bounds
 
 
-def growth_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Growth and quotient margins at each of ``zs``, from one walk of F.
+def growth_margins(f: HoloDisk, zs, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Growth and quotient margins at each of ``zs``, from one walk of F at 0 and one per point block.
 
     With A = ||F'(0)|| and x = ||F(z)/z||: growth
     |z|(|z| + A)/(1 + |z| A) - ||F(z)||; upper (A + |z|)/(1 + A |z|) - x,
     valid in every dimension; lower x - max((A - |z|)/(1 - A |z|), 0),
     asserted by callers only for m = 1 or collinear-range maps and reported
     otherwise.
+
+    ``zs`` is a point or a sequence of points: an array, a list, or a corpus
+    draw, whose slices place their points.  The three margin arrays are the
+    rows of ``out``, a (3, len(zs)) float array, when it is given.
     """
     (n0,), (a,) = _norm_jet(f, [0j])
     _require_zero_at_origin(n0)
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    r = np.abs(zs)
+    if np.ndim(zs) == 0:
+        zs = [zs]
+    out = np.empty((3, len(zs))) if out is None else out
+    for block in _point_slices(len(zs), f.dim):
+        _growth_block(f, a, np.asarray(zs[block], dtype=complex), out[:, block])
+    return out[0], out[1], out[2]
+
+
+def _growth_block(f: HoloDisk, a: float, z: np.ndarray, out: np.ndarray) -> None:
+    """``growth_margins`` at the points ``z`` of one block, into the rows of ``out``.
+
+    Its temporaries are freed on return, before the next block is placed.
+    """
+    r = np.abs(z)
     if not np.all((r > 0.0) & (r < 1.0)):
         raise DomainError("growth and quotient bounds need 0 < |z| < 1")
-    norms = vnorm(f._eval(zs))
+    norms = vnorm(f._eval(z))
     x = norms / r
-    growth = r * (r + a) / (1.0 + r * a) - norms
-    upper = (a + r) / (1.0 + a * r) - x
-    lower = x - np.maximum((a - r) / (1.0 - a * r), 0.0)
-    return growth, upper, lower
+    growth, upper, lower = out
+    np.subtract(r * (r + a) / (1.0 + r * a), norms, out=growth)
+    np.subtract((a + r) / (1.0 + a * r), x, out=upper)
+    np.subtract(x, np.maximum((a - r) / (1.0 - a * r), 0.0), out=lower)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +556,8 @@ def boundary_bound_origin(f: HoloDisk, zeta) -> CheckValues:
 def _shifted_bound(r: float, n: float, a: float) -> float:
     """The main bound 2 (1 - r)^2 / (1 - r^2 + a) for ||F(0)|| = r, ||F(zeta)|| = n and ||F'(0)|| = a."""
     _require_boundary_contact(n)
-    if r >= 1.0 - 1e-12:
-        raise DomainError("degenerate map: ||F(0)|| = 1 pins the image to the boundary")
+    if not r < 1.0 - 1e-12:
+        raise DomainError(f"degenerate map: ||F(0)|| = {r:.12g} is not below 1")
     return 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + a)
 
 
@@ -560,8 +592,8 @@ def boundary_bound_shifted(f: HoloDisk, zeta) -> CheckValues:
 def schwarz_derivative_bound(f: HoloDisk) -> CheckValues:
     """Margin sqrt(1 - ||F(0)||^2) - ||F'(0)|| for ball-valued maps."""
     (r,), (a,) = _norm_jet(f, [0j])
-    if r > 1.0:
-        raise DomainError("map must send the disk into the closed ball")
+    if not r <= 1.0:
+        raise DomainError(f"map must send the disk into the closed ball; got ||F(0)|| = {r:.6g}")
     bound = math.sqrt(max(1.0 - r * r, 0.0))
     return CheckValues(a, bound, bound - a, {"base_norm": r})
 

@@ -1,10 +1,12 @@
-"""Bulk checks run over point blocks, bit for bit.
+"""Sampled sweeps run over point blocks, bit for bit.
 
-A sampled check over N points runs as ``harness._blocked`` calls on blocks of
-at most ``corpus._POINT_BLOCK`` points, so its temporaries scale with the
-block rather than with N.  Each block's values must be those of one call over
-all N points, exactly; a block of one point would break that, since numpy
-rounds one-element complex products without FMA.
+A sampled sweep over N points draws their (radius, turn) uniforms into a
+buffer that lives for the whole suite, then places and checks the points one
+block at a time: blocks hold at most ``holodisk._POINT_BLOCK`` point x
+component elements, so the temporaries scale with the block rather than with
+N.  Each block's values must be those of one call over all N points, exactly;
+a block of one point would break that, since numpy rounds one-element complex
+products without FMA.
 """
 
 from __future__ import annotations
@@ -15,24 +17,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskcheck import corpus, harness, holo_corpus, weierstrass_corpus
+from diskcheck import corpus, harness, holo_corpus, holodisk, weierstrass_corpus
 from diskcheck.harness import SuiteConfig, run_suite
 from diskcheck.holodisk import growth_margins
 from diskcheck.weierstrass import distance_decreasing_margins, surface_identities
 
-BLOCKED = 2 * corpus._POINT_BLOCK + 1
+BLOCKED = 2 * holodisk._POINT_BLOCK + 1
 
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((1357, seed)))
 
 
+def bits(z) -> np.ndarray:
+    return np.atleast_1d(z).view(np.uint64)
+
+
 class TestPointBlocks:
     @pytest.mark.parametrize("block", [3, 4, 5, 7, 16])
     def test_slices_are_near_equal_and_never_hold_one_point(self, monkeypatch, block):
-        monkeypatch.setattr(corpus, "_POINT_BLOCK", block)
+        monkeypatch.setattr(holodisk, "_POINT_BLOCK", block)
         for n in range(300):
-            slices = corpus._point_slices(n)
+            slices = holodisk._point_slices(n)
             sizes = [s.stop - s.start for s in slices]
             assert slices[0].start == 0 and slices[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
@@ -40,17 +46,26 @@ class TestPointBlocks:
             assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
             assert n < 2 or min(sizes) >= 2, (n, sizes)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 5000, 40000])
+    def test_slices_by_elements_never_hold_one_point(self, width):
+        for n in (*range(40), 2047, 2048, 2049, 6000, BLOCKED, 50000):
+            sizes = [s.stop - s.start for s in holodisk._point_slices(n, width)]
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+            assert n < 2 or min(sizes) >= 2, (n, width, sizes)
+            assert max(sizes) * width <= holodisk._POINT_BLOCK or min(sizes) <= 3, (n, width, sizes)
+
     def test_slices_at_the_block_size(self):
-        b = corpus._POINT_BLOCK
+        b = holodisk._POINT_BLOCK
         for n in (2, 3, b - 1, b, b + 1, b + 2, 2 * b - 1, 2 * b, BLOCKED, 3 * b + 1, 50000):
-            sizes = [s.stop - s.start for s in corpus._point_slices(n)]
+            sizes = [s.stop - s.start for s in holodisk._point_slices(n)]
             assert sum(sizes) == n and max(sizes) <= b and min(sizes) >= 2
-        assert len(corpus._point_slices(BLOCKED)) == 3
+        assert len(holodisk._point_slices(BLOCKED)) == 3
+        assert len(holodisk._point_slices(50000, 8)) == 25
 
     def test_circle_points_over_blocks_equal_per_point_calls(self, monkeypatch):
         rng = rng_for(2)
         radii, turns = rng.random((2, 101))
-        monkeypatch.setattr(corpus, "_POINT_BLOCK", 5)
+        monkeypatch.setattr(holodisk, "_POINT_BLOCK", 5)
         for r in (radii, 1.0):
             z = corpus._on_circle(r, turns)
             one = [corpus._on_circle(r if np.ndim(r) == 0 else r[i : i + 1], turns[i : i + 1])[0] for i in range(101)]
@@ -60,67 +75,178 @@ class TestPointBlocks:
         rng = rng_for(3)
         radii, turns = rng.random((2, BLOCKED))
         z = corpus._on_circle(radii, turns)
-        edges = [s.start for s in corpus._point_slices(BLOCKED)[1:]]
+        edges = [s.start for s in holodisk._point_slices(BLOCKED)[1:]]
         picks = sorted({*rng.integers(0, BLOCKED, 300).tolist(), 0, BLOCKED - 1, *edges, *(e - 1 for e in edges)})
         one = [corpus._on_circle(radii[i : i + 1], turns[i : i + 1])[0] for i in picks]
         assert np.array_equal(z[picks].view(float), np.asarray(one).view(float))
 
 
-def assert_blocked_equals_one_call(check, target, *points) -> None:
-    blocked, whole = harness._blocked(check, target, *points), check(target, *points)
-    if isinstance(whole, np.ndarray):
-        blocked, whole = (blocked,), (whole,)
-    assert len(blocked) == len(whole)
-    for value, reference in zip(blocked, whole):
-        if isinstance(reference, np.ndarray):
-            assert value.shape == reference.shape
-            assert np.array_equal(value.view(np.uint64), reference.view(np.uint64))
-        else:
-            assert type(value) is float
-            assert value == reference or (math.isnan(value) and math.isnan(reference))
+class TestDrawAndPlace:
+    """``_draw_disk`` then placement is ``_disk_points``, for any split into placement slices."""
+
+    @pytest.mark.parametrize("rmin, rmax", [(0.02, 0.97), (0.0, 0.95), (0.0, 0.8), (0.1, 0.9)])
+    def test_any_split_equals_one_draw(self, rmin, rmax):
+        for n in (1, 2, 3, 17, 1000):
+            whole = corpus._disk_points(rng_for(n), n, rmin, rmax)
+            draw = corpus._Draw(corpus._draw_disk(rng_for(n), n, rmin, rmax))
+            assert len(draw) == n and draw.shape == (n,) and np.ndim(draw) == 1
+            cuts = np.sort(rng_for(7 + n).integers(0, n + 1, 6))
+            parts = [draw[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+            assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
+            assert np.array_equal(bits([draw[i] for i in range(n)]), bits(whole))
+            assert np.array_equal(bits(draw[-1]), bits(whole[-1]))
+
+    def test_a_reused_buffer_gives_the_same_points_and_the_same_stream(self):
+        buffer = np.empty(2 * BLOCKED)
+        for n in (BLOCKED, 5, BLOCKED - 2, 1):
+            rng, fresh = rng_for(n), rng_for(n)
+            uniforms = corpus._draw_disk(rng, n, out=buffer)
+            assert np.shares_memory(uniforms, buffer) and uniforms.shape == (2, n)
+            assert np.array_equal(bits(corpus._Draw(uniforms)[:]), bits(corpus._disk_points(fresh, n)))
+            # The generator is left where a plain draw leaves it.
+            assert rng.random() == fresh.random()
 
 
-class TestBlockedChecks:
+def one_block(monkeypatch) -> None:
+    """Run every sweep as one call over all of its points."""
+    monkeypatch.setattr(holodisk, "_POINT_BLOCK", 1 << 40)
+
+
+def sweep(check, target, *draws) -> list:
+    """``check`` over each block of ``draws``, placed block by block, as the minimal suite runs it."""
+    return [check(target, *(d[block] for d in draws)) for block in holodisk._point_slices(len(draws[0]), 3)]
+
+
+class TestStreamedChecks:
     @pytest.mark.parametrize("m", [1, 3, 8])
-    def test_growth_margins(self, m):
-        rng = rng_for(10 + m)
+    def test_growth_margins(self, monkeypatch, m):
+        draw = corpus._Draw(corpus._draw_disk(rng_for(10 + m), BLOCKED))
+        out = np.empty((3, BLOCKED))
         for member in holo_corpus(0, m, 15):
             if member.zero_at_origin:
-                assert_blocked_equals_one_call(growth_margins, member.disk, corpus._disk_points(rng, BLOCKED))
+                streamed = growth_margins(member.disk, draw, out=out)
+                assert all(np.shares_memory(row, out) for row in streamed)
+                with monkeypatch.context() as patch:
+                    one_block(patch)
+                    whole = growth_margins(member.disk, draw[:])
+                assert np.array_equal(bits(np.stack(streamed)), bits(np.stack(whole)))
 
-    def test_surface_identities(self):
+    def test_surface_identities(self, monkeypatch):
         rng = rng_for(20)
         for member in weierstrass_corpus(0, 12):
-            zs = corpus._disk_points(rng, BLOCKED)
-            zs[corpus._POINT_BLOCK + 7] = 0j  # a NaN polar direction and ratio in the middle block
-            assert_blocked_equals_one_call(surface_identities, member.surface, zs)
+            uniforms = corpus._draw_disk(rng, BLOCKED)
+            uniforms[:, holodisk._POINT_BLOCK + 7] = 0.0  # z = 0: a NaN polar direction and ratio mid-sweep
+            draw = corpus._Draw(uniforms)
+            parts = sweep(surface_identities, member.surface, draw)
+            whole = surface_identities(member.surface, draw[:])
+            for k in range(3):
+                assert float(np.max([part[k] for part in parts])) == whole[k]
+            assert np.array_equal(bits(np.concatenate([part[3] for part in parts])), bits(whole[3]))
 
     def test_distance_decreasing_pairs_anchored_and_diameters(self):
         rng = rng_for(21)
         for member in weierstrass_corpus(0, 10):
             w = member.surface
-            pair_a = corpus._disk_points(rng, BLOCKED, rmin=0.0)
-            pair_b = corpus._disk_points(rng, BLOCKED, rmin=0.0)
-            assert_blocked_equals_one_call(distance_decreasing_margins, w, pair_a, pair_b)
-            assert_blocked_equals_one_call(distance_decreasing_margins, w, pair_a, np.zeros_like(pair_a))
-            direction = corpus._on_circle(1.0, rng.random(BLOCKED))
-            s, t = -0.95 + 1.9 * rng.random((2, BLOCKED))
-            assert_blocked_equals_one_call(distance_decreasing_margins, w, s * direction, t * direction)
+            pair_a = corpus._Draw(corpus._draw_disk(rng, BLOCKED, rmin=0.0))
+            pair_b = corpus._Draw(corpus._draw_disk(rng, BLOCKED, rmin=0.0))
+            whole_a = pair_a[:]
+            streamed = np.concatenate(sweep(distance_decreasing_margins, w, pair_a, pair_b))
+            assert np.array_equal(bits(streamed), bits(distance_decreasing_margins(w, whole_a, pair_b[:])))
+            anchored = []
+            for block in holodisk._point_slices(BLOCKED, 3):
+                a = pair_a[block]
+                anchored.append(distance_decreasing_margins(w, a, np.zeros_like(a)))
+            whole = distance_decreasing_margins(w, whole_a, np.zeros_like(whole_a))
+            assert np.array_equal(bits(np.concatenate(anchored)), bits(whole))
+            turns, s, t = rng.random((3, BLOCKED))
+            diameters = []
+            for block in holodisk._point_slices(BLOCKED, 3):
+                direction = corpus._on_circle(1.0, turns[block])
+                ends = (-0.95 + 1.9 * s[block]) * direction, (-0.95 + 1.9 * t[block]) * direction
+                diameters.append(distance_decreasing_margins(w, *ends))
+            direction = corpus._on_circle(1.0, turns)
+            whole = distance_decreasing_margins(w, (-0.95 + 1.9 * s) * direction, (-0.95 + 1.9 * t) * direction)
+            assert np.array_equal(bits(np.concatenate(diameters)), bits(whole))
 
     def test_growth_margins_peak_memory_does_not_grow_with_blocks(self):
         (member,) = [m for m in holo_corpus(0, 8, 10) if m.name == "poly-9"]
-        b = corpus._POINT_BLOCK
+        b = holodisk._POINT_BLOCK
 
         def peak(n: int) -> int:
-            zs = corpus._disk_points(rng_for(22), n)
+            zs = corpus._Draw(corpus._draw_disk(rng_for(22), n))
+            out = np.empty((3, n))
             tracemalloc.start()
             try:
-                harness._blocked(growth_margins, member.disk, zs)
+                growth_margins(member.disk, zs, out=out)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(4 * b) <= 1.5 * peak(b)
+
+    def test_growth_margins_walks_the_origin_jet_once_per_call(self, monkeypatch):
+        walks = []
+        norm_jet = holodisk._norm_jet
+        monkeypatch.setattr(holodisk, "_norm_jet", lambda f, points: walks.append(list(points)) or norm_jet(f, points))
+        for member in holo_corpus(0, 8, 10):
+            if member.zero_at_origin:
+                walks.clear()
+                evals = []
+                disk = member.disk
+                monkeypatch.setattr(disk, "_eval", lambda z, walk=disk._eval: evals.append(len(z)) or walk(z))
+                growth_margins(disk, corpus._Draw(corpus._draw_disk(rng_for(23), BLOCKED)))
+                assert walks == [[0j]]
+                assert len(evals) == len(holodisk._point_slices(BLOCKED, 8)) and sum(evals) == BLOCKED
+
+
+# Sampled checks made to fail, so that each one's worst instance is also listed as a failure.
+FAILING = {"growth_margin": -10.0, "two_sided_upper": -10.0, "two_sided_lower": -10.0, "distance_decreasing": -10.0}
+
+
+class TestStreamedSuites:
+    """A suite's report does not depend on how its sweeps are blocked, instance text included."""
+
+    @staticmethod
+    def report(**kwargs) -> str:
+        return run_suite(SuiteConfig(suites=("holo", "minimal"), tolerances=FAILING, **kwargs)).json_text()
+
+    def test_at_the_block_size(self, monkeypatch):
+        config = {"dimensions": (1, 8), "samples": BLOCKED, "seed": 5}
+        streamed = self.report(**config)
+        one_block(monkeypatch)
+        assert streamed == self.report(**config)
+
+    def test_with_a_small_block(self, monkeypatch):
+        # Planar surfaces take the anchored and diameter sweeps; blocks of 2 and 3 points at m = 8.
+        config = {"dimensions": (1, 8), "samples": 301, "seed": 2}
+        with monkeypatch.context() as patch:
+            patch.setattr(holodisk, "_POINT_BLOCK", 16)
+            streamed = self.report(**config)
+        one_block(monkeypatch)
+        whole = self.report(**config)
+        assert streamed == whole and '"failures": []' not in whole
+
+
+@pytest.mark.parametrize("suite", ["holo", "minimal"])
+def test_traced_peak_grows_at_most_48_bytes_per_sample(suite):
+    """The suite-lifetime draw buffer and margin columns are all that grows with the sample count.
+
+    Both sample counts are multiples of the block, so every sweep's blocks
+    have the same sizes in both runs, and a first run fills the caches that
+    would otherwise count in the first traced peak only.
+    """
+    run_suite(SuiteConfig(suites=(suite,), dimensions=(1, 8), samples=300))
+
+    def peak(samples: int) -> int:
+        tracemalloc.start()
+        try:
+            run_suite(SuiteConfig(suites=(suite,), dimensions=(1, 8), samples=samples))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, high = holodisk._POINT_BLOCK, 2 * holodisk._POINT_BLOCK
+    assert (peak(high) - peak(low)) / (high - low) <= 48.0
 
 
 def test_streamed_metric_audit_pools_every_surface(monkeypatch):

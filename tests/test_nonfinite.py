@@ -27,9 +27,11 @@ from diskcheck.holodisk import (
     affine_rigidity_check,
     blaschke_product,
     boundary_bound_origin,
+    boundary_bound_shifted,
     growth_margins,
     julia_margins,
     parse_disk,
+    schwarz_derivative_bound,
 )
 from diskcheck.reports import DomainError, _judge
 from diskcheck.weierstrass import (
@@ -182,6 +184,10 @@ def test_interior_growth_refuses_a_nan_max_norm():
             interior_growth_margin(w, 0.3)
 
 
+# A disk map that overflows to NaN at the origin only: F(0) = 0 * inf + 0 and F(1) = 1.
+NAN_AT_ORIGIN = "add(z, cmul(0.0, mul(poly(1e308, -1e308), poly(10, -10))))"
+
+
 def _nan_derivative_at_one():
     f = Identity()
     f._jet = lambda z: (np.ones((1, 1), dtype=complex), np.full((1, 1), complex(NAN, 0.0)))
@@ -194,7 +200,7 @@ def _nan_derivative_at_one():
     "call, message",
     [
         # F(0) = 0 * inf, while F(1) = 1.
-        (lambda: growth_margins(parse_disk("add(z, cmul(0.0, mul(poly(1e308, -1e308), poly(10, -10))))"), [0.5]),
+        (lambda: growth_margins(parse_disk(NAN_AT_ORIGIN), [0.5]),
          "must fix the origin"),
         # F(1) = 0 * inf; unguarded, this read as the margin -2, a false counterexample.
         (lambda: boundary_bound_origin(parse_disk("cmul(0.0, poly(1e308, 1e308))"), 1), "not a boundary-contact point"),
@@ -204,8 +210,13 @@ def _nan_derivative_at_one():
         # f(1) = 1, but f'(1) = 1 + 0 * (inf - inf).
         (lambda: julia_margins(parse_disk("add(z, cmul(0.0, poly(0, 0, 1e308, -1e308)))"), [0.5]), "must be real"),
         (lambda: julia_margins(_nan_derivative_at_one(), [0.5]), "must be positive"),
+        # F(0) = 0 * inf, while F(1) = 1: unguarded, the shifted bound and its margin read NaN.
+        (lambda: boundary_bound_shifted(parse_disk(NAN_AT_ORIGIN), 1), "is not below 1"),
+        # Unguarded, the bound read NaN as sqrt(max(1 - NaN, 0)).
+        (lambda: schwarz_derivative_bound(parse_disk(NAN_AT_ORIGIN)), "into the closed ball"),
     ],
-    ids=["zero_at_origin", "boundary_contact", "julia_fixes_one", "julia_real_derivative", "julia_positive_derivative"],
+    ids=["zero_at_origin", "boundary_contact", "julia_fixes_one", "julia_real_derivative", "julia_positive_derivative",
+         "shifted_base_norm", "schwarz_base_norm"],
 )
 def test_premise_guards_refuse_nan(call, message):
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DomainError, match=message):
