@@ -38,8 +38,14 @@ _TINY = np.finfo(float).tiny
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
-    """Hermitian inner product <x, y> = sum x_j conj(y_j) over the last axis, summed in C order."""
-    return np.add.reduce(np.ascontiguousarray(np.asarray(x) * np.conj(y)), axis=-1)
+    """Hermitian inner product <x, y> = sum x_j conj(y_j) over the last axis, summed in C order.
+
+    The factors get one rank by leading unit axes, as at every product of
+    points by an automorphism's parameter: numpy rounds an (N, 1) by (1,)
+    complex product by another loop when N = 1, equal ranks by one loop at every N.
+    """
+    x, y = np.asarray(x), np.conj(y)
+    return np.add.reduce(np.ascontiguousarray(x[(None,) * (y.ndim - x.ndim)] * y[(None,) * (x.ndim - y.ndim)]), axis=-1)
 
 
 def vnorm(x: np.ndarray) -> float | np.ndarray:
@@ -85,14 +91,17 @@ def _check_in_closed_ball(w: np.ndarray) -> None:
 def _phi_value(a, r2, s, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """phi_a(w) with t = <w, a>, for ||a||^2 = ``r2`` >= ``_TINY`` and s = sqrt(1 - r2).
 
-    ``a`` may be a (K, m) stack, with ``r2`` (K,) and ``s`` (K, 1).
+    ``a`` may be a (K, m) stack, with ``r2`` (K,) and ``s`` (K, 1).  It is
+    raised to the rank of ``w`` (see :func:`inner`).
     """
+    a = a[(None,) * (w.ndim - a.ndim)]
     pw = (t / r2)[..., None] * a
     return (a - pw - s * (w - pw)) / (1.0 - t)[..., None]
 
 
 def _phi_jet(a, conj_a, r2, s, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phi_a(w), D phi_a(w)[v]) with the arguments of :func:`_phi_value`."""
+    a, conj_a = (x[(None,) * (w.ndim - x.ndim)] for x in (a, conj_a))
     t = np.add.reduce(w * conj_a, axis=-1)
     value = _phi_value(a, r2, s, w, t)
     ta = np.add.reduce(v * conj_a, axis=-1)
@@ -168,7 +177,7 @@ class BallAutomorphism:
         """Evaluate phi_a(w) for ``w`` in the closed ball, shape (..., m) or (..., K, m)."""
         w = self._points(w)
         _check_in_closed_ball(w)
-        return self._phi(w, np.add.reduce(w * self._conj_a, axis=-1))
+        return self._phi(w, np.add.reduce(w * self._conj_a[(None,) * (w.ndim - self.a.ndim)], axis=-1))
 
     def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
         """phi_a(w) for a checked ``w`` with t = <w, a>."""

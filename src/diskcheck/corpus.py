@@ -27,7 +27,6 @@ from .holodisk import (
     Poly,
     Vec,
     _boundary_grid,
-    _point_slices,
     _read_only,
     blaschke_product,
     extremal_family_1d,
@@ -134,25 +133,22 @@ def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     [0, 1); the table point 2 pi k / 2^12 is rotated by delta = 2 pi f / 2^12
     (below 1.54e-3) through a degree-5 sin and degree-4 1 - cos Taylor step,
     whose truncation is below 1e-19.  Every operation is a real elementwise
-    one, so each element's bits do not depend on the batch shape; the output
-    is filled block by block.
+    one, so each element's bits do not depend on the batch shape.
     """
     z = np.empty(turns.shape, dtype=complex)
-    for block in _point_slices(len(turns)):
-        f = turns[block] * float(1 << _TURN_BITS)
-        k = f.astype(np.intp)
-        f -= k
-        g = f * f
-        sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
-        vers = (g * _VERS4 + _VERS2) * g
-        c, s = _TURN_COS[k], _TURN_SIN[k]
-        # cos(a + d) = c - (c vers + s sin d) and sin(a + d) = s + (c sin d - s vers).
-        re = c * vers + s * sin_d
-        np.subtract(c, re, out=re)
-        im = c * sin_d - s * vers + s
-        r = radii if np.ndim(radii) == 0 else radii[block]
-        np.multiply(re, r, out=z.real[block])
-        np.multiply(im, r, out=z.imag[block])
+    f = turns * float(1 << _TURN_BITS)
+    k = f.astype(np.intp)
+    f -= k
+    g = f * f
+    sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
+    vers = (g * _VERS4 + _VERS2) * g
+    c, s = _TURN_COS[k], _TURN_SIN[k]
+    # cos(a + d) = c - (c vers + s sin d) and sin(a + d) = s + (c sin d - s vers).
+    re = c * vers + s * sin_d
+    np.subtract(c, re, out=re)
+    im = c * sin_d - s * vers + s
+    np.multiply(re, radii, out=z.real)
+    np.multiply(im, radii, out=z.imag)
     return z
 
 

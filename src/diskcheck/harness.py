@@ -118,8 +118,12 @@ class SuiteConfig:
         unknown = [s for s in self.suites if s not in KNOWN_SUITES]
         if unknown:
             raise DomainError(f"unknown suite name(s): {unknown}; known: {list(KNOWN_SUITES)}")
+        if len(set(self.suites)) < len(self.suites):
+            raise DomainError(f"suite names must not repeat; got {list(self.suites)}")
         if not self.dimensions or any(int(m) < 1 for m in self.dimensions):
             raise DomainError("dimensions must be a nonempty list of integers >= 1")
+        if len({int(m) for m in self.dimensions}) < len(self.dimensions):
+            raise DomainError(f"dimensions must not repeat; got {[int(m) for m in self.dimensions]}")
         if self.search_restarts < 1:
             raise DomainError("search_restarts must be at least 1")
         for name, value in self.tolerances.items():
@@ -261,10 +265,9 @@ def _run_ball(config: SuiteConfig) -> dict:
         m = int(m)
         # Each case draws from its own stream, in a fixed order; the loop only
         # draws.  Every check is then evaluated for all cases at once and
-        # recorded as one table.  Each has the arithmetic of a one-point call,
-        # except that the invariance check's complex products take FMA.  The
-        # disk points z1, z2 and c are kept as their (radius, turn) uniforms
-        # and placed by one call.
+        # recorded as one table, each value with the bits of a one-case call.
+        # The disk points z1, z2 and c are kept as their (radius, turn)
+        # uniforms and placed by one call.
         points = np.empty((5, config.samples, m), dtype=complex)
         ur, st, radius = np.empty((config.samples, m)), np.empty((2, config.samples)), np.empty(config.samples)
         uniforms = np.empty((2, 3, config.samples))

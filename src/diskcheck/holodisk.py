@@ -254,7 +254,7 @@ class Embed(HoloDisk):
         self.u = _finite(u, "scale direction")
         self.dim = u.shape[0]
 
-    # (1, N) by (m, 1): one point and m = 1 is a same-shape product, rounded as before.
+    # (1, N) by (m, 1), handed out as the (N, m) transpose: a component-major batch.
     def _eval(self, z):
         return (self.f._eval(z).T * self.u[:, None]).T
 
@@ -437,18 +437,19 @@ def _boundary_grid(n: int) -> np.ndarray:
     return _read_only(np.exp(1j * (2.0 * np.pi * np.arange(n) / n)))
 
 
-# Bulk checks and circle points run over blocks of at most this many elements:
-# points times the components of a point's value.
+# Bulk checks place and check their points in blocks of at most this many
+# elements: points times the components of a point's value.
 _POINT_BLOCK = 16384
 
 
 def _point_slices(n: int, width: int = 1) -> list[slice]:
     """Near-equal consecutive slices of ``range(n)``, each of at most ``_POINT_BLOCK // width`` points.
 
-    No slice holds exactly one point when n >= 2: numpy rounds one-element
-    complex products without FMA.  n = 0 gives one empty slice.
+    Each slice holds at least one point; n = 0 gives one empty slice.  Every
+    value has the same bits in a block of any size, so the block size bounds
+    memory only.
     """
-    k = max(1, min(n // 2, -(-n * width // _POINT_BLOCK)))
+    k = max(1, -(-n // max(1, _POINT_BLOCK // width)))
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 

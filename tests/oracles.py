@@ -423,16 +423,14 @@ def row_major_surface_identities(w: WeierstrassDisk, zs: np.ndarray):
 
 
 def scalar_ball_distances(seed: int, m: int, samples: int) -> np.ndarray:
-    """Rows (plane, invariance, radial, invariance scale) over the ball suite's cases of dimension ``m``.
+    """Rows (plane, invariance, radial) over the ball suite's cases of dimension ``m``.
 
     Each case draws from its stream as the suite does, and its three distance
-    deviations are evaluated one case at a time, with scalar calls.  The
-    invariance scale is the sum of cosh^2 d / |1 - conj(p) q| over the two
-    Poincare distances d = d(p, q) that the invariance check compares: an
-    absolute change of the points and of conj(p) q by delta moves d by at most
-    about 2 delta times that term.
+    deviations are evaluated one case at a time: the plane and radial ones
+    with scalar calls, the invariance one's Moebius images and distances
+    from one-element arrays.
     """
-    out = np.empty((4, samples))
+    out = np.empty((3, samples))
     for index in range(samples):
         rng = case_rng(seed, BALL_POINT_STREAM + m, index)
         _ball_point(rng, m, 0.9, rmin=0.05)
@@ -446,13 +444,12 @@ def scalar_ball_distances(seed: int, m: int, samples: int) -> np.ndarray:
         s, t = -0.95 + 1.9 * rng.random(2)
         plane = float(cayley_klein_dist(s * ur, t * ur))
         plane_dev = abs(plane - float(poincare_dist(complex(s), complex(t))))
-        z1, z2 = _disk_points(rng, 2, rmin=0.0, rmax=0.95)
-        c = _disk_points(rng, 1, rmin=0.0, rmax=0.8)[0]
-        moebius = lambda z: (z + c) / (1.0 + np.conj(c) * z)
-        pairs = [(z1, z2), (moebius(z1), moebius(z2))]
-        d1, d2 = (float(poincare_dist(p, q)) for p, q in pairs)
+        z = _disk_points(rng, 2, rmin=0.0, rmax=0.95)
+        c = _disk_points(rng, 1, rmin=0.0, rmax=0.8)
+        z1, z2 = z[:1], z[1:]
+        p, q = ((w + c) / (1.0 + np.conj(c) * w) for w in (z1, z2))
+        invariance_dev = abs(float(poincare_dist(z1, z2)[0]) - float(poincare_dist(p, q)[0]))
         x = 0.9 * rng.random() ** (1.0 / m) * ur
         radial_dev = abs(float(cayley_klein_dist(np.zeros(m), x)) - math.atanh(float(vnorm(x))))
-        scale = sum(math.cosh(d) ** 2 / abs(1.0 - np.conj(p) * q) for d, (p, q) in zip((d1, d2), pairs))
-        out[:, index] = plane_dev, abs(d1 - d2), radial_dev, scale
+        out[:, index] = plane_dev, invariance_dev, radial_dev
     return out

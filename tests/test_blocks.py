@@ -4,9 +4,8 @@ A sampled sweep over N points draws their (radius, turn) uniforms into a
 buffer that lives for the whole suite, then places and checks the points one
 block at a time: blocks hold at most ``holodisk._POINT_BLOCK`` point x
 component elements, so the temporaries scale with the block rather than with
-N.  Each block's values must be those of one call over all N points, exactly;
-a block of one point would break that, since numpy rounds one-element complex
-products without FMA.
+N.  Each block's values must be those of one call over all N points, exactly,
+for blocks of any size, one point included.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ def bits(z) -> np.ndarray:
 
 
 class TestPointBlocks:
-    @pytest.mark.parametrize("block", [3, 4, 5, 7, 16])
-    def test_slices_are_near_equal_and_never_hold_one_point(self, monkeypatch, block):
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16])
+    def test_slices_are_near_equal(self, monkeypatch, block):
         monkeypatch.setattr(holodisk, "_POINT_BLOCK", block)
         for n in range(300):
             slices = holodisk._point_slices(n)
@@ -44,15 +43,16 @@ class TestPointBlocks:
             assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
             assert len(slices) == max(1, -(-n // block))
             assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
-            assert n < 2 or min(sizes) >= 2, (n, sizes)
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 8, 5000, 40000])
-    def test_slices_by_elements_never_hold_one_point(self, width):
-        for n in (*range(40), 2047, 2048, 2049, 6000, BLOCKED, 50000):
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 5000, 40000])
+    def test_slices_by_elements_are_nonempty_and_within_the_budget(self, width):
+        b = holodisk._POINT_BLOCK
+        for n in (*range(40), 2047, 2048, 2049, 6000, b, BLOCKED, 32767, 50000):
             sizes = [s.stop - s.start for s in holodisk._point_slices(n, width)]
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
-            assert n < 2 or min(sizes) >= 2, (n, width, sizes)
-            assert max(sizes) * width <= holodisk._POINT_BLOCK or min(sizes) <= 3, (n, width, sizes)
+            assert n == 0 or min(sizes) >= 1, (n, width, sizes)
+            # A point wider than the budget is a slice of its own.
+            assert max(sizes) * width <= b or max(sizes) == 1, (n, width, sizes)
 
     def test_slices_at_the_block_size(self):
         b = holodisk._POINT_BLOCK
@@ -62,10 +62,9 @@ class TestPointBlocks:
         assert len(holodisk._point_slices(BLOCKED)) == 3
         assert len(holodisk._point_slices(50000, 8)) == 25
 
-    def test_circle_points_over_blocks_equal_per_point_calls(self, monkeypatch):
+    def test_circle_points_equal_per_point_calls(self):
         rng = rng_for(2)
         radii, turns = rng.random((2, 101))
-        monkeypatch.setattr(holodisk, "_POINT_BLOCK", 5)
         for r in (radii, 1.0):
             z = corpus._on_circle(r, turns)
             one = [corpus._on_circle(r if np.ndim(r) == 0 else r[i : i + 1], turns[i : i + 1])[0] for i in range(101)]
@@ -217,7 +216,7 @@ class TestStreamedSuites:
         assert streamed == self.report(**config)
 
     def test_with_a_small_block(self, monkeypatch):
-        # Planar surfaces take the anchored and diameter sweeps; blocks of 2 and 3 points at m = 8.
+        # Planar surfaces take the anchored and diameter sweeps; blocks of 1 and 2 points at m = 8.
         config = {"dimensions": (1, 8), "samples": 301, "seed": 2}
         with monkeypatch.context() as patch:
             patch.setattr(holodisk, "_POINT_BLOCK", 16)

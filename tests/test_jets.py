@@ -85,11 +85,7 @@ class TestOneWalkBounds:
         cases += [(Blaschke(c), 1.0 + 0j, False) for c in (0.2, -0.5j, 0.3 + 0.6j)]
         assert sum(origin for _, _, origin in cases) > 10
         for f, zeta, origin in cases:
-            # numpy can round the complex product of a (1, 1) by a (1,) array
-            # differently from larger shapes (it skips its FMA loop there), so
-            # for m = 1 a one-point walk may differ in the last bit from a walk
-            # at [0, zeta].  For m >= 2 the two agree bitwise.
-            for stacked in (True,) if f.dim == 1 else (True, False):
+            for stacked in (True, False):
                 shifted, from_origin = separate_walks(f, zeta, stacked)
                 assert boundary_bound_shifted(f, zeta).margin == shifted
                 if origin:

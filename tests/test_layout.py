@@ -3,8 +3,7 @@
 A batch of N points in C^m is stored as (m, N) rows and handed out as its
 (N, m) transpose.  The references in ``oracles`` build every batch row-major
 instead; each value here must equal its reference exactly (``np.array_equal``),
-at one point as well as many, since numpy rounds some one-element products
-by another path.
+at one point as well as many.
 """
 
 from __future__ import annotations

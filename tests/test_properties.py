@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import mpmath
 import numpy as np
 from hypothesis import example, given, settings
@@ -20,8 +22,14 @@ from diskcheck import (
     Mul,
     Poly,
     Vec,
+    distance_decreasing_margins,
+    growth_margins,
+    inner,
+    julia_margins,
     parse_disk,
+    surface_identities,
     vnorm,
+    weierstrass_corpus,
 )
 
 PARAMETER = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
@@ -148,3 +156,141 @@ def test_automorphism_identities(case):
     }
     for name, residual in residuals.items():
         assert residual <= CHECKS[name][1], name
+
+
+# ---------------------------------------------------------------------------
+# A batch split into parts, one-point parts included, gives the bits of the whole batch.
+
+SPLIT_DIMENSIONS = st.sampled_from([1, 2, 3, 8])
+SURFACES = weierstrass_corpus(0, 12)
+
+
+def bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@st.composite
+def splits(draw, min_size: int = 1, max_size: int = 12):
+    """Part edges 0 = e_0 < e_1 < ... < e_k = n of a batch of n points."""
+    n = draw(st.integers(min_size, max_size))
+    return [0, *sorted(draw(st.sets(st.integers(1, n - 1)))), n] if n > 1 else [0, n]
+
+
+def in_parts(function, edges, *batches) -> list:
+    """``function`` of each part of ``batches``, cut at ``edges`` along the first axis."""
+    return [function(*(b[lo:hi] for b in batches)) for lo, hi in zip(edges, edges[1:])]
+
+
+def _points(draw, n: int, min_magnitude: float = 0.0) -> np.ndarray:
+    point = st.complex_numbers(min_magnitude=min_magnitude, max_magnitude=0.95, allow_nan=False, allow_infinity=False)
+    return np.asarray(draw(st.lists(point, min_size=n, max_size=n)), dtype=complex)
+
+
+def _composed(draw, m: int, times: int):
+    """``times`` automorphisms after a map of the disk into the closed ball of C^m."""
+    node = Embed(draw(BALL_SCALAR), draw(_vector(m, 1.0)))
+    for _ in range(times):
+        node = ComposeAut(BallAutomorphism(draw(_vector(m, 0.9))), node)
+    return node
+
+
+@st.composite
+def vector_maps(draw, m: int):
+    """Maps into C^m of every node kind, with one or two automorphisms in most."""
+    kind = draw(st.sampled_from(["compose", "compose", "embed", "vec", "add"]))
+    if kind == "embed":
+        return Embed(draw(SCALAR), draw(_vector(m, 1.0)))
+    if kind == "vec":
+        return Vec([draw(SCALAR) for _ in range(m)])
+    composed = _composed(draw, m, draw(st.integers(1, 2)))
+    return Add(Vec([draw(SCALAR) for _ in range(m)]), composed) if kind == "add" else composed
+
+
+@st.composite
+def split_maps(draw):
+    m = draw(SPLIT_DIMENSIONS)
+    edges = draw(splits())
+    return draw(vector_maps(m)), _points(draw, edges[-1]), edges
+
+
+# An m = 1 composition whose one-point walks round differently from its batch
+# walk unless the automorphism's parameter takes the rank of the points.
+M1_COMPOSED = ComposeAut(BallAutomorphism([-0.6 - 0.6j]), Embed(Mul(Identity(), Blaschke(0.4j)), [1.0]))
+M1_POINTS = np.array([0.1 + 0.2j, -0.5, 0.3j, 0.7 - 0.1j, -0.2 - 0.6j, 0.45 + 0.45j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_maps())
+@example((M1_COMPOSED, M1_POINTS, list(range(7))))
+def test_tree_walks_do_not_depend_on_the_split(case):
+    f, zs, edges = case
+    assert np.array_equal(bits(np.concatenate(in_parts(f._eval, edges, zs))), bits(f._eval(zs)))
+    for parts, whole in zip(zip(*in_parts(f._jet, edges, zs)), f._jet(zs)):
+        assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_growth_margins_do_not_depend_on_the_split(data):
+    f = data.draw(vector_maps(data.draw(SPLIT_DIMENSIONS)))
+    # Minus F(0), so that the map fixes the origin exactly.
+    f = Add(f, Embed(Const(1.0), -f._eval(np.zeros(1))[0]))
+    edges = data.draw(splits())
+    zs = _points(data.draw, edges[-1], min_magnitude=1e-3)
+    parts = in_parts(lambda z: np.stack(growth_margins(f, z)), edges, zs)
+    assert np.array_equal(bits(np.concatenate(parts, axis=1)), bits(np.stack(growth_margins(f, zs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_julia_margins_do_not_depend_on_the_split(data):
+    factors = data.draw(st.lists(st.one_of(st.just(Identity()), PARAMETER.map(Blaschke)), min_size=1, max_size=3))
+    f = functools.reduce(Mul, factors)
+    if data.draw(st.booleans()):
+        f = ComposeAut(BallAutomorphism(data.draw(_vector(1, 0.9))), f)
+    # Rotated to fix 1, as the Julia corpus is.
+    f = CMul(1.0 / complex(f.eval(1.0)[0]), f)
+    edges = data.draw(splits())
+    zs = _points(data.draw, edges[-1])
+    parts = in_parts(lambda z: julia_margins(f, z), edges, zs)
+    assert np.array_equal(bits(np.concatenate(parts)), bits(julia_margins(f, zs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SURFACES), st.data())
+def test_surface_sweeps_do_not_depend_on_the_split(member, data):
+    w = member.surface
+    edges = data.draw(splits())
+    zs, ws = _points(data.draw, edges[-1]), _points(data.draw, edges[-1])
+    parts = in_parts(lambda z: surface_identities(w, z), edges, zs)
+    whole = surface_identities(w, zs)
+    for k in range(3):
+        assert np.max([part[k] for part in parts]) == whole[k]
+    assert np.array_equal(bits(np.concatenate([part[3] for part in parts])), bits(whole[3]))
+    parts = in_parts(lambda z, v: distance_decreasing_margins(w, z, v), edges, zs, ws)
+    assert np.array_equal(bits(np.concatenate(parts)), bits(distance_decreasing_margins(w, zs, ws)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_automorphisms_and_inner_products_do_not_depend_on_the_split(data):
+    m = data.draw(SPLIT_DIMENSIONS)
+    edges = data.draw(splits())
+    n = edges[-1]
+    ws = np.array([data.draw(_vector(m, 1.0)) for _ in range(n)], dtype=complex)
+    vs = np.array([data.draw(_vector(m, 2.0)) for _ in range(n)], dtype=complex)
+    a = data.draw(_vector(m, 0.9))
+    stack = np.array([data.draw(_vector(m, 0.9)) for _ in range(n)], dtype=complex)
+    aut = BallAutomorphism(a)
+    cases = [
+        (aut.apply, (ws,)),
+        (aut.differential, (ws, vs)),
+        (lambda w: inner(w, a), (ws,)),
+        (lambda w: inner(a, w), (ws,)),
+        # A stack of n automorphisms, split into stacks of its rows.
+        (lambda b, w: BallAutomorphism(b).apply(w), (stack, ws)),
+        (lambda b, w, v: BallAutomorphism(b).differential(w, v), (stack, ws, vs)),
+    ]
+    for function, batches in cases:
+        parts = in_parts(function, edges, *batches)
+        assert np.array_equal(bits(np.concatenate(parts)), bits(function(*batches)))
