@@ -177,10 +177,7 @@ class BallAutomorphism:
         """Evaluate phi_a(w) for ``w`` in the closed ball, shape (..., m) or (..., K, m)."""
         w = self._points(w)
         _check_in_closed_ball(w)
-        return self._phi(w, np.add.reduce(w * self._conj_a[(None,) * (w.ndim - self.a.ndim)], axis=-1))
-
-    def _phi(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """phi_a(w) for a checked ``w`` with t = <w, a>."""
+        t = np.add.reduce(w * self._conj_a[(None,) * (w.ndim - self.a.ndim)], axis=-1)
         value = _phi_value(self.a, self._r2, self._s, w, t)
         if self._any_tiny:
             value = np.where(self._col(self._tiny), self.a - w, value)
@@ -191,10 +188,6 @@ class BallAutomorphism:
         w = self._points(w)
         v = self._points(v)
         _check_in_closed_ball(w)
-        return self._value_and_differential(w, v)
-
-    def _value_and_differential(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_apply_and_differential`` for complex arrays, ``w`` known to lie in the closed ball."""
         value, deriv = _phi_jet(self.a, self._conj_a, self._r2, self._s, w, v)
         if self._any_tiny:
             tiny = self._col(self._tiny)
@@ -207,14 +200,14 @@ class BallAutomorphism:
         return self._apply_and_differential(w, v)[1]
 
     def matrix(self, w) -> np.ndarray:
-        """Complex m x m matrix of D phi_a(w); stacked over leading axes."""
+        """Complex m x m matrix of D phi_a(w); stacked over leading axes.
+
+        One :meth:`differential` call takes the unit directions e_j on a new
+        leading axis, which is moved last: column j is D phi_a(w)[e_j].
+        """
         w = np.asarray(w, dtype=complex)
-        cols = []
-        for j in range(self.dim):
-            ej = np.zeros(self.dim, dtype=complex)
-            ej[j] = 1.0
-            cols.append(self.differential(w, np.broadcast_to(ej, w.shape)))
-        return np.stack(cols, axis=-1)
+        directions = np.eye(self.dim, dtype=complex)[(slice(None),) + (None,) * (w.ndim - 1)]
+        return np.moveaxis(self.differential(w[None], directions), 0, -1)
 
     # -- norms of the differential --------------------------------------
 
@@ -237,9 +230,7 @@ class BallAutomorphism:
 
     def opnorm_oracle(self, w) -> float | np.ndarray:
         """Exact operator norm of D phi_a(w): largest singular value."""
-        w = np.asarray(w, dtype=complex)
-        sv = np.linalg.svd(self.matrix(w), compute_uv=False)
-        val = sv[..., 0]
+        val = np.linalg.svd(self.matrix(w), compute_uv=False)[..., 0]
         return val if np.ndim(val) else float(val)
 
     def opnorm_global_bound(self) -> float:

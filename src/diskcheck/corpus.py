@@ -45,6 +45,8 @@ from .weierstrass import (
 HOLO_STREAM = 100
 JULIA_STREAM = 200
 SURFACE_STREAM = 300
+# The holo stream is offset by m, so every dimension stays below this gap.
+CORPUS_DIMENSION_LIMIT = JULIA_STREAM - HOLO_STREAM
 
 # Fixed scalar archetypes with exactly-zero boundary margin; the embedded
 # extremal family parameters exercised in every corpus.
@@ -237,8 +239,8 @@ def holo_corpus(seed: int, m: int, count: int) -> list[CorpusDisk]:
     """Mixed corpus of maps D -> B_m; the first entries are fixed archetypes."""
     if count < 1:
         raise DomainError("count must be at least 1")
-    if m < 1:
-        raise DomainError("dimension must be at least 1")
+    if not 1 <= m < CORPUS_DIMENSION_LIMIT:
+        raise DomainError(f"dimension must be from 1 to {CORPUS_DIMENSION_LIMIT - 1}; got {m}")
     e1 = np.zeros(m, dtype=complex)
     e1[0] = 1.0
     members = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import time
 from array import array
@@ -94,6 +95,9 @@ BALL_POINT_STREAM = 400
 HOLO_POINT_STREAM = 500
 JULIA_POINT_STREAM = 550
 MINIMAL_POINT_STREAM = 600
+# The ball and holo point streams are offset by m, so every suite dimension
+# stays below the gap from the holo to the Julia stream.
+DIMENSION_LIMIT = JULIA_POINT_STREAM - HOLO_POINT_STREAM
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,12 @@ class SuiteConfig:
     search_restarts: int = 8
 
     def __post_init__(self):
+        try:
+            for name in ("seed", "samples", "search_restarts"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, "dimensions", tuple(operator.index(m) for m in self.dimensions))
+        except TypeError:
+            raise DomainError("seed, samples, search_restarts and dimensions must be integers") from None
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.samples < 1:
@@ -120,10 +130,10 @@ class SuiteConfig:
             raise DomainError(f"unknown suite name(s): {unknown}; known: {list(KNOWN_SUITES)}")
         if len(set(self.suites)) < len(self.suites):
             raise DomainError(f"suite names must not repeat; got {list(self.suites)}")
-        if not self.dimensions or any(int(m) < 1 for m in self.dimensions):
-            raise DomainError("dimensions must be a nonempty list of integers >= 1")
-        if len({int(m) for m in self.dimensions}) < len(self.dimensions):
-            raise DomainError(f"dimensions must not repeat; got {[int(m) for m in self.dimensions]}")
+        if not self.dimensions or any(not 1 <= m < DIMENSION_LIMIT for m in self.dimensions):
+            raise DomainError(f"dimensions must be a nonempty list of integers from 1 to {DIMENSION_LIMIT - 1}")
+        if len(set(self.dimensions)) < len(self.dimensions):
+            raise DomainError(f"dimensions must not repeat; got {list(self.dimensions)}")
         if self.search_restarts < 1:
             raise DomainError("search_restarts must be at least 1")
         for name, value in self.tolerances.items():
@@ -134,12 +144,12 @@ class SuiteConfig:
 
     def as_dict(self) -> dict:
         return {
-            "seed": int(self.seed),
-            "dimensions": [int(m) for m in self.dimensions],
-            "samples": int(self.samples),
+            "seed": self.seed,
+            "dimensions": list(self.dimensions),
+            "samples": self.samples,
             "suites": list(self.suites),
             "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
-            "search_restarts": int(self.search_restarts),
+            "search_restarts": self.search_restarts,
         }
 
 
@@ -262,7 +272,6 @@ def _run_ball(config: SuiteConfig) -> dict:
     origin_dev_m1 = 0.0
     h = 1e-6
     for m in config.dimensions:
-        m = int(m)
         # Each case draws from its own stream, in a fixed order; the loop only
         # draws.  Every check is then evaluated for all cases at once and
         # recorded as one table, each value with the bits of a one-case call.
@@ -298,16 +307,15 @@ def _run_ball(config: SuiteConfig) -> dict:
         w8 = 0.8 * w
         fd = (aut.apply(w8 + h * v) - aut.apply(w8 - h * v)) / (2.0 * h)
         exact = aut.differential(w8, v)
-        anchors = [a, a / vnorm(a)[:, None], zero]
-        formulas = [aut.opnorm_formula(anchor) for anchor in anchors]
-        oracles = [aut.opnorm_oracle(anchor) for anchor in anchors]
+        # The anchors a, a/||a|| and 0, and then w, as one (4, K, m) point set.
+        anchored = np.stack([a, a / vnorm(a)[:, None], zero, w])
+        formulas, oracles = aut.opnorm_formula(anchored), aut.opnorm_oracle(anchored)
         # The origin anchor is exact only when an orthogonal direction exists
         # (m >= 2); for m = 1 the deviation there is recorded as a finding
         # instead of asserted.
-        anchor_count = 3 if m >= 2 else 2
-        anchor_dev = np.max([np.abs(f - o) / o for f, o in zip(formulas, oracles)][:anchor_count], axis=0)
+        anchor_dev = np.max((np.abs(formulas - oracles) / oracles)[: 3 if m >= 2 else 2], axis=0)
         quot, moved = pseudo_hyperbolic_quotient(a, w), vnorm(aut.apply(w))
-        oracle_w, formula_w, bound = aut.opnorm_oracle(w), aut.opnorm_formula(w), aut.opnorm_global_bound()
+        oracle_w, formula_w, bound = oracles[3], formulas[3], aut.opnorm_global_bound()
         value = lambda column: (column, np.zeros_like(column), column)
         acc.record(lambda k, m=m: f"m={m} case={k}", {
             "phi_fixed_point": value(vnorm(aut.apply(a))),
@@ -332,7 +340,7 @@ def _run_ball(config: SuiteConfig) -> dict:
 
     acc.findings["opnorm_formula_max_underestimate"] = float(underest)
     acc.findings["opnorm_formula_max_overestimate"] = float(overest)
-    if 1 in [int(m) for m in config.dimensions]:
+    if 1 in config.dimensions:
         acc.findings["opnorm_formula_origin_deviation_m1"] = float(origin_dev_m1)
     return acc.as_dict()
 
@@ -350,12 +358,10 @@ def _run_holo(config: SuiteConfig) -> dict:
     radial_err_max = 0.0
 
     for a in (0.0,) + tuple(0.1 * k for k in range(1, 10)):
-        f = extremal_family_1d(a)
-        dev = np.max([
-            abs(complex(f.eval(1.0 + 0j)[0]) - 1.0),
-            abs(complex(f.deriv(1.0 + 0j)[0]) - 2.0 / (1.0 + a)),
-            abs(complex(f.deriv(0j)[0]) - a),
-        ])
+        # One walk of the tree, at the points 1 and 0.
+        jet = extremal_family_1d(a)._jet(np.asarray([1.0, 0.0], dtype=complex))
+        (f1, _), (df1, df0) = np.array(jet)[:, :, 0].tolist()
+        dev = np.max([abs(f1 - 1.0), abs(df1 - 2.0 / (1.0 + a)), abs(df0 - a)])
         acc.value("extremal_family_values", f"a={a:.1f}", dev)
 
     for c in (0.2, 0.5, 0.8):
@@ -369,7 +375,6 @@ def _run_holo(config: SuiteConfig) -> dict:
         acc.value("strictness_closed_form", f"a={aa:.6g}", abs(strict.extra["closed_form_deviation"]))
 
     for m in config.dimensions:
-        m = int(m)
         disks = holo_corpus(config.seed, m, corpus_count)
         for index, member in enumerate(disks):
             rng = case_rng(config.seed, HOLO_POINT_STREAM + m, 1 + index)

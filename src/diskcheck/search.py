@@ -343,7 +343,7 @@ def _family_md_margins(params: np.ndarray, m: int) -> np.ndarray:
     a = -b
     norm_a = vnorm(a)
     if min(norm_a.tolist()) < _SMALL:
-        jet = BallAutomorphism(a)._value_and_differential(w, v)
+        jet = BallAutomorphism(a)._apply_and_differential(w, v)
     else:
         r2 = norm_a * norm_a
         jet = _phi_jet(a, np.conj(a), r2, np.sqrt(1.0 - r2)[:, None], w, v)

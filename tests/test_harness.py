@@ -36,7 +36,7 @@ from diskcheck import (
     weierstrass_corpus,
 )
 from diskcheck.cli import _FAMILY_SPECS, _ulps, diff_reports, main as cli_main
-from diskcheck import corpus, harness, holodisk
+from diskcheck import corpus, harness, holodisk, search
 from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
 
@@ -63,15 +63,59 @@ class TestSuiteConfig:
             dict(dimensions=(0,)),
             dict(search_restarts=0),
             dict(tolerances={"not_a_check": 1.0}),
+            dict(samples=2.5),
+            dict(dimensions=(1.5,)),
+            dict(dimensions=(np.float64(2.0),)),
+            dict(dimensions=3),
+            dict(seed=1.0),
+            dict(search_restarts="8"),
+            dict(dimensions=(harness.DIMENSION_LIMIT,)),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             SuiteConfig(**kwargs)
 
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = SuiteConfig(seed=np.int64(3), samples=np.int32(5), search_restarts=np.uint8(2),
+                          dimensions=np.array([1, harness.DIMENSION_LIMIT - 1]))
+        assert cfg.as_dict() == {**SuiteConfig().as_dict(), "seed": 3, "samples": 5, "search_restarts": 2,
+                                 "dimensions": [1, harness.DIMENSION_LIMIT - 1]}
+        assert all(type(x) is int for x in (cfg.seed, cfg.samples, cfg.search_restarts, *cfg.dimensions))
+
     def test_known_tolerance_override_accepted(self):
         cfg = SuiteConfig(tolerances={"growth_margin": 1e-6})
         assert cfg.as_dict()["tolerances"] == {"growth_margin": 1e-6}
+
+
+class TestStreamKeys:
+    """Each per-case random stream has its own id: (stream id + m) keys are distinct below each dimension limit."""
+
+    # (stream id, offset by the dimension m) for every stream a run or a corpus dump draws from.
+    CORPUS = [(corpus.HOLO_STREAM, True), (corpus.JULIA_STREAM, False), (corpus.SURFACE_STREAM, False)]
+    SUITE = CORPUS + [(stream, False) for stream, _ in search._FAMILIES.values()] + [
+        (harness.BALL_POINT_STREAM, True),
+        (harness.HOLO_POINT_STREAM, False),
+        (harness.HOLO_POINT_STREAM, True),
+        (harness.JULIA_POINT_STREAM, False),
+        (harness.MINIMAL_POINT_STREAM, False),
+    ]
+
+    @staticmethod
+    def keys(table, limit):
+        return [stream + m for stream, offset in table for m in (range(1, limit) if offset else [0])]
+
+    @pytest.mark.parametrize(
+        "table, limit", [(CORPUS, corpus.CORPUS_DIMENSION_LIMIT), (SUITE, harness.DIMENSION_LIMIT)]
+    )
+    def test_keys_are_distinct_below_the_limit_and_collide_at_it(self, table, limit):
+        assert len(set(self.keys(table, limit))) == len(self.keys(table, limit))
+        assert len(set(self.keys(table, limit + 1))) < len(self.keys(table, limit + 1))
+
+    def test_holo_corpus_refuses_the_limit(self):
+        assert len(holo_corpus(0, corpus.CORPUS_DIMENSION_LIMIT - 1, 14)) == 14
+        with pytest.raises(DomainError, match="dimension"):
+            holo_corpus(0, corpus.CORPUS_DIMENSION_LIMIT, 14)
 
 
 class TestRunSuite:
@@ -662,6 +706,8 @@ class TestCli:
             ["search", "--family", "family_md", "--dimension", "0"],
             ["verify", "--suites", "ball,ball", "--samples", "2"],
             ["verify", "--suites", "ball", "--dimensions", "1,1", "--samples", "2"],
+            ["verify", "--suites", "holo", "--dimensions", "50", "--samples", "2"],
+            ["corpus", "--dimensions", "100", "--count", "2", "--out", "{tmp}/plots"],
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):

@@ -294,3 +294,50 @@ def test_automorphisms_and_inner_products_do_not_depend_on_the_split(data):
     for function, batches in cases:
         parts = in_parts(function, edges, *batches)
         assert np.array_equal(bits(np.concatenate(parts)), bits(function(*batches)))
+
+
+@st.composite
+def automorphism_stacks(draw):
+    """(a, ws): a parameter (m,) or a stack (K, m), some of norm below 1e-150, and points (4, K, m)."""
+    m = draw(SPLIT_DIMENSIONS)
+    k = draw(st.integers(1, 4))
+    parameter = lambda: draw(_vector(m, 0.9)) * draw(st.sampled_from([1.0, 1.0, 1e-160]))
+    a = np.array([parameter() for _ in range(k)]) if draw(st.booleans()) else parameter()
+    ws = np.array([[draw(_vector(m, 1.0)) for _ in range(k)] for _ in range(4)], dtype=complex)
+    return a, ws
+
+
+# One-row stacks and one-point sets (K = 1), in dimensions 1 and 8.
+ONE_ROW = [
+    (np.array([[-0.6 - 0.6j]]), M1_POINTS[:4, None, None]),
+    (np.array([-0.6 - 0.6j]), M1_POINTS[:4, None, None]),
+    (np.full((1, 8), 0.3j), np.tile(M1_POINTS[:4, None, None], (1, 1, 8)) / 3),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(automorphism_stacks())
+@example(ONE_ROW[0])
+@example(ONE_ROW[1])
+@example(ONE_ROW[2])
+def test_matrix_columns_are_the_per_direction_differentials(case):
+    a, ws = case
+    aut = BallAutomorphism(a)
+    for points in (ws, ws[0]) + ((ws[0, 0],) if a.ndim == 1 else ()):
+        columns = [aut.differential(points, np.broadcast_to(e, points.shape)) for e in np.eye(aut.dim, dtype=complex)]
+        assert np.array_equal(bits(aut.matrix(points)), bits(np.stack(columns, axis=-1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(automorphism_stacks())
+@example(ONE_ROW[0])
+@example(ONE_ROW[1])
+@example(ONE_ROW[2])
+def test_operator_norms_of_stacked_point_sets_are_the_per_set_norms(case):
+    a, ws = case
+    aut = BallAutomorphism(a)
+    # The ball suite's point sets: a, a/||a||, 0 and w.
+    sets = np.stack([np.broadcast_to(a, ws[0].shape), np.broadcast_to(aut.e, ws[1].shape), np.zeros_like(ws[2]), ws[3]])
+    for method in (aut.opnorm_oracle, aut.opnorm_formula):
+        assert np.array_equal(bits(method(sets)), bits(np.stack([method(points) for points in sets])))
+        assert np.array_equal(bits(method(ws)), bits(np.stack([method(points) for points in ws])))
