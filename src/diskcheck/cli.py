@@ -39,6 +39,7 @@ from .harness import (
     _CONFIG_KEYS,
     _int_list,
     _name_list,
+    _write_json,
     emit_plot_data,
     load_config_file,
     run_suite,
@@ -164,9 +165,7 @@ def _cmd_search(args) -> int:
         print(f"full parameters (b, c, u)={report['full_argmin']}")
     print(f"evaluations={report['evaluations']} min_evaluated={report['min_evaluated']:.6e}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out, report)
         print(f"search report written to {args.out}")
     return 0
 

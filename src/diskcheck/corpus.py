@@ -142,13 +142,23 @@ def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     k = f.astype(np.intp)
     f -= k
     g = f * f
-    sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
-    vers = (g * _VERS4 + _VERS2) * g
-    c, s = _TURN_COS[k], _TURN_SIN[k]
+    # sin d = ((g sin5 + sin3) g + step) f and vers d = (g vers4 + vers2) g, in place.
+    sin_d = g * _SIN5
+    sin_d += _SIN3
+    sin_d *= g
+    sin_d += _STEP
+    sin_d *= f
+    vers = g * _VERS4
+    vers += _VERS2
+    vers *= g
+    c, s = _TURN_COS.take(k), _TURN_SIN.take(k)
     # cos(a + d) = c - (c vers + s sin d) and sin(a + d) = s + (c sin d - s vers).
-    re = c * vers + s * sin_d
+    re = np.multiply(c, vers, out=g)
+    re += np.multiply(s, sin_d, out=f)
     np.subtract(c, re, out=re)
-    im = c * sin_d - s * vers + s
+    im = np.multiply(c, sin_d, out=c)
+    im -= np.multiply(s, vers, out=vers)
+    im += s
     np.multiply(re, radii, out=z.real)
     np.multiply(im, radii, out=z.imag)
     return z

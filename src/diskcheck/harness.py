@@ -17,6 +17,7 @@ validity the checks do not claim).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -271,12 +272,14 @@ def _run_ball(config: SuiteConfig) -> dict:
     overest = 0.0
     origin_dev_m1 = 0.0
     h = 1e-6
+    value = lambda column: (column, np.zeros_like(column), column)
     for m in config.dimensions:
         # Each case draws from its own stream, in a fixed order; the loop only
-        # draws.  Every check is then evaluated for all cases at once and
-        # recorded as one table, each value with the bits of a one-case call.
-        # The disk points z1, z2 and c are kept as their (radius, turn)
-        # uniforms and placed by one call.
+        # draws.  The checks are then evaluated for a block of cases at once,
+        # as many as keep the (m, 4, K, m) operator-norm stack within the point
+        # budget, and recorded as one table per block, each value with the bits
+        # of a one-case call.  The disk points z1, z2 and c are kept as their
+        # (radius, turn) uniforms and placed per block.
         points = np.empty((5, config.samples, m), dtype=complex)
         ur, st, radius = np.empty((config.samples, m)), np.empty((2, config.samples)), np.empty(config.samples)
         uniforms = np.empty((2, 3, config.samples))
@@ -295,48 +298,49 @@ def _run_ball(config: SuiteConfig) -> dict:
             uniforms[:, 2, index] = _draw_disk(rng, 1, rmin=0.0, rmax=0.8)[:, 0]
             radius[index] = 0.9 * rng.random() ** (1.0 / m)
 
-        disk = _on_circle(*uniforms.reshape(2, -1)).reshape(3, -1)
-        (su, tu), (z1, z2, c) = st[:, :, None] * ur, disk
-        x = radius[:, None] * ur
-        image = (disk[:2] + c) / (1.0 + np.conj(c) * disk[:2])
-        # math.atanh, not np.arctanh: the two differ in the last bit on some radii.
-        radial = [math.atanh(r) for r in vnorm(x).tolist()]
-        a, w, b, collinear, v = points
-        aut = BallAutomorphism(a)
-        zero = np.zeros_like(a)
-        w8 = 0.8 * w
-        fd = (aut.apply(w8 + h * v) - aut.apply(w8 - h * v)) / (2.0 * h)
-        exact = aut.differential(w8, v)
-        # The anchors a, a/||a|| and 0, and then w, as one (4, K, m) point set.
-        anchored = np.stack([a, a / vnorm(a)[:, None], zero, w])
-        formulas, oracles = aut.opnorm_formula(anchored), aut.opnorm_oracle(anchored)
-        # The origin anchor is exact only when an orthogonal direction exists
-        # (m >= 2); for m = 1 the deviation there is recorded as a finding
-        # instead of asserted.
-        anchor_dev = np.max((np.abs(formulas - oracles) / oracles)[: 3 if m >= 2 else 2], axis=0)
-        quot, moved = pseudo_hyperbolic_quotient(a, w), vnorm(aut.apply(w))
-        oracle_w, formula_w, bound = oracles[3], formulas[3], aut.opnorm_global_bound()
-        value = lambda column: (column, np.zeros_like(column), column)
-        acc.record(lambda k, m=m: f"m={m} case={k}", {
-            "phi_fixed_point": value(vnorm(aut.apply(a))),
-            "phi_origin_value": value(vnorm(aut.apply(zero) - a)),
-            "phi_involution": value(vnorm(aut.apply(aut.apply(w)) - w)),
-            "phi_norm_identity": value(aut.norm_identity_residual(w)),
-            "phi_boundary_preservation": value(np.abs(vnorm(aut.apply(b)) - 1.0)),
-            "quotient_domination": (moved, quot, quot - moved),
-            "quotient_collinear_equality": value(
-                np.abs(pseudo_hyperbolic_quotient(a, collinear) - vnorm(aut.apply(collinear)))),
-            "dphi_finite_difference": value(vnorm(fd - exact) / (1.0 + vnorm(exact))),
-            "opnorm_anchor": value(anchor_dev),
-            "opnorm_global_bound": (oracle_w, bound, bound - oracle_w),
-            "metric_plane_consistency": value(np.abs(cayley_klein_dist(su, tu) - poincare_dist(st[0], st[1]))),
-            "poincare_invariance": value(np.abs(poincare_dist(z1, z2) - poincare_dist(*image))),
-            "cayley_klein_radial": value(np.abs(cayley_klein_dist(np.zeros_like(x), x) - radial)),
-        })
-        if m == 1:
-            origin_dev_m1 = np.max([origin_dev_m1, np.max(np.abs(formulas[2] - oracles[2]))])
-        underest = np.max([underest, np.max(oracle_w - formula_w)])
-        overest = np.max([overest, np.max(formula_w - oracle_w)])
+        for block in _point_slices(config.samples, 4 * m * m):
+            disk = _on_circle(*uniforms[:, :, block].reshape(2, -1)).reshape(3, -1)
+            plane = st[:, block]
+            (su, tu), (z1, z2, c) = plane[:, :, None] * ur[block], disk
+            x = radius[block, None] * ur[block]
+            image = (disk[:2] + c) / (1.0 + np.conj(c) * disk[:2])
+            # math.atanh, not np.arctanh: the two differ in the last bit on some radii.
+            radial = [math.atanh(r) for r in vnorm(x).tolist()]
+            a, w, b, collinear, v = points[:, block]
+            aut = BallAutomorphism(a)
+            zero = np.zeros_like(a)
+            w8 = 0.8 * w
+            fd = (aut.apply(w8 + h * v) - aut.apply(w8 - h * v)) / (2.0 * h)
+            exact = aut.differential(w8, v)
+            # The anchors a, a/||a|| and 0, and then w, as one (4, K, m) point set.
+            anchored = np.stack([a, a / vnorm(a)[:, None], zero, w])
+            formulas, oracles = aut.opnorm_formula(anchored), aut.opnorm_oracle(anchored)
+            # The origin anchor is exact only when an orthogonal direction exists
+            # (m >= 2); for m = 1 the deviation there is recorded as a finding
+            # instead of asserted.
+            anchor_dev = np.max((np.abs(formulas - oracles) / oracles)[: 3 if m >= 2 else 2], axis=0)
+            quot, moved = pseudo_hyperbolic_quotient(a, w), vnorm(aut.apply(w))
+            oracle_w, formula_w, bound = oracles[3], formulas[3], aut.opnorm_global_bound()
+            acc.record(lambda k, m=m, start=block.start: f"m={m} case={start + k}", {
+                "phi_fixed_point": value(vnorm(aut.apply(a))),
+                "phi_origin_value": value(vnorm(aut.apply(zero) - a)),
+                "phi_involution": value(vnorm(aut.apply(aut.apply(w)) - w)),
+                "phi_norm_identity": value(aut.norm_identity_residual(w)),
+                "phi_boundary_preservation": value(np.abs(vnorm(aut.apply(b)) - 1.0)),
+                "quotient_domination": (moved, quot, quot - moved),
+                "quotient_collinear_equality": value(
+                    np.abs(pseudo_hyperbolic_quotient(a, collinear) - vnorm(aut.apply(collinear)))),
+                "dphi_finite_difference": value(vnorm(fd - exact) / (1.0 + vnorm(exact))),
+                "opnorm_anchor": value(anchor_dev),
+                "opnorm_global_bound": (oracle_w, bound, bound - oracle_w),
+                "metric_plane_consistency": value(np.abs(cayley_klein_dist(su, tu) - poincare_dist(*plane))),
+                "poincare_invariance": value(np.abs(poincare_dist(z1, z2) - poincare_dist(*image))),
+                "cayley_klein_radial": value(np.abs(cayley_klein_dist(np.zeros_like(x), x) - radial)),
+            })
+            if m == 1:
+                origin_dev_m1 = np.max([origin_dev_m1, np.max(np.abs(formulas[2] - oracles[2]))])
+            underest = np.max([underest, np.max(oracle_w - formula_w)])
+            overest = np.max([overest, np.max(formula_w - oracle_w)])
 
     acc.findings["opnorm_formula_max_underestimate"] = float(underest)
     acc.findings["opnorm_formula_max_overestimate"] = float(overest)
@@ -610,7 +614,24 @@ class RunReport:
         return {"config": self.config, "tool": self.tool, "passed": self.passed, "suites": self.suites}
 
     def json_text(self) -> str:
-        return json.dumps(_jsonify(self.as_dict()), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return "".join(_json_chunks(self.as_dict())) + "\n"
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+
+
+def _json_chunks(obj):
+    """The canonical JSON text of ``obj``, without its final newline, as an iterator of chunks."""
+    return _ENCODER.iterencode(_jsonify(obj))
+
+
+def _write_json(path: str, obj) -> None:
+    """Write the canonical JSON text of ``obj`` and a newline to ``path``, a batch of chunks at a time."""
+    chunks = _json_chunks(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _jsonify(obj):
@@ -658,9 +679,11 @@ def run_suite(config: SuiteConfig) -> RunReport:
 
 
 def write_report(report: RunReport, path: str) -> tuple[str, str]:
-    """Write the JSON report to ``path`` and the margins CSV next to it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.json_text())
+    """Write the JSON report to ``path`` and the margins CSV next to it.
+
+    The report is streamed: neither its text nor its list of chunks is held whole.
+    """
+    _write_json(path, report.as_dict())
     root, _ = os.path.splitext(path)
     rows = (
         [

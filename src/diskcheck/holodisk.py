@@ -524,16 +524,28 @@ def _growth_block(f: HoloDisk, a: float, z: np.ndarray, out: np.ndarray) -> None
     """``growth_margins`` at the points ``z`` of one block, into the rows of ``out``.
 
     Its temporaries are freed on return, before the next block is placed.
+    r + a, r a and 1 + r a are formed once for all three margins; + and x
+    commute bit for bit, so each margin has the bits of its formula.
     """
     r = np.abs(z)
-    if not np.all((r > 0.0) & (r < 1.0)):
+    if r.size and not (r.min() > 0.0 and r.max() < 1.0):
         raise DomainError("growth and quotient bounds need 0 < |z| < 1")
     norms = vnorm(f._eval(z))
-    x = norms / r
     growth, upper, lower = out
-    np.subtract(r * (r + a) / (1.0 + r * a), norms, out=growth)
-    np.subtract((a + r) / (1.0 + a * r), x, out=upper)
-    np.subtract(x, np.maximum((a - r) / (1.0 - a * r), 0.0), out=lower)
+    ra = r * a
+    rsum = r + a
+    denom = 1.0 + ra
+    np.multiply(r, rsum, out=growth)
+    growth /= denom
+    growth -= norms
+    norms /= r  # x = ||F(z)|| / |z|
+    np.divide(rsum, denom, out=upper)
+    upper -= norms
+    np.subtract(a, r, out=rsum)
+    np.subtract(1.0, ra, out=ra)
+    rsum /= ra
+    np.maximum(rsum, 0.0, out=rsum)
+    np.subtract(norms, rsum, out=lower)
 
 
 # ---------------------------------------------------------------------------

@@ -300,17 +300,19 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     _chain_preconditions(w)
     circle = _boundary_grid(BOUNDARY_GRID)
     inside = _interior_grid(INTERIOR_GRID)
-    grid = np.concatenate([inside, circle])
+    # The circle, then the interior grid in slices of as many points; each keeps its min |p| and min lambda.
+    minima = []
+    for z in [circle, *(inside[k : k + BOUNDARY_GRID] for k in range(0, len(inside), BOUNDARY_GRID))]:
+        pv = P.polyval(z, w.p)
+        minima.append((np.min(np.abs(pv)), np.min(_conformal_factor(pv, P.polyval(z, w.q)))))
+    min_p, min_lam = np.array(minima).T
 
-    pv = P.polyval(grid, w.p)
-    p_abs = np.abs(pv)
     grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / BOUNDARY_GRID
-    boundary_min_p = float(np.min(p_abs[len(inside):])) - grid_slack
-    min_modulus_residual = float(np.min(p_abs)) - boundary_min_p
+    boundary_min_p = float(min_p[0]) - grid_slack
+    min_modulus_residual = float(np.min(min_p)) - boundary_min_p
 
     c = 0.5  # audited convention constant: lambda = c |p| (1 + |q|^2)
-    lam = _conformal_factor(pv, P.polyval(grid, w.q))
-    min_lambda = float(np.min(lam))
+    min_lambda = float(np.min(min_lam))
     lambda_link_margin = min_lambda - c * boundary_min_p
 
     r0 = float(vnorm(w.eval(0j)))

@@ -14,7 +14,10 @@ lockstep core and batched objectives must reproduce them bit for bit.  The
 library did before it stored batches component-major; ``tests/test_layout.py``
 requires both layouts to give the same bits.  ``scalar_ball_distances`` is the
 ball suite's distance checks evaluated case by case with scalar calls, as the
-suite did before it stacked them.
+suite did before it stacked them.  ``unfused_growth_block`` and
+``unfused_on_circle`` are the growth margins of one point block and the
+placement of disk points as written before their shared terms and in-place
+passes; the fused kernels must give their bits.
 """
 
 from __future__ import annotations
@@ -44,7 +47,20 @@ from diskcheck import (
     vnorm,
 )
 from diskcheck.holodisk import boundary_bound_origin, boundary_bound_shifted
-from diskcheck.corpus import _ball_point, _disk_points, _unit_vector, case_rng
+from diskcheck.corpus import (
+    _SIN3,
+    _SIN5,
+    _STEP,
+    _TURN_BITS,
+    _TURN_COS,
+    _TURN_SIN,
+    _VERS2,
+    _VERS4,
+    _ball_point,
+    _disk_points,
+    _unit_vector,
+    case_rng,
+)
 from diskcheck.harness import BALL_POINT_STREAM
 from diskcheck.search import (
     _FAMILIES,
@@ -453,3 +469,39 @@ def scalar_ball_distances(seed: int, m: int, samples: int) -> np.ndarray:
         radial_dev = abs(float(cayley_klein_dist(np.zeros(m), x)) - math.atanh(float(vnorm(x))))
         out[:, index] = plane_dev, invariance_dev, radial_dev
     return out
+
+
+# ---------------------------------------------------------------------------
+# the bulk kernels, unfused
+
+
+def unfused_growth_block(f: HoloDisk, a: float, z: np.ndarray) -> np.ndarray:
+    """The (growth, upper, lower) margin rows at the points ``z``, each formula evaluated on its own."""
+    r = np.abs(z)
+    if not np.all((r > 0.0) & (r < 1.0)):
+        raise DomainError("growth and quotient bounds need 0 < |z| < 1")
+    norms = vnorm(f._eval(z))
+    x = norms / r
+    return np.stack([
+        r * (r + a) / (1.0 + r * a) - norms,
+        (a + r) / (1.0 + a * r) - x,
+        x - np.maximum((a - r) / (1.0 - a * r), 0.0),
+    ])
+
+
+def unfused_on_circle(radii, turns: np.ndarray) -> np.ndarray:
+    """``radii * exp(2 pi i turns)`` by the table and Taylor step, one expression per quantity."""
+    z = np.empty(turns.shape, dtype=complex)
+    f = turns * float(1 << _TURN_BITS)
+    k = f.astype(np.intp)
+    f -= k
+    g = f * f
+    sin_d = ((g * _SIN5 + _SIN3) * g + _STEP) * f
+    vers = (g * _VERS4 + _VERS2) * g
+    c, s = _TURN_COS[k], _TURN_SIN[k]
+    re = c * vers + s * sin_d
+    np.subtract(c, re, out=re)
+    im = c * sin_d - s * vers + s
+    np.multiply(re, radii, out=z.real)
+    np.multiply(im, radii, out=z.imag)
+    return z

@@ -10,6 +10,7 @@ for blocks of any size, one point included.
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -17,9 +18,14 @@ import numpy as np
 import pytest
 
 from diskcheck import corpus, harness, holo_corpus, holodisk, weierstrass_corpus
-from diskcheck.harness import SuiteConfig, run_suite
+from diskcheck.harness import SuiteConfig, run_suite, write_report
 from diskcheck.holodisk import growth_margins
-from diskcheck.weierstrass import distance_decreasing_margins, surface_identities
+from diskcheck.weierstrass import (
+    WeierstrassDisk,
+    distance_decreasing_margins,
+    halfsphere_chain_check,
+    surface_identities,
+)
 
 BLOCKED = 2 * holodisk._POINT_BLOCK + 1
 
@@ -106,6 +112,15 @@ class TestDrawAndPlace:
             assert rng.random() == fresh.random()
 
 
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def one_block(monkeypatch) -> None:
     """Run every sweep as one call over all of its points."""
     monkeypatch.setattr(holodisk, "_POINT_BLOCK", 1 << 40)
@@ -174,12 +189,7 @@ class TestStreamedChecks:
         def peak(n: int) -> int:
             zs = corpus._Draw(corpus._draw_disk(rng_for(22), n))
             out = np.empty((3, n))
-            tracemalloc.start()
-            try:
-                growth_margins(member.disk, zs, out=out)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: growth_margins(member.disk, zs, out=out))
 
         assert peak(4 * b) <= 1.5 * peak(b)
 
@@ -230,22 +240,82 @@ class TestStreamedSuites:
 def test_traced_peak_grows_at_most_48_bytes_per_sample(suite):
     """The suite-lifetime draw buffer and margin columns are all that grows with the sample count.
 
-    Both sample counts are multiples of the block, so every sweep's blocks
-    have the same sizes in both runs, and a first run fills the caches that
-    would otherwise count in the first traced peak only.
+    Both sample counts are multiples of the widest sweep's slice, the
+    minimal suite's ``_POINT_BLOCK // 3`` points, so every sweep's blocks
+    have the same sizes in both runs: the holo suite's one-wide sweeps take
+    1 and 2 blocks, each of every point, and the minimal suite's 3 and 6
+    equal blocks.  A first run fills the caches that would otherwise count
+    in the first traced peak only.
     """
     run_suite(SuiteConfig(suites=(suite,), dimensions=(1, 8), samples=300))
 
     def peak(samples: int) -> int:
-        tracemalloc.start()
-        try:
-            run_suite(SuiteConfig(suites=(suite,), dimensions=(1, 8), samples=samples))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: run_suite(SuiteConfig(suites=(suite,), dimensions=(1, 8), samples=samples)))
 
-    low, high = holodisk._POINT_BLOCK, 2 * holodisk._POINT_BLOCK
+    low = 3 * (holodisk._POINT_BLOCK // 3)
+    high = 2 * low
     assert (peak(high) - peak(low)) / (high - low) <= 48.0
+
+
+# Ball tolerances under which phi_involution and phi_fixed_point fail in most cases.
+FAILING_BALL = {"phi_involution": 1e-300, "phi_fixed_point": 1e-300}
+
+
+class TestBallCaseBlocks:
+    """The ball suite checks its cases a block at a time; its report does not depend on the blocks."""
+
+    @staticmethod
+    def report(samples: int) -> str:
+        return run_suite(SuiteConfig(suites=("ball",), dimensions=(2, 8), samples=samples,
+                                     tolerances=FAILING_BALL)).json_text()
+
+    def test_several_blocks_give_the_one_block_report(self, monkeypatch):
+        # At m = 8 a block holds _POINT_BLOCK // 256 = 64 cases: 300 cases are 5 blocks.
+        assert len(holodisk._point_slices(300, 4 * 8 * 8)) == 5
+        streamed = self.report(300)
+        one_block(monkeypatch)
+        whole = self.report(300)
+        assert streamed == whole
+        failures = json.loads(whole)["suites"]["ball"]["failures"]
+        failing_cases = {int(f["instance"].rsplit("=", 1)[1]) for f in failures if f["instance"].startswith("m=8 ")}
+        assert min(failing_cases) < 64 and max(failing_cases) >= 4 * 64
+
+    def test_one_case_blocks_give_the_one_block_report(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(holodisk, "_POINT_BLOCK", 16)
+            streamed = self.report(7)
+        one_block(monkeypatch)
+        assert streamed == self.report(7)
+
+    def test_traced_peak_grows_at_most_2_kb_per_case(self):
+        """At m = 8 the stacked operator-norm arrays stay one block; only the draws and records grow."""
+        config = lambda samples: SuiteConfig(suites=("ball",), dimensions=(8,), samples=samples)
+        run_suite(config(64))
+        # 8 and 16 blocks of 64 cases each.
+        low, high = (traced_peak(lambda n=n: run_suite(config(n))) for n in (512, 1024))
+        assert (high - low) / 512 <= 2048.0
+
+
+def test_halfsphere_chain_traced_peak_is_below_600_kb():
+    """The interior grid is checked in circle-sized slices, never whole."""
+    surface = WeierstrassDisk([2.0, 1.0], [0.0, 0.5], halfsphere=True)
+    halfsphere_chain_check(surface)  # fills the cached grids
+    assert traced_peak(lambda: halfsphere_chain_check(surface)) < 600_000
+    for member in weierstrass_corpus(0, 24):
+        if member.surface.halfsphere:
+            halfsphere_chain_check(member.surface)
+            assert traced_peak(lambda: halfsphere_chain_check(member.surface)) < 600_000
+
+
+def test_write_report_streams_the_default_report(tmp_path):
+    """The report file is ``json_text()`` byte for byte, and neither its text nor its chunk list is held whole."""
+    report = run_suite(SuiteConfig())
+    path = tmp_path / "report.json"
+    write_report(report, str(path))
+    text = report.json_text()
+    assert len(text) > 200_000
+    assert traced_peak(lambda: write_report(report, str(path))) < 1_000_000
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_streamed_metric_audit_pools_every_surface(monkeypatch):

@@ -36,7 +36,7 @@ from diskcheck import (
     weierstrass_corpus,
 )
 from diskcheck.cli import _FAMILY_SPECS, _ulps, diff_reports, main as cli_main
-from diskcheck import corpus, harness, holodisk, search
+from diskcheck import cli, corpus, harness, holodisk, search
 from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
 
@@ -755,6 +755,22 @@ class TestCli:
         assert data["family"] == "family_1d"
         assert data["best_margin"] <= 1e-6
         assert "best_margin" in capsys.readouterr().out
+
+    def test_search_verb_writes_non_finite_values_as_standard_json(self, tmp_path, monkeypatch):
+        def with_non_finite(*args, **kwargs):
+            report = search.sharpness_report(*args, **kwargs)
+            report["min_evaluated"], report["traces"][0][0][1] = math.inf, -math.inf
+            report["argmin"][0] = math.nan
+            return report
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(cli, "sharpness_report", with_non_finite)
+        out = tmp_path / "search.json"
+        assert cli_main(["search", "--family", "family_1d", "--restarts", "1", "--out", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert data["min_evaluated"] == "inf" and data["traces"][0][0][1] == "-inf" and data["argmin"][0] == "nan"
 
     def test_search_verb_family_1d_restricted(self, tmp_path):
         out = tmp_path / "search.json"

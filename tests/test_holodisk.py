@@ -190,6 +190,9 @@ class TestGrowthBound:
             growth_margins(Identity(), [1.0])
         with pytest.raises(DomainError):
             growth_margins(Identity(), [0.5, 0.0])
+        with pytest.raises(DomainError):
+            growth_margins(Identity(), [0.5, complex(math.nan, 0.0)])
+        assert all(row.shape == (0,) for row in growth_margins(Identity(), []))
 
     def test_one_walk_of_f_and_one_jet_at_origin(self, monkeypatch):
         f = Mul(Identity(), Blaschke(0.4))

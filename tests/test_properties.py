@@ -31,6 +31,9 @@ from diskcheck import (
     vnorm,
     weierstrass_corpus,
 )
+from diskcheck import corpus, holodisk
+
+from oracles import unfused_growth_block, unfused_on_circle
 
 PARAMETER = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 POINT = st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False)
@@ -341,3 +344,36 @@ def test_operator_norms_of_stacked_point_sets_are_the_per_set_norms(case):
     for method in (aut.opnorm_oracle, aut.opnorm_formula):
         assert np.array_equal(bits(method(sets)), bits(np.stack([method(points) for points in sets])))
         assert np.array_equal(bits(method(ws)), bits(np.stack([method(points) for points in ws])))
+
+
+# ---------------------------------------------------------------------------
+# The fused bulk kernels give the bits of their unfused formulas, in blocks of
+# one point, two points and the full point budget.
+
+BLOCK_SIZES = st.sampled_from([1, 2, "full"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), BLOCK_SIZES)
+def test_circle_placement_equals_the_unfused_formula(seed, n):
+    n = holodisk._POINT_BLOCK if n == "full" else n
+    radii, turns = np.random.default_rng(seed).random((2, n))
+    for r in (radii, 1.0):
+        assert np.array_equal(bits(corpus._on_circle(r, turns)), bits(unfused_on_circle(r, turns)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), BLOCK_SIZES)
+def test_growth_block_equals_the_unfused_formulas(data, n):
+    m = data.draw(SPLIT_DIMENSIONS)
+    f = data.draw(vector_maps(m))
+    f = Add(f, Embed(Const(1.0), -f._eval(np.zeros(1))[0]))
+    if n == "full":
+        zs = corpus._disk_points(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), holodisk._POINT_BLOCK // m)
+    else:
+        zs = _points(data.draw, n, min_magnitude=1e-3)
+    (_,), (a,) = holodisk._norm_jet(f, [0j])
+    out = np.empty((3, len(zs)))
+    with np.errstate(all="ignore"):  # ||F'(0)|| may reach 1 / |z| on a tree that leaves the ball
+        holodisk._growth_block(f, a, zs, out)
+        assert np.array_equal(bits(out), bits(unfused_growth_block(f, a, zs)))
