@@ -17,9 +17,9 @@ validity the checks do not claim).
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import time
@@ -140,8 +140,9 @@ class SuiteConfig:
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise DomainError(f"tolerance override names an unknown check: {name!r}")
-            if not math.isfinite(value):
-                raise DomainError(f"tolerance override for {name!r} must be finite; got {value!r}")
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise DomainError(f"tolerance override for {name!r} must be a finite real number; got {value!r}")
+        object.__setattr__(self, "tolerances", {name: float(value) for name, value in self.tolerances.items()})
 
     def as_dict(self) -> dict:
         return {
@@ -149,7 +150,7 @@ class SuiteConfig:
             "dimensions": list(self.dimensions),
             "samples": self.samples,
             "suites": list(self.suites),
-            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
+            "tolerances": dict(sorted(self.tolerances.items())),
             "search_restarts": self.search_restarts,
         }
 
@@ -203,6 +204,15 @@ class _SuiteAccumulator:
         """Record the smallest of sampled margins; ``describe(i)`` names sample i."""
         i = int(np.argmin(margins))
         self.check(name, describe(i), 0.0, 0.0, margins[i])
+
+    # Running-extreme findings: each fold keeps a NaN, whatever is folded after it.
+    def fold_max(self, name, values) -> None:
+        """Fold the largest of ``values`` into the finding ``name``, which starts from 0.0."""
+        self.findings[name] = float(np.maximum(self.findings.get(name, 0.0), np.max(values)))
+
+    def fold_min(self, name, values) -> None:
+        """Fold the smallest of ``values`` into the finding ``name``, which starts from +inf."""
+        self.findings[name] = float(np.minimum(self.findings.get(name, math.inf), np.min(values)))
 
     def as_dict(self) -> dict:
         checks, failures = {}, []
@@ -268,9 +278,6 @@ def _suite_buffers(*shapes) -> list[np.ndarray]:
 
 def _run_ball(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
-    underest = 0.0
-    overest = 0.0
-    origin_dev_m1 = 0.0
     h = 1e-6
     value = lambda column: (column, np.zeros_like(column), column)
     for m in config.dimensions:
@@ -338,14 +345,9 @@ def _run_ball(config: SuiteConfig) -> dict:
                 "cayley_klein_radial": value(np.abs(cayley_klein_dist(np.zeros_like(x), x) - radial)),
             })
             if m == 1:
-                origin_dev_m1 = np.max([origin_dev_m1, np.max(np.abs(formulas[2] - oracles[2]))])
-            underest = np.max([underest, np.max(oracle_w - formula_w)])
-            overest = np.max([overest, np.max(formula_w - oracle_w)])
-
-    acc.findings["opnorm_formula_max_underestimate"] = float(underest)
-    acc.findings["opnorm_formula_max_overestimate"] = float(overest)
-    if 1 in config.dimensions:
-        acc.findings["opnorm_formula_origin_deviation_m1"] = float(origin_dev_m1)
+                acc.fold_max("opnorm_formula_origin_deviation_m1", np.abs(formulas[2] - oracles[2]))
+            acc.fold_max("opnorm_formula_max_underestimate", oracle_w - formula_w)
+            acc.fold_max("opnorm_formula_max_overestimate", formula_w - oracle_w)
     return acc.as_dict()
 
 
@@ -358,8 +360,6 @@ def _run_holo(config: SuiteConfig) -> dict:
     # Buffers for the whole suite: one draw's uniforms and the growth margin columns.
     uniforms, columns = _suite_buffers(2 * config.samples, (3, config.samples))
     corpus_count = max(12, min(60, config.samples // 4))
-    lower_min_md = math.inf
-    radial_err_max = 0.0
 
     for a in (0.0,) + tuple(0.1 * k for k in range(1, 10)):
         # One walk of the tree, at the points 1 and 0.
@@ -410,7 +410,7 @@ def _run_holo(config: SuiteConfig) -> dict:
                 if m == 1:
                     acc.sampled("two_sided_lower", lower, at_z)
                 else:
-                    lower_min_md = min(lower_min_md, float(np.min(lower)))
+                    acc.fold_min("two_sided_lower_min_margin_md", lower)
 
             if member.boundary_contact is not None:
                 zeta = member.boundary_contact
@@ -424,13 +424,12 @@ def _run_holo(config: SuiteConfig) -> dict:
                 analytic = analytic_radial_derivative(disk, zeta)
                 rdev = abs(estimate - analytic)
                 acc.check("radial_estimate", tag, estimate, analytic, rdev, extra={"error_estimate": err})
-                radial_err_max = max(radial_err_max, err)
+                acc.fold_max("radial_error_estimate_max", err)
 
             if member.name == "archetype-affine" or member.name.startswith("zblaschke"):
                 acc.check("affine_rigidity", text, *affine_rigidity_check(disk))
 
     julia_members = julia_corpus(config.seed, max(9, min(60, config.samples // 4)))
-    julia_multi_min = math.inf
     for index, member in enumerate(julia_members):
         rng = case_rng(config.seed, JULIA_POINT_STREAM, index)
         zs = _disk_points(rng, 50, rmin=0.0, rmax=0.8)
@@ -439,12 +438,7 @@ def _run_holo(config: SuiteConfig) -> dict:
         if member.factors == 1:
             acc.value("julia_equality", member.name, float(np.max(np.abs(margins))))
         else:
-            julia_multi_min = min(julia_multi_min, float(np.min(margins)))
-
-    if math.isfinite(lower_min_md):
-        acc.findings["two_sided_lower_min_margin_md"] = lower_min_md
-    acc.findings["julia_multi_factor_min_margin"] = julia_multi_min
-    acc.findings["radial_error_estimate_max"] = radial_err_max
+            acc.fold_min("julia_multi_factor_min_margin", margins)
     return acc.as_dict()
 
 
@@ -456,8 +450,6 @@ def _run_minimal(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
     surfaces = weierstrass_corpus(config.seed, max(8, min(24, config.samples // 10)))
     audit = []  # per surface: sum, count, max and min of the finite metric audit ratios
-    planar_general_min = math.inf
-    orthogonality_max = 0.0
     # Buffers for the whole suite: the uniforms of two point draws, and one
     # column of per-point values.  Each sweep places its points block by
     # block; a block's temporaries hold points of R^3.
@@ -480,7 +472,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
             maxima.append(values)
         iso, gdev, orth = (float(np.max(c)) for c in zip(*maxima))
         acc.check("isothermal", text, iso, 0.0, iso, extra={"sample_count": n})
-        orthogonality_max = max(orthogonality_max, orth)
+        acc.fold_max("gauss_normal_orthogonality_max_residual", orth)
         acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
         acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, complex(zs[0])))
         finite = np.isfinite(column)
@@ -508,7 +500,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
                     deviations.append(np.max(np.abs(distance_decreasing_margins(w, za, np.zeros_like(za)))))
             acc.sampled("distance_decreasing", column, lambda i: f"{tag} pair=({pair_a[i]:.4g},{pair_b[i]:.4g})")
             if member.planar_through_origin:
-                planar_general_min = min(planar_general_min, float(np.min(column)))
+                acc.fold_min("planar_general_pair_min_margin", column)
                 # The diameters' direction turns and s, t uniforms, drawn over the pairs' uniforms.
                 turns, s, t = rng.random(out=uniforms[: 3 * n].reshape(3, n))
                 for block in slices:
@@ -551,8 +543,6 @@ def _run_minimal(config: SuiteConfig) -> dict:
                      "deviation_vs_claimed": mean_ratio - 1.0})
     acc.findings["audited_metric_constant"] = mean_ratio
     acc.findings["claimed_metric_constant"] = 1.0
-    acc.findings["planar_general_pair_min_margin"] = planar_general_min
-    acc.findings["gauss_normal_orthogonality_max_residual"] = orthogonality_max
     return acc.as_dict()
 
 
@@ -614,42 +604,32 @@ class RunReport:
         return {"config": self.config, "tool": self.tool, "passed": self.passed, "suites": self.suites}
 
     def json_text(self) -> str:
-        return "".join(_json_chunks(self.as_dict())) + "\n"
+        return json.dumps(_jsonify(self.as_dict()), **_JSON_FORMAT) + "\n"
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
-
-
-def _json_chunks(obj):
-    """The canonical JSON text of ``obj``, without its final newline, as an iterator of chunks."""
-    return _ENCODER.iterencode(_jsonify(obj))
+# The canonical JSON text.  With an indent, json.dump runs the pure-Python
+# encoder and writes its chunks one at a time, so the text is never held whole.
+_JSON_FORMAT = {"sort_keys": True, "indent": 2, "allow_nan": False}
 
 
 def _write_json(path: str, obj) -> None:
-    """Write the canonical JSON text of ``obj`` and a newline to ``path``, a batch of chunks at a time."""
-    chunks = _json_chunks(obj)
+    """Write the canonical JSON text of ``obj`` and a newline to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        while batch := "".join(itertools.islice(chunks, 4096)):
-            fh.write(batch)
+        json.dump(_jsonify(obj), fh, **_JSON_FORMAT)
         fh.write("\n")
 
 
 def _jsonify(obj):
-    """Plain JSON values; a non-finite float becomes its CSV text "nan", "inf" or "-inf"."""
+    """``obj`` with every non-finite float replaced by its CSV text "nan", "inf" or "-inf".
+
+    The json module never hands a float to ``default``, so they are replaced beforehand.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else repr(float(obj))
-    if isinstance(obj, complex):
-        return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
     return obj
 
 
@@ -681,7 +661,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
 def write_report(report: RunReport, path: str) -> tuple[str, str]:
     """Write the JSON report to ``path`` and the margins CSV next to it.
 
-    The report is streamed: neither its text nor its list of chunks is held whole.
+    The report is streamed: its text is never held whole.
     """
     _write_json(path, report.as_dict())
     root, _ = os.path.splitext(path)

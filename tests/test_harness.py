@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ class TestSuiteConfig:
     def test_known_tolerance_override_accepted(self):
         cfg = SuiteConfig(tolerances={"growth_margin": 1e-6})
         assert cfg.as_dict()["tolerances"] == {"growth_margin": 1e-6}
+
+    @pytest.mark.parametrize("value", ["1e-3", None, [1e-3], 1e-3 + 0j, b"1", math.nan, -math.inf])
+    def test_tolerance_override_must_be_a_finite_real_number(self, value):
+        with pytest.raises(DomainError, match="growth_margin"):
+            SuiteConfig(tolerances={"growth_margin": value})
+
+    def test_tolerance_overrides_are_stored_as_floats(self):
+        given = {"growth_margin": 1, "phi_involution": np.float32(0.5), "opnorm_anchor": Fraction(1, 4)}
+        cfg = SuiteConfig(tolerances=given)
+        assert cfg.tolerances == {"growth_margin": 1.0, "phi_involution": 0.5, "opnorm_anchor": 0.25}
+        assert all(type(v) is float for v in cfg.tolerances.values())
+        assert type(given["growth_margin"]) is int
 
 
 class TestStreamKeys:
@@ -285,6 +298,24 @@ class TestSuiteAccumulator:
         if not slot["equality"]:
             assert math.isnan(suite["min_margin"])
 
+    @pytest.mark.parametrize("fold", ["fold_max", "fold_min"])
+    def test_a_folded_nan_stays_nan(self, fold):
+        acc = _SuiteAccumulator({})
+        getattr(acc, fold)("finding", np.array([0.5, -0.5]))
+        getattr(acc, fold)("finding", np.array([1.0, math.nan, -1.0]))
+        for later in (2.0, -2.0, math.inf, -math.inf, np.array([3.0, -3.0])):
+            getattr(acc, fold)("finding", later)
+        assert math.isnan(acc.findings["finding"])
+        assert type(acc.findings["finding"]) is float
+
+    def test_folds_start_from_zero_and_from_inf(self):
+        acc = _SuiteAccumulator({})
+        acc.fold_max("largest", np.array([-3.0, -1.0]))
+        acc.fold_max("largest", -0.5)
+        acc.fold_min("smallest", np.array([2.0, 0.75]))
+        acc.fold_min("smallest", 1.0)
+        assert acc.findings == {"largest": 0.0, "smallest": 0.75}
+
     def test_nan_outranks_every_finite_failure(self):
         acc = _SuiteAccumulator({"growth_margin": 1.0})
         acc.check("growth_margin", "pass", 0.0, 0.0, -0.9)
@@ -431,24 +462,47 @@ class TestReportFiles:
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
         assert data["suites"]["ball"]["cases"] > 0
 
-    def test_non_finite_values_are_written_as_standard_json(self):
+    def test_non_finite_values_are_written_as_standard_json(self, tmp_path):
         acc = _SuiteAccumulator({})
         acc.check("growth_margin", "nan-case", 0.0, 0.0, math.nan)
         acc.check("boundary_membership", "far", 0.0, 1.0, math.inf)
         acc.findings["negative"] = -math.inf
-        acc.findings["complex"] = complex(math.nan, 0.5)
+        acc.findings["listed"] = [1.5, np.float64(math.nan), (math.inf, -0.25)]
         report = RunReport(config=SuiteConfig().as_dict(), tool={}, passed=False, suites={"holo": acc.as_dict()})
 
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
+        path = tmp_path / "report.json"
+        harness.write_report(report, str(path))
+        assert path.read_text(encoding="utf-8") == report.json_text()
         suite = json.loads(report.json_text(), parse_constant=refuse)["suites"]["holo"]
         # The same spelling as the margins CSV, which writes repr(float(x)).
         assert suite["checks"]["growth_margin"]["worst_margin"] == "nan" == repr(math.nan)
         assert suite["min_margin"] == "nan"
-        assert suite["failures"][0]["margin"] == "nan"
+        failure = suite["failures"][0]
+        assert (failure["name"], failure["margin"]) == ("growth_margin", "nan")
         assert suite["checks"]["boundary_membership"]["worst_margin"] == "inf"
-        assert suite["findings"] == {"complex": {"re": "nan", "im": 0.5}, "negative": "-inf"}
+        assert suite["findings"] == {"listed": [1.5, "nan", ["inf", -0.25]], "negative": "-inf"}
+
+    def test_a_nan_julia_margin_makes_its_finding_nan(self, tmp_path, monkeypatch):
+        """A NaN margin of one multi-factor member is written as the finding's value, not dropped."""
+        margins = harness.julia_margins
+        seen = []
+
+        def one_nan(disk, zs):
+            values = margins(disk, zs)
+            if len(seen) == 1:
+                values[7] = math.nan
+            seen.append(values)
+            return values
+
+        monkeypatch.setattr(harness, "julia_margins", one_nan)
+        path = tmp_path / "report.json"
+        run_suite(SuiteConfig(suites=("holo",), dimensions=(1,), samples=8, out=str(path)))
+        assert seen and math.isnan(seen[1][7])
+        findings = json.loads(path.read_text(encoding="utf-8"))["suites"]["holo"]["findings"]
+        assert findings["julia_multi_factor_min_margin"] == "nan"
 
 
 class TestConfigFile:
