@@ -27,6 +27,7 @@ from .holodisk import (
     Poly,
     Vec,
     _boundary_grid,
+    _point_slices,
     _read_only,
     blaschke_product,
     extremal_family_1d,
@@ -129,7 +130,7 @@ _VERS2, _VERS4 = _STEP**2 / 2.0, -_STEP**4 / 24.0
 
 
 def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
-    """``radii * exp(2 pi i turns)`` for a 1-d array of ``turns`` in [0, 1), within 4 ulp.
+    """``radii * exp(2 pi i turns)`` for an array of ``turns`` in [0, 1), within 4 ulp.
 
     ``turns * 2^12`` splits exactly into a table index k and a residual f in
     [0, 1); the table point 2 pi k / 2^12 is rotated by delta = 2 pi f / 2^12
@@ -164,48 +165,80 @@ def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _draw_disk(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The (radius, turn) uniforms of ``n`` disk points with rmin <= |z| <= rmax, uniform by area when rmin = 0.
-
-    Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns), into
-    the first 2n floats of ``out`` when it is given, and maps the radii in
-    place.  Returns the (2, n) rows: ``_on_circle(*uniforms)`` places the points.
-    """
-    uniforms = rng.random((2, n)) if out is None else rng.random(out=out[: 2 * n].reshape(2, n))
-    radii = uniforms[0]
+def _disk_radii(radii: np.ndarray, rmin: float, rmax: float) -> None:
+    """Map radius uniforms in place to radii in [rmin, rmax], uniform by area when rmin = 0."""
     np.sqrt(radii, out=radii)
     radii *= rmax - rmin
     radii += rmin
+
+
+def _draw_disk(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
+    """The (radius, turn) uniforms of ``n`` disk points with rmin <= |z| <= rmax.
+
+    Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns), and
+    maps the radii.  Returns the (2, n) rows: ``_on_circle(*uniforms)`` places the points.
+    """
+    uniforms = rng.random((2, n))
+    _disk_radii(uniforms[0], rmin, rmax)
     return uniforms
 
 
-class _Draw:
-    """Disk points held as their ``_draw_disk`` uniforms; indexing places them.
+class _BlockDraw:
+    """The draw ``rng.random((rows, n))``, read one block of columns at a time.
 
-    ``draw[i]`` and ``draw[a:b]`` are ``_on_circle`` of those uniforms, which
-    is elementwise, so they are the points of ``_disk_points`` bit for bit:
-    a sweep places each block of points as it checks it, and a report places
-    one point again from its index.
+    Iterating yields, for each slice of ``_point_slices(n, width)``, the
+    block's (rows, b) uniforms; with ``disk=(rmin, rmax)``, the points that
+    ``_disk_points`` places from them instead: a 1-d block from two rows, and
+    one row of points per (radius, turn) row pair from more.  The radius map
+    and ``_on_circle`` are elementwise, so these are the points of one plain
+    draw bit for bit, and a sweep keeps no array that grows with n.
+    ``shape`` is (n,), as for an array of the points.
+
+    The draw is row-major and a double takes one 64-bit output of the PCG64
+    stream, so row r of the block [a, b) is the b - a outputs from r n + a
+    on.  Iteration jumps ``rng``'s own stream there (``PCG64.advance``, in
+    O(log n) steps; a one-block draw makes no jump) and leaves it where the
+    plain draw leaves it: rows n outputs on, with its spare 32-bit half kept.
+    Iterate once and to the end, before anything else draws from ``rng``.
     """
 
-    ndim = 1  # for np.ndim: a 1-d sequence of points
+    def __init__(self, rng: np.random.Generator, n: int, width: int = 1, rows: int = 2,
+                 disk: tuple | None = None) -> None:
+        self.rng, self.width, self.rows, self.disk = rng, width, rows, disk
+        self.shape = (n,)
 
-    def __init__(self, uniforms: np.ndarray) -> None:
-        self.uniforms = uniforms
-        self.shape = uniforms.shape[1:]
+    def __iter__(self):
+        (n,), rows, rng = self.shape, self.rows, self.rng
+        bitgen = rng.bit_generator
+        position, state = 0, None  # outputs taken since the draw began; the state before the first jump
+        for block in _point_slices(n, self.width):
+            uniforms = np.empty((rows, block.stop - block.start))
+            for r in range(rows):
+                start = r * n + block.start
+                if start != position:
+                    state = state or bitgen.state
+                    bitgen.advance((start - position) % (1 << 128))
+                rng.random(out=uniforms[r])
+                position = start + uniforms.shape[1]
+            if self.disk is not None:
+                uniforms = self._place(uniforms)  # frees the uniforms before the next block is drawn
+            yield uniforms
+        # The last block's last row ends the draw, rows n outputs on.
+        if state is not None:
+            # PCG64.advance drops the spare 32-bit half of an output; a plain draw keeps it.
+            state["state"] = bitgen.state["state"]
+            bitgen.state = state
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _on_circle(*self.uniforms[:, index])
-        return _on_circle(*self.uniforms[:, [index]])[0]
+    def _place(self, uniforms: np.ndarray) -> np.ndarray:
+        radii, turns = uniforms[0::2], uniforms[1::2]
+        if self.rows == 2:
+            radii, turns = radii[0], turns[0]
+        _disk_radii(radii, *self.disk)
+        return _on_circle(radii, turns)
 
 
 def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
-    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0 (see ``_draw_disk``)."""
+    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0."""
     return _on_circle(*_draw_disk(rng, n, rmin, rmax))
 
 

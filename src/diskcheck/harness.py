@@ -24,6 +24,7 @@ import operator
 import os
 import time
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ from .ballgeom import (
 )
 from .corpus import (
     _ball_point,
+    _BlockDraw,
     _disk_points,
-    _Draw,
     _draw_disk,
     _on_circle,
     _unit_vector,
@@ -137,6 +138,8 @@ class SuiteConfig:
             raise DomainError(f"dimensions must not repeat; got {list(self.dimensions)}")
         if self.search_restarts < 1:
             raise DomainError("search_restarts must be at least 1")
+        if not isinstance(self.tolerances, Mapping):
+            raise DomainError(f"tolerances must be a mapping of check names to numbers; got {self.tolerances!r}")
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise DomainError(f"tolerance override names an unknown check: {name!r}")
@@ -171,6 +174,7 @@ class _SuiteAccumulator:
         self.rows = 0
         self.tables: dict = {}
         self.findings: dict = {}
+        self.minima: dict = {}
 
     def record(self, describe, columns: dict, extra=None) -> None:
         """Record a table of cases, of which ``describe(i)`` names case i.
@@ -200,10 +204,21 @@ class _SuiteAccumulator:
         """Record ``value`` itself as the margin, against zero (a floor check: against its floor)."""
         self.check(name, instance, value, 0.0, value, extra)
 
-    def sampled(self, name, margins, describe) -> None:
-        """Record the smallest of sampled margins; ``describe(i)`` names sample i."""
+    def fold_sampled(self, name, margins, points) -> None:
+        """Fold the smallest of a block's sampled margins, with its point, into the sampled minimum ``name``.
+
+        Across blocks the rule is ``np.argmin``'s: the first smallest margin
+        wins, and a NaN counts as the smallest.
+        """
         i = int(np.argmin(margins))
-        self.check(name, describe(i), 0.0, 0.0, margins[i])
+        held = self.minima.get(name)
+        if held is None or not (math.isnan(held[0]) or held[0] <= margins[i]):
+            self.minima[name] = margins[i], points[i]
+
+    def sampled(self, name, describe) -> None:
+        """Record the sampled minimum ``name`` folded so far; ``describe(point)`` names its point."""
+        margin, point = self.minima.pop(name)
+        self.check(name, describe(point), 0.0, 0.0, margin)
 
     # Running-extreme findings: each fold keeps a NaN, whatever is folded after it.
     def fold_max(self, name, values) -> None:
@@ -259,17 +274,15 @@ class _SuiteAccumulator:
         }
 
 
-def _suite_buffers(*shapes) -> list[np.ndarray]:
-    """Float buffers that a sampled suite keeps for all of its sweeps.
+def _prime_heap() -> None:
+    """Allocate and free one untouched 1 MiB array before a sampled suite's sweeps.
 
-    First one untouched 1 MiB array is allocated and freed: glibc's malloc
-    then raises its mmap threshold to 1 MiB and its trim threshold to 2 MiB,
-    so the temporaries of each point block are served from a heap that is not
-    trimmed and faulted in again after every block.  Under another allocator
-    it is one unused allocation.
+    glibc's malloc then raises its mmap threshold to 1 MiB and its trim
+    threshold to 2 MiB, so the temporaries of each point block are served from
+    a heap that is not trimmed and faulted in again after every block.  Under
+    another allocator it is one unused allocation.
     """
     np.empty(1 << 17)
-    return [np.empty(shape) for shape in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +370,7 @@ def _run_ball(config: SuiteConfig) -> dict:
 
 def _run_holo(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
-    # Buffers for the whole suite: one draw's uniforms and the growth margin columns.
-    uniforms, columns = _suite_buffers(2 * config.samples, (3, config.samples))
+    _prime_heap()
     corpus_count = max(12, min(60, config.samples // 4))
 
     for a in (0.0,) + tuple(0.1 * k for k in range(1, 10)):
@@ -399,18 +411,26 @@ def _run_holo(config: SuiteConfig) -> dict:
             acc.check("schwarz_derivative", text, *schwarz_derivative_bound(disk))
 
             if member.zero_at_origin:
-                zs = _Draw(_draw_disk(rng, config.samples, out=uniforms))
-                at_z = lambda i: f"{tag} z={zs[i]:.6g}"
-                margins, upper, lower = growth_margins(disk, zs, out=columns)
-                acc.sampled("growth_margin", margins, at_z)
+                widest = []  # per block: the largest |growth margin|
+
+                def fold(z, growth, upper, lower):
+                    acc.fold_sampled("growth_margin", growth, z)
+                    acc.fold_sampled("two_sided_upper", upper, z)
+                    if m == 1:
+                        acc.fold_sampled("two_sided_lower", lower, z)
+                    else:
+                        acc.fold_min("two_sided_lower_min_margin_md", lower)
+                    if member.growth_equality:
+                        widest.append(np.max(np.abs(growth, out=growth)))
+
+                growth_margins(disk, _BlockDraw(rng, config.samples, m, disk=(0.02, 0.97)), fold)
+                at_z = lambda z: f"{tag} z={z:.6g}"
+                acc.sampled("growth_margin", at_z)
                 if member.growth_equality:
-                    # In place: the column is not read again.
-                    acc.value("growth_equality_affine", tag, float(np.max(np.abs(margins, out=margins))))
-                acc.sampled("two_sided_upper", upper, at_z)
+                    acc.value("growth_equality_affine", tag, float(np.max(widest)))
+                acc.sampled("two_sided_upper", at_z)
                 if m == 1:
-                    acc.sampled("two_sided_lower", lower, at_z)
-                else:
-                    acc.fold_min("two_sided_lower_min_margin_md", lower)
+                    acc.sampled("two_sided_lower", at_z)
 
             if member.boundary_contact is not None:
                 zeta = member.boundary_contact
@@ -434,7 +454,8 @@ def _run_holo(config: SuiteConfig) -> dict:
         rng = case_rng(config.seed, JULIA_POINT_STREAM, index)
         zs = _disk_points(rng, 50, rmin=0.0, rmax=0.8)
         margins = julia_margins(member.disk, zs)
-        acc.sampled("julia_margin", margins, lambda i: f"{member.name} z={zs[i]:.6g}")
+        acc.fold_sampled("julia_margin", margins, zs)
+        acc.sampled("julia_margin", lambda z: f"{member.name} z={z:.6g}")
         if member.factors == 1:
             acc.value("julia_equality", member.name, float(np.max(np.abs(margins))))
         else:
@@ -450,12 +471,10 @@ def _run_minimal(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
     surfaces = weierstrass_corpus(config.seed, max(8, min(24, config.samples // 10)))
     audit = []  # per surface: sum, count, max and min of the finite metric audit ratios
-    # Buffers for the whole suite: the uniforms of two point draws, and one
-    # column of per-point values.  Each sweep places its points block by
-    # block; a block's temporaries hold points of R^3.
+    # Each sweep draws, places and checks its points block by block; a
+    # block's temporaries hold points of R^3.
     n = config.samples
-    uniforms, column = _suite_buffers(4 * n, n)
-    slices = _point_slices(n, 3)
+    _prime_heap()
 
     for index, member in enumerate(surfaces):
         rng = case_rng(config.seed, MINIMAL_POINT_STREAM, index)
@@ -465,19 +484,24 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         acc.check("null_condition", text, *null_condition_report(w))
 
-        zs = _Draw(_draw_disk(rng, n, out=uniforms))
-        maxima = []  # per block: the three maxima; the audit ratios go to the column
-        for block in slices:
-            *values, column[block] = surface_identities(w, zs[block])
+        maxima = []  # per block: the three maxima
+        ratios = []  # per block with finite audit ratios: their np.sum, count, max and min
+        for zs in _BlockDraw(rng, n, 3, disk=(0.02, 0.97)):
+            if not maxima:
+                first = complex(zs[0])
+            *values, ratio = surface_identities(w, zs)
             maxima.append(values)
+            finite = np.isfinite(ratio)
+            if (ratio := ratio if finite.all() else ratio[finite]).size:
+                ratios.append((float(np.sum(ratio)), ratio.size, float(np.max(ratio)), float(np.min(ratio))))
         iso, gdev, orth = (float(np.max(c)) for c in zip(*maxima))
         acc.check("isothermal", text, iso, 0.0, iso, extra={"sample_count": n})
         acc.fold_max("gauss_normal_orthogonality_max_residual", orth)
         acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
-        acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, complex(zs[0])))
-        finite = np.isfinite(column)
-        if (ratio := column if finite.all() else column[finite]).size:
-            audit.append((float(np.sum(ratio)), ratio.size, float(np.max(ratio)), float(np.min(ratio))))
+        acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, first))
+        if ratios:
+            sums, counts, highs, lows = zip(*ratios)
+            audit.append((math.fsum(sums), sum(counts), max(highs), min(lows)))
 
         max_norm = w.max_norm()
         acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
@@ -490,22 +514,21 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 if member.planar_through_origin:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth[:3])
 
-            pair_a = _Draw(_draw_disk(rng, n, rmin=0.0, out=uniforms[: 2 * n]))
-            pair_b = _Draw(_draw_disk(rng, n, rmin=0.0, out=uniforms[2 * n :]))
             deviations = []  # per block of the anchored and diameter sweeps: the max |margin|
-            for block in slices:
-                za = pair_a[block]
-                column[block] = distance_decreasing_margins(w, za, pair_b[block])
+            # Two draws of n disk points, pair_a's and then pair_b's: rows (radius, turn, radius, turn).
+            for pairs in _BlockDraw(rng, n, 3, rows=4, disk=(0.0, 0.97)):
+                za = pairs[0]
+                margins = distance_decreasing_margins(w, za, pairs[1])
+                acc.fold_sampled("distance_decreasing", margins, pairs.T)
                 if member.planar_through_origin:
+                    acc.fold_min("planar_general_pair_min_margin", margins)
                     deviations.append(np.max(np.abs(distance_decreasing_margins(w, za, np.zeros_like(za)))))
-            acc.sampled("distance_decreasing", column, lambda i: f"{tag} pair=({pair_a[i]:.4g},{pair_b[i]:.4g})")
+            acc.sampled("distance_decreasing", lambda pair: f"{tag} pair=({pair[0]:.4g},{pair[1]:.4g})")
             if member.planar_through_origin:
-                acc.fold_min("planar_general_pair_min_margin", column)
-                # The diameters' direction turns and s, t uniforms, drawn over the pairs' uniforms.
-                turns, s, t = rng.random(out=uniforms[: 3 * n].reshape(3, n))
-                for block in slices:
-                    direction = _on_circle(1.0, turns[block])
-                    ends = (-0.95 + 1.9 * s[block]) * direction, (-0.95 + 1.9 * t[block]) * direction
+                # The diameters' direction turns and s, t uniforms.
+                for turns, s, t in _BlockDraw(rng, n, 3, rows=3):
+                    direction = _on_circle(1.0, turns)
+                    ends = (-0.95 + 1.9 * s) * direction, (-0.95 + 1.9 * t) * direction
                     deviations.append(np.max(np.abs(distance_decreasing_margins(w, *ends))))
                 acc.value("distance_equality_planar", tag, np.max(deviations))
 

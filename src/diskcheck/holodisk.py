@@ -13,7 +13,8 @@ accept arrays of points, so whole sample batches, or the stacked points a
 check needs (such as 0 and a boundary point), cost one tree walk.
 
 The sampled checks are the ``*_margins`` functions: each returns one raw
-margin per sample point, and a suite run judges the array.
+margin per sample point, and a suite run judges the array, or folds
+``growth_margins``'s point blocks as they are checked.
 ``growth_margins`` gives the growth and both quotient margins from one walk
 of F over the batch, so like the quotient bounds it needs 0 < |z| < 1;
 ``julia_margins`` gives the Julia margins.  The per-instance checks return
@@ -497,7 +498,7 @@ def _norm_jet(f: HoloDisk, points) -> tuple[list[float], list[float]]:
 # interior growth bounds
 
 
-def growth_margins(f: HoloDisk, zs, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def growth_margins(f: HoloDisk, zs, fold=None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Growth and quotient margins at each of ``zs``, from one walk of F at 0 and one per point block.
 
     With A = ||F'(0)|| and x = ||F(z)/z||: growth
@@ -506,17 +507,25 @@ def growth_margins(f: HoloDisk, zs, out=None) -> tuple[np.ndarray, np.ndarray, n
     asserted by callers only for m = 1 or collinear-range maps and reported
     otherwise.
 
-    ``zs`` is a point or a sequence of points: an array, a list, or a corpus
-    draw, whose slices place their points.  The three margin arrays are the
-    rows of ``out``, a (3, len(zs)) float array, when it is given.
+    ``zs`` is a point or a sequence of points, and the three margin arrays
+    are returned.  With ``fold``, ``zs`` is an iterable of 1-d point blocks,
+    such as a ``corpus._BlockDraw``, and ``fold(z, growth, upper, lower)``
+    takes each block's points and margins in turn; no array outlives its
+    block, and nothing is returned.
     """
     (n0,), (a,) = _norm_jet(f, [0j])
     _require_zero_at_origin(n0)
-    if np.ndim(zs) == 0:
-        zs = [zs]
-    out = np.empty((3, len(zs))) if out is None else out
+    if fold is not None:
+        for z in zs:
+            out = np.empty((3, len(z)))
+            _growth_block(f, a, z, out)
+            fold(z, *out)
+            del z, out  # before the next block is drawn
+        return None
+    zs = np.asarray([zs] if np.ndim(zs) == 0 else zs, dtype=complex)
+    out = np.empty((3, len(zs)))
     for block in _point_slices(len(zs), f.dim):
-        _growth_block(f, a, np.asarray(zs[block], dtype=complex), out[:, block])
+        _growth_block(f, a, zs[block], out[:, block])
     return out[0], out[1], out[2]
 
 

@@ -1,11 +1,11 @@
 """Sampled sweeps run over point blocks, bit for bit.
 
-A sampled sweep over N points draws their (radius, turn) uniforms into a
-buffer that lives for the whole suite, then places and checks the points one
-block at a time: blocks hold at most ``holodisk._POINT_BLOCK`` point x
-component elements, so the temporaries scale with the block rather than with
-N.  Each block's values must be those of one call over all N points, exactly,
-for blocks of any size, one point included.
+A sampled sweep over N points draws, places and checks them one block at a
+time, and folds each block's values as it goes: blocks hold at most
+``holodisk._POINT_BLOCK`` point x component elements, so no array scales with
+N.  Each block's uniforms must be those of one plain draw of all N, and each
+block's values those of one call over all N points, exactly, for blocks of
+any size, one point included.
 """
 
 from __future__ import annotations
@@ -86,30 +86,52 @@ class TestPointBlocks:
         assert np.array_equal(z[picks].view(float), np.asarray(one).view(float))
 
 
-class TestDrawAndPlace:
-    """``_draw_disk`` then placement is ``_disk_points``, for any split into placement slices."""
+class TestBlockDraw:
+    """``_BlockDraw`` over any split into consecutive blocks is one plain draw, and leaves the stream as it leaves it."""
+
+    @staticmethod
+    def block_sizes(n: int) -> list:
+        """One block, three, and blocks of 1, 2, 7 and about n / 1000 points, where that is at most 2000 blocks."""
+        return sorted(b for b in {1, 2, 7, n // 1000 + 1, n // 3 + 1, n} if -(-n // b) <= 2000)
+
+    @staticmethod
+    def draws(n: int) -> tuple:
+        """Two generators at one state, with a spare 32-bit half held, as a draw may find them."""
+        plain, split = rng_for(n), rng_for(n)
+        plain.integers(0, 5), split.integers(0, 5)
+        assert plain.bit_generator.state["has_uint32"] == 1
+        return plain, split
+
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 40001])
+    def test_any_split_gives_the_plain_draw(self, monkeypatch, n, rows):
+        for block in self.block_sizes(n):
+            monkeypatch.setattr(holodisk, "_POINT_BLOCK", block)
+            plain, split = self.draws(n)
+            whole = plain.random((rows, n))
+            parts = list(corpus._BlockDraw(split, n, rows=rows))
+            assert [part.shape for part in parts] == [(rows, s.stop - s.start) for s in holodisk._point_slices(n)]
+            assert np.array_equal(bits(np.concatenate(parts, axis=1)), bits(whole))
+            assert split.bit_generator.state == plain.bit_generator.state
 
     @pytest.mark.parametrize("rmin, rmax", [(0.02, 0.97), (0.0, 0.95), (0.0, 0.8), (0.1, 0.9)])
-    def test_any_split_equals_one_draw(self, rmin, rmax):
-        for n in (1, 2, 3, 17, 1000):
-            whole = corpus._disk_points(rng_for(n), n, rmin, rmax)
-            draw = corpus._Draw(corpus._draw_disk(rng_for(n), n, rmin, rmax))
-            assert len(draw) == n and draw.shape == (n,) and np.ndim(draw) == 1
-            cuts = np.sort(rng_for(7 + n).integers(0, n + 1, 6))
-            parts = [draw[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
-            assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
-            assert np.array_equal(bits([draw[i] for i in range(n)]), bits(whole))
-            assert np.array_equal(bits(draw[-1]), bits(whole[-1]))
+    @pytest.mark.parametrize("rows", [2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 40001])
+    def test_any_split_gives_the_disk_points(self, monkeypatch, n, rows, rmin, rmax):
+        for block in self.block_sizes(n):
+            monkeypatch.setattr(holodisk, "_POINT_BLOCK", block)
+            plain, split = self.draws(n)
+            whole = np.stack([corpus._disk_points(plain, n, rmin, rmax) for _ in range(rows // 2)])
+            draw = corpus._BlockDraw(split, n, rows=rows, disk=(rmin, rmax))
+            assert draw.shape == (n,)
+            placed = np.concatenate(list(draw), axis=-1)
+            assert np.array_equal(bits(placed), bits(whole[0] if rows == 2 else whole))
+            assert split.bit_generator.state == plain.bit_generator.state
 
-    def test_a_reused_buffer_gives_the_same_points_and_the_same_stream(self):
-        buffer = np.empty(2 * BLOCKED)
-        for n in (BLOCKED, 5, BLOCKED - 2, 1):
-            rng, fresh = rng_for(n), rng_for(n)
-            uniforms = corpus._draw_disk(rng, n, out=buffer)
-            assert np.shares_memory(uniforms, buffer) and uniforms.shape == (2, n)
-            assert np.array_equal(bits(corpus._Draw(uniforms)[:]), bits(corpus._disk_points(fresh, n)))
-            # The generator is left where a plain draw leaves it.
-            assert rng.random() == fresh.random()
+    def test_blocks_follow_the_width(self):
+        for width in (1, 3, 8):
+            draw = corpus._BlockDraw(rng_for(width), BLOCKED, width, disk=(0.02, 0.97))
+            assert [len(z) for z in draw] == [s.stop - s.start for s in holodisk._point_slices(BLOCKED, width)]
 
 
 def traced_peak(call) -> int:
@@ -131,26 +153,35 @@ def sweep(check, target, *draws) -> list:
     return [check(target, *(d[block] for d in draws)) for block in holodisk._point_slices(len(draws[0]), 3)]
 
 
+def folded_growth(disk, zs) -> list:
+    """``growth_margins`` over the blocks of ``zs``, through ``fold``: each block's points and three margin rows."""
+    blocks = []
+    assert growth_margins(disk, zs, lambda z, *rows: blocks.append((z, np.stack(rows)))) is None
+    return blocks
+
+
 class TestStreamedChecks:
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_growth_margins(self, monkeypatch, m):
-        draw = corpus._Draw(corpus._draw_disk(rng_for(10 + m), BLOCKED))
-        out = np.empty((3, BLOCKED))
+        whole_z = corpus._disk_points(rng_for(10 + m), BLOCKED)
         for member in holo_corpus(0, m, 15):
             if member.zero_at_origin:
-                streamed = growth_margins(member.disk, draw, out=out)
-                assert all(np.shares_memory(row, out) for row in streamed)
+                draw = corpus._BlockDraw(rng_for(10 + m), BLOCKED, m, disk=(0.02, 0.97))
+                streamed = folded_growth(member.disk, draw)
+                assert len(streamed) == len(holodisk._point_slices(BLOCKED, m))
+                blocked = growth_margins(member.disk, whole_z)
                 with monkeypatch.context() as patch:
                     one_block(patch)
-                    whole = growth_margins(member.disk, draw[:])
-                assert np.array_equal(bits(np.stack(streamed)), bits(np.stack(whole)))
+                    whole = growth_margins(member.disk, whole_z)
+                assert np.array_equal(bits(np.concatenate([z for z, _ in streamed])), bits(whole_z))
+                assert np.array_equal(bits(np.concatenate([rows for _, rows in streamed], axis=1)), bits(np.stack(whole)))
+                assert np.array_equal(bits(np.stack(blocked)), bits(np.stack(whole)))
 
     def test_surface_identities(self, monkeypatch):
         rng = rng_for(20)
         for member in weierstrass_corpus(0, 12):
-            uniforms = corpus._draw_disk(rng, BLOCKED)
-            uniforms[:, holodisk._POINT_BLOCK + 7] = 0.0  # z = 0: a NaN polar direction and ratio mid-sweep
-            draw = corpus._Draw(uniforms)
+            draw = corpus._disk_points(rng, BLOCKED)
+            draw[holodisk._POINT_BLOCK + 7] = 0.0  # z = 0: a NaN polar direction and ratio mid-sweep
             parts = sweep(surface_identities, member.surface, draw)
             whole = surface_identities(member.surface, draw[:])
             for k in range(3):
@@ -161,8 +192,8 @@ class TestStreamedChecks:
         rng = rng_for(21)
         for member in weierstrass_corpus(0, 10):
             w = member.surface
-            pair_a = corpus._Draw(corpus._draw_disk(rng, BLOCKED, rmin=0.0))
-            pair_b = corpus._Draw(corpus._draw_disk(rng, BLOCKED, rmin=0.0))
+            pair_a = corpus._disk_points(rng, BLOCKED, rmin=0.0)
+            pair_b = corpus._disk_points(rng, BLOCKED, rmin=0.0)
             whole_a = pair_a[:]
             streamed = np.concatenate(sweep(distance_decreasing_margins, w, pair_a, pair_b))
             assert np.array_equal(bits(streamed), bits(distance_decreasing_margins(w, whole_a, pair_b[:])))
@@ -182,16 +213,16 @@ class TestStreamedChecks:
             whole = distance_decreasing_margins(w, (-0.95 + 1.9 * s) * direction, (-0.95 + 1.9 * t) * direction)
             assert np.array_equal(bits(np.concatenate(diameters)), bits(whole))
 
-    def test_growth_margins_peak_memory_does_not_grow_with_blocks(self):
+    def test_folded_growth_margins_peak_memory_does_not_grow_with_blocks(self):
+        """Drawn, placed, checked and folded per block, a sweep of 4 blocks peaks as one of 1 block does."""
         (member,) = [m for m in holo_corpus(0, 8, 10) if m.name == "poly-9"]
         b = holodisk._POINT_BLOCK
 
         def peak(n: int) -> int:
-            zs = corpus._Draw(corpus._draw_disk(rng_for(22), n))
-            out = np.empty((3, n))
-            return traced_peak(lambda: growth_margins(member.disk, zs, out=out))
+            draw = corpus._BlockDraw(rng_for(22), n, 8, disk=(0.02, 0.97))
+            return traced_peak(lambda: growth_margins(member.disk, draw, lambda z, *rows: None))
 
-        assert peak(4 * b) <= 1.5 * peak(b)
+        assert peak(4 * b) <= 1.1 * peak(b)
 
     def test_growth_margins_walks_the_origin_jet_once_per_call(self, monkeypatch):
         walks = []
@@ -199,13 +230,17 @@ class TestStreamedChecks:
         monkeypatch.setattr(holodisk, "_norm_jet", lambda f, points: walks.append(list(points)) or norm_jet(f, points))
         for member in holo_corpus(0, 8, 10):
             if member.zero_at_origin:
-                walks.clear()
                 evals = []
                 disk = member.disk
                 monkeypatch.setattr(disk, "_eval", lambda z, walk=disk._eval: evals.append(len(z)) or walk(z))
-                growth_margins(disk, corpus._Draw(corpus._draw_disk(rng_for(23), BLOCKED)))
-                assert walks == [[0j]]
-                assert len(evals) == len(holodisk._point_slices(BLOCKED, 8)) and sum(evals) == BLOCKED
+                array_call = lambda: growth_margins(disk, corpus._disk_points(rng_for(23), BLOCKED))
+                folded_call = lambda: folded_growth(disk, corpus._BlockDraw(rng_for(23), BLOCKED, 8, disk=(0.02, 0.97)))
+                for call in (array_call, folded_call):
+                    walks.clear()
+                    evals.clear()
+                    call()
+                    assert walks == [[0j]]
+                    assert len(evals) == len(holodisk._point_slices(BLOCKED, 8)) and sum(evals) == BLOCKED
 
 
 # Sampled checks made to fail, so that each one's worst instance is also listed as a failure.
@@ -237,8 +272,8 @@ class TestStreamedSuites:
 
 
 @pytest.mark.parametrize("suite", ["holo", "minimal"])
-def test_traced_peak_grows_at_most_48_bytes_per_sample(suite):
-    """The suite-lifetime draw buffer and margin columns are all that grows with the sample count.
+def test_traced_peak_grows_at_most_2_bytes_per_sample(suite):
+    """No array of a sampled suite grows with the sample count.
 
     Both sample counts are multiples of the widest sweep's slice, the
     minimal suite's ``_POINT_BLOCK // 3`` points, so every sweep's blocks
@@ -254,7 +289,7 @@ def test_traced_peak_grows_at_most_48_bytes_per_sample(suite):
 
     low = 3 * (holodisk._POINT_BLOCK // 3)
     high = 2 * low
-    assert (peak(high) - peak(low)) / (high - low) <= 48.0
+    assert (peak(high) - peak(low)) / (high - low) <= 2.0
 
 
 # Ball tolerances under which phi_involution and phi_fixed_point fail in most cases.

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskcheck import (
     DomainError,
@@ -92,6 +94,11 @@ class TestSuiteConfig:
     def test_tolerance_override_must_be_a_finite_real_number(self, value):
         with pytest.raises(DomainError, match="growth_margin"):
             SuiteConfig(tolerances={"growth_margin": value})
+
+    @pytest.mark.parametrize("tolerances", [None, [("growth_margin", 1e-3)], "growth_margin", 1e-3])
+    def test_tolerances_must_be_a_mapping(self, tolerances):
+        with pytest.raises(DomainError, match="mapping"):
+            SuiteConfig(tolerances=tolerances)
 
     def test_tolerance_overrides_are_stored_as_floats(self):
         given = {"growth_margin": 1, "phi_involution": np.float32(0.5), "opnorm_anchor": Fraction(1, 4)}
@@ -315,6 +322,24 @@ class TestSuiteAccumulator:
         acc.fold_min("smallest", np.array([2.0, 0.75]))
         acc.fold_min("smallest", 1.0)
         assert acc.findings == {"largest": 0.0, "smallest": 0.75}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([1.0, 0.5, -0.5, -2.0, math.nan, -math.inf]), min_size=1, max_size=30), st.data())
+    def test_the_sampled_fold_picks_argmins_sample(self, values, data):
+        """Over any split into blocks, with ties and NaNs, the fold keeps np.argmin's margin and its point."""
+        margins = np.array(values)
+        cuts = sorted(data.draw(st.lists(st.integers(1, len(values)), max_size=5)))
+        acc = _SuiteAccumulator({})
+        for a, b in zip([0, *cuts], [*cuts, len(values)]):
+            if a < b:
+                acc.fold_sampled("growth_margin", margins[a:b], np.arange(a, b))
+        i = int(np.argmin(margins))
+        margin, point = acc.minima["growth_margin"]
+        assert point == i and np.array_equal(margin, margins[i], equal_nan=True)
+        acc.sampled("growth_margin", lambda k: f"sample {k}")
+        slot = acc.as_dict()["checks"]["growth_margin"]
+        assert slot["worst_instance"] == f"sample {i}" and acc.minima == {}
+        assert np.array_equal(slot["worst_margin"], margins[i], equal_nan=True)
 
     def test_nan_outranks_every_finite_failure(self):
         acc = _SuiteAccumulator({"growth_margin": 1.0})
