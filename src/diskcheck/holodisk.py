@@ -37,7 +37,6 @@ import itertools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .ballgeom import BallAutomorphism, inner, vnorm
 from .reports import CheckValues, DomainError
@@ -79,6 +78,76 @@ def _finite(values, what: str):
     if not np.isfinite(values).all():
         raise DomainError(f"{what} must be finite; got {values!r}")
     return values
+
+
+# ---------------------------------------------------------------------------
+# polynomial coefficients
+#
+# Ascending complex coefficient vectors, handled by the same array operations
+# as numpy's polyval, polytrim, polyder, polymul, polyadd, polysub and polyint
+# on 1-D complex input, so every value and every zero sign has their bits.
+
+
+def _horner(z, c):
+    """The polynomial with coefficients ``c`` at ``z`` (scalar or array), by Horner's rule."""
+    out = c[-1] + z * 0
+    for a in c[-2::-1]:
+        out = a + out * z
+    return out
+
+
+def _trimseq(c):
+    """``c`` without its trailing zero coefficients, keeping at least the first."""
+    nonzero = np.flatnonzero(c != 0)
+    return c[: nonzero[-1] + 1] if len(nonzero) else c[:1]
+
+
+def _polytrim(c):
+    """A trimmed copy of finite ``c``; the zero polynomial is ``c[:1] * 0``."""
+    c = _trimseq(c)
+    return c * 0 if c[-1] == 0 else c.copy()
+
+
+def _polyder(c):
+    """The derivative's coefficients.
+
+    ``c * 1`` is a complex product, as in numpy: it turns a -0.0 imaginary part beside a +0.0 real one into +0.0.
+    """
+    if len(c) == 1:
+        return c * 0
+    return (c * 1)[1:] * np.arange(1, len(c))
+
+
+def _polymul(c1, c2):
+    """The product's coefficients, by ``np.convolve`` of the trimmed operands."""
+    return _trimseq(np.convolve(_trimseq(c1), _trimseq(c2)))
+
+
+def _polyadd(c1, c2):
+    """The sum, added into a copy of the longer operand (of ``c2`` on a tie)."""
+    short, long = sorted((_trimseq(c1), _trimseq(c2)), key=len)
+    out = long.copy()
+    out[: len(short)] += short
+    return _trimseq(out)
+
+
+def _polysub(c1, c2):
+    """``c1 - c2``: a longer ``c2`` is negated whole, so its zeros past ``c1`` become -0.0."""
+    return _polyadd(c1, -c2)
+
+
+def _polyint(c):
+    """The antiderivative vanishing at 0; the zero polynomial's keeps one coefficient."""
+    c = c * 1
+    if len(c) == 1 and c[0] == 0:
+        return c + 0
+    out = np.empty(len(c) + 1, dtype=complex)
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    out[2:] = c[1:] / np.arange(2, len(c) + 1)
+    # numpy subtracts the value at 0, which only sets the sign of this zero.
+    out[0] += 0 - _horner(0, out)
+    return out
 
 
 class HoloDisk:
@@ -148,13 +217,14 @@ class Poly(HoloDisk):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1 or c.shape[0] == 0:
             raise DomainError("poly needs a nonempty coefficient vector")
-        self.coeffs = P.polytrim(_finite(c, "poly coefficients"), tol=0.0)
+        self.coeffs = _polytrim(_finite(c, "poly coefficients"))
+        self._deriv_coeffs = _polyder(self.coeffs)
 
     def _eval(self, z):
-        return P.polyval(z, self.coeffs)[:, None]
+        return _horner(z, self.coeffs)[:, None]
 
     def _jet(self, z):
-        return self._eval(z), P.polyval(z, P.polyder(self.coeffs))[:, None]
+        return self._eval(z), _horner(z, self._deriv_coeffs)[:, None]
 
     def to_text(self):
         return "poly(" + ", ".join(_fmt_complex(c) for c in self.coeffs) + ")"

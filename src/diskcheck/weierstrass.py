@@ -26,8 +26,6 @@ names and judges cases, with the run's tolerances.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import legendre
-from numpy.polynomial import polynomial as P
 
 from .ballgeom import _BALL_SLACK, cayley_klein_dist, poincare_dist, vnorm
 from .holodisk import (
@@ -36,14 +34,30 @@ from .holodisk import (
     _boundary_grid,
     _boundary_param,
     _finite,
+    _horner,
     _interior_grid,
+    _polyadd,
+    _polyint,
+    _polymul,
+    _polysub,
+    _read_only,
     _require_boundary_contact,
 )
 from .reports import CheckValues, DomainError
 
-# Composite Gauss rule used for arc-length and antiderivative validation.
+# Composite Gauss rule used for arc-length and antiderivative validation:
+# the 8-node Gauss-Legendre rule on each of QUAD_PANELS panels.
 QUAD_PANELS = 8
-QUAD_NODES = 8
+# Nodes and weights of the 8-node rule on [-1, 1] (Abramowitz-Stegun Table 25.4),
+# as the doubles numpy's legendre.leggauss(8) gives.
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 def _coeffs(c, what: str) -> np.ndarray:
@@ -75,18 +89,18 @@ class WeierstrassDisk:
         if self.base.shape != (3,):
             raise DomainError("base must be a real 3-vector")
         self.halfsphere = bool(halfsphere)
-        q2 = P.polymul(self.q, self.q)
+        q2 = _polymul(self.q, self.q)
         with np.errstate(over="ignore", invalid="ignore"):
             phi = [
-                0.5 * P.polysub(self.p, P.polymul(self.p, q2)),
-                0.5j * P.polyadd(self.p, P.polymul(self.p, q2)),
-                P.polymul(self.p, self.q),
+                0.5 * _polysub(self.p, _polymul(self.p, q2)),
+                0.5j * _polyadd(self.p, _polymul(self.p, q2)),
+                _polymul(self.p, self.q),
             ]
         self.phi = [_finite(c, "Weierstrass component coefficients") for c in phi]
-        self.antiderivative = [P.polyint(c) for c in self.phi]
+        self.antiderivative = [_polyint(c) for c in self.phi]
         self._max_norm: float | None = None
         if self.halfsphere:
-            worst = float(np.max(np.abs(P.polyval(_boundary_grid(BOUNDARY_GRID), self.q))))
+            worst = float(np.max(np.abs(_horner(_boundary_grid(BOUNDARY_GRID), self.q))))
             if not worst < 1.0:
                 raise DomainError(f"half-sphere flag requires |q| < 1 on the closed disk; boundary max {worst:.6g}")
 
@@ -95,13 +109,13 @@ class WeierstrassDisk:
     def phi_values(self, z):
         """The holomorphic component triple at ``z``: (3,) or (N, 3) complex."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.stack([P.polyval(zs, c) for c in self.phi]).T
+        out = np.stack([_horner(zs, c) for c in self.phi]).T
         return out[0] if np.ndim(z) == 0 else out
 
     def eval(self, z):
         """Surface position base + Re A(z): (3,) or (N, 3) real."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = (self.base[:, None] + np.stack([np.real(P.polyval(zs, c)) for c in self.antiderivative])).T
+        out = (self.base[:, None] + np.stack([np.real(_horner(zs, c)) for c in self.antiderivative])).T
         return out[0] if np.ndim(z) == 0 else out
 
     def partials(self, z):
@@ -112,7 +126,7 @@ class WeierstrassDisk:
     def conformal_factor(self, z):
         """lambda(z) = |p(z)| (1 + |q(z)|^2) / 2: float or (N,) array."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        lam = _conformal_factor(P.polyval(zs, self.p), P.polyval(zs, self.q))
+        lam = _conformal_factor(_horner(zs, self.p), _horner(zs, self.q))
         return float(lam[0]) if np.ndim(z) == 0 else lam
 
     def gauss_normal(self, z):
@@ -125,7 +139,7 @@ class WeierstrassDisk:
         normal should flip the sign of the third component.
         """
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        n = _gauss_vector(P.polyval(zs, self.q))
+        n = _gauss_vector(_horner(zs, self.q))
         return n[0] if np.ndim(z) == 0 else n
 
     # -- structure certificates ----------------------------------------------
@@ -134,12 +148,12 @@ class WeierstrassDisk:
         """Max coefficient magnitude of Phi_1^2 + Phi_2^2 + Phi_3^2."""
         total = np.zeros(1, dtype=complex)
         for c in self.phi:
-            total = P.polyadd(total, P.polymul(c, c))
+            total = _polyadd(total, _polymul(c, c))
         return float(np.max(np.abs(total)))
 
     def immersion_winding(self) -> int:
         """Number of zeros of p in the disk, by boundary argument counting."""
-        vals = P.polyval(_boundary_grid(BOUNDARY_GRID), self.p)
+        vals = _horner(_boundary_grid(BOUNDARY_GRID), self.p)
         if np.any(np.abs(vals) < 1e-14):
             raise DomainError("p vanishes on the boundary grid; zero count undefined")
         steps = np.angle(np.roll(vals, -1) / vals)
@@ -198,8 +212,8 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     f_x, f_y = w.partials(zs)
-    pv = P.polyval(zs, w.p)
-    qv = P.polyval(zs, w.q)
+    pv = _horner(zs, w.p)
+    qv = _horner(zs, w.q)
     lam = _conformal_factor(pv, qv)
 
     norm_x = vnorm(f_x)
@@ -303,8 +317,8 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     # The circle, then the interior grid in slices of as many points; each keeps its min |p| and min lambda.
     minima = []
     for z in [circle, *(inside[k : k + BOUNDARY_GRID] for k in range(0, len(inside), BOUNDARY_GRID))]:
-        pv = P.polyval(z, w.p)
-        minima.append((np.min(np.abs(pv)), np.min(_conformal_factor(pv, P.polyval(z, w.q)))))
+        pv = _horner(z, w.p)
+        minima.append((np.min(np.abs(pv)), np.min(_conformal_factor(pv, _horner(z, w.q)))))
     min_p, min_lam = np.array(minima).T
 
     grid_slack = float(np.sum(np.arange(len(w.p)) * np.abs(w.p))) * np.pi / BOUNDARY_GRID
@@ -339,19 +353,18 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
     return CheckValues(min_lambda, rhs, float(np.min(margins)), extra)
 
 
-def _gauss_panels() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes in [0, 1] and weights of the composite Gauss rule."""
-    nodes, weights = legendre.leggauss(QUAD_NODES)
-    offsets = (np.arange(QUAD_PANELS)[:, None] + (nodes[None, :] + 1.0) / 2.0) / QUAD_PANELS
-    return offsets.ravel(), np.tile(weights / (2.0 * QUAD_PANELS), QUAD_PANELS)
+# Nodes in [0, 1] and weights of the composite Gauss rule.
+_PANEL_NODES = _read_only(
+    ((np.arange(QUAD_PANELS)[:, None] + (_GAUSS_NODES[None, :] + 1.0) / 2.0) / QUAD_PANELS).ravel()
+)
+_PANEL_WEIGHTS = _read_only(np.tile(_GAUSS_WEIGHTS / (2.0 * QUAD_PANELS), QUAD_PANELS))
 
 
 def _segment_lengths(w: WeierstrassDisk, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Image lengths of parameter segments, by composite Gauss quadrature."""
-    s, wts = _gauss_panels()
-    zs = z1[:, None] + s[None, :] * (z2 - z1)[:, None]
+    zs = z1[:, None] + _PANEL_NODES[None, :] * (z2 - z1)[:, None]
     lam = w.conformal_factor(zs.ravel()).reshape(zs.shape)
-    return np.abs(z2 - z1) * (lam @ wts)
+    return np.abs(z2 - z1) * (lam @ _PANEL_WEIGHTS)
 
 
 def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> CheckValues:
@@ -383,11 +396,10 @@ def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> CheckValues:
 def antiderivative_quadrature_residual(w: WeierstrassDisk, z) -> float:
     """Exact primitive at ``z`` versus Gauss quadrature of Phi along [0, z]."""
     z = complex(z)
-    s, wts = _gauss_panels()
     # tensordot sums a C-ordered phi in another order than its component-major view.
-    phi = np.ascontiguousarray(w.phi_values(s * z))
-    quad = z * np.tensordot(wts, phi, axes=(0, 0))
-    exact = np.asarray([P.polyval(z, c) for c in w.antiderivative])
+    phi = np.ascontiguousarray(w.phi_values(_PANEL_NODES * z))
+    quad = z * np.tensordot(_PANEL_WEIGHTS, phi, axes=(0, 0))
+    exact = np.asarray([_horner(z, c) for c in w.antiderivative])
     return float(np.max(np.abs(exact - quad)))
 
 
@@ -435,7 +447,10 @@ def enneper_disk(shrink: float = 1.0) -> WeierstrassDisk:
 
 def scaled_into_ball(w: WeierstrassDisk, slack: float = 1e-6) -> WeierstrassDisk:
     """Rescale a surface so its boundary grid max norm becomes 1/(1 + slack)."""
-    s = 1.0 / ((1.0 + slack) * w.max_norm())
+    worst = w.max_norm()
+    if not worst > 0.0:
+        raise DomainError("cannot scale a surface whose boundary grid image is the origin")
+    s = 1.0 / ((1.0 + slack) * worst)
     return WeierstrassDisk(s * w.p, w.q, base=tuple(s * w.base), halfsphere=w.halfsphere)
 
 

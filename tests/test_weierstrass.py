@@ -6,7 +6,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
 
 from diskcheck import (
     DomainError,
@@ -29,6 +28,7 @@ from diskcheck import (
     translated_planar_disk,
     vnorm,
 )
+from diskcheck import weierstrass
 from diskcheck.holodisk import BOUNDARY_GRID
 from diskcheck.reports import _judge
 
@@ -160,8 +160,8 @@ class TestStructuralIdentities:
     def test_one_evaluation_of_p_q_and_phi(self, monkeypatch):
         w = random_surface(rng_for(9))
         calls = []
-        polyval = P.polyval
-        monkeypatch.setattr(P, "polyval", lambda x, c: calls.append(len(x)) or polyval(x, c))
+        horner = weierstrass._horner
+        monkeypatch.setattr(weierstrass, "_horner", lambda x, c: calls.append(len(x)) or horner(x, c))
         surface_identities(w, disk_points(rng_for(10), 30))
         assert calls == [30] * 5
 
@@ -361,6 +361,11 @@ class TestScaling:
         w = scaled_into_ball(enneper_disk())
         assert w.max_norm() == pytest.approx(1.0 / (1.0 + 1e-6), rel=1e-9)
         assert w.max_norm() <= 1.0
+
+    def test_a_surface_at_the_origin_cannot_be_scaled(self):
+        for w in (WeierstrassDisk([0.0], [0.0]), WeierstrassDisk([0.0], [0.5], base=(0.0, -0.0, 0.0))):
+            with pytest.raises(DomainError, match="origin"):
+                scaled_into_ball(w)
 
     def test_poincare_vs_image_distance_consistency(self):
         # shrinking a surface shrinks image distances, never the parameter side
