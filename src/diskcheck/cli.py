@@ -15,9 +15,6 @@ Verbs:
 ``diff``
     Compare two ``verify`` JSON reports check by check and exit 0 exactly
     when every verdict matches.
-``plot-data``
-    Emit plotting CSVs (extremal-family margin curve, distance-margin grids,
-    and — when a JSON report with a search suite is supplied — search traces).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .harness import (
     _int_list,
     _name_list,
     _write_json,
-    emit_plot_data,
     load_config_file,
     run_suite,
 )
@@ -120,11 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list only worst-margin moves above RTOL times the larger magnitude (default 0: every move)",
     )
     diff.set_defaults(func=_cmd_diff)
-
-    plot = sub.add_parser("plot-data", help="emit CSV files for external plotting")
-    plot.add_argument("--report", default=None, help="JSON report from `verify --out` (adds search traces)")
-    plot.add_argument("--out", default="plots", help="output directory")
-    plot.set_defaults(func=_cmd_plot_data)
 
     return parser
 
@@ -296,14 +287,6 @@ def _cmd_diff(args) -> int:
     lines, same = diff_reports(_read_report(args.first), _read_report(args.second), rtol=args.rtol)
     print("\n".join(lines))
     return 0 if same else 1
-
-
-def _cmd_plot_data(args) -> int:
-    report = _read_report(args.report) if args.report else {}
-    files = emit_plot_data(report, args.out)
-    for path in files:
-        print(f"wrote {path}")
-    return 0
 
 
 def main(argv=None) -> int:

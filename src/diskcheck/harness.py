@@ -53,7 +53,6 @@ from .holodisk import (
     Blaschke,
     _fmt_complex,
     _point_slices,
-    _polar_grid,
     analytic_radial_derivative,
     affine_rigidity_check,
     boundary_bound_origin,
@@ -71,7 +70,6 @@ from .reports import _EQUALITY, CHECKS, DomainError, _judge
 from .search import (
     family_1d_spec,
     family_md_quotient_spec,
-    nelder_mead,
     restricted_family_1d_spec,
     sharpness_report,
 )
@@ -575,10 +573,6 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
 def _run_search(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
-
-    smoke = nelder_mead(lambda x: (x[0] - 0.3) ** 2, np.asarray([0.0]))
-    acc.value("nelder_mead_optimum", "quadratic", abs(float(smoke.x[0]) - 0.3))
-
     full = sharpness_report(family_1d_spec(), restarts=config.search_restarts, seed=config.seed)
     acc.value("family_1d_best", "family_1d", full["best_margin"])
     acc.value("family_1d_phase", "family_1d", abs(math.sin(full["argmin"][1])), extra={"argmin": full["argmin"]})
@@ -602,7 +596,7 @@ def _run_search(config: SuiteConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# assembly, serialization, plot data
+# assembly and serialization
 
 
 _RUNNERS = {"ball": _run_ball, "holo": _run_holo, "minimal": _run_minimal, "search": _run_search}
@@ -743,9 +737,11 @@ def load_config_file(path: str) -> dict:
     """Parse the flat key=value config format mirroring the CLI flags.
 
     Recognized keys: seed, samples, suites (comma list), dimensions (comma
-    list), out, search_restarts, and tolerance.NAME entries.
+    list), out, search_restarts, and tolerance.NAME entries.  A key may
+    appear once.
     """
     values: dict = {"tolerances": {}}
+    lines: dict = {}  # the line of each key read so far
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -765,77 +761,14 @@ def load_config_file(path: str) -> dict:
             target, name, parse = values["tolerances"], key[len("tolerance."):], float
         if parse is None:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise DomainError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         try:
             target[name] = parse(value)
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
-
-
-# ---------------------------------------------------------------------------
-# plot data
-
-
-def emit_plot_data(report: dict, outdir: str) -> list[str]:
-    """Write plotting CSVs derived from a report dictionary.
-
-    Produces the extremal-family margin curve, distance-margin grids for the
-    flat and Enneper surfaces (pairs anchored at the origin), and, when the
-    report contains a search suite, the per-restart search traces.
-    """
-    from .weierstrass import enneper_disk, planar_disk, scaled_into_ball
-
-    trace_rows = _search_trace_rows(report)
-    os.makedirs(outdir, exist_ok=True)
-    curve = []
-    for k in range(100):
-        a = 0.01 * k
-        curve.append([repr(a), repr(boundary_bound_origin(extremal_family_1d(a), 1.0 + 0j).margin)])
-    written = [_write_csv(os.path.join(outdir, "extremal_family_margins.csv"), ["a", "margin"], curve)]
-
-    grids = {
-        "planar_distance_grid.csv": planar_disk(),
-        "enneper_distance_grid.csv": scaled_into_ball(enneper_disk()),
-    }
-    zs = _polar_grid(np.linspace(0.05, 0.95, 10), 16)
-    for fname, surface in grids.items():
-        margins = distance_decreasing_margins(surface, zs, np.zeros_like(zs))
-        rows = ([repr(float(z.real)), repr(float(z.imag)), repr(float(margin))] for z, margin in zip(zs, margins))
-        written.append(_write_csv(os.path.join(outdir, fname), ["re_z", "im_z", "margin"], rows))
-
-    if trace_rows is not None:
-        header = ["family", "restart", "iteration", "best_margin"]
-        written.append(_write_csv(os.path.join(outdir, "search_traces.csv"), header, trace_rows))
-    return written
-
-
-def _search_trace_rows(report: dict) -> list | None:
-    """CSV rows of a report's search traces; None when it has no search reports.
-
-    Raises DomainError unless ``suites`` and its ``search`` are objects,
-    ``search.reports`` is an object of objects, and each ``traces`` is a
-    list of traces of [iteration, value] number pairs.
-    """
-    suites = report.get("suites", {})
-    search = suites.get("search", {}) if isinstance(suites, dict) else None
-    if not isinstance(search, dict):
-        raise DomainError("report 'suites' and 'suites.search' must be objects")
-    reports = search.get("reports")
-    if reports is None:
-        return None
-    if not isinstance(reports, dict) or not all(isinstance(srep, dict) for srep in reports.values()):
-        raise DomainError("report 'suites.search.reports' must be an object of objects")
-    rows = []
-    for family_name, srep in sorted(reports.items()):
-        traces = srep.get("traces")
-        if not isinstance(traces, list) or not all(isinstance(trace, list) for trace in traces):
-            raise DomainError(f"search traces of {family_name!r} must be a list of lists")
-        for restart, trace in enumerate(traces):
-            for pair in trace:
-                if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair)):
-                    raise DomainError(f"search trace entries of {family_name!r} must be [iteration, value] pairs")
-                rows.append([family_name, restart, pair[0], repr(float(pair[1]))])
-    return rows
 
 
 __all__ = [
@@ -844,7 +777,6 @@ __all__ = [
     "SuiteConfig",
     "TOOL_NAME",
     "TOOL_VERSION",
-    "emit_plot_data",
     "load_config_file",
     "run_suite",
     "write_report",

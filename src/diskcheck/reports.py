@@ -84,7 +84,6 @@ CHECKS: dict[str, tuple[str, float]] = {
     "family_1d_phase": (_EQUALITY, 1e-4),
     "family_1d_restricted_floor": (_FLOOR, 1e-4),
     "family_md_margin": (_BOUND, 1e-8),
-    "nelder_mead_optimum": (_EQUALITY, 1e-6),
 }
 
 DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, (_, tol) in CHECKS.items()}

@@ -4,8 +4,8 @@ The optimizer minimizes margin objectives over small parametric families of
 disk maps.  Every family member satisfies the preconditions of the bound it
 probes by construction (origin or basepoint normalization, boundary contact),
 so a negative best margin would falsify the bound — the searches double as a
-stress test, and each run records the minimum objective value ever evaluated
-along its trace.
+stress test, and each run records the minimum objective value it ever
+evaluated.
 
 Two families are provided: a scalar family rotation * (z * blaschke(c))
 parametrized by the modulus and phase of c, whose zero-margin set should be
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class SearchResult:
     value: float
     iterations: int
     evaluations: int
-    trace: list = field(default_factory=list)
     min_evaluated: float = math.inf
 
 
@@ -80,29 +79,6 @@ def _box_reflector(lower: np.ndarray, upper: np.ndarray):
     return reflect
 
 
-def nelder_mead(
-    objective,
-    x0,
-    bounds=None,
-    max_iterations: int = MAX_ITERATIONS,
-    initial_step: float = 0.1,
-) -> SearchResult:
-    """Deterministic Nelder-Mead with reflection-at-bounds feasibility.
-
-    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    Stops when the simplex diameter drops below ``DIAMETER_TOL``, the value
-    spread drops below ``SPREAD_TOL``, or ``max_iterations`` is reached.
-    Out-of-box candidate points are mirrored back into the box, so the
-    objective is only ever evaluated on feasible parameters.  A NaN value
-    anywhere raises ``DomainError``; the start value must also be finite.
-    This is the one-run case of :func:`_lockstep_nelder_mead`, with the
-    objective called once per point.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    batched = lambda points: [float(objective(x)) for x in points]
-    return _lockstep_nelder_mead(batched, x0[None, :], bounds, max_iterations, initial_step)[0]
-
-
 def _lockstep_nelder_mead(
     objective,
     starts,
@@ -110,15 +86,21 @@ def _lockstep_nelder_mead(
     max_iterations: int = MAX_ITERATIONS,
     initial_step: float = 0.1,
 ) -> list[SearchResult]:
-    """:func:`nelder_mead` from each row of ``starts`` (K, n), all runs advancing together.
+    """Deterministic Nelder-Mead from each row of ``starts`` (K, n), all runs advancing together.
+
+    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
+    A run stops when its simplex diameter drops below ``DIAMETER_TOL``, its
+    value spread drops below ``SPREAD_TOL``, or ``max_iterations`` is
+    reached.  Out-of-box candidate points are mirrored back into the box, so
+    the objective is only ever evaluated on feasible parameters.
 
     ``objective`` maps a (p, n) block of points to their p values.  Each
     round evaluates, in one call, the points every unfinished run needs
     next: its initial simplex (the start point is its first vertex), a
     reflection, an expansion or contraction, or a shrink.  A run's steps
-    depend only on its own values, so its result, trace, evaluation count
-    and ``min_evaluated`` are those it would have alone.  A NaN value from
-    any run raises ``DomainError``.
+    depend only on its own values, so its result, evaluation count and
+    ``min_evaluated`` are those it would have alone.  A NaN value from any
+    run raises ``DomainError``, and so does a start value that is not finite.
     """
     starts = np.asarray(starts, dtype=float)
     if bounds is not None:
@@ -154,8 +136,8 @@ def _lockstep_nelder_mead(
                 requests[k] = runs[k].send(own)
                 waiting.append(k)
             except StopIteration as done:
-                x, value, iterations, trace = done.value
-                results[k] = SearchResult(x, value, iterations, evaluations[k], trace, min_evaluated[k])
+                x, value, iterations = done.value
+                results[k] = SearchResult(x, value, iterations, evaluations[k], min_evaluated[k])
         active = waiting
     return results
 
@@ -164,7 +146,7 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
     """One Nelder-Mead run as a generator driven by :func:`_lockstep_nelder_mead`.
 
     It yields each (p, n) block of points it needs and is sent back their p
-    values; it returns (x, value, iterations, trace).  The vertices stay in
+    values; it returns (x, value, iterations).  The vertices stay in
     the order a stable argsort of their values gives: a replacing vertex is
     inserted after every vertex whose value it does not undercut, and only a
     shrink sorts them all again.
@@ -181,10 +163,8 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
         raise DomainError("objective is not finite at the start point")
 
     simplex, values = _ranked(simplex, values)
-    trace = []
     iteration = 0
     while True:
-        trace.append((iteration, values[0]))
         if values[-1] - values[0] < SPREAD_TOL or iteration >= max_iterations:
             break
         edges = simplex[1:] - simplex[0]
@@ -216,7 +196,7 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
         values.insert(rank, value)
         del values[-1]
 
-    return simplex[0].copy(), values[0], iteration, trace
+    return simplex[0].copy(), values[0], iteration
 
 
 def _ranked(simplex: np.ndarray, values: list) -> tuple[np.ndarray, list]:
@@ -300,7 +280,12 @@ def _blaschke_jet(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _family_1d_margins(params: np.ndarray) -> np.ndarray:
-    """``margin_objective_1d`` of each row of a (K, 2) block."""
+    """Origin boundary-bound margin of rotation * (z * blaschke(c)), f(1) = 1, for each row of a (K, 2) block.
+
+    A row is (c_modulus, c_phase) with the modulus in [0, 1 - 1e-6].  The
+    margin is zero exactly when the phase is 0 mod 2 pi (real parameter) or
+    the modulus is 0.
+    """
     c = []
     for modulus, phase in params.tolist():
         if not 0.0 <= modulus <= MODULUS_CEIL:
@@ -314,7 +299,16 @@ def _family_1d_margins(params: np.ndarray) -> np.ndarray:
 
 
 def _family_md_margins(params: np.ndarray, m: int) -> np.ndarray:
-    """``margin_objective_md`` of each row of a (K, 4m + 2) block."""
+    """Shifted boundary-bound margin over the vector family in dimension m, for each row of a (K, 4m + 2) block.
+
+    A row builds F(z) = phi_{-b}(z * blaschke(c)(z) * u) (the basepoint is
+    projected to norm <= 0.9, the factor parameter to modulus <= 0.9, the
+    direction normalized to a unit vector), and its margin is the
+    basepoint-shifted one at the boundary point 1; the construction keeps
+    ||F|| = 1 on the whole unit circle.  A row is (Re b, Im b, Re c, Im c,
+    Re u, Im u); the projections assume b and c coordinates in [-0.9, 0.9]
+    and u coordinates in [-1, 1], a box that holds every member.
+    """
     if params.shape[1] != 4 * m + 2:
         raise DomainError(f"expected {4 * m + 2} parameters, got {params.shape[1]}")
     # b and u as one (K, 2, m) block, so that one call takes both norms.
@@ -376,30 +370,6 @@ _FAMILIES = {
     "family_1d": (1, lambda params, m: _family_1d_margins(params)),
     "family_md_quotient": (2, lambda params, m: _family_md_margins(_quotient_rows(params, m), m)),
 }
-
-
-def margin_objective_1d(params) -> float:
-    """Origin boundary-bound margin of rotation * (z * blaschke(c)), f(1) = 1.
-
-    ``params`` is (c_modulus, c_phase) with the modulus in [0, 1 - 1e-6].
-    The margin is zero exactly when the phase is 0 mod 2 pi (real parameter)
-    or the modulus is 0.
-    """
-    return float(_family_1d_margins(np.asarray(params, dtype=float)[None, :])[0])
-
-
-def margin_objective_md(params, m: int = 2) -> float:
-    """Shifted boundary-bound margin over the vector family in dimension m.
-
-    Builds F(z) = phi_{-b}(z * blaschke(c)(z) * u) from a flat real parameter
-    vector (basepoint is projected to norm <= 0.9, the factor parameter to
-    modulus <= 0.9, the direction normalized to a unit vector), and returns
-    the basepoint-shifted margin at the boundary point 1 — the construction
-    keeps ||F|| = 1 on the whole unit circle.  The vector is (Re b, Im b,
-    Re c, Im c, Re u, Im u); the projections assume b and c coordinates in
-    [-0.9, 0.9] and u coordinates in [-1, 1], a box that holds every member.
-    """
-    return float(_family_md_margins(np.asarray(params, dtype=float)[None, :], m)[0])
 
 
 POLISH_STEPS = (0.1, 0.02, 0.004, 8e-4, 1.6e-4, 3.2e-5)
@@ -470,8 +440,7 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     descend further), keeping every strict improvement, and finished with
     coordinatewise golden-section sweeps that remain effective where the
     margin saturates below the simplex value-spread stop.  The returned
-    dictionary is JSON-ready; polish traces follow the restart traces, and
-    the combined refinement trace comes last.
+    dictionary is JSON-ready.
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
@@ -492,7 +461,6 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
         runs.append(result)
         if result.value < best_value:
             best_x, best_value = result.x, float(result.value)
-    traces = [[[int(it), float(val)] for it, val in result.trace] for result in runs]
     min_evaluated = min(result.min_evaluated for result in runs)
     total_evaluations = sum(result.evaluations for result in runs)
 
@@ -501,8 +469,6 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     # zero; golden-section sweeps per coordinate terminate on bracket width
     # alone, so they keep walking the flat valley floor (e.g. pulling the
     # phase onto the zero ray once the value has saturated).
-    refine_trace = [[0, float(best_value)]]
-    refine_step = 0
     for _ in range(REFINE_SWEEPS):
         for i in range(best_x.shape[0]):
             lo = max(float(lower[i]), float(best_x[i]) - REFINE_SPAN)
@@ -517,13 +483,10 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
             x_i, value, evaluations = _golden_section(line, lo, hi)
             total_evaluations += evaluations
             min_evaluated = min(min_evaluated, value)
-            refine_step += evaluations
             if value < best_value:
                 best_value = float(value)
                 best_x = base
                 best_x[i] = float(x_i)
-                refine_trace.append([refine_step, best_value])
-    traces.append(refine_trace)
     report = {
         "family": spec.family,
         "dimension": spec.dim,
@@ -537,7 +500,6 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
         "refine_sweeps": int(REFINE_SWEEPS),
         "min_evaluated": float(min_evaluated),
         "evaluations": int(total_evaluations),
-        "traces": traces,
     }
     if spec.family == "family_md_quotient":
         report["full_argmin"] = _quotient_rows(best_x[None, :], spec.dim)[0].tolist()
@@ -549,9 +511,6 @@ __all__ = [
     "SearchResult",
     "family_1d_spec",
     "family_md_quotient_spec",
-    "margin_objective_1d",
-    "margin_objective_md",
-    "nelder_mead",
     "restricted_family_1d_spec",
     "sharpness_report",
 ]

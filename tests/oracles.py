@@ -124,13 +124,11 @@ def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERAT
     if not math.isfinite(values[0]):
         raise DomainError("objective is not finite at the start point")
 
-    trace = []
     iteration = 0
     while True:
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
         values = values[order]
-        trace.append((iteration, float(values[0])))
         diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
         spread = float(values[-1] - values[0])
         if diameter < DIAMETER_TOL or spread < SPREAD_TOL or iteration >= max_iterations:
@@ -173,7 +171,6 @@ def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERAT
         value=float(values[best]),
         iterations=iteration,
         evaluations=evaluations,
-        trace=trace,
         min_evaluated=min_evaluated,
     )
 
@@ -262,14 +259,12 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
 
     best = None
     best_index = -1
-    traces = []
     min_evaluated = math.inf
     total_evaluations = 0
     for index in range(restarts):
         rng = case_rng(seed, family_id, index)
         x0 = lower + rng.random(lower.shape[0]) * (upper - lower)
         result = sequential_nelder_mead(objective, x0, bounds=(lower, upper))
-        traces.append([[int(it), float(val)] for it, val in result.trace])
         min_evaluated = min(min_evaluated, result.min_evaluated)
         total_evaluations += result.evaluations
         if best is None or result.value < best.value:
@@ -281,7 +276,6 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
     polish_rounds = 0
     for step in POLISH_STEPS:
         result = sequential_nelder_mead(objective, best_x, bounds=(lower, upper), initial_step=step)
-        traces.append([[int(it), float(val)] for it, val in result.trace])
         min_evaluated = min(min_evaluated, result.min_evaluated)
         total_evaluations += result.evaluations
         polish_rounds += 1
@@ -294,8 +288,6 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
     # zero; golden-section sweeps per coordinate terminate on bracket width
     # alone, so they keep walking the flat valley floor (e.g. pulling the
     # phase onto the zero ray once the value has saturated).
-    refine_trace = [[0, float(best_value)]]
-    refine_step = 0
     for _ in range(REFINE_SWEEPS):
         for i in range(best_x.shape[0]):
             lo = max(float(lower[i]), float(best_x[i]) - REFINE_SPAN)
@@ -310,13 +302,10 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
             x_i, value, evaluations = sequential_golden_section(line, lo, hi)
             total_evaluations += evaluations
             min_evaluated = min(min_evaluated, value)
-            refine_step += evaluations
             if value < best_value:
                 best_value = float(value)
                 best_x = base
                 best_x[i] = float(x_i)
-                refine_trace.append([refine_step, best_value])
-    traces.append(refine_trace)
     report = {
         "family": spec.family,
         "dimension": spec.dim,
@@ -330,7 +319,6 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
         "refine_sweeps": int(REFINE_SWEEPS),
         "min_evaluated": float(min_evaluated),
         "evaluations": int(total_evaluations),
-        "traces": traces,
     }
     if spec.family == "family_md_quotient":
         report["full_argmin"] = full_row(best_x).tolist()

@@ -32,7 +32,6 @@ from diskcheck import (
     holo_corpus,
     julia_corpus,
     julia_margins,
-    margin_objective_md,
     null_condition_report,
     planar_disk,
     restricted_family_1d_spec,
@@ -43,6 +42,7 @@ from diskcheck import (
     vnorm,
     weierstrass_corpus,
 )
+from diskcheck.search import _family_md_margins
 from oracles import family_md_box
 
 SEED = 0
@@ -206,7 +206,7 @@ def test_criterion_05_boundary_shifted_bound():
     sweep_min = math.inf
     for _ in range(1000):
         params = lower + sweep_rng.random(lower.shape[0]) * (upper - lower)
-        sweep_min = min(sweep_min, margin_objective_md(params, m=2))
+        sweep_min = min(sweep_min, float(_family_md_margins(params[None, :], 2)[0]))
     _criterion(
         "boundary_shifted_bound",
         scalar_dev <= 1e-10 and pinned_ok and sweep_min >= -1e-8,

@@ -21,7 +21,6 @@ from diskcheck import (
     boundary_bound_origin,
     boundary_bound_shifted,
     boundary_minimal_margin,
-    emit_plot_data,
     family_1d_spec,
     family_md_quotient_spec,
     halfsphere_chain_check,
@@ -186,6 +185,16 @@ class TestRunSuite:
         inner = report.suites["search"]["reports"]
         assert set(inner) == {"family_1d", "family_1d_restricted", "family_md"}
         assert inner["family_1d"]["best_margin"] <= 1e-8
+
+    def test_default_report_is_verdict_sized(self):
+        """A search report holds its verdict's numbers and no per-iteration history."""
+        report = run_suite(SuiteConfig())
+        fields = {"argmin", "best_margin", "best_restart", "bounds", "dimension", "evaluations", "family",
+                  "min_evaluated", "polish_rounds", "refine_sweeps", "restarts", "seed"}
+        reports = report.suites["search"]["reports"]
+        assert {name: set(srep) for name, srep in reports.items()} == {
+            "family_1d": fields, "family_1d_restricted": fields, "family_md": fields | {"full_argmin"}}
+        assert len(report.json_text().encode("utf-8")) < 32 * 1024
 
     def test_findings_are_reported_not_asserted(self):
         report = run_suite(SuiteConfig(seed=5, suites=("minimal",), samples=8))
@@ -561,6 +570,14 @@ class TestConfigFile:
         with pytest.raises(DomainError):
             load_config_file(str(bad2))
 
+    @pytest.mark.parametrize("key, first, second", [("seed", "1", "2"), ("tolerance.growth_margin", "1e-9", "1e-8")])
+    def test_rejects_a_repeated_key(self, tmp_path, key, first, second):
+        path = tmp_path / "repeated.cfg"
+        path.write_text(f"{key} = {first}\n# comment\nsamples = 4\n{key}={second}\n", encoding="utf-8")
+        with pytest.raises(DomainError) as error:
+            load_config_file(str(path))
+        assert str(error.value) == f"{path}:4: config key {key!r} repeats line 1"
+
 
 def _fine_circle_max_norm(disk) -> float:
     """Max of ||F|| over 2^17 roots of unity, 32 times the corpus's grid."""
@@ -651,34 +668,6 @@ class TestCorpus:
         assert planar.planar_through_origin and planar.full_circle_contact
 
 
-class TestPlotData:
-    def test_emitted_files_and_their_contracts(self, tmp_path):
-        report = run_suite(SuiteConfig(seed=2, **FAST)).as_dict()
-        paths = emit_plot_data(report, str(tmp_path))
-        produced = {p.rsplit("/", 1)[-1] for p in paths}
-        assert produced == {
-            "extremal_family_margins.csv",
-            "planar_distance_grid.csv",
-            "enneper_distance_grid.csv",
-            "search_traces.csv",
-        }
-        with open(tmp_path / "extremal_family_margins.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        margins = [abs(float(r["margin"])) for r in rows]
-        assert len(rows) == 100
-        assert [float(r["a"]) for r in rows[:3]] == [0.0, 0.01, 0.02]
-        assert max(margins) <= 1e-9
-        with open(tmp_path / "planar_distance_grid.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert max(abs(float(r["margin"])) for r in rows) <= 1e-10
-        with open(tmp_path / "enneper_distance_grid.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert min(float(r["margin"]) for r in rows) >= 0.0
-        with open(tmp_path / "search_traces.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert {r["family"] for r in rows} >= {"family_1d"}
-
-
 class TestDiff:
     @pytest.fixture(scope="class")
     def report(self):
@@ -766,21 +755,21 @@ class TestCli:
             ["verify", "--config", "{tmp}/bad_seed.cfg"],
             ["verify", "--seed", "-1"],
             ["verify", "--config", "{tmp}/missing.cfg"],
-            ["plot-data", "--report", "{tmp}/missing.json", "--out", "{tmp}/plots"],
+            ["diff", "{tmp}/missing.json", "{tmp}/bad.json"],
             ["verify", "--suites", "ball", "--dimensions", "1", "--samples", "2",
              "--out", "{tmp}/missing/r.json"],
-            ["plot-data", "--report", "{tmp}/bad.json", "--out", "{tmp}/plots"],
+            ["verify", "--config", "{tmp}/repeated.cfg"],
             ["verify", "--config", "{tmp}/latin1.cfg"],
-            ["plot-data", "--report", "{tmp}/list.json", "--out", "{tmp}/plots"],
-            ["plot-data", "--report", "{tmp}/suites_list.json", "--out", "{tmp}/plots"],
-            ["plot-data", "--report", "{tmp}/bad_trace.json", "--out", "{tmp}/plots"],
+            ["verify", "--config", "{tmp}/repeated_tolerance.cfg"],
+            ["diff", "{tmp}/suites_list.json", "{tmp}/latin1.cfg"],
+            ["diff", "{tmp}/checks_list.json", "{tmp}/checks_list.json"],
             ["verify", "--suites", "holo", "--dimensions", "1", "--samples", "4",
              "--tolerance", "growth_margin=nan"],
             ["verify", "--suites", "holo", "--dimensions", "1", "--samples", "4",
              "--tolerance", "growth_margin=inf"],
             ["diff", "{tmp}/list.json", "{tmp}/list.json"],
             ["diff", "{tmp}/suites_list.json", "{tmp}/suites_list.json"],
-            ["diff", "{tmp}/bad_trace.json", "{tmp}/missing.json"],
+            ["diff", "{tmp}/no_checks.json", "{tmp}/missing.json"],
             ["diff", "{tmp}/bad.json", "{tmp}/bad.json"],
             ["search", "--family", "family_md", "--dimension", "0"],
             ["verify", "--suites", "ball,ball", "--samples", "2"],
@@ -795,8 +784,11 @@ class TestCli:
         (tmp_path / "latin1.cfg").write_bytes("# caf\u00e9\nseed = 1\n".encode("latin-1"))
         (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
         (tmp_path / "suites_list.json").write_text('{"suites": []}', encoding="utf-8")
-        bad_trace = {"suites": {"search": {"reports": {"x": {"traces": [[1]]}}}}}
-        (tmp_path / "bad_trace.json").write_text(json.dumps(bad_trace), encoding="utf-8")
+        (tmp_path / "no_checks.json").write_text('{"suites": {"search": {"reports": {}}}}', encoding="utf-8")
+        (tmp_path / "checks_list.json").write_text('{"suites": {"ball": {"checks": []}}}', encoding="utf-8")
+        (tmp_path / "repeated.cfg").write_text("seed = 1\nsamples = 4\nseed = 2\n", encoding="utf-8")
+        (tmp_path / "repeated_tolerance.cfg").write_text(
+            "tolerance.growth_margin = 1e-9\ntolerance.growth_margin = 1e-8\n", encoding="utf-8")
         try:
             rc = cli_main([arg.format(tmp=tmp_path) for arg in argv])
         except SystemExit as exc:
@@ -838,7 +830,7 @@ class TestCli:
     def test_search_verb_writes_non_finite_values_as_standard_json(self, tmp_path, monkeypatch):
         def with_non_finite(*args, **kwargs):
             report = search.sharpness_report(*args, **kwargs)
-            report["min_evaluated"], report["traces"][0][0][1] = math.inf, -math.inf
+            report["min_evaluated"], report["best_margin"] = math.inf, -math.inf
             report["argmin"][0] = math.nan
             return report
 
@@ -849,7 +841,7 @@ class TestCli:
         out = tmp_path / "search.json"
         assert cli_main(["search", "--family", "family_1d", "--restarts", "1", "--out", str(out)]) == 0
         data = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
-        assert data["min_evaluated"] == "inf" and data["traces"][0][0][1] == "-inf" and data["argmin"][0] == "nan"
+        assert data["min_evaluated"] == "inf" and data["best_margin"] == "-inf" and data["argmin"][0] == "nan"
 
     def test_search_verb_family_1d_restricted(self, tmp_path):
         out = tmp_path / "search.json"
@@ -909,16 +901,6 @@ class TestCli:
         from diskcheck import load_weierstrass
 
         load_weierstrass(wd_files[0])
-
-    def test_plot_data_verb(self, tmp_path):
-        report = tmp_path / "report.json"
-        rc = cli_main(["verify", "--seed", "1", "--samples", "8", "--search-restarts", "2",
-                       "--out", str(report)])
-        assert rc == 0
-        rc = cli_main(["plot-data", "--report", str(report), "--out", str(tmp_path / "plots")])
-        assert rc == 0
-        assert (tmp_path / "plots" / "extremal_family_margins.csv").exists()
-        assert (tmp_path / "plots" / "search_traces.csv").exists()
 
     def test_version_and_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

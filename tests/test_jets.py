@@ -17,14 +17,22 @@ from diskcheck import (
     boundary_bound_shifted,
     holo_corpus,
     julia_corpus,
-    margin_objective_1d,
-    margin_objective_md,
     vnorm,
 )
 from diskcheck.search import _family_1d_margins, _family_md_margins
 from oracles import family_md_box, family_md_tree, tree_objective_1d, tree_objective_md
 
 DIMENSIONS = (1, 2, 3)
+
+
+def margin_1d(params) -> float:
+    """The ``family_1d`` margin of one row, as a block of one row."""
+    return float(_family_1d_margins(np.asarray(params, dtype=float)[None, :])[0])
+
+
+def margin_md(params, m: int) -> float:
+    """The ``family_md`` margin of one row, as a block of one row."""
+    return float(_family_md_margins(np.asarray(params, dtype=float)[None, :], m)[0])
 
 
 def corpus_disks():
@@ -94,8 +102,8 @@ class TestOneWalkBounds:
     def test_objectives_build_no_instance_text(self, monkeypatch):
         md = [(p, m) for m in (1, 2, 3) for p in family_md_params(m, 5)]
         one = [(0.05 + 0.9 * t, 3.0 * math.cos(7.0 * t)) for t in np.linspace(0.0, 1.0, 7)]
-        expected_md = [margin_objective_md(p, m) for p, m in md]
-        expected_1d = [margin_objective_1d(q) for q in one]
+        expected_md = [margin_md(p, m) for p, m in md]
+        expected_1d = [margin_1d(q) for q in one]
         assert expected_md == [boundary_bound_shifted(family_md_tree(p, m), 1.0).margin for p, m in md]
 
         def refuse(*args, **kwargs):
@@ -103,8 +111,8 @@ class TestOneWalkBounds:
 
         for cls in [HoloDisk, *HoloDisk.__subclasses__()]:
             monkeypatch.setattr(cls, "to_text", refuse)
-        assert [margin_objective_md(p, m) for p, m in md] == expected_md
-        assert [margin_objective_1d(q) for q in one] == expected_1d
+        assert [margin_md(p, m) for p, m in md] == expected_md
+        assert [margin_1d(q) for q in one] == expected_1d
 
     def test_preconditions_keep_their_errors(self):
         with pytest.raises(DomainError, match="not a boundary-contact point"):
@@ -126,11 +134,11 @@ class TestBatchedObjectives:
         params[2, 2 * m + 2 :] = 1e-12  # a direction below the normalization floor
         tree = np.asarray([tree_objective_md(p, m) for p in params])
         assert _family_md_margins(params, m).tobytes() == tree.tobytes()
-        assert np.asarray([margin_objective_md(p, m) for p in params[:50]]).tobytes() == tree[:50].tobytes()
+        assert np.asarray([margin_md(p, m) for p in params[:50]]).tobytes() == tree[:50].tobytes()
 
     def test_family_1d_rows_equal_tree_walks_bitwise(self):
         rng = np.random.default_rng(30)
         params = np.column_stack([rng.uniform(0.0, 1.0 - 1e-6, 2000), rng.uniform(-math.pi, math.pi, 2000)])
         tree = np.asarray([tree_objective_1d(p) for p in params])
         assert _family_1d_margins(params).tobytes() == tree.tobytes()
-        assert np.asarray([margin_objective_1d(p) for p in params[:50]]).tobytes() == tree[:50].tobytes()
+        assert np.asarray([margin_1d(p) for p in params[:50]]).tobytes() == tree[:50].tobytes()

@@ -12,9 +12,6 @@ from diskcheck import (
     FamilySpec,
     family_1d_spec,
     family_md_quotient_spec,
-    margin_objective_1d,
-    margin_objective_md,
-    nelder_mead,
     restricted_family_1d_spec,
     sharpness_report,
 )
@@ -36,10 +33,26 @@ from oracles import (
 )
 
 
+def single_run(objective, x0, bounds=None, **options):
+    """One run of the lockstep core, with ``objective`` called once per point."""
+    one_run = lambda points: [objective(x) for x in points]
+    return _lockstep_nelder_mead(one_run, np.asarray(x0, dtype=float)[None, :], bounds, **options)[0]
+
+
+def margin_1d(params) -> float:
+    """The ``family_1d`` margin of one parameter row."""
+    return float(_family_1d_margins(np.asarray(params, dtype=float)[None, :])[0])
+
+
+def margin_md(params, m: int) -> float:
+    """The ``family_md`` margin of one full parameter row (b, c, u)."""
+    return float(_family_md_margins(np.asarray(params, dtype=float)[None, :], m)[0])
+
+
 class TestNelderMead:
     def test_quadratic_minimum(self):
         target = np.asarray([0.3, -0.2])
-        res = nelder_mead(lambda x: float(np.sum((x - target) ** 2)), np.zeros(2))
+        res = single_run(lambda x: float(np.sum((x - target) ** 2)), np.zeros(2))
         assert float(np.max(np.abs(res.x - target))) < 1e-6
         assert res.value < 1e-12
         assert res.evaluations > 0
@@ -47,16 +60,16 @@ class TestNelderMead:
 
     def test_banana_valley(self):
         rosen = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-        res = nelder_mead(rosen, np.asarray([-1.2, 1.0]))
+        res = single_run(rosen, np.asarray([-1.2, 1.0]))
         assert float(np.max(np.abs(res.x - 1.0))) < 1e-5
 
     def test_deterministic_repeats(self):
         obj = lambda x: float(np.cos(3 * x[0]) + x[0] ** 2)
-        r1 = nelder_mead(obj, np.asarray([0.7]))
-        r2 = nelder_mead(obj, np.asarray([0.7]))
+        r1 = single_run(obj, np.asarray([0.7]))
+        r2 = single_run(obj, np.asarray([0.7]))
         assert np.array_equal(r1.x, r2.x)
-        assert r1.value == r2.value
-        assert r1.trace == r2.trace
+        assert (r1.value, r1.iterations, r1.evaluations, r1.min_evaluated) == (
+            r2.value, r2.iterations, r2.evaluations, r2.min_evaluated)
 
     def test_bounds_are_respected_at_every_evaluation(self):
         lower, upper = np.asarray([-0.5, 0.0]), np.asarray([0.5, 1.0])
@@ -66,22 +79,17 @@ class TestNelderMead:
             seen.append(np.array(x))
             return float(np.sum((x - np.asarray([2.0, -1.0])) ** 2))
 
-        res = nelder_mead(obj, np.asarray([0.0, 0.5]), bounds=(lower, upper))
+        res = single_run(obj, np.asarray([0.0, 0.5]), bounds=(lower, upper))
         pts = np.stack(seen)
         assert np.all(pts >= lower - 1e-12) and np.all(pts <= upper + 1e-12)
         # constrained optimum sits at the box corner nearest the target
         assert np.allclose(res.x, [0.5, 0.0], atol=1e-6)
 
-    def test_trace_is_monotone_best_so_far(self):
-        res = nelder_mead(lambda x: float(np.sum(x**2)), np.asarray([1.0, 2.0]))
-        vals = [v for _, v in res.trace]
-        assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
     def test_iteration_cap_and_bad_bounds(self):
-        res = nelder_mead(lambda x: float(np.sum(x**2)), np.asarray([1.0]), max_iterations=3)
+        res = single_run(lambda x: float(np.sum(x**2)), np.asarray([1.0]), max_iterations=3)
         assert res.iterations <= 3
         with pytest.raises(DomainError):
-            nelder_mead(lambda x: 0.0, np.asarray([0.0]), bounds=([0.0], [0.0]))
+            single_run(lambda x: 0.0, np.asarray([0.0]), bounds=([0.0], [0.0]))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_start_point_is_evaluated_once(self, n):
@@ -91,7 +99,7 @@ class TestNelderMead:
             calls.append(x)
             return float(np.sum(x**2))
 
-        res = nelder_mead(objective, np.linspace(0.2, 1.0, n), max_iterations=0)
+        res = single_run(objective, np.linspace(0.2, 1.0, n), max_iterations=0)
         assert len(calls) == res.evaluations == n + 1
 
     def test_nan_after_the_start_point_is_rejected(self):
@@ -102,7 +110,7 @@ class TestNelderMead:
             return math.nan if len(calls) > 4 else float(np.sum(x**2))
 
         with pytest.raises(DomainError, match="NaN"):
-            nelder_mead(objective, np.asarray([1.0, 2.0]))
+            single_run(objective, np.asarray([1.0, 2.0]))
         assert len(calls) == 5
 
 
@@ -124,7 +132,6 @@ class TestLockstep:
                     alone.iterations,
                     alone.evaluations,
                 )
-                assert result.trace == alone.trace
                 assert result.min_evaluated == alone.min_evaluated
 
     def test_nan_or_infinite_start_in_any_run_is_rejected(self):
@@ -163,7 +170,6 @@ def same_run(result, alone) -> bool:
         result.x.tobytes() == alone.x.tobytes()
         and repr((result.value, result.iterations, result.evaluations, result.min_evaluated))
         == repr((alone.value, alone.iterations, alone.evaluations, alone.min_evaluated))
-        and repr(result.trace) == repr(alone.trace)
     )
 
 
@@ -271,33 +277,33 @@ class TestLookaheadGoldenSection:
 
 class TestObjectives:
     def test_real_parameter_gives_zero_margin(self):
-        assert margin_objective_1d((0.5, 0.0)) == pytest.approx(0.0, abs=1e-14)
-        assert margin_objective_1d((0.25, 2.0 * math.pi)) == pytest.approx(0.0, abs=1e-12)
+        assert margin_1d((0.5, 0.0)) == pytest.approx(0.0, abs=1e-14)
+        assert margin_1d((0.25, 2.0 * math.pi)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rotated_parameter_oracle(self):
-        assert margin_objective_1d((0.5, math.pi / 2)) == pytest.approx(0.5 / 1.875, rel=1e-12)
+        assert margin_1d((0.5, math.pi / 2)) == pytest.approx(0.5 / 1.875, rel=1e-12)
 
     def test_closed_form_shape_near_real_ray(self):
         r = 0.7
         for t in (1e-3, -1e-3):
             closed = 2 * r * (1 - math.cos(t)) * (1 - r) / ((1 + 2 * r * math.cos(t) + r * r) * (1 + r))
-            assert margin_objective_1d((r, t)) == pytest.approx(closed, rel=1e-9)
+            assert margin_1d((r, t)) == pytest.approx(closed, rel=1e-9)
 
     def test_modulus_domain(self):
         with pytest.raises(DomainError):
-            margin_objective_1d((1.0, 0.1))
+            margin_1d((1.0, 0.1))
 
     def test_vector_family_composed_square(self):
         params = np.zeros(10)
         params[6] = 1.0  # direction = first coordinate axis
-        assert margin_objective_md(params, m=2) == pytest.approx(0.0, abs=1e-12)
+        assert margin_md(params, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_vector_family_normalizations(self):
         # oversized basepoint and factor are projected, zero direction defaults
         params = np.asarray([0.9, 0.9, 0.0, 0.0, 0.9, 0.9, 0.0, 0.0, 0.0, 0.0])
-        assert margin_objective_md(params, m=2) > -1e-8
+        assert margin_md(params, 2) > -1e-8
         with pytest.raises(DomainError):
-            margin_objective_md(np.zeros(7), m=2)
+            margin_md(np.zeros(7), 2)
 
 
 class TestFamilySpecs:
@@ -327,10 +333,7 @@ class TestSharpnessReport:
         assert abs(math.sin(report["argmin"][1])) <= 1e-4
         assert report["min_evaluated"] >= -1e-9
         assert report["polish_rounds"] == 6
-        # restart traces + polish traces + one combined refinement trace
-        assert len(report["traces"]) == 6 + report["polish_rounds"] + 1
-        for trace in report["traces"]:
-            assert all(v >= report["min_evaluated"] - 1e-15 for _, v in trace)
+        assert report["min_evaluated"] <= report["best_margin"]
 
     def test_restricted_family_is_bounded_away_from_zero(self):
         report = sharpness_report(restricted_family_1d_spec(), restarts=6, seed=1)
@@ -357,7 +360,7 @@ class TestSharpnessReport:
         report = sharpness_report(family_md_quotient_spec(m), restarts=2, seed=0)
         full = report["full_argmin"]
         assert len(full) == 4 * m + 2 and len(report["argmin"]) == 4 + (m >= 2)
-        assert repr(margin_objective_md(full, m)) == repr(report["best_margin"])
+        assert repr(margin_md(full, m)) == repr(report["best_margin"])
         assert abs(complex(full[2 * m], full[2 * m + 1])) <= 0.9 + 1e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 7])
