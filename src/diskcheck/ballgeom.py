@@ -57,20 +57,30 @@ def vnorm(x: np.ndarray) -> float | np.ndarray:
     ``x`` (a component-major batch) takes those steps column by column, since
     copying it to C order cost the ``disk_bulk`` benchmark about 8% of its
     time; above 128 terms it is copied.
+
+    The squares are the one array as large as ``x``, and every later step is in
+    place but a strided ``x``'s root: numpy elides temporaries only above 256 KiB.
     """
-    sq = np.abs(np.asarray(x)) ** 2
+    sq = np.abs(np.asarray(x))
+    np.square(sq, out=sq)
     m = sq.shape[-1]
     if m > 128:
         sq = np.ascontiguousarray(sq)
-    if sq.flags.c_contiguous or m < 8:
-        return np.sqrt(np.add.reduce(sq, axis=-1))
-    r = [sq[..., j] for j in range(8)]
-    for i in range(8, m - m % 8, 8):
-        r = [r[j] + sq[..., i + j] for j in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(m - m % 8, m):
-        total += sq[..., i]
-    return np.sqrt(total)
+    if m == 1:
+        total = sq[..., 0]
+    elif sq.flags.c_contiguous or m < 8:
+        total = np.add.reduce(sq, axis=-1)
+    else:
+        r = [sq[..., j] for j in range(8)]
+        for i in range(8, m - m % 8, 8):
+            for j in range(8):
+                r[j] += sq[..., i + j]
+        for j, k in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[j] += r[k]
+        for i in range(m - m % 8, m):
+            r[0] += sq[..., i]
+        return np.sqrt(r[0])
+    return np.sqrt(total, out=total) if np.ndim(total) and total.dtype.kind == "f" else np.sqrt(total)
 
 
 def _param_norm(a: np.ndarray) -> np.ndarray:

@@ -114,6 +114,8 @@ class SuiteConfig:
 
     def __post_init__(self):
         try:
+            if any(isinstance(x, bool) for x in (self.seed, self.samples, self.search_restarts, *self.dimensions)):
+                raise TypeError  # operator.index would take True as 1
             for name in ("seed", "samples", "search_restarts"):
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             object.__setattr__(self, "dimensions", tuple(operator.index(m) for m in self.dimensions))
@@ -122,7 +124,7 @@ class SuiteConfig:
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.samples < 1:
-            raise DomainError("samples_per_check must be at least 1")
+            raise DomainError("samples must be at least 1")
         if not self.suites:
             raise DomainError("no suites selected")
         unknown = [s for s in self.suites if s not in KNOWN_SUITES]
@@ -141,7 +143,7 @@ class SuiteConfig:
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise DomainError(f"tolerance override names an unknown check: {name!r}")
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise DomainError(f"tolerance override for {name!r} must be a finite real number; got {value!r}")
         object.__setattr__(self, "tolerances", {name: float(value) for name, value in self.tolerances.items()})
 

@@ -350,7 +350,10 @@ class Vec(HoloDisk):
         self.dim = len(comps)
 
     def _eval(self, z):
-        return np.stack([f._eval(z)[:, 0] for f in self.components]).T
+        out = np.empty((self.dim, len(z)), dtype=complex)
+        for row, f in zip(out, self.components):
+            row[...] = f._eval(z)[:, 0]
+        return out.T
 
     def _jet(self, z):
         jets = [f._jet(z) for f in self.components]

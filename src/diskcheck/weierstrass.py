@@ -109,14 +109,18 @@ class WeierstrassDisk:
     def phi_values(self, z):
         """The holomorphic component triple at ``z``: (3,) or (N, 3) complex."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.stack([_horner(zs, c) for c in self.phi]).T
-        return out[0] if np.ndim(z) == 0 else out
+        out = np.empty((3, *zs.shape), dtype=complex)
+        for row, c in zip(out, self.phi):
+            row[...] = _horner(zs, c)
+        return out[:, 0] if np.ndim(z) == 0 else out.T
 
     def eval(self, z):
         """Surface position base + Re A(z): (3,) or (N, 3) real."""
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = (self.base[:, None] + np.stack([np.real(_horner(zs, c)) for c in self.antiderivative])).T
-        return out[0] if np.ndim(z) == 0 else out
+        out = np.empty((3, *zs.shape))
+        for row, b, c in zip(out, self.base, self.antiderivative):
+            np.add(b, _horner(zs, c).real, out=row)
+        return out[:, 0] if np.ndim(z) == 0 else out.T
 
     def partials(self, z):
         """Cartesian partials (F_x, F_y) with F_x = Re Phi, F_y = -Im Phi."""
@@ -138,8 +142,9 @@ class WeierstrassDisk:
         conventions used by :meth:`partials`; callers needing the metric
         normal should flip the sign of the third component.
         """
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        n = _gauss_vector(_horner(zs, self.q))
+        qv = _horner(np.atleast_1d(np.asarray(z, dtype=complex)), self.q)
+        q_sq = np.abs(qv) ** 2
+        n = (np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq]) / (1.0 + q_sq)).T
         return n[0] if np.ndim(z) == 0 else n
 
     # -- structure certificates ----------------------------------------------
@@ -182,12 +187,6 @@ def _conformal_factor(pv, qv):
     return 0.5 * np.abs(pv) * (1.0 + q_abs * q_abs)
 
 
-def _gauss_vector(qv):
-    """(2 Re q, 2 Im q, 1 - |q|^2) / (1 + |q|^2) from values of q: (N, 3)."""
-    q_sq = np.abs(qv) ** 2
-    return (np.stack([2.0 * np.real(qv), 2.0 * np.imag(qv), 1.0 - q_sq]) / (1.0 + q_sq)).T
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -196,6 +195,20 @@ def null_condition_report(w: WeierstrassDisk) -> CheckValues:
     """Coefficient-level residual of the square-sum cancellation."""
     res = w.null_residual()
     return CheckValues(res, 0.0, res, {})
+
+
+def _rows_norm(rows) -> np.ndarray:
+    """``vnorm`` of the batch whose components are ``rows`` (fewer than 8), summed a row at a time in its order."""
+    rows = iter(rows)
+    total = np.square(next(rows))
+    for x in rows:
+        total += np.square(x)
+    return np.sqrt(total, out=total)
+
+
+def _rows_dot(a, b) -> np.ndarray:
+    """``np.sum(a.T * b.T, axis=-1)`` for rows ``a`` and ``b`` of three components, in its order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.ndarray]:
@@ -211,39 +224,41 @@ def surface_identities(w: WeierstrassDisk, zs) -> tuple[float, float, float, np.
     the bare product |p|^2 (1 + |q|^2)^2 (NaN where p vanishes).
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    f_x, f_y = w.partials(zs)
-    pv = _horner(zs, w.p)
+    # Phi's (3, N) rows: F_x = Re Phi, and F_y = -Im Phi enters each norm and |<., F_y>| as Im Phi, exactly.
+    phi = w.phi_values(zs).T
+    f_x, im = phi.real, phi.imag
+    p_abs = np.abs(_horner(zs, w.p))
     qv = _horner(zs, w.q)
-    lam = _conformal_factor(pv, qv)
+    q_abs = np.abs(qv)
+    q_sq = q_abs * q_abs
+    one_q = 1.0 + q_sq
+    lam = 0.5 * p_abs * one_q
 
-    norm_x = vnorm(f_x)
-    iso = [np.abs(norm_x - lam).max(), np.abs(vnorm(f_y) - lam).max(), np.abs(np.sum(f_x * f_y, axis=-1)).max()]
+    # The rows of gauss_normal(zs); of q, only 1 + |q|^2 outlives them.
+    normals = [2.0 * qv.real / one_q, 2.0 * qv.imag / one_q, (1.0 - q_sq) / one_q]
+    gdev = float(np.max(np.abs(_rows_norm(normals) - 1.0)))
+    inside = q_abs < 1.0
+    if np.any(inside):
+        gdev = float(np.max([gdev, 0.0, -np.min(normals[2][inside])]))
+    orth = max(float(np.max(np.abs(_rows_dot(normals, f)) / (1.0 + lam))) for f in (f_x, im))
+    del qv, q_abs, q_sq, normals
+
+    norm_x = _rows_norm(f_x)
+    iso = [np.abs(norm_x - lam).max(), np.abs(_rows_norm(im) - lam).max(), np.abs(_rows_dot(f_x, im)).max()]
     r = np.abs(zs)
     nonzero = r > 0
     if np.any(nonzero):
-        # The polar partials at every point, rows of (3, N); z = 0 gives NaN, masked out of the max.
+        # F_r = F_x cos + F_y sin and F_t = r (F_y cos - F_x sin) by component; z = 0 gives NaN, masked out.
         with np.errstate(invalid="ignore"):
             cos, sin = zs.real / r, zs.imag / r
-        norm_r = vnorm((f_x.T * cos + f_y.T * sin).T)
-        norm_t = vnorm((r * (-f_x.T * sin + f_y.T * cos)).T)
+        norm_r = _rows_norm(f_x[j] * cos - im[j] * sin for j in range(3))
+        norm_t = _rows_norm(r * (f_x[j] * sin + im[j] * cos) for j in range(3))
         iso += [np.max(np.abs(norm_r - lam)[nonzero]), np.max(np.abs(norm_t - r * lam)[nonzero])]
     iso = float(np.max(iso))
 
-    normals = _gauss_vector(qv)
-    gdev = float(np.max(np.abs(vnorm(normals) - 1.0)))
-    inside = np.abs(qv) < 1.0
-    if np.any(inside):
-        gdev = float(np.max([gdev, 0.0, -np.min(normals[inside, 2])]))
-    orth = max(
-        float(np.max(np.abs(np.sum(normals * f_x, axis=-1)) / (1.0 + lam))),
-        float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
-    )
-
-    lam_sq = norm_x**2
-    p_abs, q_abs = np.abs(pv), np.abs(qv)
-    bare = p_abs**2 * (1.0 + q_abs**2) ** 2
+    bare = p_abs**2 * one_q**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bare > 0, lam_sq / bare, np.nan)
+        ratios = np.where(bare > 0, norm_x**2 / bare, np.nan)
     return iso, gdev, orth, ratios
 
 

@@ -17,7 +17,11 @@ ball suite's distance checks evaluated case by case with scalar calls, as the
 suite did before it stacked them.  ``unfused_growth_block`` and
 ``unfused_on_circle`` are the growth margins of one point block and the
 placement of disk points as written before their shared terms and in-place
-passes; the fused kernels must give their bits.
+passes; the fused kernels must give their bits.  The ``stacked_*`` functions
+are ``vnorm``, ``Vec._eval``, ``WeierstrassDisk.eval`` and
+``surface_identities`` as written before each held one block-sized array per
+intermediate: squares out of place, components stacked from lists, and Phi,
+its real part and a negated copy of its imaginary part held together.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from diskcheck import (
     poincare_dist,
     vnorm,
 )
-from diskcheck.holodisk import boundary_bound_origin, boundary_bound_shifted
+from diskcheck.holodisk import _horner, boundary_bound_origin, boundary_bound_shifted
+from diskcheck.weierstrass import _conformal_factor
 from diskcheck.corpus import (
     _SIN3,
     _SIN5,
@@ -493,3 +498,78 @@ def unfused_on_circle(radii, turns: np.ndarray) -> np.ndarray:
     np.multiply(re, radii, out=z.real)
     np.multiply(im, radii, out=z.imag)
     return z
+
+
+# ---------------------------------------------------------------------------
+# the bulk kernels, stacked
+
+
+def stacked_vnorm(x: np.ndarray) -> float | np.ndarray:
+    """``vnorm`` with out-of-place squares, sums and root."""
+    sq = np.abs(np.asarray(x)) ** 2
+    m = sq.shape[-1]
+    if m > 128:
+        sq = np.ascontiguousarray(sq)
+    if sq.flags.c_contiguous or m < 8:
+        return np.sqrt(np.add.reduce(sq, axis=-1))
+    r = [sq[..., j] for j in range(8)]
+    for i in range(8, m - m % 8, 8):
+        r = [r[j] + sq[..., i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(m - m % 8, m):
+        total += sq[..., i]
+    return np.sqrt(total)
+
+
+def stacked_vec_eval(f: Vec, z: np.ndarray) -> np.ndarray:
+    """``f._eval(z)``, with the components' columns stacked from a list."""
+    return np.stack([g._eval(z)[:, 0] for g in f.components]).T
+
+
+def stacked_phi(w: WeierstrassDisk, zs: np.ndarray) -> np.ndarray:
+    """``w.phi_values(zs)`` for a batch ``zs``, stacked from a list."""
+    return np.stack([_horner(zs, c) for c in w.phi]).T
+
+
+def stacked_surface_eval(w: WeierstrassDisk, zs: np.ndarray) -> np.ndarray:
+    """``w.eval(zs)`` for a batch ``zs``, with the real parts stacked before the base is added."""
+    return (w.base[:, None] + np.stack([np.real(_horner(zs, c)) for c in w.antiderivative])).T
+
+
+def stacked_surface_identities(w: WeierstrassDisk, zs: np.ndarray):
+    """``surface_identities(w, zs)`` from (N, 3) partials F_x = Re Phi and F_y = -Im Phi, a copy."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    phi = stacked_phi(w, zs)
+    f_x, f_y = np.real(phi), -np.imag(phi)
+    pv = _horner(zs, w.p)
+    qv = _horner(zs, w.q)
+    lam = _conformal_factor(pv, qv)
+
+    norm_x = stacked_vnorm(f_x)
+    iso = [np.abs(norm_x - lam).max(), np.abs(stacked_vnorm(f_y) - lam).max(), np.abs(np.sum(f_x * f_y, axis=-1)).max()]
+    r = np.abs(zs)
+    nonzero = r > 0
+    if np.any(nonzero):
+        with np.errstate(invalid="ignore"):
+            cos, sin = zs.real / r, zs.imag / r
+        norm_r = stacked_vnorm((f_x.T * cos + f_y.T * sin).T)
+        norm_t = stacked_vnorm((r * (-f_x.T * sin + f_y.T * cos)).T)
+        iso += [np.max(np.abs(norm_r - lam)[nonzero]), np.max(np.abs(norm_t - r * lam)[nonzero])]
+    iso = float(np.max(iso))
+
+    normals = w.gauss_normal(zs)
+    gdev = float(np.max(np.abs(stacked_vnorm(normals) - 1.0)))
+    inside = np.abs(qv) < 1.0
+    if np.any(inside):
+        gdev = float(np.max([gdev, 0.0, -np.min(normals[inside, 2])]))
+    orth = max(
+        float(np.max(np.abs(np.sum(normals * f_x, axis=-1)) / (1.0 + lam))),
+        float(np.max(np.abs(np.sum(normals * f_y, axis=-1)) / (1.0 + lam))),
+    )
+
+    lam_sq = norm_x**2
+    p_abs, q_abs = np.abs(pv), np.abs(qv)
+    bare = p_abs**2 * (1.0 + q_abs**2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bare > 0, lam_sq / bare, np.nan)
+    return iso, gdev, orth, ratios

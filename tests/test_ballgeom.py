@@ -291,3 +291,8 @@ class TestHermitianHelpers:
     def test_vnorm_batches(self):
         xs = np.asarray([[3.0, 4.0], [0.0, 1.0]], dtype=complex)
         assert np.allclose(vnorm(xs), [5.0, 1.0])
+        # Integer squares and sums stay integers; only the root is a float.
+        for ints in ([[3, 4], [0, 1]], [[3], [1]], [[1] * 9, [2] * 9]):
+            expected = np.sqrt(np.sum(np.square(ints), axis=-1)).tolist()
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                assert vnorm(layout(ints)).tolist() == expected

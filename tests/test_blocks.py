@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskcheck import corpus, harness, holo_corpus, holodisk, weierstrass_corpus
+from diskcheck import Poly, Vec, corpus, harness, holo_corpus, holodisk, vnorm, weierstrass_corpus
 from diskcheck.harness import SuiteConfig, run_suite, write_report
 from diskcheck.holodisk import growth_margins
 from diskcheck.weierstrass import (
@@ -329,6 +329,39 @@ class TestBallCaseBlocks:
         # 8 and 16 blocks of 64 cases each.
         low, high = (traced_peak(lambda n=n: run_suite(config(n))) for n in (512, 1024))
         assert (high - low) / 512 <= 2048.0
+
+
+class TestKernelMemory:
+    """Each bulk kernel holds one block-sized array per intermediate, in a block below numpy's 256 KiB elision size.
+
+    Peaks are in arrays of the block's real size: a stacked kernel held about 2 for ``vnorm`` and
+    ``Vec._eval`` at m = 8, and 29.5 block-sized real arrays for ``surface_identities``.
+    """
+
+    @staticmethod
+    def peak(call) -> int:
+        call()  # fills the caches
+        return traced_peak(call)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_vnorm_holds_one_array_of_squares(self, m, complex_input):
+        rng = rng_for(24)
+        x = rng.random((2, m, 16384 // m))
+        x = x[0] + 1j * x[1] if complex_input else x[0]
+        real_bytes = 8 * x[0].size * m
+        for points in (np.ascontiguousarray(x.T), x.T):
+            assert self.peak(lambda: vnorm(points)) <= 1.6 * real_bytes, points.flags.c_contiguous
+
+    def test_vec_eval_holds_one_array_at_m_8(self):
+        f = Vec([Poly([0.1 * k, 0.5, 0.2j, -0.3]) for k in range(8)])
+        z = corpus._disk_points(rng_for(25), holodisk._POINT_BLOCK // 8)
+        assert self.peak(lambda: f._eval(z)) <= 1.5 * 16 * 8 * len(z)
+
+    def test_surface_identities_holds_22_block_arrays(self):
+        zs = corpus._disk_points(rng_for(26), 5000)
+        for member in weierstrass_corpus(0, 12):
+            assert self.peak(lambda: surface_identities(member.surface, zs)) <= 22 * 8 * len(zs), member.name
 
 
 def test_halfsphere_chain_traced_peak_is_below_600_kb():

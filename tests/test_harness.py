@@ -78,6 +78,26 @@ class TestSuiteConfig:
         with pytest.raises(DomainError):
             SuiteConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(samples=True),
+            dict(seed=False),
+            dict(seed=True),
+            dict(search_restarts=True),
+            dict(dimensions=(True,)),
+            dict(dimensions=(1, True)),
+        ],
+    )
+    def test_booleans_are_not_integers(self, kwargs):
+        # operator.index(True) is 1: without the check these would run with 1 sample, seed 0 or m = 1.
+        with pytest.raises(DomainError, match="must be integers"):
+            SuiteConfig(**kwargs)
+
+    def test_sample_count_message_names_the_field(self):
+        with pytest.raises(DomainError, match="^samples must be at least 1$"):
+            SuiteConfig(samples=0)
+
     def test_numpy_integers_are_stored_as_ints(self):
         cfg = SuiteConfig(seed=np.int64(3), samples=np.int32(5), search_restarts=np.uint8(2),
                           dimensions=np.array([1, harness.DIMENSION_LIMIT - 1]))
@@ -89,7 +109,7 @@ class TestSuiteConfig:
         cfg = SuiteConfig(tolerances={"growth_margin": 1e-6})
         assert cfg.as_dict()["tolerances"] == {"growth_margin": 1e-6}
 
-    @pytest.mark.parametrize("value", ["1e-3", None, [1e-3], 1e-3 + 0j, b"1", math.nan, -math.inf])
+    @pytest.mark.parametrize("value", ["1e-3", None, [1e-3], 1e-3 + 0j, b"1", math.nan, -math.inf, True, False])
     def test_tolerance_override_must_be_a_finite_real_number(self, value):
         with pytest.raises(DomainError, match="growth_margin"):
             SuiteConfig(tolerances={"growth_margin": value})

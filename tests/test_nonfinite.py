@@ -62,15 +62,14 @@ class TestNanReachesTheVerdict:
 
     def test_surface_identities_isothermal(self, monkeypatch):
         w = WeierstrassDisk([1.0, 0.2], [0.1, 0.3])
-        partials = w.partials
+        phi_values = w.phi_values
 
         def broken(z):
-            f_x, f_y = partials(z)
-            f_y = f_y.copy()
-            f_y[1] = NAN
-            return f_x, f_y
+            phi = phi_values(z)
+            phi.imag[1] = NAN  # F_y = -Im Phi at the second point
+            return phi
 
-        monkeypatch.setattr(w, "partials", broken)
+        monkeypatch.setattr(w, "phi_values", broken)
         iso, *_ = surface_identities(w, np.asarray([0.1 + 0.2j, 0.3 - 0.1j, 0.5j]))
         assert math.isnan(iso)
 

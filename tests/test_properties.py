@@ -22,6 +22,7 @@ from diskcheck import (
     Mul,
     Poly,
     Vec,
+    WeierstrassDisk,
     distance_decreasing_margins,
     growth_margins,
     inner,
@@ -33,7 +34,15 @@ from diskcheck import (
 )
 from diskcheck import corpus, holodisk
 
-from oracles import unfused_growth_block, unfused_on_circle
+from oracles import (
+    stacked_phi,
+    stacked_surface_eval,
+    stacked_surface_identities,
+    stacked_vec_eval,
+    stacked_vnorm,
+    unfused_growth_block,
+    unfused_on_circle,
+)
 
 PARAMETER = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 POINT = st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False)
@@ -377,3 +386,81 @@ def test_growth_block_equals_the_unfused_formulas(data, n):
     with np.errstate(all="ignore"):  # ||F'(0)|| may reach 1 / |z| on a tree that leaves the ball
         holodisk._growth_block(f, a, zs, out)
         assert np.array_equal(bits(out), bits(unfused_growth_block(f, a, zs)))
+
+
+# ---------------------------------------------------------------------------
+# The bulk kernels that hold one block-sized array per intermediate give the
+# bits, and the layout, of their stacked forms.
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 24, 129]),
+    st.sampled_from([1, 2, 5, "full"]),
+    st.sampled_from(["C", "component-major", "stacked", "vector"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_vnorm_equals_the_stacked_formula(m, n, layout, complex_input, seed):
+    n = max(1, holodisk._POINT_BLOCK // m) if n == "full" else n
+    rng = np.random.default_rng(seed)
+    # Magnitudes over 16 decades, so that every change of summation order shows; a few zeros, infinities and NaNs.
+    x = rng.standard_normal((2, m, 2, n)) * 10.0 ** rng.integers(-8, 9, (2, m, 2, n))
+    x = x[0] + 1j * x[1] if complex_input else x[0]
+    special = rng.random(x.shape) < 0.02
+    x[special] = rng.choice([0.0, -0.0, np.inf, np.nan], int(special.sum()))
+    x = {
+        "C": lambda: np.ascontiguousarray(x[:, 0].T),
+        "component-major": lambda: np.ascontiguousarray(x[:, 0]).T,
+        "stacked": lambda: np.moveaxis(x, 0, -1),
+        "vector": lambda: np.ascontiguousarray(x[:, 0, 0]),
+    }[layout]()
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(bits(vnorm(x)), bits(stacked_vnorm(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(SCALAR, min_size=m, max_size=m)), st.sampled_from([1, 2, 5]),
+       st.data())
+def test_vec_walk_equals_the_stacked_walk(components, n, data):
+    f = Vec(components)
+    zs = _points(data.draw, n)
+    value, reference = f._eval(zs), stacked_vec_eval(f, zs)
+    assert value.strides == reference.strides
+    assert np.array_equal(bits(value), bits(reference))
+
+
+@st.composite
+def surface_cases(draw):
+    """A surface and a batch: z = 0 may be in it, |q| may pass 1, and p may vanish at one of its points."""
+    zero_of_p = None
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(SURFACES)).surface
+    else:
+        c = draw(PARAMETER)
+        q = draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=3))
+        w, zero_of_p = WeierstrassDisk([c, 1.0], q), -c
+    n = draw(st.sampled_from([1, 2, 5, 12, holodisk._POINT_BLOCK // 3]))
+    zs = _points(draw, n) if n < 100 else corpus._disk_points(np.random.default_rng(draw(st.integers(0, 99))), n)
+    for z in (0j, zero_of_p):
+        if z is not None and draw(st.booleans()):
+            zs[draw(st.integers(0, n - 1))] = z
+    return w, zs
+
+
+P_ZERO = WeierstrassDisk([0.5, 1.0], [0.0, 1.5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(surface_cases())
+@example((P_ZERO, np.array([0j, -0.5, 0.9, 0.3j])))
+@example((P_ZERO, np.array([-0.5 + 0j])))
+@example((P_ZERO, np.array([0j])))
+def test_surface_kernels_equal_the_stacked_kernels(case):
+    w, zs = case
+    for value, reference in ((w.phi_values(zs), stacked_phi(w, zs)), (w.eval(zs), stacked_surface_eval(w, zs))):
+        assert value.strides == reference.strides
+        assert np.array_equal(bits(value), bits(reference))
+    for value, reference in zip(surface_identities(w, zs), stacked_surface_identities(w, zs)):
+        assert np.array_equal(bits(value), bits(reference))
