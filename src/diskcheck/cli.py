@@ -9,9 +9,6 @@ Verbs:
 ``search``
     Run the multi-start sharpness search for one of the built-in families
     and optionally write its JSON report.
-``corpus``
-    Dump the reproducible corpora: serialized disk maps as text files and
-    surface data files in the documented ``.wd`` format.
 ``diff``
     Compare two ``verify`` JSON reports check by check and exit 0 exactly
     when every verdict matches.
@@ -27,7 +24,6 @@ import struct
 import sys
 import time
 
-from .corpus import holo_corpus, julia_corpus, weierstrass_corpus
 from .harness import (
     KNOWN_SUITES,
     TOOL_NAME,
@@ -47,7 +43,6 @@ from .search import (
     restricted_family_1d_spec,
     sharpness_report,
 )
-from .weierstrass import save_weierstrass
 
 # Each ``search --family`` choice and the builder of its spec, given ``--dimension``.
 _FAMILY_SPECS = {
@@ -101,13 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--out", default=None, help="path for the JSON search report")
     search.set_defaults(func=_cmd_search)
 
-    corpus = sub.add_parser("corpus", help="dump the reproducible corpora to text files")
-    corpus.add_argument("--seed", type=int, default=0)
-    corpus.add_argument("--dimensions", type=_int_list, default="1,2,3")
-    corpus.add_argument("--count", type=int, default=20)
-    corpus.add_argument("--out", default="corpus", help="output directory")
-    corpus.set_defaults(func=_cmd_corpus)
-
     diff = sub.add_parser("diff", help="compare two verify reports check by check")
     diff.add_argument("first", help="JSON report from `verify --out`")
     diff.add_argument("second", help="JSON report to compare with the first")
@@ -158,35 +146,6 @@ def _cmd_search(args) -> int:
     if args.out:
         _write_json(args.out, report)
         print(f"search report written to {args.out}")
-    return 0
-
-
-def _cmd_corpus(args) -> int:
-    outdir = args.out
-    written = []
-
-    disk_files = {f"holo_m{m}.txt": holo_corpus(args.seed, m, args.count) for m in args.dimensions}
-    disk_files["julia.txt"] = julia_corpus(args.seed, args.count)
-    os.makedirs(outdir, exist_ok=True)
-    for name, members in disk_files.items():
-        path = os.path.join(outdir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            for member in members:
-                fh.write(f"{member.name}\t{member.disk.to_text()}\n")
-        written.append(path)
-
-    surface_dir = os.path.join(outdir, "surfaces")
-    os.makedirs(surface_dir, exist_ok=True)
-    index_path = os.path.join(outdir, "surfaces.txt")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        for member in weierstrass_corpus(args.seed, args.count):
-            wd_path = os.path.join(surface_dir, f"{member.name}.wd")
-            save_weierstrass(member.surface, wd_path)
-            fh.write(f"{member.name}\t{member.name}.wd\t{member.surface!r}\n")
-            written.append(wd_path)
-    written.append(index_path)
-
-    print(f"wrote {len(written)} corpus files under {outdir}")
     return 0
 
 

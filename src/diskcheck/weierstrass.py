@@ -469,71 +469,6 @@ def scaled_into_ball(w: WeierstrassDisk, slack: float = 1e-6) -> WeierstrassDisk
     return WeierstrassDisk(s * w.p, w.q, base=tuple(s * w.base), halfsphere=w.halfsphere)
 
 
-# ---------------------------------------------------------------------------
-# data files and samples
-
-
-def save_weierstrass(w: WeierstrassDisk, path) -> None:
-    """Write coefficient lists and flags in the plain-text surface format."""
-    lines = ["[p]"]
-    lines += [f"{float(c.real)!r} {float(c.imag)!r}" for c in w.p]
-    lines.append("[q]")
-    lines += [f"{float(c.real)!r} {float(c.imag)!r}" for c in w.q]
-    lines.append("[base]")
-    lines.append(" ".join(repr(float(x)) for x in w.base))
-    lines.append("[flags]")
-    if w.halfsphere:
-        lines.append("halfsphere")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_weierstrass(path) -> WeierstrassDisk:
-    """Read a surface written by :func:`save_weierstrass`."""
-    sections: dict[str, list[str]] = {}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current in sections:
-                    raise DomainError(f"surface file repeats a section header: {line!r}")
-                sections[current] = []
-                continue
-            if current is None:
-                raise DomainError(f"surface file has data before any section header: {line!r}")
-            sections[current].append(line)
-
-    def numbers(line: str, count: int, what: str) -> list[float]:
-        """The ``count`` numbers on ``line``; DomainError naming the line if it holds anything else."""
-        try:
-            values = [float(x) for x in line.split()]
-        except ValueError:
-            values = []
-        if len(values) != count:
-            raise DomainError(f"bad {what}: {line!r}")
-        return values
-
-    p, q = (
-        [complex(*numbers(line, 2, f"coefficient line in [{name}]")) for line in sections.get(name, [])]
-        for name in ("p", "q")
-    )
-    if not p or not q:
-        raise DomainError("surface file must provide [p] and [q] coefficients")
-    base_lines = sections.get("base", [])
-    if len(base_lines) > 1:
-        raise DomainError(f"[base] holds one line; got another: {base_lines[1]!r}")
-    base = numbers(base_lines[0], 3, "base line") if base_lines else (0.0, 0.0, 0.0)
-    flags = set(sections.get("flags", []))
-    unknown = flags - {"halfsphere"}
-    if unknown:
-        raise DomainError(f"unknown flags in surface file: {sorted(unknown)}")
-    return WeierstrassDisk(p, q, base=base, halfsphere="halfsphere" in flags)
-
-
 __all__ = [
     "WeierstrassDisk",
     "antiderivative_quadrature_residual",
@@ -543,11 +478,9 @@ __all__ = [
     "halfsphere_chain_check",
     "interior_growth_margin",
     "inverse_lipschitz_check",
-    "load_weierstrass",
     "null_condition_report",
     "planar_disk",
     "rotated_planar_disk",
-    "save_weierstrass",
     "scaled_into_ball",
     "surface_identities",
     "translated_planar_disk",

@@ -795,7 +795,6 @@ class TestCli:
             ["verify", "--suites", "ball,ball", "--samples", "2"],
             ["verify", "--suites", "ball", "--dimensions", "1,1", "--samples", "2"],
             ["verify", "--suites", "holo", "--dimensions", "50", "--samples", "2"],
-            ["corpus", "--dimensions", "100", "--count", "2", "--out", "{tmp}/plots"],
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):
@@ -814,9 +813,8 @@ class TestCli:
         except SystemExit as exc:
             rc = exc.code
         assert rc == 2
-        assert not (tmp_path / "plots").exists()
 
-    @pytest.mark.parametrize("verb", [["search"], ["corpus", "--count", "2"]])
+    @pytest.mark.parametrize("verb", [["search"]])
     def test_negative_seed_exits_2(self, tmp_path, capsys, verb):
         assert cli_main(verb + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert "error: seed must be nonnegative" in capsys.readouterr().err
@@ -901,29 +899,16 @@ class TestCli:
         assert len(data["argmin"]) == 4 + (m >= 2) and len(data["full_argmin"]) == 4 * m + 2
         assert f"full parameters (b, c, u)={data['full_argmin']}" in capsys.readouterr().out
 
-    def test_corpus_verb(self, tmp_path):
-        rc = cli_main(["corpus", "--seed", "2", "--count", "6", "--dimensions", "1,2",
-                       "--out", str(tmp_path / "corpus")])
-        assert rc == 0
-        base = tmp_path / "corpus"
-        assert (base / "holo_m1.txt").exists()
-        assert (base / "holo_m2.txt").exists()
-        assert (base / "julia.txt").exists()
-        assert (base / "surfaces.txt").exists()
-        lines = (base / "holo_m1.txt").read_text(encoding="utf-8").strip().splitlines()
-        assert all("\t" in line for line in lines)
-        from diskcheck import parse_disk
-
-        for line in lines:
-            parse_disk(line.split("\t", 1)[1])
-        wd_files = sorted((base / "surfaces").glob("*.wd"))
-        assert wd_files
-        from diskcheck import load_weierstrass
-
-        load_weierstrass(wd_files[0])
-
     def test_version_and_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["--version"])
         assert exc.value.code == 0
         assert "diskcheck" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert "{verify,search,diff}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["corpus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'corpus'" in capsys.readouterr().err

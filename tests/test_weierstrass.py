@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,10 @@ from diskcheck import (
     halfsphere_chain_check,
     interior_growth_margin,
     inverse_lipschitz_check,
-    load_weierstrass,
     null_condition_report,
     planar_disk,
     poincare_dist,
     rotated_planar_disk,
-    save_weierstrass,
     scaled_into_ball,
     surface_identities,
     translated_planar_disk,
@@ -297,63 +293,6 @@ class TestHalfsphereChain:
         assert rep.margin > -1e-8
         with pytest.raises(DomainError):
             inverse_lipschitz_check(w, [])
-
-
-class TestSerialization:
-    def test_save_load_round_trip_is_bit_exact(self, tmp_path):
-        rng = rng_for(13)
-        w = random_surface(rng)
-        path = tmp_path / "surface.wd"
-        save_weierstrass(w, path)
-        back = load_weierstrass(path)
-        assert np.array_equal(back.p, w.p)
-        assert np.array_equal(back.q, w.q)
-        assert np.array_equal(back.base, w.base)
-        assert back.halfsphere == w.halfsphere
-
-    def test_flags_and_base_round_trip(self, tmp_path):
-        w = translated_planar_disk(0.25, orthogonal=True)
-        path = tmp_path / "surface.wd"
-        save_weierstrass(w, path)
-        back = load_weierstrass(path)
-        assert back.halfsphere
-        assert tuple(back.base) == (0.0, 0.0, 0.25)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "1.0 0.0\n[q]\n0.0 0.0\n",                      # data before any header
-            "[p]\n1.0 0.0\n[q]\n",                            # missing q coefficients
-            "[p]\n1.0\n[q]\n0.0 0.0\n",                      # malformed coefficient line
-            "[p]\n1.0 0.0\n[q]\n0.0 0.0\n[flags]\nwibble\n",  # unknown flag
-            "[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n1 2\n",      # bad base line
-            "[p]\nnan 0.0\n[q]\n0.0 0.0\n",                   # non-finite coefficient
-        ],
-    )
-    def test_malformed_files_are_rejected(self, tmp_path, text):
-        path = tmp_path / "bad.wd"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(DomainError):
-            load_weierstrass(path)
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("[p]\n1.0 abc\n[q]\n0.0 0.0\n", "1.0 abc"),
-            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 x\n", "0 0 x"),
-            # No line is dropped: a second [base] line, and then an unparsable one.
-            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 0.1\n0 0 0.9\nnot a number\n", "0 0 0.9"),
-            # A repeated section header.
-            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[p]\n2.0 0.0\n", "[p]"),
-            # Both at once: the header is met first.
-            ("[p]\n1.0 0.0\n[q]\n0.0 0.0\n[base]\n0 0 0.1\n0 0 0.9\nnot a number\n[p]\n2.0 0.0\n", "[p]"),
-        ],
-    )
-    def test_unparsable_numbers_name_their_line(self, tmp_path, text, line):
-        path = tmp_path / "bad.wd"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(DomainError, match=re.escape(repr(line))):
-            load_weierstrass(path)
 
 
 class TestScaling:
