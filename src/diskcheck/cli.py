@@ -29,11 +29,7 @@ from .harness import (
     TOOL_NAME,
     TOOL_VERSION,
     SuiteConfig,
-    _CONFIG_KEYS,
-    _int_list,
-    _name_list,
     _write_json,
-    load_config_file,
     run_suite,
 )
 from .reports import DomainError
@@ -50,6 +46,14 @@ _FAMILY_SPECS = {
     "family_1d_restricted": lambda m: restricted_family_1d_spec(),
     "family_md": family_md_quotient_spec,
 }
+
+
+def _name_list(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 def _tolerance(text: str) -> tuple[str, float]:
@@ -83,9 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="path for the JSON report (margins CSV written alongside)")
     verify.add_argument(
         "--tolerance", type=_tolerance, action="append", metavar="NAME=VALUE", default=None,
-        help="override a named check tolerance (repeatable)",
+        help="override a named check tolerance (repeatable, once per check)",
     )
-    verify.add_argument("--config", default=None, help="flat key=value config file (CLI flags win)")
     verify.set_defaults(func=_cmd_verify)
 
     search = sub.add_parser("search", help="multi-start sharpness search over a map family")
@@ -109,13 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    values = load_config_file(args.config) if args.config else {"tolerances": {}}
-    for key in _CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-    values["tolerances"].update(args.tolerance or ())
-
-    config = SuiteConfig(**values)
+    tolerances = {}
+    for name, value in args.tolerance or ():
+        if name in tolerances:
+            raise DomainError(f"--tolerance {name} is given more than once")
+        tolerances[name] = value
+    given = {key: getattr(args, key) for key in ("seed", "samples", "search_restarts", "suites", "dimensions", "out")}
+    config = SuiteConfig(tolerances=tolerances, **{key: value for key, value in given.items() if value is not None})
     start = time.perf_counter()
     report = run_suite(config)
     total = time.perf_counter() - start

@@ -711,75 +711,12 @@ def _write_csv(path: str, header: list, rows) -> str:
     return path
 
 
-# ---------------------------------------------------------------------------
-# config files
-
-
-def _name_list(text: str) -> tuple:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(int(s) for s in text.split(",") if s.strip())
-
-
-# The parser of each config key, which the verify flag of the same name also
-# uses; tolerance.NAME values parse with float.
-_CONFIG_KEYS = {
-    "seed": int,
-    "samples": int,
-    "search_restarts": int,
-    "suites": _name_list,
-    "dimensions": _int_list,
-    "out": str,
-}
-
-
-def load_config_file(path: str) -> dict:
-    """Parse the flat key=value config format mirroring the CLI flags.
-
-    Recognized keys: seed, samples, suites (comma list), dimensions (comma
-    list), out, search_restarts, and tolerance.NAME entries.  A key may
-    appear once.
-    """
-    values: dict = {"tolerances": {}}
-    lines: dict = {}  # the line of each key read so far
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        target, name, parse = values, key, _CONFIG_KEYS.get(key)
-        if key.startswith("tolerance."):
-            target, name, parse = values["tolerances"], key[len("tolerance."):], float
-        if parse is None:
-            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in lines:
-            raise DomainError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
-        lines[key] = lineno
-        try:
-            target[name] = parse(value)
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-    return values
-
-
 __all__ = [
     "KNOWN_SUITES",
     "RunReport",
     "SuiteConfig",
     "TOOL_NAME",
     "TOOL_VERSION",
-    "load_config_file",
     "run_suite",
     "write_report",
 ]

@@ -25,8 +25,8 @@ _EQUALITY, _BOUND, _FLOOR = "equality", "bound", "floor"
 # passes when abs(margin) <= tolerance, a one-sided bound when
 # margin >= -tolerance, and a floor check when lhs > tolerance, the tolerance
 # being the floor itself (its rhs is the floor and its margin lhs - floor).
-# Tolerances are overridable from the CLI (--tolerance NAME=VALUE) or a config
-# file (tolerance.NAME=VALUE).  Algebraic identities are held to 1e-12,
+# Tolerances are overridable with --tolerance NAME=VALUE or
+# SuiteConfig(tolerances=...).  Algebraic identities are held to 1e-12,
 # differential and oracle comparisons to 1e-8, one-sided margins to -1e-10.
 CHECKS: dict[str, tuple[str, float]] = {
     # ball geometry

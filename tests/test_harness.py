@@ -1,4 +1,4 @@
-"""Unit tests for suite execution, report files, config parsing and the CLI."""
+"""Unit tests for suite execution, report files and the CLI."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from diskcheck import (
     interior_growth_margin,
     inverse_lipschitz_check,
     julia_corpus,
-    load_config_file,
     nonreal_parameter_strictness,
     null_condition_report,
     restricted_family_1d_spec,
@@ -559,46 +558,6 @@ class TestReportFiles:
         assert findings["julia_multi_factor_min_margin"] == "nan"
 
 
-class TestConfigFile:
-    def test_parse_and_apply(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# comment line\n"
-            "seed = 9\n"
-            "samples= 12\n"
-            "suites = ball, holo\n"
-            "dimensions = 1,2\n"
-            "search_restarts = 3\n"
-            "tolerance.growth_margin = 1e-9\n",
-            encoding="utf-8",
-        )
-        values = load_config_file(str(path))
-        assert values["seed"] == 9
-        assert values["samples"] == 12
-        assert values["suites"] == ("ball", "holo")
-        assert values["dimensions"] == (1, 2)
-        assert values["search_restarts"] == 3
-        assert values["tolerances"] == {"growth_margin": 1e-9}
-
-    def test_rejects_unknown_keys_and_bad_lines(self, tmp_path):
-        bad1 = tmp_path / "bad1.cfg"
-        bad1.write_text("wibble = 3\n", encoding="utf-8")
-        with pytest.raises(DomainError):
-            load_config_file(str(bad1))
-        bad2 = tmp_path / "bad2.cfg"
-        bad2.write_text("seed 3\n", encoding="utf-8")
-        with pytest.raises(DomainError):
-            load_config_file(str(bad2))
-
-    @pytest.mark.parametrize("key, first, second", [("seed", "1", "2"), ("tolerance.growth_margin", "1e-9", "1e-8")])
-    def test_rejects_a_repeated_key(self, tmp_path, key, first, second):
-        path = tmp_path / "repeated.cfg"
-        path.write_text(f"{key} = {first}\n# comment\nsamples = 4\n{key}={second}\n", encoding="utf-8")
-        with pytest.raises(DomainError) as error:
-            load_config_file(str(path))
-        assert str(error.value) == f"{path}:4: config key {key!r} repeats line 1"
-
-
 def _fine_circle_max_norm(disk) -> float:
     """Max of ||F|| over 2^17 roots of unity, 32 times the corpus's grid."""
     return float(np.max(vnorm(disk._eval(holodisk._boundary_grid(2**17)))))
@@ -772,16 +731,17 @@ class TestCli:
         [
             ["verify", "--dimensions", "1,x"],
             ["verify", "--tolerance", "phi_involution=abc"],
-            ["verify", "--config", "{tmp}/bad_seed.cfg"],
+            ["verify", "--samples", "0"],
             ["verify", "--seed", "-1"],
-            ["verify", "--config", "{tmp}/missing.cfg"],
+            ["verify", "--search-restarts", "0"],
             ["diff", "{tmp}/missing.json", "{tmp}/bad.json"],
             ["verify", "--suites", "ball", "--dimensions", "1", "--samples", "2",
              "--out", "{tmp}/missing/r.json"],
-            ["verify", "--config", "{tmp}/repeated.cfg"],
-            ["verify", "--config", "{tmp}/latin1.cfg"],
-            ["verify", "--config", "{tmp}/repeated_tolerance.cfg"],
-            ["diff", "{tmp}/suites_list.json", "{tmp}/latin1.cfg"],
+            ["verify", "--dimensions", "0"],
+            ["verify", "--tolerance", "growth_margin"],
+            ["verify", "--suites", "holo", "--samples", "4", "--dimensions", "1",
+             "--tolerance", "growth_margin=1e-300", "--tolerance", "growth_margin=1e-9"],
+            ["diff", "{tmp}/suites_list.json", "{tmp}/latin1.json"],
             ["diff", "{tmp}/checks_list.json", "{tmp}/checks_list.json"],
             ["verify", "--suites", "holo", "--dimensions", "1", "--samples", "4",
              "--tolerance", "growth_margin=nan"],
@@ -798,16 +758,12 @@ class TestCli:
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, argv):
-        (tmp_path / "bad_seed.cfg").write_text("seed = abc\n", encoding="utf-8")
         (tmp_path / "bad.json").write_text("{", encoding="utf-8")
-        (tmp_path / "latin1.cfg").write_bytes("# caf\u00e9\nseed = 1\n".encode("latin-1"))
+        (tmp_path / "latin1.json").write_bytes('{"caf\u00e9": 1}'.encode("latin-1"))
         (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
         (tmp_path / "suites_list.json").write_text('{"suites": []}', encoding="utf-8")
         (tmp_path / "no_checks.json").write_text('{"suites": {"search": {"reports": {}}}}', encoding="utf-8")
         (tmp_path / "checks_list.json").write_text('{"suites": {"ball": {"checks": []}}}', encoding="utf-8")
-        (tmp_path / "repeated.cfg").write_text("seed = 1\nsamples = 4\nseed = 2\n", encoding="utf-8")
-        (tmp_path / "repeated_tolerance.cfg").write_text(
-            "tolerance.growth_margin = 1e-9\ntolerance.growth_margin = 1e-8\n", encoding="utf-8")
         try:
             rc = cli_main([arg.format(tmp=tmp_path) for arg in argv])
         except SystemExit as exc:
@@ -824,16 +780,40 @@ class TestCli:
         assert cli_main(["verify", "--suites", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    def test_config_file_with_cli_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 3\nsamples = 8\nsuites = ball\ndimensions = 1\n", encoding="utf-8")
+    def test_each_verify_flag_reaches_the_report(self, tmp_path):
         out = tmp_path / "r.json"
-        rc = cli_main(["verify", "--config", str(cfg), "--seed", "4", "--out", str(out)])
+        rc = cli_main([
+            "verify", "--seed", "4", "--samples", "3", "--suites", "search,ball", "--dimensions", "2,1",
+            "--search-restarts", "1", "--tolerance", "growth_margin=1e-9", "--out", str(out),
+        ])
         assert rc == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert data["config"]["seed"] == 4          # CLI wins
-        assert data["config"]["samples"] == 8       # file value survives
-        assert data["config"]["suites"] == ["ball"]
+        assert json.loads(out.read_text(encoding="utf-8"))["config"] == {
+            "seed": 4,
+            "dimensions": [2, 1],
+            "samples": 3,
+            "suites": ["search", "ball"],
+            "tolerances": {"growth_margin": 1e-9},
+            "search_restarts": 1,
+        }
+        assert (tmp_path / "r.margins.csv").exists()
+
+    def test_repeated_tolerance_exits_2_in_either_order(self, capsys):
+        for first, second in (("1e-300", "1e-9"), ("1e-9", "1e-300")):
+            argv = ["verify", "--suites", "holo", "--samples", "4", "--dimensions", "1",
+                    "--tolerance", f"growth_margin={first}", "--tolerance", f"growth_margin={second}"]
+            assert cli_main(argv) == 2
+            assert "error: --tolerance growth_margin is given more than once" in capsys.readouterr().err
+
+    def test_no_config_flag(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\nsamples = 4\nsuites = ball\ndimensions = 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--config", str(path)])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--config" not in capsys.readouterr().out
 
     def test_search_verb(self, tmp_path, capsys):
         out = tmp_path / "search.json"
