@@ -6,9 +6,6 @@ Verbs:
     Run the selected check suites over the seeded corpora, print a per-suite
     summary (including wall time, which is kept out of the JSON report), and
     exit 0 exactly when every suite passed.
-``search``
-    Run the multi-start sharpness search for one of the built-in families
-    and optionally write its JSON report.
 ``diff``
     Compare two ``verify`` JSON reports check by check and exit 0 exactly
     when every verdict matches.
@@ -29,23 +26,9 @@ from .harness import (
     TOOL_NAME,
     TOOL_VERSION,
     SuiteConfig,
-    _write_json,
     run_suite,
 )
 from .reports import DomainError
-from .search import (
-    family_1d_spec,
-    family_md_quotient_spec,
-    restricted_family_1d_spec,
-    sharpness_report,
-)
-
-# Each ``search --family`` choice and the builder of its spec, given ``--dimension``.
-_FAMILY_SPECS = {
-    "family_1d": lambda m: family_1d_spec(),
-    "family_1d_restricted": lambda m: restricted_family_1d_spec(),
-    "family_md": family_md_quotient_spec,
-}
 
 
 def _name_list(text: str) -> tuple:
@@ -64,6 +47,16 @@ def _tolerance(text: str) -> tuple[str, float]:
     return name.strip(), float(value)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second use of the flag is a usage error, so flag order never picks a run."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in vars(namespace).setdefault("given_flags", set()):
+            parser.error(f"{option_string} is given more than once")
+        namespace.given_flags.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -74,36 +67,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run check suites and report margins")
-    verify.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    verify.add_argument(
-        "--suites", type=_name_list, default=None,
-        help=f"comma-separated subset of {','.join(KNOWN_SUITES)} (default all)",
-    )
-    verify.add_argument("--samples", type=int, default=None, help="sample points per check (default 200)")
-    verify.add_argument(
-        "--dimensions", type=_int_list, default=None, help="comma-separated target dimensions (default 1,2,3)"
-    )
-    verify.add_argument("--search-restarts", type=int, default=None, help="restarts for the search suite (default 8)")
-    verify.add_argument("--out", default=None, help="path for the JSON report (margins CSV written alongside)")
+    for flag, kind, text in (
+        ("--seed", int, "root seed (default 0)"),
+        ("--suites", _name_list, f"comma-separated subset of {','.join(KNOWN_SUITES)} (default all)"),
+        ("--samples", int, "sample points per check (default 200)"),
+        ("--dimensions", _int_list, "comma-separated target dimensions (default 1,2,3)"),
+        ("--search-restarts", int, "restarts for the search suite (default 8)"),
+        ("--out", str, "path for the JSON report (margins CSV written alongside)"),
+    ):
+        verify.add_argument(flag, type=kind, action=_Once, default=None, help=text)
     verify.add_argument(
         "--tolerance", type=_tolerance, action="append", metavar="NAME=VALUE", default=None,
         help="override a named check tolerance (repeatable, once per check)",
     )
     verify.set_defaults(func=_cmd_verify)
 
-    search = sub.add_parser("search", help="multi-start sharpness search over a map family")
-    search.add_argument("--family", choices=_FAMILY_SPECS, default="family_1d")
-    search.add_argument("--dimension", type=int, default=2, help="target dimension for family_md")
-    search.add_argument("--restarts", type=int, default=20)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--out", default=None, help="path for the JSON search report")
-    search.set_defaults(func=_cmd_search)
-
     diff = sub.add_parser("diff", help="compare two verify reports check by check")
     diff.add_argument("first", help="JSON report from `verify --out`")
     diff.add_argument("second", help="JSON report to compare with the first")
     diff.add_argument(
-        "--rtol", type=float, default=0.0,
+        "--rtol", type=float, action=_Once, default=0.0,
         help="list only worst-margin moves above RTOL times the larger magnitude (default 0: every move)",
     )
     diff.set_defaults(func=_cmd_diff)
@@ -136,20 +119,6 @@ def _cmd_verify(args) -> int:
         root, _ = os.path.splitext(config.out)
         print(f"report written to {config.out} (margins: {root + '.margins.csv'})")
     return 0 if report.passed else 1
-
-
-def _cmd_search(args) -> int:
-    spec = _FAMILY_SPECS[args.family](args.dimension)
-    report = sharpness_report(spec, restarts=args.restarts, seed=args.seed)
-    print(f"family={report['family']} dimension={report['dimension']} restarts={report['restarts']}")
-    print(f"best_margin={report['best_margin']:.6e} at argmin={report['argmin']}")
-    if "full_argmin" in report:
-        print(f"full parameters (b, c, u)={report['full_argmin']}")
-    print(f"evaluations={report['evaluations']} min_evaluated={report['min_evaluated']:.6e}")
-    if args.out:
-        _write_json(args.out, report)
-        print(f"search report written to {args.out}")
-    return 0
 
 
 def _read_report(path: str) -> dict:

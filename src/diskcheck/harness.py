@@ -631,13 +631,6 @@ class RunReport:
 _JSON_FORMAT = {"sort_keys": True, "indent": 2, "allow_nan": False}
 
 
-def _write_json(path: str, obj) -> None:
-    """Write the canonical JSON text of ``obj`` and a newline to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, **_JSON_FORMAT)
-        fh.write("\n")
-
-
 def _jsonify(obj):
     """``obj`` with every non-finite float replaced by its CSV text "nan", "inf" or "-inf".
 
@@ -677,38 +670,33 @@ def run_suite(config: SuiteConfig) -> RunReport:
     return report
 
 
-def write_report(report: RunReport, path: str) -> tuple[str, str]:
+def write_report(report: RunReport, path: str) -> None:
     """Write the JSON report to ``path`` and the margins CSV next to it.
 
     The report is streamed: its text is never held whole.
     """
-    _write_json(path, report.as_dict())
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonify(report.as_dict()), fh, **_JSON_FORMAT)
+        fh.write("\n")
     root, _ = os.path.splitext(path)
-    rows = (
-        [
-            suite_name,
-            check_name,
-            slot["worst_instance"],
-            repr(float(slot["worst_lhs"])),
-            repr(float(slot["worst_rhs"])),
-            repr(float(slot["worst_margin"])),
-            repr(float(slot["tolerance"])),
-            slot["passed"],
-        ]
-        for suite_name in report.config["suites"]
-        if suite_name in report.suites
-        for check_name, slot in sorted(report.suites[suite_name]["checks"].items())
-    )
-    header = ["suite", "check", "instance", "lhs", "rhs", "margin", "tolerance", "passed"]
-    return path, _write_csv(root + ".margins.csv", header, rows)
-
-
-def _write_csv(path: str, header: list, rows) -> str:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(root + ".margins.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+        writer.writerow(["suite", "check", "instance", "lhs", "rhs", "margin", "tolerance", "passed"])
+        writer.writerows(
+            [
+                suite_name,
+                check_name,
+                slot["worst_instance"],
+                repr(float(slot["worst_lhs"])),
+                repr(float(slot["worst_rhs"])),
+                repr(float(slot["worst_margin"])),
+                repr(float(slot["tolerance"])),
+                slot["passed"],
+            ]
+            for suite_name in report.config["suites"]
+            if suite_name in report.suites
+            for check_name, slot in sorted(report.suites[suite_name]["checks"].items())
+        )
 
 
 __all__ = [

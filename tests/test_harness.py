@@ -36,8 +36,8 @@ from diskcheck import (
     vnorm,
     weierstrass_corpus,
 )
-from diskcheck.cli import _FAMILY_SPECS, _ulps, diff_reports, main as cli_main
-from diskcheck import cli, corpus, harness, holodisk, search
+from diskcheck.cli import _ulps, diff_reports, main as cli_main
+from diskcheck import corpus, harness, holodisk, search
 from diskcheck.ballgeom import _BALL_SLACK
 from diskcheck.harness import RunReport, _SuiteAccumulator
 
@@ -202,8 +202,14 @@ class TestRunSuite:
     def test_search_suite_exposes_family_reports(self):
         report = run_suite(SuiteConfig(seed=2, suites=("search",), search_restarts=2, samples=8))
         inner = report.suites["search"]["reports"]
-        assert set(inner) == {"family_1d", "family_1d_restricted", "family_md"}
+        specs = {"family_1d": family_1d_spec(), "family_1d_restricted": restricted_family_1d_spec(),
+                 "family_md": family_md_quotient_spec(2)}
+        assert set(inner) == set(specs)
+        for name, spec in specs.items():
+            assert (inner[name]["family"], inner[name]["dimension"]) == (spec.family, spec.dim)
+            assert inner[name]["bounds"] == {"lower": list(spec.lower), "upper": list(spec.upper)}
         assert inner["family_1d"]["best_margin"] <= 1e-8
+        assert inner["family_1d_restricted"]["best_margin"] > 1e-4
 
     def test_default_report_is_verdict_sized(self):
         """A search report holds its verdict's numbers and no per-iteration history."""
@@ -751,7 +757,7 @@ class TestCli:
             ["diff", "{tmp}/suites_list.json", "{tmp}/suites_list.json"],
             ["diff", "{tmp}/no_checks.json", "{tmp}/missing.json"],
             ["diff", "{tmp}/bad.json", "{tmp}/bad.json"],
-            ["search", "--family", "family_md", "--dimension", "0"],
+            ["verify", "--suites", "ball", "--dimensions", "1", "--samples", "2", "--seed", "1", "--seed", "2"],
             ["verify", "--suites", "ball,ball", "--samples", "2"],
             ["verify", "--suites", "ball", "--dimensions", "1,1", "--samples", "2"],
             ["verify", "--suites", "holo", "--dimensions", "50", "--samples", "2"],
@@ -770,7 +776,7 @@ class TestCli:
             rc = exc.code
         assert rc == 2
 
-    @pytest.mark.parametrize("verb", [["search"]])
+    @pytest.mark.parametrize("verb", [["verify"]])
     def test_negative_seed_exits_2(self, tmp_path, capsys, verb):
         assert cli_main(verb + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert "error: seed must be nonnegative" in capsys.readouterr().err
@@ -815,69 +821,31 @@ class TestCli:
         assert exc.value.code == 0
         assert "--config" not in capsys.readouterr().out
 
-    def test_search_verb(self, tmp_path, capsys):
-        out = tmp_path / "search.json"
-        rc = cli_main(["search", "--family", "family_1d", "--restarts", "2", "--seed", "1",
-                       "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert data["family"] == "family_1d"
-        assert data["best_margin"] <= 1e-6
-        assert "best_margin" in capsys.readouterr().out
-
-    def test_search_verb_writes_non_finite_values_as_standard_json(self, tmp_path, monkeypatch):
-        def with_non_finite(*args, **kwargs):
-            report = search.sharpness_report(*args, **kwargs)
-            report["min_evaluated"], report["best_margin"] = math.inf, -math.inf
-            report["argmin"][0] = math.nan
-            return report
-
-        def refuse(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        monkeypatch.setattr(cli, "sharpness_report", with_non_finite)
-        out = tmp_path / "search.json"
-        assert cli_main(["search", "--family", "family_1d", "--restarts", "1", "--out", str(out)]) == 0
-        data = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
-        assert data["min_evaluated"] == "inf" and data["best_margin"] == "-inf" and data["argmin"][0] == "nan"
-
-    def test_search_verb_family_1d_restricted(self, tmp_path):
-        out = tmp_path / "search.json"
-        rc = cli_main(["search", "--family", "family_1d_restricted", "--restarts", "2", "--seed", "1",
-                       "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert data["family"] == "family_1d"
-        assert data["bounds"] == {"lower": [0.05, math.pi / 4.0], "upper": [0.9, math.pi]}
-        assert data["best_margin"] > 1e-4
-
     @pytest.mark.parametrize(
-        "choice, spec",
+        "argv",
         [
-            ("family_1d", family_1d_spec()),
-            ("family_1d_restricted", restricted_family_1d_spec()),
-            ("family_md", family_md_quotient_spec(3)),
+            ["verify", "--seed", "1", "--seed", "2"],
+            ["verify", "--samples", "2", "--samples", "3"],
+            ["verify", "--suites", "ball", "--suites", "holo"],
+            ["verify", "--dimensions", "1", "--dimensions", "2"],
+            ["verify", "--search-restarts", "1", "--search-restarts", "2"],
+            ["verify", "--out", "{tmp}/r.json", "--out", "{tmp}/s.json"],
+            ["diff", "{tmp}/r.json", "{tmp}/s.json", "--rtol", "0", "--rtol", "0.5"],
         ],
+        ids=["seed", "samples", "suites", "dimensions", "search-restarts", "out", "diff-rtol"],
     )
-    def test_each_family_choice_builds_the_family_its_report_names(self, tmp_path, choice, spec):
-        assert list(_FAMILY_SPECS) == ["family_1d", "family_1d_restricted", "family_md"]
-        out = tmp_path / "search.json"
-        rc = cli_main(["search", "--family", choice, "--dimension", "3", "--restarts", "1", "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert (data["family"], data["dimension"]) == (spec.family, spec.dim)
-        assert data["bounds"] == {"lower": list(spec.lower), "upper": list(spec.upper)}
-
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_search_verb_family_md_quotient(self, tmp_path, capsys, m):
-        out = tmp_path / "search.json"
-        rc = cli_main(["search", "--family", "family_md", "--dimension", str(m), "--restarts", "2",
-                       "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert data["family"] == "family_md_quotient" and data["dimension"] == m
-        assert len(data["argmin"]) == 4 + (m >= 2) and len(data["full_argmin"]) == 4 * m + 2
-        assert f"full parameters (b, c, u)={data['full_argmin']}" in capsys.readouterr().out
+    def test_a_repeated_flag_exits_2(self, tmp_path, capsys, argv):
+        """A flag given twice is refused before anything runs, so the order of the flags never picks a run."""
+        flag = argv[-2]
+        small_run = {"--suites": "ball", "--dimensions": "1", "--samples": "2", "--out": "{tmp}/r.json"}
+        if argv[0] == "verify":  # a small run that would write its report, were the flag accepted
+            for name, value in small_run.items():
+                argv = argv + ([name, value] if name != flag else [])
+        with pytest.raises(SystemExit) as exc:
+            cli_main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        assert f"error: {flag} is given more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_and_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -887,8 +855,9 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--help"])
         assert exc.value.code == 0
-        assert "{verify,search,diff}" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["corpus"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'corpus'" in capsys.readouterr().err
+        assert "{verify,diff}" in capsys.readouterr().out
+        for verb in ("corpus", "search"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([verb])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{verb}'" in capsys.readouterr().err

@@ -359,6 +359,7 @@ class TestSharpnessReport:
     def test_quotient_report_carries_its_full_parameters(self, m):
         report = sharpness_report(family_md_quotient_spec(m), restarts=2, seed=0)
         full = report["full_argmin"]
+        assert (report["family"], report["dimension"]) == ("family_md_quotient", m)
         assert len(full) == 4 * m + 2 and len(report["argmin"]) == 4 + (m >= 2)
         assert repr(margin_md(full, m)) == repr(report["best_margin"])
         assert abs(complex(full[2 * m], full[2 * m + 1])) <= 0.9 + 1e-15
