@@ -6,8 +6,8 @@ The package provides exact-arithmetic-free but tolerance-pinned checks for:
 - Moebius automorphisms of the complex unit ball and their derivative
   norms (:mod:`diskcheck.ballgeom`);
 - growth, boundary-derivative, and Julia-type inequalities for holomorphic
-  maps of the disk into the ball, with a serializable expression-tree
-  representation (:mod:`diskcheck.holodisk`);
+  maps of the disk into the ball, as expression trees that print as text
+  (:mod:`diskcheck.holodisk`);
 - conformal minimal disks from polynomial Weierstrass data, metric and
   boundary checks (:mod:`diskcheck.weierstrass`);
 - derivative-free sharpness searches over parametric map families

@@ -62,7 +62,6 @@ from .holodisk import (
     growth_margins,
     julia_margins,
     nonreal_parameter_strictness,
-    parse_disk,
     radial_derivative_estimate,
     schwarz_derivative_bound,
 )
@@ -398,12 +397,7 @@ def _run_holo(config: SuiteConfig) -> dict:
             disk = member.disk
 
             text = disk.to_text()
-            parsed = parse_disk(text)
-            probe = _disk_points(rng, 3)
-            ser_dev = float(np.max(np.abs(parsed.eval(probe) - disk.eval(probe))))
-            if parsed.to_text() != text:
-                ser_dev = 1.0
-            acc.value("serialization_roundtrip", tag, ser_dev)
+            rng.random(6)  # skip six uniforms, so the growth sweep draws the points earlier reports hold
 
             max_norm = certify_in_ball(disk, n_boundary=1024, n_interior=32)
             acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
@@ -578,19 +572,19 @@ def _run_search(config: SuiteConfig) -> dict:
     full = sharpness_report(family_1d_spec(), restarts=config.search_restarts, seed=config.seed)
     acc.value("family_1d_best", "family_1d", full["best_margin"])
     acc.value("family_1d_phase", "family_1d", abs(math.sin(full["argmin"][1])), extra={"argmin": full["argmin"]})
-    acc.value("search_trace_floor", "family_1d", full["min_evaluated"])
+    acc.value("search_min_evaluated_floor", "family_1d", full["min_evaluated"])
 
     restricted = sharpness_report(
         restricted_family_1d_spec(), restarts=config.search_restarts, seed=config.seed
     )
     acc.value("family_1d_restricted_floor", "family_1d phase in [pi/4, pi]", restricted["best_margin"],
               extra={"argmin": restricted["argmin"]})
-    acc.value("search_trace_floor", "family_1d_restricted", restricted["min_evaluated"])
+    acc.value("search_min_evaluated_floor", "family_1d_restricted", restricted["min_evaluated"])
 
     md = sharpness_report(family_md_quotient_spec(2), restarts=min(6, config.search_restarts), seed=config.seed)
     acc.value("family_md_margin", "family_md m=2", md["best_margin"],
               extra={"argmin": md["argmin"], "full_argmin": md["full_argmin"]})
-    acc.value("search_trace_floor", "family_md", md["min_evaluated"])
+    acc.value("search_min_evaluated_floor", "family_md", md["min_evaluated"])
 
     out = acc.as_dict()
     out["reports"] = {"family_1d": full, "family_1d_restricted": restricted, "family_md": md}

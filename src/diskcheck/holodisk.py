@@ -22,18 +22,14 @@ the raw :class:`~diskcheck.reports.CheckValues` (lhs, rhs, margin, extra) of
 one case and judge nothing: only a suite run names and judges cases, each
 check once, with the run's tolerances.
 
-Serialization uses a nested prefix notation, e.g. ``mul(z, blaschke(0.5))``
-or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``; see the README
-for the exact grammar.  The notation is a subset of Python call syntax, and
-``parse_disk`` inverts ``to_text`` by walking the tree :mod:`ast` parses,
-evaluating nothing: each number is ``complex()`` of its own source text.
+``to_text`` writes a map in a nested prefix notation, e.g.
+``mul(z, blaschke(0.5))`` or ``compose(phi(a=[0.3, 0.0]), scale(z, u=[1.0, 0.0]))``,
+which names report instances; see the README for the exact grammar.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -48,10 +44,6 @@ INTERIOR_GRID = 128
 # Radius schedule for the boundary difference quotients: 1 - 2^-k.
 RADIAL_SCHEDULE_KMIN = 3
 RADIAL_SCHEDULE_KMAX = 20
-
-
-class ParseError(ValueError):
-    """Malformed disk expression text."""
 
 
 def _fmt_real(x: float) -> str:
@@ -381,74 +373,6 @@ class ComposeAut(HoloDisk):
 
     def to_text(self):
         return f"compose(phi(a={_fmt_vector(self.aut.a)}), {self.f.to_text()})"
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-
-def parse_disk(text: str) -> HoloDisk:
-    """Read the text ``HoloDisk.to_text`` writes back into a tree.
-
-    The text is parsed as a Python expression with :mod:`ast`, and nothing in
-    it is evaluated: the walk matches only ``z``, the node calls of the
-    grammar and ``[...]`` vectors, and each number is ``complex()`` of its own
-    source text.  Malformed text raises :class:`ParseError`; values a node
-    rejects raise :class:`~diskcheck.reports.DomainError`.
-    """
-    text = text.strip()
-    try:
-        tree = ast.parse(text, mode="eval")
-    except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, Python 3.10
-        raise ParseError(f"not a disk expression: {exc}") from None
-    # ast positions are (line, UTF-8 byte column); ast.get_source_segment
-    # would split the whole text into lines again for every number.
-    data = text.encode()
-    line_starts = list(itertools.accumulate(map(len, data.splitlines(keepends=True)), initial=0))
-
-    def source(node) -> str:
-        start = line_starts[node.lineno - 1] + node.col_offset
-        return data[start:line_starts[node.end_lineno - 1] + node.end_col_offset].decode()
-
-    def number(node) -> complex:
-        try:
-            return complex(source(node))
-        except ValueError:
-            raise ParseError(f"bad number {source(node)!r}") from None
-
-    def vector(nodes) -> np.ndarray:
-        return np.asarray([number(x) for x in nodes], dtype=complex)
-
-    def disk(node) -> HoloDisk:
-        match node:
-            case ast.Name(id="z"):
-                return Identity()
-            case ast.Call(func=ast.Name(id="const" | "blaschke" as name), args=[c], keywords=[]):
-                return (Const if name == "const" else Blaschke)(number(c))
-            case ast.Call(func=ast.Name(id="poly"), args=coeffs, keywords=[]):
-                return Poly(vector(coeffs))
-            case ast.Call(func=ast.Name(id="mul" | "add" as name), args=[f, g], keywords=[]):
-                return (Mul if name == "mul" else Add)(disk(f), disk(g))
-            case ast.Call(func=ast.Name(id="cmul"), args=[c, f], keywords=[]):
-                return CMul(number(c), disk(f))
-            case ast.Call(
-                func=ast.Name(id="scale"), args=[f], keywords=[ast.keyword(arg="u", value=ast.List(elts=u))]
-            ):
-                return Embed(disk(f), vector(u))
-            case ast.Call(func=ast.Name(id="vec"), args=components, keywords=[]):
-                return Vec([disk(f) for f in components])
-            case ast.Call(
-                func=ast.Name(id="compose"),
-                args=[
-                    ast.Call(func=ast.Name(id="phi"), args=[], keywords=[ast.keyword(arg="a", value=ast.List(elts=a))]),
-                    f,
-                ],
-                keywords=[],
-            ):
-                return ComposeAut(BallAutomorphism(vector(a)), disk(f))
-        raise ParseError(f"not a disk expression: {source(node)!r}")
-
-    return disk(tree.body)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +726,6 @@ __all__ = [
     "HoloDisk",
     "Identity",
     "Mul",
-    "ParseError",
     "Poly",
     "Vec",
     "affine_disk",
@@ -816,7 +739,6 @@ __all__ = [
     "growth_margins",
     "julia_margins",
     "nonreal_parameter_strictness",
-    "parse_disk",
     "radial_derivative_estimate",
     "schwarz_derivative_bound",
 ]

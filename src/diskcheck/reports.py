@@ -44,7 +44,6 @@ CHECKS: dict[str, tuple[str, float]] = {
     "poincare_invariance": (_EQUALITY, 1e-12),
     "cayley_klein_radial": (_EQUALITY, 1e-12),
     # holomorphic disks
-    "serialization_roundtrip": (_EQUALITY, 1e-15),
     "boundary_membership": (_BOUND, 1e-10),
     "growth_margin": (_BOUND, 1e-10),
     "growth_equality_affine": (_EQUALITY, 1e-10),
@@ -79,7 +78,7 @@ CHECKS: dict[str, tuple[str, float]] = {
     # segment length both overestimate, so its margin is no sharpness probe.
     "inverse_lipschitz": (_BOUND, 1e-8),
     # sharpness search
-    "search_trace_floor": (_BOUND, 1e-8),
+    "search_min_evaluated_floor": (_BOUND, 1e-8),
     "family_1d_best": (_EQUALITY, 1e-8),
     "family_1d_phase": (_EQUALITY, 1e-4),
     "family_1d_restricted_floor": (_FLOOR, 1e-4),

@@ -18,11 +18,14 @@ from diskcheck.ballgeom import (
 from diskcheck.harness import SuiteConfig, run_suite
 from diskcheck import holodisk, weierstrass
 from diskcheck.holodisk import (
+    Add,
     Blaschke,
     CMul,
     Const,
     Embed,
     Identity,
+    Mul,
+    Poly,
     affine_disk,
     affine_rigidity_check,
     blaschke_product,
@@ -30,7 +33,6 @@ from diskcheck.holodisk import (
     boundary_bound_shifted,
     growth_margins,
     julia_margins,
-    parse_disk,
     schwarz_derivative_bound,
 )
 from diskcheck.reports import DomainError, _judge
@@ -152,7 +154,7 @@ class TestNanReachesTheVerdict:
         lambda: WeierstrassDisk([1.0], [0.0], base=(0.0, math.inf, 0.0)),
         # Finite p and q, but p q^2 overflows: every evaluation of this surface would be NaN.
         lambda: WeierstrassDisk([1e300], [0.0, 1e10]),
-        lambda: parse_disk("poly(0, nan)"),
+        lambda: Poly([0, NAN]),
         lambda: Const(NAN),
         lambda: CMul(math.inf, Identity()),
         lambda: Embed(Identity(), [1.0, NAN]),
@@ -164,7 +166,7 @@ class TestNanReachesTheVerdict:
     ],
     ids=[
         "automorphism", "apply", "poincare_dist", "cayley_klein_dist", "quotient", "blaschke",
-        "halfsphere", "surface_p", "surface_q", "surface_base", "surface_phi", "parse_poly", "const", "cmul", "embed",
+        "halfsphere", "surface_p", "surface_q", "surface_base", "surface_phi", "poly", "const", "cmul", "embed",
         "growth_margins", "julia_margins", "boundary_bound_origin", "interior_growth_margin", "distance_decreasing_margins",
     ],
 )
@@ -185,7 +187,7 @@ def test_interior_growth_refuses_a_nan_max_norm():
 
 
 # A disk map that overflows to NaN at the origin only: F(0) = 0 * inf + 0 and F(1) = 1.
-NAN_AT_ORIGIN = "add(z, cmul(0.0, mul(poly(1e308, -1e308), poly(10, -10))))"
+NAN_AT_ORIGIN = Add(Identity(), CMul(0.0, Mul(Poly([1e308, -1e308]), Poly([10, -10]))))
 
 
 def _nan_derivative_at_one():
@@ -200,20 +202,20 @@ def _nan_derivative_at_one():
     "call, message",
     [
         # F(0) = 0 * inf, while F(1) = 1.
-        (lambda: growth_margins(parse_disk(NAN_AT_ORIGIN), [0.5]),
+        (lambda: growth_margins(NAN_AT_ORIGIN, [0.5]),
          "must fix the origin"),
         # F(1) = 0 * inf; unguarded, this read as the margin -2, a false counterexample.
-        (lambda: boundary_bound_origin(parse_disk("cmul(0.0, poly(1e308, 1e308))"), 1), "not a boundary-contact point"),
+        (lambda: boundary_bound_origin(CMul(0.0, Poly([1e308, 1e308])), 1), "not a boundary-contact point"),
         # f(1) = 0 * inf + 1; unguarded, every margin read 0.
-        (lambda: julia_margins(parse_disk("add(cmul(0.0, poly(1e308, 1e308)), z)"), [0.5, 0.3j, -0.2]),
+        (lambda: julia_margins(Add(CMul(0.0, Poly([1e308, 1e308])), Identity()), [0.5, 0.3j, -0.2]),
          "must fix 1"),
         # f(1) = 1, but f'(1) = 1 + 0 * (inf - inf).
-        (lambda: julia_margins(parse_disk("add(z, cmul(0.0, poly(0, 0, 1e308, -1e308)))"), [0.5]), "must be real"),
+        (lambda: julia_margins(Add(Identity(), CMul(0.0, Poly([0, 0, 1e308, -1e308]))), [0.5]), "must be real"),
         (lambda: julia_margins(_nan_derivative_at_one(), [0.5]), "must be positive"),
         # F(0) = 0 * inf, while F(1) = 1: unguarded, the shifted bound and its margin read NaN.
-        (lambda: boundary_bound_shifted(parse_disk(NAN_AT_ORIGIN), 1), "is not below 1"),
+        (lambda: boundary_bound_shifted(NAN_AT_ORIGIN, 1), "is not below 1"),
         # Unguarded, the bound read NaN as sqrt(max(1 - NaN, 0)).
-        (lambda: schwarz_derivative_bound(parse_disk(NAN_AT_ORIGIN)), "into the closed ball"),
+        (lambda: schwarz_derivative_bound(NAN_AT_ORIGIN), "into the closed ball"),
     ],
     ids=["zero_at_origin", "boundary_contact", "julia_fixes_one", "julia_real_derivative", "julia_positive_derivative",
          "shifted_base_norm", "schwarz_base_norm"],
