@@ -165,41 +165,34 @@ def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _disk_radii(radii: np.ndarray, rmin: float, rmax: float) -> None:
-    """Map radius uniforms in place to radii in [rmin, rmax], uniform by area when rmin = 0."""
-    np.sqrt(radii, out=radii)
-    radii *= rmax - rmin
-    radii += rmin
-
-
 def _draw_disk(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
     """The (radius, turn) uniforms of ``n`` disk points with rmin <= |z| <= rmax.
 
-    Draws ``n`` radius uniforms, then ``n`` angle uniforms (in turns), and
-    maps the radii.  Returns the (2, n) rows: ``_on_circle(*uniforms)`` places the points.
+    Point i takes the stream's outputs 2 i (its radius uniform) and 2 i + 1
+    (its angle uniform, in turns), and the radius uniforms are mapped in
+    place to radii in [rmin, rmax], uniform by area when rmin = 0.  Returns
+    the (2, n) rows: ``_on_circle(*uniforms)`` places the points.
     """
-    uniforms = rng.random((2, n))
-    _disk_radii(uniforms[0], rmin, rmax)
+    uniforms = rng.random((n, 2)).T
+    radii = uniforms[0]
+    np.sqrt(radii, out=radii)
+    radii *= rmax - rmin
+    radii += rmin
     return uniforms
 
 
 class _BlockDraw:
-    """The draw ``rng.random((rows, n))``, read one block of columns at a time.
+    """The draw ``rng.random((n, rows)).T``, read one block of columns at a time.
 
     Iterating yields, for each slice of ``_point_slices(n, width)``, the
     block's (rows, b) uniforms; with ``disk=(rmin, rmax)``, the points that
     ``_disk_points`` places from them instead: a 1-d block from two rows, and
-    one row of points per (radius, turn) row pair from more.  The radius map
-    and ``_on_circle`` are elementwise, so these are the points of one plain
-    draw bit for bit, and a sweep keeps no array that grows with n.
-    ``shape`` is (n,), as for an array of the points.
-
-    The draw is row-major and a double takes one 64-bit output of the PCG64
-    stream, so row r of the block [a, b) is the b - a outputs from r n + a
-    on.  Iteration jumps ``rng``'s own stream there (``PCG64.advance``, in
-    O(log n) steps; a one-block draw makes no jump) and leaves it where the
-    plain draw leaves it: rows n outputs on, with its spare 32-bit half kept.
-    Iterate once and to the end, before anything else draws from ``rng``.
+    one row of points per (radius, turn) row pair from more.  Each point
+    takes the stream's next ``rows`` outputs, and each block is drawn from
+    ``rng`` as iteration reaches it, so consecutive blocks concatenate to one
+    draw of all n, bit for bit, leave ``rng`` where that draw leaves it, and a
+    sweep keeps no array that grows with n.  ``shape`` is (n,), as for an
+    array of the points.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, width: int = 1, rows: int = 2,
@@ -208,33 +201,14 @@ class _BlockDraw:
         self.shape = (n,)
 
     def __iter__(self):
-        (n,), rows, rng = self.shape, self.rows, self.rng
-        bitgen = rng.bit_generator
-        position, state = 0, None  # outputs taken since the draw began; the state before the first jump
+        (n,), rows = self.shape, self.rows
         for block in _point_slices(n, self.width):
-            uniforms = np.empty((rows, block.stop - block.start))
-            for r in range(rows):
-                start = r * n + block.start
-                if start != position:
-                    state = state or bitgen.state
-                    bitgen.advance((start - position) % (1 << 128))
-                rng.random(out=uniforms[r])
-                position = start + uniforms.shape[1]
-            if self.disk is not None:
-                uniforms = self._place(uniforms)  # frees the uniforms before the next block is drawn
-            yield uniforms
-        # The last block's last row ends the draw, rows n outputs on.
-        if state is not None:
-            # PCG64.advance drops the spare 32-bit half of an output; a plain draw keeps it.
-            state["state"] = bitgen.state["state"]
-            bitgen.state = state
-
-    def _place(self, uniforms: np.ndarray) -> np.ndarray:
-        radii, turns = uniforms[0::2], uniforms[1::2]
-        if self.rows == 2:
-            radii, turns = radii[0], turns[0]
-        _disk_radii(radii, *self.disk)
-        return _on_circle(radii, turns)
+            b = block.stop - block.start
+            if self.disk is None:
+                yield self.rng.random((b, rows)).T
+            else:
+                points = _disk_points(self.rng, b * rows // 2, *self.disk)
+                yield points if rows == 2 else points.reshape(b, rows // 2).T
 
 
 def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:

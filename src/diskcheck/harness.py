@@ -397,7 +397,6 @@ def _run_holo(config: SuiteConfig) -> dict:
             disk = member.disk
 
             text = disk.to_text()
-            rng.random(6)  # skip six uniforms, so the growth sweep draws the points earlier reports hold
 
             max_norm = certify_in_ball(disk, n_boundary=1024, n_interior=32)
             acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
@@ -509,7 +508,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth[:3])
 
             deviations = []  # per block of the anchored and diameter sweeps: the max |margin|
-            # Two draws of n disk points, pair_a's and then pair_b's: rows (radius, turn, radius, turn).
+            # n pairs of disk points, each pair's two points drawn one after the other.
             for pairs in _BlockDraw(rng, n, 3, rows=4, disk=(0.0, 0.97)):
                 za = pairs[0]
                 margins = distance_decreasing_margins(w, za, pairs[1])

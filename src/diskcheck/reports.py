@@ -85,9 +85,6 @@ CHECKS: dict[str, tuple[str, float]] = {
     "family_md_margin": (_BOUND, 1e-8),
 }
 
-DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, (_, tol) in CHECKS.items()}
-
-
 class CheckValues(NamedTuple):
     """The unjudged values of one case of a check: its sides, signed margin and secondary quantities."""
 
@@ -118,6 +115,5 @@ def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None):
 __all__ = [
     "CHECKS",
     "CheckValues",
-    "DEFAULT_TOLERANCES",
     "DomainError",
 ]

@@ -35,7 +35,7 @@ def rng_for(seed: int) -> np.random.Generator:
 
 
 def bits(z) -> np.ndarray:
-    return np.atleast_1d(z).view(np.uint64)
+    return np.ascontiguousarray(z).view(np.uint64)
 
 
 class TestPointBlocks:
@@ -108,7 +108,7 @@ class TestBlockDraw:
         for block in self.block_sizes(n):
             monkeypatch.setattr(holodisk, "_POINT_BLOCK", block)
             plain, split = self.draws(n)
-            whole = plain.random((rows, n))
+            whole = plain.random((n, rows)).T
             parts = list(corpus._BlockDraw(split, n, rows=rows))
             assert [part.shape for part in parts] == [(rows, s.stop - s.start) for s in holodisk._point_slices(n)]
             assert np.array_equal(bits(np.concatenate(parts, axis=1)), bits(whole))
@@ -121,7 +121,8 @@ class TestBlockDraw:
         for block in self.block_sizes(n):
             monkeypatch.setattr(holodisk, "_POINT_BLOCK", block)
             plain, split = self.draws(n)
-            whole = np.stack([corpus._disk_points(plain, n, rmin, rmax) for _ in range(rows // 2)])
+            # Point j of row k is point (rows / 2) j + k of one draw of all the points.
+            whole = corpus._disk_points(plain, n * rows // 2, rmin, rmax).reshape(n, rows // 2).T
             draw = corpus._BlockDraw(split, n, rows=rows, disk=(rmin, rmax))
             assert draw.shape == (n,)
             placed = np.concatenate(list(draw), axis=-1)
@@ -192,8 +193,8 @@ class TestStreamedChecks:
         rng = rng_for(21)
         for member in weierstrass_corpus(0, 10):
             w = member.surface
-            pair_a = corpus._disk_points(rng, BLOCKED, rmin=0.0)
-            pair_b = corpus._disk_points(rng, BLOCKED, rmin=0.0)
+            # Each pair's two points one after the other, as the suite draws them.
+            pair_a, pair_b = corpus._disk_points(rng, 2 * BLOCKED, rmin=0.0).reshape(BLOCKED, 2).T
             whole_a = pair_a[:]
             streamed = np.concatenate(sweep(distance_decreasing_margins, w, pair_a, pair_b))
             assert np.array_equal(bits(streamed), bits(distance_decreasing_margins(w, whole_a, pair_b[:])))
@@ -203,7 +204,7 @@ class TestStreamedChecks:
                 anchored.append(distance_decreasing_margins(w, a, np.zeros_like(a)))
             whole = distance_decreasing_margins(w, whole_a, np.zeros_like(whole_a))
             assert np.array_equal(bits(np.concatenate(anchored)), bits(whole))
-            turns, s, t = rng.random((3, BLOCKED))
+            turns, s, t = rng.random((BLOCKED, 3)).T
             diameters = []
             for block in holodisk._point_slices(BLOCKED, 3):
                 direction = corpus._on_circle(1.0, turns[block])

@@ -628,10 +628,12 @@ class TestCorpus:
     def test_disk_points_draw_the_same_uniforms(self):
         drawn, reference = np.random.default_rng(19), np.random.default_rng(19)
         z = corpus._disk_points(drawn, 2000)
-        radii = 0.02 + (0.97 - 0.02) * np.sqrt(reference.random(2000))
-        reference.random(2000)
+        # Each point takes two consecutive outputs: its radius uniform, then its angle in turns.
+        radii, turns = reference.random((2000, 2)).T
+        radii = 0.02 + (0.97 - 0.02) * np.sqrt(radii)
         assert drawn.random() == reference.random()
         assert np.all(np.abs(np.abs(z) - radii) <= 2 * np.spacing(radii))
+        assert np.all(np.abs(z - radii * np.exp(2j * np.pi * turns)) <= 1e-15)
 
     def test_disk_point_angles_are_not_quantised(self):
         z = corpus._disk_points(np.random.default_rng(20), 50000)
