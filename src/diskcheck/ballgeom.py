@@ -314,8 +314,10 @@ def cayley_klein_dist(x, y) -> float | np.ndarray:
     if not (np.all(nx < 1.0) and np.all(ny < 1.0)):
         raise DomainError("cayley_klein_dist requires interior points of the ball")
     v = y - x
-    sx = 1.0 - nx**2
-    sinh_sq = (np.sum(v * v, axis=-1) * sx + np.sum(x * v, axis=-1) ** 2) / (sx * (1.0 - ny**2))
+    # Squares by product: ``**`` on a numpy scalar rounds like C pow, on an array it multiplies.
+    xv = np.sum(x * v, axis=-1)
+    sx = 1.0 - nx * nx
+    sinh_sq = (np.sum(v * v, axis=-1) * sx + xv * xv) / (sx * (1.0 - ny * ny))
     val = np.arcsinh(np.sqrt(sinh_sq))
     return val if val.ndim > 0 else float(val)
 

@@ -165,22 +165,6 @@ def _on_circle(radii, turns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _draw_disk(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
-    """The (radius, turn) uniforms of ``n`` disk points with rmin <= |z| <= rmax.
-
-    Point i takes the stream's outputs 2 i (its radius uniform) and 2 i + 1
-    (its angle uniform, in turns), and the radius uniforms are mapped in
-    place to radii in [rmin, rmax], uniform by area when rmin = 0.  Returns
-    the (2, n) rows: ``_on_circle(*uniforms)`` places the points.
-    """
-    uniforms = rng.random((n, 2)).T
-    radii = uniforms[0]
-    np.sqrt(radii, out=radii)
-    radii *= rmax - rmin
-    radii += rmin
-    return uniforms
-
-
 class _BlockDraw:
     """The draw ``rng.random((n, rows)).T``, read one block of columns at a time.
 
@@ -212,14 +196,43 @@ class _BlockDraw:
 
 
 def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:
-    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0."""
-    return _on_circle(*_draw_disk(rng, n, rmin, rmax))
+    """``n`` points with rmin <= |z| <= rmax, uniform by area when rmin = 0.
+
+    Point i takes the stream's outputs 2 i (its radius uniform) and 2 i + 1 (its turn uniform).
+    """
+    radii, turns = rng.random((n, 2)).T
+    np.sqrt(radii, out=radii)
+    radii *= rmax - rmin
+    radii += rmin
+    return _on_circle(radii, turns)
 
 
-def _ball_point(rng: np.random.Generator, m: int, radius: float, rmin: float = 0.0) -> np.ndarray:
-    """A point of C^m with rmin <= ||w|| <= radius, uniform by volume when rmin = 0."""
+def _ball_point(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
+    """A point of C^m with ||w|| <= radius, uniform by volume."""
     v = _unit_vector(rng, m)
-    return (rmin + (radius - rmin) * rng.random() ** (1.0 / (2 * m))) * v
+    return radius * rng.random() ** (1.0 / (2 * m)) * v
+
+
+def _ball_cases(seed: int, stream: int, m: int, n: int) -> tuple:
+    """The ball suite's ``n`` cases of dimension ``m``: row k of each draw is case k, whatever n is.
+
+    Stream (seed, stream + m, 0) gives ``random((n, 12))``: the radii of a and w, tau, s, t,
+    (radius, turn) of z1, z2 and c, and the radius of x.  Stream (seed, stream + m, 1) gives
+    ``normal(size=(n, 9, m))``, apart because a normal takes a variable number of outputs: the
+    real and imaginary parts of the unit vectors a, w, b and v, then the real unit vector ur.
+    Returns (a, w, b, v) as one (4, n, m) array, ur, (z1, z2, c), (tau, s, t) and ||x||.
+    """
+    u = case_rng(seed, stream + m, 0).random((n, 12)).T
+    normals = case_rng(seed, stream + m, 1).normal(size=(n, 9, m))
+    vectors = np.empty((4, n, m), dtype=complex)
+    vectors.real, vectors.imag = normals[:, 0:8:2].transpose(1, 0, 2), normals[:, 1:8:2].transpose(1, 0, 2)
+    ur = normals[:, 8] / vnorm(normals[:, 8])[:, None]
+    del normals
+    vectors /= vnorm(vectors)[..., None]
+    vectors[0] *= (0.05 + 0.85 * u[0] ** (1.0 / (2 * m)))[:, None]
+    vectors[1] *= (0.995 * u[1] ** (1.0 / (2 * m)))[:, None]
+    disk = _on_circle(np.sqrt(u[5:11:2]) * np.array([[0.95], [0.95], [0.8]]), u[6:11:2])
+    return vectors, ur, disk, -0.95 + 1.9 * u[2:5], 0.9 * u[11] ** (1.0 / m)
 
 
 def _scaled_polynomial(rng: np.random.Generator, m: int) -> HoloDisk:

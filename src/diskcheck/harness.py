@@ -1,8 +1,9 @@
 """Suite execution, configuration, and machine-readable reporting.
 
 ``run_suite`` executes the selected check suites over seeded corpora and
-returns a :class:`RunReport`.  Determinism contract: every case draws from a
-random stream keyed by (seed, stream id, case index), aggregation is
+returns a :class:`RunReport`.  Determinism contract: every draw comes from a
+random stream keyed by (seed, stream id, index), and case or point i of a draw
+takes its row i, so no value depends on how many are drawn; aggregation is
 order-independent, and the JSON serialization is byte-identical for
 identical configurations (wall-clock time is deliberately kept out of the
 report and only printed to the console by the CLI).
@@ -38,12 +39,10 @@ from .ballgeom import (
     vnorm,
 )
 from .corpus import (
-    _ball_point,
+    _ball_cases,
     _BlockDraw,
     _disk_points,
-    _draw_disk,
     _on_circle,
-    _unit_vector,
     case_rng,
     holo_corpus,
     julia_corpus,
@@ -293,46 +292,28 @@ def _run_ball(config: SuiteConfig) -> dict:
     h = 1e-6
     value = lambda column: (column, np.zeros_like(column), column)
     for m in config.dimensions:
-        # Each case draws from its own stream, in a fixed order; the loop only
-        # draws.  The checks are then evaluated for a block of cases at once,
-        # as many as keep the (m, 4, K, m) operator-norm stack within the point
+        # A dimension's cases come from two draws, row k of each array being
+        # case k.  The checks are evaluated for a block of cases at once, as
+        # many as keep the (m, 4, K, m) operator-norm stack within the point
         # budget, and recorded as one table per block, each value with the bits
-        # of a one-case call.  The disk points z1, z2 and c are kept as their
-        # (radius, turn) uniforms and placed per block.
-        points = np.empty((5, config.samples, m), dtype=complex)
-        ur, st, radius = np.empty((config.samples, m)), np.empty((2, config.samples)), np.empty(config.samples)
-        uniforms = np.empty((2, 3, config.samples))
-        for index in range(config.samples):
-            rng = case_rng(config.seed, BALL_POINT_STREAM + m, index)
-            a = _ball_point(rng, m, 0.9, rmin=0.05)
-            w = _ball_point(rng, m, 0.995)
-            b = _unit_vector(rng, m)
-            tau = -0.95 + 1.9 * rng.random()
-            collinear = tau * a / max(float(vnorm(a)), 1e-12) * 0.9
-            points[:, index] = a, w, b, collinear, _unit_vector(rng, m)
-            u = rng.normal(size=m)
-            ur[index] = u / np.linalg.norm(u)
-            st[:, index] = -0.95 + 1.9 * rng.random(2)
-            uniforms[:, :2, index] = _draw_disk(rng, 2, rmin=0.0, rmax=0.95)
-            uniforms[:, 2, index] = _draw_disk(rng, 1, rmin=0.0, rmax=0.8)[:, 0]
-            radius[index] = 0.9 * rng.random() ** (1.0 / m)
-
+        # of a one-case call.
+        vectors, ur, disk, signed, radius = _ball_cases(config.seed, BALL_POINT_STREAM, m, config.samples)
         for block in _point_slices(config.samples, 4 * m * m):
-            disk = _on_circle(*uniforms[:, :, block].reshape(2, -1)).reshape(3, -1)
-            plane = st[:, block]
-            (su, tu), (z1, z2, c) = plane[:, :, None] * ur[block], disk
+            (a, w, b, v), plane, z = vectors[:, block], signed[1:, block], disk[:, block]
+            (su, tu), (z1, z2, c) = plane[:, :, None] * ur[block], z
             x = radius[block, None] * ur[block]
-            image = (disk[:2] + c) / (1.0 + np.conj(c) * disk[:2])
+            image = (z[:2] + c) / (1.0 + np.conj(c) * z[:2])
             # math.atanh, not np.arctanh: the two differ in the last bit on some radii.
             radial = [math.atanh(r) for r in vnorm(x).tolist()]
-            a, w, b, collinear, v = points[:, block]
+            direction = a / vnorm(a)[:, None]
+            collinear = 0.9 * signed[0, block, None] * direction
             aut = BallAutomorphism(a)
             zero = np.zeros_like(a)
             w8 = 0.8 * w
             fd = (aut.apply(w8 + h * v) - aut.apply(w8 - h * v)) / (2.0 * h)
             exact = aut.differential(w8, v)
             # The anchors a, a/||a|| and 0, and then w, as one (4, K, m) point set.
-            anchored = np.stack([a, a / vnorm(a)[:, None], zero, w])
+            anchored = np.stack([a, direction, zero, w])
             formulas, oracles = aut.opnorm_formula(anchored), aut.opnorm_oracle(anchored)
             # The origin anchor is exact only when an orthogonal direction exists
             # (m >= 2); for m = 1 the deviation there is recorded as a finding

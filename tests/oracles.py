@@ -61,9 +61,7 @@ from diskcheck.corpus import (
     _TURN_SIN,
     _VERS2,
     _VERS4,
-    _ball_point,
-    _disk_points,
-    _unit_vector,
+    _ball_cases,
     case_rng,
 )
 from diskcheck.harness import BALL_POINT_STREAM
@@ -434,31 +432,22 @@ def row_major_surface_identities(w: WeierstrassDisk, zs: np.ndarray):
 def scalar_ball_distances(seed: int, m: int, samples: int) -> np.ndarray:
     """Rows (plane, invariance, radial) over the ball suite's cases of dimension ``m``.
 
-    Each case draws from its stream as the suite does, and its three distance
-    deviations are evaluated one case at a time: the plane and radial ones
-    with scalar calls, the invariance one's Moebius images and distances
-    from one-element arrays.
+    The cases are the suite's own, read from ``corpus._ball_cases``, and their
+    three distance deviations are evaluated one case at a time: the plane and
+    radial ones with scalar calls, the invariance one's Moebius images and
+    distances from one-element arrays.
     """
+    _, ur, disk, signed, radius = _ball_cases(seed, BALL_POINT_STREAM, m, samples)
     out = np.empty((3, samples))
     for index in range(samples):
-        rng = case_rng(seed, BALL_POINT_STREAM + m, index)
-        _ball_point(rng, m, 0.9, rmin=0.05)
-        _ball_point(rng, m, 0.995)
-        _unit_vector(rng, m)
-        rng.random()
-        _unit_vector(rng, m)
-
-        ur = rng.normal(size=m)
-        ur /= np.linalg.norm(ur)
-        s, t = -0.95 + 1.9 * rng.random(2)
-        plane = float(cayley_klein_dist(s * ur, t * ur))
+        u = ur[index]
+        s, t = signed[1:, index].tolist()
+        plane = float(cayley_klein_dist(s * u, t * u))
         plane_dev = abs(plane - float(poincare_dist(complex(s), complex(t))))
-        z = _disk_points(rng, 2, rmin=0.0, rmax=0.95)
-        c = _disk_points(rng, 1, rmin=0.0, rmax=0.8)
-        z1, z2 = z[:1], z[1:]
+        z1, z2, c = disk[:, index:index + 1]
         p, q = ((w + c) / (1.0 + np.conj(c) * w) for w in (z1, z2))
         invariance_dev = abs(float(poincare_dist(z1, z2)[0]) - float(poincare_dist(p, q)[0]))
-        x = 0.9 * rng.random() ** (1.0 / m) * ur
+        x = float(radius[index]) * u
         radial_dev = abs(float(cayley_klein_dist(np.zeros(m), x)) - math.atanh(float(vnorm(x))))
         out[:, index] = plane_dev, invariance_dev, radial_dev
     return out

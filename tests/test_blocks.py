@@ -323,6 +323,36 @@ class TestBallCaseBlocks:
         one_block(monkeypatch)
         assert streamed == self.report(7)
 
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_a_case_does_not_depend_on_the_sample_count(self, monkeypatch, m):
+        """The first 50 of 130 cases are the 50 cases of a 50-sample run, from two streams per dimension.
+
+        At m = 8, 130 cases take three blocks of at most 64, and 50 cases one.
+        """
+        names = run_suite(SuiteConfig(suites=("ball",), dimensions=(m,), samples=1)).suites["ball"]["checks"]
+        opened, case_rng = [], corpus.case_rng
+
+        def counted(seed, stream, index):
+            opened.append((stream, index))
+            return case_rng(seed, stream, index)
+
+        monkeypatch.setattr(corpus, "case_rng", counted)
+        monkeypatch.setattr(harness, "case_rng", counted)
+
+        def listed(samples: int) -> dict:
+            # Tolerance -1 fails every case of the equality checks and the quotient bound.
+            config = SuiteConfig(suites=("ball",), dimensions=(m,), samples=samples,
+                                 tolerances=dict.fromkeys(names, -1.0))
+            failures = run_suite(config).suites["ball"]["failures"]
+            assert opened == [(harness.BALL_POINT_STREAM + m, 0), (harness.BALL_POINT_STREAM + m, 1)]
+            opened.clear()
+            return {(f["name"], f["instance"]): f["lhs"].hex() for f in failures
+                    if int(f["instance"].rsplit("=", 1)[1]) < 50}
+
+        first = listed(50)
+        assert len(first) >= 12 * 50
+        assert listed(130) == first
+
     def test_traced_peak_grows_at_most_2_kb_per_case(self):
         """At m = 8 the stacked operator-norm arrays stay one block; only the draws and records grow."""
         config = lambda samples: SuiteConfig(suites=("ball",), dimensions=(8,), samples=samples)
