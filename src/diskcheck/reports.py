@@ -78,7 +78,6 @@ CHECKS: dict[str, tuple[str, float]] = {
     # segment length both overestimate, so its margin is no sharpness probe.
     "inverse_lipschitz": (_BOUND, 1e-8),
     # sharpness search
-    "search_min_evaluated_floor": (_BOUND, 1e-8),
     "family_1d_best": (_EQUALITY, 1e-8),
     "family_1d_phase": (_EQUALITY, 1e-4),
     "family_1d_restricted_floor": (_FLOOR, 1e-4),

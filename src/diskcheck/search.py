@@ -4,8 +4,8 @@ The optimizer minimizes margin objectives over small parametric families of
 disk maps.  Every family member satisfies the preconditions of the bound it
 probes by construction (origin or basepoint normalization, boundary contact),
 so a negative best margin would falsify the bound — the searches double as a
-stress test, and each run records the minimum objective value it ever
-evaluated.
+stress test.  A search is multi-start Nelder-Mead, then golden-section
+sweeps along each coordinate from the best point found.
 
 Two families are provided: a scalar family rotation * (z * blaschke(c))
 parametrized by the modulus and phase of c, whose zero-margin set should be
@@ -46,6 +46,8 @@ from .reports import DomainError
 MAX_ITERATIONS = 10_000
 DIAMETER_TOL = 1e-9
 SPREAD_TOL = 1e-12
+# The initial simplex's edge along each coordinate, scaled by |x0_i| above 1.
+SIMPLEX_STEP = 0.1
 
 # Default parameter boxes.  The modulus floor keeps the scalar family away
 # from the degenerate c = 0 corner where the phase coordinate stops being
@@ -64,7 +66,6 @@ class SearchResult:
     value: float
     iterations: int
     evaluations: int
-    min_evaluated: float = math.inf
 
 
 def _box_reflector(lower: np.ndarray, upper: np.ndarray):
@@ -79,14 +80,8 @@ def _box_reflector(lower: np.ndarray, upper: np.ndarray):
     return reflect
 
 
-def _lockstep_nelder_mead(
-    objective,
-    starts,
-    bounds=None,
-    max_iterations: int = MAX_ITERATIONS,
-    initial_step: float = 0.1,
-) -> list[SearchResult]:
-    """Deterministic Nelder-Mead from each row of ``starts`` (K, n), all runs advancing together.
+def _lockstep_nelder_mead(objective, starts, bounds, max_iterations: int = MAX_ITERATIONS) -> list[SearchResult]:
+    """Deterministic Nelder-Mead in the box ``bounds`` from each row of ``starts`` (K, n), all runs in step.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
     A run stops when its simplex diameter drops below ``DIAMETER_TOL``, its
@@ -98,24 +93,20 @@ def _lockstep_nelder_mead(
     round evaluates, in one call, the points every unfinished run needs
     next: its initial simplex (the start point is its first vertex), a
     reflection, an expansion or contraction, or a shrink.  A run's steps
-    depend only on its own values, so its result, evaluation count and
-    ``min_evaluated`` are those it would have alone.  A NaN value from any
-    run raises ``DomainError``, and so does a start value that is not finite.
+    depend only on its own values, so its result and evaluation count are
+    those it would have alone.  A NaN value from any run raises
+    ``DomainError``, and so does a start value that is not finite.
     """
     starts = np.asarray(starts, dtype=float)
-    if bounds is not None:
-        lower = np.asarray(bounds[0], dtype=float)
-        upper = np.asarray(bounds[1], dtype=float)
-        if np.any(upper <= lower):
-            raise DomainError("bounds must satisfy lower < upper componentwise")
-        clip = _box_reflector(lower, upper)
-    else:
-        clip = lambda x: x
+    lower = np.asarray(bounds[0], dtype=float)
+    upper = np.asarray(bounds[1], dtype=float)
+    if np.any(upper <= lower):
+        raise DomainError("bounds must satisfy lower < upper componentwise")
+    clip = _box_reflector(lower, upper)
 
-    runs = [_simplex_run(clip(x0), clip, max_iterations, initial_step) for x0 in starts]
+    runs = [_simplex_run(clip(x0), clip, max_iterations) for x0 in starts]
     requests = [next(run) for run in runs]
     evaluations = [0] * len(runs)
-    min_evaluated = [math.inf] * len(runs)
     results = [None] * len(runs)
     active = list(range(len(runs)))
     while active:
@@ -131,18 +122,17 @@ def _lockstep_nelder_mead(
             own = values[start : start + count]
             start += count
             evaluations[k] += count
-            min_evaluated[k] = min(min_evaluated[k], *own)
             try:
                 requests[k] = runs[k].send(own)
                 waiting.append(k)
             except StopIteration as done:
                 x, value, iterations = done.value
-                results[k] = SearchResult(x, value, iterations, evaluations[k], min_evaluated[k])
+                results[k] = SearchResult(x, value, iterations, evaluations[k])
         active = waiting
     return results
 
 
-def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float):
+def _simplex_run(x0: np.ndarray, clip, max_iterations: int):
     """One Nelder-Mead run as a generator driven by :func:`_lockstep_nelder_mead`.
 
     It yields each (p, n) block of points it needs and is sent back their p
@@ -155,7 +145,7 @@ def _simplex_run(x0: np.ndarray, clip, max_iterations: int, initial_step: float)
     simplex = [x0]
     for i in range(n):
         step = np.zeros(n)
-        step[i] = initial_step if x0[i] == 0.0 else initial_step * max(abs(x0[i]), 1.0)
+        step[i] = SIMPLEX_STEP * max(abs(x0[i]), 1.0)
         simplex.append(clip(x0 + step))
     simplex = np.asarray(simplex)
     values = (yield simplex)
@@ -372,7 +362,6 @@ _FAMILIES = {
 }
 
 
-POLISH_STEPS = (0.1, 0.02, 0.004, 8e-4, 1.6e-4, 3.2e-5)
 REFINE_SPAN = 0.01
 REFINE_SWEEPS = 2
 _REFINE_ITERATIONS = 48
@@ -433,14 +422,10 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     Start points are drawn from per-restart random streams keyed by (seed,
     family id, restart index), and the restarts run in lockstep
     (:func:`_lockstep_nelder_mead`, one batched objective call per round);
-    ties in the best margin break toward the lowest restart index.  The
-    merged best point is then polished by re-running the simplex search from
-    it once per scale in ``POLISH_STEPS`` (flat valleys stop a single run
-    well above the attainable minimum; fresh simplexes at decreasing scales
-    descend further), keeping every strict improvement, and finished with
-    coordinatewise golden-section sweeps that remain effective where the
-    margin saturates below the simplex value-spread stop.  The returned
-    dictionary is JSON-ready.
+    ties in the best margin break toward the lowest restart index.  The best
+    point is then finished with coordinatewise golden-section sweeps, which
+    remain effective where the margin saturates below the simplex
+    value-spread stop.  The returned dictionary is JSON-ready.
     """
     if restarts < 1:
         raise DomainError("need at least one restart")
@@ -456,17 +441,11 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
     runs = _lockstep_nelder_mead(margins, starts, bounds=(lower, upper))
     best_index = min(range(restarts), key=lambda index: runs[index].value)
     best_x, best_value = runs[best_index].x, float(runs[best_index].value)
-    for step in POLISH_STEPS:
-        (result,) = _lockstep_nelder_mead(margins, best_x[None, :], bounds=(lower, upper), initial_step=step)
-        runs.append(result)
-        if result.value < best_value:
-            best_x, best_value = result.x, float(result.value)
-    min_evaluated = min(result.min_evaluated for result in runs)
     total_evaluations = sum(result.evaluations for result in runs)
 
     # Near the attainable minimum the margin can sit below the simplex
-    # value-spread stop, which then halts every polish round at iteration
-    # zero; golden-section sweeps per coordinate terminate on bracket width
+    # value-spread stop, which then ends a simplex run short of the minimizer;
+    # golden-section sweeps per coordinate terminate on bracket width
     # alone, so they keep walking the flat valley floor (e.g. pulling the
     # phase onto the zero ray once the value has saturated).
     for _ in range(REFINE_SWEEPS):
@@ -482,7 +461,6 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
 
             x_i, value, evaluations = _golden_section(line, lo, hi)
             total_evaluations += evaluations
-            min_evaluated = min(min_evaluated, value)
             if value < best_value:
                 best_value = float(value)
                 best_x = base
@@ -496,9 +474,7 @@ def sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int = 0) -> dic
         "best_margin": best_value,
         "argmin": [float(v) for v in best_x],
         "best_restart": int(best_index),
-        "polish_rounds": len(POLISH_STEPS),
         "refine_sweeps": int(REFINE_SWEEPS),
-        "min_evaluated": float(min_evaluated),
         "evaluations": int(total_evaluations),
     }
     if spec.family == "family_md_quotient":

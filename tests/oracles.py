@@ -70,9 +70,9 @@ from diskcheck.search import (
     DIAMETER_TOL,
     MAX_ITERATIONS,
     MODULUS_CEIL,
-    POLISH_STEPS,
     REFINE_SPAN,
     REFINE_SWEEPS,
+    SIMPLEX_STEP,
     SPREAD_TOL,
     FamilySpec,
     SearchResult,
@@ -90,37 +90,31 @@ def _reflect_into_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np
     return lower + y
 
 
-def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERATIONS, initial_step=0.1):
-    """Nelder-Mead on one simplex, one objective call per point."""
+def sequential_nelder_mead(objective, x0, bounds, max_iterations=MAX_ITERATIONS):
+    """Nelder-Mead on one simplex in the box ``bounds``, one objective call per point."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
-    if bounds is not None:
-        lower = np.asarray(bounds[0], dtype=float)
-        upper = np.asarray(bounds[1], dtype=float)
-        if np.any(upper <= lower):
-            raise DomainError("bounds must satisfy lower < upper componentwise")
-        clip = lambda x: _reflect_into_box(x, lower, upper)
-    else:
-        clip = lambda x: x
+    lower = np.asarray(bounds[0], dtype=float)
+    upper = np.asarray(bounds[1], dtype=float)
+    if np.any(upper <= lower):
+        raise DomainError("bounds must satisfy lower < upper componentwise")
+    clip = lambda x: _reflect_into_box(x, lower, upper)
 
     evaluations = 0
-    min_evaluated = math.inf
 
     def f(x):
-        nonlocal evaluations, min_evaluated
+        nonlocal evaluations
         val = float(objective(x))
         if math.isnan(val):
             raise DomainError(f"objective is NaN at {x.tolist()}")
         evaluations += 1
-        if val < min_evaluated:
-            min_evaluated = val
         return val
 
     x0 = clip(x0)
     simplex = [x0]
     for i in range(n):
         step = np.zeros(n)
-        step[i] = initial_step if x0[i] == 0.0 else initial_step * max(abs(x0[i]), 1.0)
+        step[i] = SIMPLEX_STEP if x0[i] == 0.0 else SIMPLEX_STEP * max(abs(x0[i]), 1.0)
         simplex.append(clip(x0 + step))
     simplex = np.asarray(simplex)
     values = np.asarray([f(x) for x in simplex])
@@ -174,7 +168,6 @@ def sequential_nelder_mead(objective, x0, bounds=None, max_iterations=MAX_ITERAT
         value=float(values[best]),
         iterations=iteration,
         evaluations=evaluations,
-        min_evaluated=min_evaluated,
     )
 
 
@@ -262,13 +255,11 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
 
     best = None
     best_index = -1
-    min_evaluated = math.inf
     total_evaluations = 0
     for index in range(restarts):
         rng = case_rng(seed, family_id, index)
         x0 = lower + rng.random(lower.shape[0]) * (upper - lower)
         result = sequential_nelder_mead(objective, x0, bounds=(lower, upper))
-        min_evaluated = min(min_evaluated, result.min_evaluated)
         total_evaluations += result.evaluations
         if best is None or result.value < best.value:
             best = result
@@ -276,19 +267,10 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
 
     best_x = np.asarray(best.x, dtype=float)
     best_value = float(best.value)
-    polish_rounds = 0
-    for step in POLISH_STEPS:
-        result = sequential_nelder_mead(objective, best_x, bounds=(lower, upper), initial_step=step)
-        min_evaluated = min(min_evaluated, result.min_evaluated)
-        total_evaluations += result.evaluations
-        polish_rounds += 1
-        if result.value < best_value:
-            best_value = float(result.value)
-            best_x = np.asarray(result.x, dtype=float)
 
     # Near the attainable minimum the margin can sit below the simplex
-    # value-spread stop, which then halts every polish round at iteration
-    # zero; golden-section sweeps per coordinate terminate on bracket width
+    # value-spread stop, which then ends a simplex run short of the minimizer;
+    # golden-section sweeps per coordinate terminate on bracket width
     # alone, so they keep walking the flat valley floor (e.g. pulling the
     # phase onto the zero ray once the value has saturated).
     for _ in range(REFINE_SWEEPS):
@@ -304,7 +286,6 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
 
             x_i, value, evaluations = sequential_golden_section(line, lo, hi)
             total_evaluations += evaluations
-            min_evaluated = min(min_evaluated, value)
             if value < best_value:
                 best_value = float(value)
                 best_x = base
@@ -318,9 +299,7 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
         "best_margin": best_value,
         "argmin": [float(v) for v in best_x],
         "best_restart": int(best_index),
-        "polish_rounds": int(polish_rounds),
         "refine_sweeps": int(REFINE_SWEEPS),
-        "min_evaluated": float(min_evaluated),
         "evaluations": int(total_evaluations),
     }
     if spec.family == "family_md_quotient":

@@ -211,11 +211,28 @@ class TestRunSuite:
         assert inner["family_1d"]["best_margin"] <= 1e-8
         assert inner["family_1d_restricted"]["best_margin"] > 1e-4
 
+    def test_family_1d_phase_fails_on_the_negative_real_ray(self, monkeypatch):
+        """At phase pi the margin is 4 rho/((1 + rho)(1 - rho)), its largest, though sin(pi) is 0 to rounding."""
+        real = harness.sharpness_report
+
+        def negative_ray(spec, **options):
+            report = real(spec, **options)
+            if spec == family_1d_spec():
+                report["argmin"] = [0.5, math.pi]
+            return report
+
+        monkeypatch.setattr(harness, "sharpness_report", negative_ray)
+        report = run_suite(SuiteConfig(seed=0, suites=("search",), search_restarts=1))
+        checks = report.suites["search"]["checks"]
+        assert not checks["family_1d_phase"]["passed"]
+        assert checks["family_1d_phase"]["worst_lhs"] == math.pi
+        assert {f["name"] for f in report.suites["search"]["failures"]} == {"family_1d_phase"}
+
     def test_default_report_is_verdict_sized(self):
         """A search report holds its verdict's numbers and no per-iteration history."""
         report = run_suite(SuiteConfig())
         fields = {"argmin", "best_margin", "best_restart", "bounds", "dimension", "evaluations", "family",
-                  "min_evaluated", "polish_rounds", "refine_sweeps", "restarts", "seed"}
+                  "refine_sweeps", "restarts", "seed"}
         reports = report.suites["search"]["reports"]
         assert {name: set(srep) for name, srep in reports.items()} == {
             "family_1d": fields, "family_1d_restricted": fields, "family_md": fields | {"full_argmin"}}
