@@ -60,6 +60,7 @@ from .holodisk import (
     extremal_family_1d,
     growth_margins,
     julia_margins,
+    nonreal_parameter_closed_form,
     nonreal_parameter_strictness,
     radial_derivative_estimate,
     schwarz_derivative_bound,
@@ -174,7 +175,7 @@ class _SuiteAccumulator:
         self.findings: dict = {}
         self.minima: dict = {}
 
-    def record(self, describe, columns: dict, extra=None) -> None:
+    def record(self, describe, columns: dict) -> None:
         """Record a table of cases, of which ``describe(i)`` names case i.
 
         ``columns`` maps check names to (lhs, rhs, margin) columns over the cases:
@@ -185,22 +186,20 @@ class _SuiteAccumulator:
         for position, (name, values) in enumerate(columns.items()):
             table = getattr(values[2], "ndim", 0)
             cases = len(values[2]) if table else 1
-            floats, keys, starts, describes, extras = self.tables.setdefault(
-                name, (array("d"), array("q"), array("q"), [], []))
+            floats, keys, starts, describes = self.tables.setdefault(name, (array("d"), array("q"), array("q"), []))
             floats.extend(np.transpose(values).ravel() if table else values)
             keys.extend(range(self.rows + position, self.rows + stride * cases, stride))
             starts.append(len(keys) - cases)
             describes.append(describe)
-            extras.append(extra)
         self.rows += stride * cases
 
-    def check(self, name, describe, lhs, rhs, margin, extra=None) -> None:
+    def check(self, name, describe, lhs, rhs, margin) -> None:
         """Record one case, named by the text ``describe`` or by ``describe(0)``."""
-        self.record(describe, {name: (lhs, rhs, margin)}, extra)
+        self.record(describe, {name: (lhs, rhs, margin)})
 
-    def value(self, name, instance, value, extra=None) -> None:
+    def value(self, name, instance, value) -> None:
         """Record ``value`` itself as the margin, against zero (a floor check: against its floor)."""
-        self.check(name, instance, value, 0.0, value, extra)
+        self.check(name, instance, value, 0.0, value)
 
     def fold_sampled(self, name, margins, points) -> None:
         """Fold the smallest of a block's sampled margins, with its point, into the sampled minimum ``name``.
@@ -229,7 +228,7 @@ class _SuiteAccumulator:
 
     def as_dict(self) -> dict:
         checks, failures = {}, []
-        for name, (floats, keys, starts, describes, extras) in sorted(self.tables.items()):
+        for name, (floats, keys, starts, describes) in sorted(self.tables.items()):
             lhs, rhs, margin = np.frombuffer(floats).reshape(-1, 3).T
             rhs, margin, passed, badness, tolerance = _judge(name, lhs, rhs, margin, self.tolerances)
             rhs = np.broadcast_to(rhs, lhs.shape)
@@ -245,7 +244,6 @@ class _SuiteAccumulator:
                     "margin": float(margin[i]),
                     "tolerance": tolerance,
                     "passed": bool(passed[i]),
-                    "extra": dict(extras[k] or {}),
                 }
 
             failures.extend((keys[i], record(i)) for i in np.flatnonzero(~passed).tolist())
@@ -368,7 +366,7 @@ def _run_holo(config: SuiteConfig) -> dict:
         aa = _disk_points(rng, 1, rmin=0.1, rmax=0.9)[0]
         strict = nonreal_parameter_strictness(aa)
         acc.check("strictness_margin", lambda k, aa=aa: f"z*blaschke({_fmt_complex(aa)}) rotated to fix 1", *strict)
-        acc.value("strictness_closed_form", f"a={aa:.6g}", abs(strict.extra["closed_form_deviation"]))
+        acc.value("strictness_closed_form", f"a={aa:.6g}", abs(strict.margin - nonreal_parameter_closed_form(aa)))
 
     for m in config.dimensions:
         disks = holo_corpus(config.seed, m, corpus_count)
@@ -412,12 +410,12 @@ def _run_holo(config: SuiteConfig) -> dict:
                 if member.zero_at_origin:
                     acc.check("boundary_origin_margin", at_zeta, *(origin := boundary_bound_origin(disk, zeta)))
                     if member.equality_archetype:
-                        acc.check("boundary_origin_equality", tag, *origin[:3])
+                        acc.check("boundary_origin_equality", tag, *origin)
                 acc.check("boundary_shifted_margin", at_zeta, *boundary_bound_shifted(disk, zeta))
                 estimate, err = radial_derivative_estimate(disk, zeta)
                 analytic = analytic_radial_derivative(disk, zeta)
                 rdev = abs(estimate - analytic)
-                acc.check("radial_estimate", tag, estimate, analytic, rdev, extra={"error_estimate": err})
+                acc.check("radial_estimate", tag, estimate, analytic, rdev)
                 acc.fold_max("radial_error_estimate_max", err)
 
             if member.name == "archetype-affine" or member.name.startswith("zblaschke"):
@@ -469,9 +467,9 @@ def _run_minimal(config: SuiteConfig) -> dict:
             if (ratio := ratio if finite.all() else ratio[finite]).size:
                 ratios.append((float(np.sum(ratio)), ratio.size, float(np.max(ratio)), float(np.min(ratio))))
         iso, gdev, orth = (float(np.max(c)) for c in zip(*maxima))
-        acc.check("isothermal", text, iso, 0.0, iso, extra={"sample_count": n})
+        acc.check("isothermal", text, iso, 0.0, iso)
         acc.fold_max("gauss_normal_orthogonality_max_residual", orth)
-        acc.value("gauss_normal_unit", tag, gdev, extra={"orthogonality_residual": orth})
+        acc.value("gauss_normal_unit", tag, gdev)
         acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, first))
         if ratios:
             sums, counts, highs, lows = zip(*ratios)
@@ -486,7 +484,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
                 growth = interior_growth_margin(w, a)
                 acc.check("lemma0_margin", lambda k, text=text, a=a: f"{text} @ a={complex(a)!r}", *growth)
                 if member.planar_through_origin:
-                    acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth[:3])
+                    acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth)
 
             deviations = []  # per block of the anchored and diameter sweeps: the max |margin|
             # n pairs of disk points, each pair's two points drawn one after the other.
@@ -511,7 +509,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
             acc.check("boundary_minimal_margin", lambda k, text=text, zeta=zeta: f"{text} @ zeta={complex(zeta)!r}",
                       *contact)
             if member.planar_through_origin:
-                acc.check("boundary_minimal_equality", tag, *contact[:3])
+                acc.check("boundary_minimal_equality", tag, *contact)
 
         if w.halfsphere:
             acc.check("halfsphere_chain", text, *halfsphere_chain_check(w))
@@ -535,9 +533,7 @@ def _run_minimal(config: SuiteConfig) -> dict:
     sums, counts, highs, lows = zip(*audit)
     mean_ratio = math.fsum(sums) / sum(counts)
     spread = (max(highs) - min(lows)) / mean_ratio
-    acc.check("metric_audit_spread", "corpus", mean_ratio, mean_ratio, spread,
-              extra={"audited_constant": mean_ratio, "claimed_constant": 1.0,
-                     "deviation_vs_claimed": mean_ratio - 1.0})
+    acc.check("metric_audit_spread", "corpus", mean_ratio, mean_ratio, spread)
     acc.findings["audited_metric_constant"] = mean_ratio
     acc.findings["claimed_metric_constant"] = 1.0
     return acc.as_dict()
@@ -553,17 +549,15 @@ def _run_search(config: SuiteConfig) -> dict:
     acc.value("family_1d_best", "family_1d", full["best_margin"])
     # |phase| is the distance to the zero ray in the box [-pi, pi]; sin(phase)
     # also vanishes at +-pi, where the margin is largest.
-    acc.value("family_1d_phase", "family_1d", abs(full["argmin"][1]), extra={"argmin": full["argmin"]})
+    acc.value("family_1d_phase", "family_1d", abs(full["argmin"][1]))
 
     restricted = sharpness_report(
         restricted_family_1d_spec(), restarts=config.search_restarts, seed=config.seed
     )
-    acc.value("family_1d_restricted_floor", "family_1d phase in [pi/4, pi]", restricted["best_margin"],
-              extra={"argmin": restricted["argmin"]})
+    acc.value("family_1d_restricted_floor", "family_1d phase in [pi/4, pi]", restricted["best_margin"])
 
     md = sharpness_report(family_md_quotient_spec(2), restarts=min(6, config.search_restarts), seed=config.seed)
-    acc.value("family_md_margin", "family_md m=2", md["best_margin"],
-              extra={"argmin": md["argmin"], "full_argmin": md["full_argmin"]})
+    acc.value("family_md_margin", "family_md m=2", md["best_margin"])
 
     out = acc.as_dict()
     out["reports"] = {"family_1d": full, "family_1d_restricted": restricted, "family_md": md}

@@ -18,7 +18,7 @@ margin per sample point, and a suite run judges the array, or folds
 ``growth_margins`` gives the growth and both quotient margins from one walk
 of F over the batch, so like the quotient bounds it needs 0 < |z| < 1;
 ``julia_margins`` gives the Julia margins.  The per-instance checks return
-the raw :class:`~diskcheck.reports.CheckValues` (lhs, rhs, margin, extra) of
+the raw :class:`~diskcheck.reports.CheckValues` (lhs, rhs, margin) of
 one case and judge nothing: only a suite run names and judges cases, each
 check once, with the run's tolerances.
 
@@ -569,7 +569,7 @@ def boundary_bound_origin(f: HoloDisk, zeta) -> CheckValues:
     """Margin ||F'(zeta)|| - 2/(1 + ||F'(0)||) for origin-fixing contact maps, from one walk at [0, zeta]."""
     (n0, n), (a, val) = _norm_jet(f, [0j, _boundary_param(zeta)])
     bound = _origin_bound(n0, n, a)
-    return CheckValues(val, bound, val - bound, {"deriv0_norm": a})
+    return CheckValues(val, bound, val - bound)
 
 
 def _shifted_bound(r: float, n: float, a: float) -> float:
@@ -581,31 +581,13 @@ def _shifted_bound(r: float, n: float, a: float) -> float:
 
 
 def boundary_bound_shifted(f: HoloDisk, zeta) -> CheckValues:
-    """Basepoint-shifted boundary bound with the dimension-dependent floor, from one walk at [0, zeta].
+    """Basepoint-shifted boundary bound, from one walk at [0, zeta].
 
-    Main bound: ||F'(zeta)|| >= 2 (1 - r)^2 / (1 - r^2 + ||F'(0)||) with
-    r = ||F(0)|| < 1.  The floor substitutes the maximal ||F'(0)||:
-    sqrt(1 - r^2) for m >= 2 (giving 2 (1 - r)^2 / (1 - r^2 + sqrt(1 - r^2)))
-    and 1 - r^2 for m = 1 (giving (1 - r)/(1 + r)).
-
-    The floor is in ``extra``, which a report writes only for failed cases.
-    It is not claimed sharp: it has no witness in the search's
-    ``family_md``.  On that family's equality slice, with ||F(0)|| = |t|,
-    ||F'(0)|| = (1 - t^2)|c| < sqrt(1 - t^2), so ``floor_margin`` stays
-    positive there.
+    It is ||F'(zeta)|| >= 2 (1 - r)^2 / (1 - r^2 + ||F'(0)||) with r = ||F(0)|| < 1.
     """
     (r, n), (a, val) = _norm_jet(f, [0j, _boundary_param(zeta)])
     main = _shifted_bound(r, n, a)
-    if f.dim >= 2:
-        floor = 2.0 * (1.0 - r) ** 2 / (1.0 - r * r + math.sqrt(1.0 - r * r))
-    else:
-        floor = (1.0 - r) / (1.0 + r)
-    return CheckValues(val, main, val - main, {
-        "floor_bound": floor,
-        "floor_margin": val - floor,
-        "base_norm": r,
-        "deriv0_norm": a,
-    })
+    return CheckValues(val, main, val - main)
 
 
 def schwarz_derivative_bound(f: HoloDisk) -> CheckValues:
@@ -614,7 +596,7 @@ def schwarz_derivative_bound(f: HoloDisk) -> CheckValues:
     if not r <= 1.0:
         raise DomainError(f"map must send the disk into the closed ball; got ||F(0)|| = {r:.6g}")
     bound = math.sqrt(max(1.0 - r * r, 0.0))
-    return CheckValues(a, bound, bound - a, {"base_norm": r})
+    return CheckValues(a, bound, bound - a)
 
 
 # ---------------------------------------------------------------------------
@@ -683,17 +665,23 @@ def radial_derivative_estimate(f: HoloDisk, zeta) -> tuple[float, float]:
 def nonreal_parameter_strictness(a: complex) -> CheckValues:
     """Boundary-bound margin of the rotated map z * b_a(z), strict for arg(a) != 0.
 
-    For a = r e^{it} the margin has the closed form
-    2 r (1 - cos t)(1 - r) / ((1 + 2 r cos t + r^2)(1 + r)), which vanishes
-    exactly on the real ray t = 0.
+    Its closed form is :func:`nonreal_parameter_closed_form`.
+    """
+    a = complex(a)
+    if not 0.0 < abs(a) < 1.0:
+        raise DomainError("parameter must satisfy 0 < |a| < 1")
+    return boundary_bound_origin(blaschke_product([a], include_z=True), 1.0 + 0j)
+
+
+def nonreal_parameter_closed_form(a: complex) -> float:
+    """The margin of :func:`nonreal_parameter_strictness` in closed form.
+
+    For a = r e^{it} it is 2 r (1 - cos t)(1 - r) / ((1 + 2 r cos t + r^2)(1 + r)),
+    which vanishes exactly on the real ray t = 0.
     """
     a = complex(a)
     r, t = abs(a), math.atan2(a.imag, a.real)
-    if not 0.0 < r < 1.0:
-        raise DomainError("parameter must satisfy 0 < |a| < 1")
-    val, bound, margin, _ = boundary_bound_origin(blaschke_product([a], include_z=True), 1.0 + 0j)
-    closed = 2.0 * r * (1.0 - math.cos(t)) * (1.0 - r) / ((1.0 + 2.0 * r * math.cos(t) + r * r) * (1.0 + r))
-    return CheckValues(val, bound, margin, {"closed_form": closed, "closed_form_deviation": margin - closed})
+    return 2.0 * r * (1.0 - math.cos(t)) * (1.0 - r) / ((1.0 + 2.0 * r * math.cos(t) + r * r) * (1.0 + r))
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +691,10 @@ def nonreal_parameter_strictness(a: complex) -> CheckValues:
 def affine_rigidity_check(f: HoloDisk) -> CheckValues:
     """If F fixes 0, reaches the sphere at 1 and ||F'(1)|| <= 1, F must be affine.
 
-    Checks max over an interior polar grid of | ||F(z)|| - |z| |; reported as
-    not applicable (and passing) when the premises fail.  A NaN premise
-    decides nothing, so it makes the margin NaN and the check fail.
+    Checks max over an interior polar grid of | ||F(z)|| - |z| |; when the
+    premises fail it is not applicable, and its sides and margin are 0.0.
+    A NaN premise decides nothing, so it makes the margin NaN and the check
+    fail.
     """
     (n0, n1), (_, deriv1_norm) = _norm_jet(f, [0j, 1.0 + 0j])
     applicable = n0 <= 1e-12 and abs(n1 - 1.0) <= 1e-10 and deriv1_norm <= 1.0 + 1e-10
@@ -713,7 +702,7 @@ def affine_rigidity_check(f: HoloDisk) -> CheckValues:
     if applicable:
         zs = _polar_grid(np.linspace(0.05, 0.95, 64), 64)
         dev = float(np.max(np.abs(vnorm(f._eval(zs)) - np.abs(zs))))
-    return CheckValues(dev, 0.0, dev, {"applicable": applicable})
+    return CheckValues(dev, 0.0, dev)
 
 
 __all__ = [
@@ -738,6 +727,7 @@ __all__ = [
     "extremal_family_1d",
     "growth_margins",
     "julia_margins",
+    "nonreal_parameter_closed_form",
     "nonreal_parameter_strictness",
     "radial_derivative_estimate",
     "schwarz_derivative_bound",

@@ -85,12 +85,11 @@ CHECKS: dict[str, tuple[str, float]] = {
 }
 
 class CheckValues(NamedTuple):
-    """The unjudged values of one case of a check: its sides, signed margin and secondary quantities."""
+    """The unjudged values of one case of a check: its two sides and signed margin."""
 
     lhs: float
     rhs: float
     margin: float
-    extra: dict
 
 
 def _judge(name: str, lhs, rhs, margin, tolerances: dict[str, float] | None):

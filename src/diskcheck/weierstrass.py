@@ -19,7 +19,7 @@ half-sphere minimum-modulus chain, and an inverse Lipschitz estimate.
 ``surface_identities`` measures the isothermal, Gauss-vector and metric
 audit identities over a batch from one evaluation of p, q and Phi.  The
 per-instance checks return the raw :class:`~diskcheck.reports.CheckValues`
-(lhs, rhs, margin, extra) of one case and judge nothing: only a suite run
+(lhs, rhs, margin) of one case and judge nothing: only a suite run
 names and judges cases, with the run's tolerances.
 """
 
@@ -194,7 +194,7 @@ def _conformal_factor(pv, qv):
 def null_condition_report(w: WeierstrassDisk) -> CheckValues:
     """Coefficient-level residual of the square-sum cancellation."""
     res = w.null_residual()
-    return CheckValues(res, 0.0, res, {})
+    return CheckValues(res, 0.0, res)
 
 
 def _rows_norm(rows) -> np.ndarray:
@@ -280,7 +280,7 @@ def interior_growth_margin(w: WeierstrassDisk, a) -> CheckValues:
     r0 = float(vnorm(w.eval(0j)))
     val = float(vnorm(w.eval(a)))
     bound = (abs(a) + r0) / (1.0 + abs(a) * r0)
-    return CheckValues(val, bound, bound - val, {"base_norm": r0})
+    return CheckValues(val, bound, bound - val)
 
 
 def distance_decreasing_margins(w: WeierstrassDisk, zs, ws) -> np.ndarray:
@@ -301,7 +301,7 @@ def boundary_minimal_margin(w: WeierstrassDisk, zeta) -> CheckValues:
     val = float(vnorm(f_x * np.cos(t) + f_y * np.sin(t)))
     r0 = float(vnorm(w.eval(0j)))
     bound = (1.0 - r0) / (1.0 + r0)
-    return CheckValues(val, bound, val - bound, {"conformal_factor": w.conformal_factor(zeta), "base_norm": r0})
+    return CheckValues(val, bound, val - bound)
 
 
 def _chain_preconditions(w: WeierstrassDisk) -> None:
@@ -342,30 +342,13 @@ def halfsphere_chain_check(w: WeierstrassDisk) -> CheckValues:
 
     c = 0.5  # audited convention constant: lambda = c |p| (1 + |q|^2)
     min_lambda = float(np.min(min_lam))
-    lambda_link_margin = min_lambda - c * boundary_min_p
-
-    r0 = float(vnorm(w.eval(0j)))
-    contact_dev = float(np.max(np.abs(vnorm(w.eval(circle)) - 1.0)))
-    boundary_contact = contact_dev <= 1e-10
-    margins = [min_modulus_residual, lambda_link_margin]
-    extra = {
-        "min_modulus_residual": min_modulus_residual,
-        "lambda_link_margin": lambda_link_margin,
-        "boundary_min_p": boundary_min_p,
-        "grid_slack": grid_slack,
-        "min_lambda": min_lambda,
-        "convention_constant": c,
-        "boundary_contact": boundary_contact,
-        "base_norm": r0,
-    }
-    corollary_bound = c * (1.0 - r0) / (1.0 + r0)
-    if boundary_contact:
-        corollary_margin = min_lambda - corollary_bound
-        margins.append(corollary_margin)
-        extra["corollary_margin"] = corollary_margin
-        extra["corollary_bound"] = corollary_bound
-    rhs = corollary_bound if boundary_contact else c * boundary_min_p
-    return CheckValues(min_lambda, rhs, float(np.min(margins)), extra)
+    rhs = c * boundary_min_p
+    margins = [min_modulus_residual, min_lambda - rhs]
+    if float(np.max(np.abs(vnorm(w.eval(circle)) - 1.0))) <= 1e-10:  # boundary contact: link (iii)
+        r0 = float(vnorm(w.eval(0j)))
+        rhs = c * (1.0 - r0) / (1.0 + r0)
+        margins.append(min_lambda - rhs)
+    return CheckValues(min_lambda, rhs, float(np.min(margins)))
 
 
 # Nodes in [0, 1] and weights of the composite Gauss rule.
@@ -400,12 +383,8 @@ def inverse_lipschitz_check(w: WeierstrassDisk, pairs) -> CheckValues:
     lengths = _segment_lengths(w, arr[:, 0], arr[:, 1])
     margins = factor * lengths - np.abs(arr[:, 0] - arr[:, 1])
     worst = int(np.argmin(margins))
-    return CheckValues(
-        float(np.abs(arr[worst, 0] - arr[worst, 1])),
-        float(factor * lengths[worst]),
-        float(margins[worst]),
-        {"factor": factor, "pair_count": int(arr.shape[0])},
-    )
+    separation = float(np.abs(arr[worst, 0] - arr[worst, 1]))
+    return CheckValues(separation, float(factor * lengths[worst]), float(margins[worst]))
 
 
 def antiderivative_quadrature_residual(w: WeierstrassDisk, z) -> float:

@@ -3,21 +3,42 @@
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 
 import diskcheck
 from diskcheck import CHECKS, SuiteConfig, run_suite
 from diskcheck import ballgeom, corpus, harness, holodisk, reports, search, weierstrass
 
 
+def _readme_check_table() -> dict:
+    """The README's check table: name to (suites, kind, tolerance), in row order."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| check | suite | kind | tolerance |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, suites, kind, tolerance = (cell.strip() for cell in line.strip("|").split("|"))
+        assert name.startswith("`") and name.endswith("`") and name.strip("`") not in rows, line
+        rows[name.strip("`")] = (tuple(suites.split(", ")), kind, float(tolerance))
+    return rows
+
+
 def test_table_names_and_kinds_match_the_suites():
     report = run_suite(SuiteConfig(samples=8, search_restarts=2, dimensions=(1, 2)))
-    emitted = {}
-    for suite in report.suites.values():
+    emitted, suites = {}, {}
+    for suite_name, suite in report.suites.items():
         for name, slot in suite["checks"].items():
             emitted[name] = slot["equality"]
+            suites.setdefault(name, []).append(suite_name)
     assert set(emitted) == set(CHECKS)
     for name, equality in emitted.items():
         assert equality is (CHECKS[name][0] == "equality"), name
+    table = _readme_check_table()
+    assert list(table) == list(CHECKS)
+    for name, (row_suites, kind, tolerance) in table.items():
+        assert (kind, tolerance) == CHECKS[name], name
+        assert row_suites == tuple(suites[name]), name
 
 
 def test_package_exports_every_module_export():
@@ -68,8 +89,8 @@ def test_check_functions_return_raw_values():
                 assert "tolerances" not in inspect.signature(obj).parameters, name
     for v in values:
         assert type(v) is reports.CheckValues
-        assert v._fields == ("lhs", "rhs", "margin", "extra")
-        assert all(isinstance(x, float) for x in v[:3]) and isinstance(v.extra, dict)
+        assert v._fields == ("lhs", "rhs", "margin")
+        assert all(isinstance(x, float) for x in v)
 
 
 def test_floor_check_passes_only_above_its_floor():

@@ -31,6 +31,7 @@ from diskcheck import (
     extremal_family_1d,
     growth_margins,
     julia_margins,
+    nonreal_parameter_closed_form,
     nonreal_parameter_strictness,
     radial_derivative_estimate,
     schwarz_derivative_bound,
@@ -201,9 +202,10 @@ class TestBoundaryDerivativeBounds:
     def test_origin_bound_strict_for_rotated_parameter(self):
         rep = nonreal_parameter_strictness(0.5j)
         assert rep.margin == pytest.approx(0.5 / 1.875, rel=1e-12)
-        assert rep.extra["closed_form"] == pytest.approx(rep.margin, abs=1e-12)
         closed = 2 * 0.5 * (1 - math.cos(math.pi / 2)) * 0.5 / ((1 + 0.25) * 1.5)
-        assert rep.extra["closed_form"] == pytest.approx(closed, rel=1e-14)
+        assert nonreal_parameter_closed_form(0.5j) == pytest.approx(closed, rel=1e-14)
+        for a in (0.5j, 0.3 + 0.4j, -0.8 + 0.1j, 0.9 * np.exp(0.1j), 0.6):
+            assert nonreal_parameter_strictness(a).margin == pytest.approx(nonreal_parameter_closed_form(a), abs=1e-12)
 
     def test_origin_bound_requires_contact(self):
         with pytest.raises(DomainError):
@@ -216,16 +218,9 @@ class TestBoundaryDerivativeBounds:
         assert rep.rhs == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert rep.lhs == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert abs(rep.margin) < 1e-14
-        # scalar floor (1 - r)/(1 + r) with r = 1/2
-        assert rep.extra["floor_bound"] == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_shifted_bound_floor_depends_on_dimension(self):
-        f2 = Embed(Blaschke(0.5), [1.0, 0.0])
-        rep2 = boundary_bound_shifted(f2, 1.0)
-        r = 0.5
-        floor2 = 2 * (1 - r) ** 2 / (1 - r * r + math.sqrt(1 - r * r))
-        assert rep2.extra["floor_bound"] == pytest.approx(floor2, rel=1e-14)
-        assert rep2.extra["floor_bound"] < rep2.rhs + 1e-15
+        # Embedded in C^2 the factor keeps its norms, so the bound stays tight.
+        rep2 = boundary_bound_shifted(Embed(Blaschke(0.5), [1.0, 0.0]), 1.0)
+        assert rep2.rhs == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert rep2.margin >= -1e-12
 
     def test_shifted_bound_on_random_products(self):
@@ -234,7 +229,6 @@ class TestBoundaryDerivativeBounds:
             c = 0.8 * rng.random() * np.exp(2j * np.pi * rng.random())
             rep = boundary_bound_shifted(Blaschke(c), complex(np.exp(2j * np.pi * rng.random())))
             assert rep.margin > -1e-10
-            assert rep.extra["floor_margin"] >= rep.margin - 1e-12
 
 
 class TestSchwarzAndJulia:
@@ -284,16 +278,62 @@ class TestRadialEstimate:
 
 
 class TestAffineRigidity:
-    def test_affine_disks_pass_with_zero_deviation(self):
+    @staticmethod
+    def count_grids(monkeypatch) -> list:
+        """Record each interior grid the check reads; it reads one only when its premises hold."""
+        grids, polar_grid = [], holodisk._polar_grid
+        monkeypatch.setattr(holodisk, "_polar_grid", lambda *args: grids.append(args) or polar_grid(*args))
+        return grids
+
+    def test_affine_disks_pass_with_zero_deviation(self, monkeypatch):
+        grids = self.count_grids(monkeypatch)
         rep = affine_rigidity_check(affine_disk([0.6, 0.8j]))
-        assert rep.extra["applicable"]
+        assert len(grids) == 1
         assert abs(rep.margin) < 1e-12
 
-    def test_expanding_maps_are_reported_inapplicable(self):
+    def test_expanding_maps_are_reported_inapplicable(self, monkeypatch):
+        grids = self.count_grids(monkeypatch)
         for f in (extremal_family_1d(0.5), Poly([0.0, 0.0, 1.0]), Blaschke(0.3)):
             rep = affine_rigidity_check(f)
-            assert not rep.extra["applicable"]
+            assert rep.lhs == rep.margin == 0.0
             assert _judge("affine_rigidity", rep.lhs, rep.rhs, rep.margin, {})[2]
+        assert grids == []
+
+
+class TestNegativeControls:
+    """F = (1 + eps) z e1 in C^3 leaves the ball by eps, and each check it violates says so.
+
+    With A = ||F'(0)|| = 1 + eps and ||F(z)|| = (1 + eps)|z|, the growth margin is
+    -r^2 eps (2 + eps)/(1 + r(1 + eps)) and the two-sided upper margin
+    -r eps (2 + eps)/(1 + r(1 + eps)) at |z| = r, and the Schwarz derivative margin is -eps.
+    """
+
+    RADII = np.linspace(0.05, 0.95, 50)
+
+    @staticmethod
+    def expanded(eps):
+        return CMul(1.0 + eps, Embed(Identity(), [1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_growth_and_upper_margins_match_their_closed_forms_and_fail(self, eps):
+        r = self.RADII
+        growth, upper, _ = growth_margins(self.expanded(eps), r)
+        denom = 1.0 + r * (1.0 + eps)
+        assert np.max(np.abs(growth + r * r * eps * (2.0 + eps) / denom)) <= 5e-16
+        assert np.max(np.abs(upper + r * eps * (2.0 + eps) / denom)) <= 5e-16
+        for name, margins in (("growth_margin", growth), ("two_sided_upper", upper)):
+            assert not np.any(_judge(name, 0.0, 0.0, margins, {})[2]), name
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_schwarz_derivative_margin_is_minus_eps_and_fails(self, eps):
+        rep = schwarz_derivative_bound(self.expanded(eps))
+        assert rep.margin == pytest.approx(-eps, abs=5e-16)
+        assert not _judge("schwarz_derivative", rep.lhs, rep.rhs, rep.margin, {})[2]
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_origin_boundary_bound_refuses_a_point_off_the_sphere(self, eps):
+        with pytest.raises(DomainError, match="not a boundary-contact point"):
+            boundary_bound_origin(self.expanded(eps), 1.0)
 
 
 class TestExtremalFamily:

@@ -54,12 +54,11 @@ class TestNanReachesTheVerdict:
     def test_halfsphere_chain_link(self, monkeypatch):
         w = WeierstrassDisk([1.0], [0.0, 0.5], halfsphere=True)
         factor = weierstrass._conformal_factor
-        # min_lambda feeds the second link; the first stays finite.
+        # min_lambda, the lhs, feeds the second link.
         monkeypatch.setattr(weierstrass, "_conformal_factor",
                             lambda pv, qv: np.where(np.arange(len(pv)) == 7, NAN, factor(pv, qv)))
         rep = halfsphere_chain_check(w)
-        assert math.isfinite(rep.extra["min_modulus_residual"])
-        assert math.isnan(rep.extra["lambda_link_margin"])
+        assert math.isnan(rep.lhs)
         assert math.isnan(rep.margin) and not _judge("halfsphere_chain", rep.lhs, rep.rhs, rep.margin, {})[2]
 
     def test_surface_identities_isothermal(self, monkeypatch):

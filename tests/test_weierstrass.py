@@ -172,7 +172,7 @@ class TestInteriorGrowth:
     def test_translated_disk_oracle(self):
         rep = interior_growth_margin(translated_planar_disk(0.4), 0.5)
         assert rep.margin == pytest.approx(0.05, abs=1e-14)
-        assert rep.extra["base_norm"] == pytest.approx(0.4, rel=1e-14)
+        assert rep.rhs == pytest.approx(0.9 / 1.2, rel=1e-14)
 
     def test_centered_planar_equality_on_radii(self):
         w = planar_disk()
@@ -263,15 +263,15 @@ class TestBoundaryMinimal:
 class TestHalfsphereChain:
     def test_planar_corollary_margin(self):
         rep = halfsphere_chain_check(planar_disk())
-        assert rep.extra["boundary_contact"]
-        assert rep.extra["corollary_margin"] == pytest.approx(0.5, abs=1e-10)
-        assert rep.extra["min_lambda"] == pytest.approx(1.0, rel=1e-12)
-        assert rep.margin >= -1e-10
+        # With contact along the whole circle the rhs is the corollary bound c (1 - r0)/(1 + r0) at r0 = 0.
+        assert rep.lhs == pytest.approx(1.0, rel=1e-12)
+        assert rep.rhs == pytest.approx(0.5, rel=1e-12)
+        assert -1e-10 <= rep.margin <= 0.5
 
     def test_noncontact_surface_checks_link_margins_only(self):
         rep = halfsphere_chain_check(WeierstrassDisk([2.0, 1.0], [0.0, 0.5], halfsphere=True))
-        assert not rep.extra["boundary_contact"]
-        assert "corollary_margin" not in rep.extra
+        # Without contact the rhs is link (ii)'s c * min boundary |p|, less its grid allowance.
+        assert rep.rhs == pytest.approx(0.5 * (1.0 - np.pi / BOUNDARY_GRID), rel=1e-12)
         assert rep.margin > -1e-8
 
     def test_preconditions(self):
@@ -282,7 +282,9 @@ class TestHalfsphereChain:
 
     def test_inverse_lipschitz_planar_factor_two(self):
         rep = inverse_lipschitz_check(planar_disk(), [(0.0, 0.5)])
-        assert rep.extra["factor"] == pytest.approx(2.0, rel=1e-14)
+        # The factor 2 (1 + r0)/(1 - r0) is 2, and the segment's image length 0.5.
+        assert rep.lhs == 0.5
+        assert rep.rhs == pytest.approx(2.0 * 0.5, rel=1e-14)
         assert rep.margin == pytest.approx(0.5, abs=1e-12)
 
     def test_inverse_lipschitz_on_random_pairs(self):
