@@ -174,9 +174,10 @@ class _BlockDraw:
     one row of points per (radius, turn) row pair from more.  Each point
     takes the stream's next ``rows`` outputs, and each block is drawn from
     ``rng`` as iteration reaches it, so consecutive blocks concatenate to one
-    draw of all n, bit for bit, leave ``rng`` where that draw leaves it, and a
-    sweep keeps no array that grows with n.  ``shape`` is (n,), as for an
-    array of the points.
+    draw of all n, bit for bit, and leave ``rng`` where that draw leaves it.
+    The iterator keeps no reference to a block it yielded, so a sweep holds
+    one block at a time and no array that grows with n.  ``shape`` is (n,),
+    as for an array of the points.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, width: int = 1, rows: int = 2,
@@ -188,11 +189,13 @@ class _BlockDraw:
         (n,), rows = self.shape, self.rows
         for block in _point_slices(n, self.width):
             b = block.stop - block.start
+            # No local names a block: one the caller drops is freed before the next is drawn.
             if self.disk is None:
                 yield self.rng.random((b, rows)).T
+            elif rows == 2:
+                yield _disk_points(self.rng, b, *self.disk)
             else:
-                points = _disk_points(self.rng, b * rows // 2, *self.disk)
-                yield points if rows == 2 else points.reshape(b, rows // 2).T
+                yield _disk_points(self.rng, b * rows // 2, *self.disk).reshape(b, rows // 2).T
 
 
 def _disk_points(rng: np.random.Generator, n: int, rmin: float = 0.02, rmax: float = 0.97) -> np.ndarray:

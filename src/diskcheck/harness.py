@@ -58,7 +58,7 @@ from .holodisk import (
     boundary_bound_shifted,
     certify_in_ball,
     extremal_family_1d,
-    growth_margins,
+    growth_sweep,
     julia_margins,
     nonreal_parameter_closed_form,
     nonreal_parameter_strictness,
@@ -94,6 +94,8 @@ BALL_POINT_STREAM = 400
 HOLO_POINT_STREAM = 500
 JULIA_POINT_STREAM = 550
 MINIMAL_POINT_STREAM = 600
+# The minimal suite's three sweeps: index 0 the identities, 1 the pairs, 2 the diameters.
+MINIMAL_SWEEP_STREAM = 650
 # The ball and holo point streams are offset by m, so every suite dimension
 # stays below the gap from the holo to the Julia stream.
 DIMENSION_LIMIT = JULIA_POINT_STREAM - HOLO_POINT_STREAM
@@ -201,20 +203,21 @@ class _SuiteAccumulator:
         """Record ``value`` itself as the margin, against zero (a floor check: against its floor)."""
         self.check(name, instance, value, 0.0, value)
 
-    def fold_sampled(self, name, margins, points) -> None:
-        """Fold the smallest of a block's sampled margins, with its point, into the sampled minimum ``name``.
+    def fold_sampled(self, name, member, margins, points) -> None:
+        """Fold the smallest of a block's sampled margins, with its point, into ``member``'s sampled minimum ``name``.
 
         Across blocks the rule is ``np.argmin``'s: the first smallest margin
-        wins, and a NaN counts as the smallest.
+        wins, and a NaN counts as the smallest.  The minimum keeps a copy of
+        its point, which holds no block alive.
         """
         i = int(np.argmin(margins))
-        held = self.minima.get(name)
+        held = self.minima.get((name, member))
         if held is None or not (math.isnan(held[0]) or held[0] <= margins[i]):
-            self.minima[name] = margins[i], points[i]
+            self.minima[name, member] = margins[i], points[i].copy()
 
-    def sampled(self, name, describe) -> None:
-        """Record the sampled minimum ``name`` folded so far; ``describe(point)`` names its point."""
-        margin, point = self.minima.pop(name)
+    def sampled(self, name, member, describe) -> None:
+        """Record ``member``'s sampled minimum ``name`` folded so far; ``describe(point)`` names its point."""
+        margin, point = self.minima.pop((name, member))
         self.check(name, describe(point), 0.0, 0.0, margin)
 
     # Running-extreme findings: each fold keeps a NaN, whatever is folded after it.
@@ -370,8 +373,28 @@ def _run_holo(config: SuiteConfig) -> dict:
 
     for m in config.dimensions:
         disks = holo_corpus(config.seed, m, corpus_count)
-        for index, member in enumerate(disks):
-            rng = case_rng(config.seed, HOLO_POINT_STREAM + m, 1 + index)
+        # One growth sweep per dimension checks every origin-fixing member on
+        # each block of points before the next block is drawn.  Between
+        # blocks each member keeps its sampled minima and, for the growth
+        # equality, the largest |growth margin| of each block.
+        swept = [member for member in disks if member.zero_at_origin]
+        widest = {member.name: [] for member in swept if member.growth_equality}
+
+        def fold(k, z, growth, upper, lower):
+            name = swept[k].name
+            acc.fold_sampled("growth_margin", name, growth, z)
+            acc.fold_sampled("two_sided_upper", name, upper, z)
+            if m == 1:
+                acc.fold_sampled("two_sided_lower", name, lower, z)
+            else:
+                acc.fold_min("two_sided_lower_min_margin_md", lower)
+            if name in widest:
+                widest[name].append(np.max(np.abs(growth, out=growth)))
+
+        draw = _BlockDraw(case_rng(config.seed, HOLO_POINT_STREAM + m, 0), config.samples, m, disk=(0.02, 0.97))
+        growth_sweep([member.disk for member in swept], draw, fold)
+
+        for member in disks:
             tag = f"m={m} {member.name}"
             disk = member.disk
 
@@ -383,26 +406,13 @@ def _run_holo(config: SuiteConfig) -> dict:
             acc.check("schwarz_derivative", text, *schwarz_derivative_bound(disk))
 
             if member.zero_at_origin:
-                widest = []  # per block: the largest |growth margin|
-
-                def fold(z, growth, upper, lower):
-                    acc.fold_sampled("growth_margin", growth, z)
-                    acc.fold_sampled("two_sided_upper", upper, z)
-                    if m == 1:
-                        acc.fold_sampled("two_sided_lower", lower, z)
-                    else:
-                        acc.fold_min("two_sided_lower_min_margin_md", lower)
-                    if member.growth_equality:
-                        widest.append(np.max(np.abs(growth, out=growth)))
-
-                growth_margins(disk, _BlockDraw(rng, config.samples, m, disk=(0.02, 0.97)), fold)
                 at_z = lambda z: f"{tag} z={z:.6g}"
-                acc.sampled("growth_margin", at_z)
+                acc.sampled("growth_margin", member.name, at_z)
                 if member.growth_equality:
-                    acc.value("growth_equality_affine", tag, float(np.max(widest)))
-                acc.sampled("two_sided_upper", at_z)
+                    acc.value("growth_equality_affine", tag, float(np.max(widest[member.name])))
+                acc.sampled("two_sided_upper", member.name, at_z)
                 if m == 1:
-                    acc.sampled("two_sided_lower", at_z)
+                    acc.sampled("two_sided_lower", member.name, at_z)
 
             if member.boundary_contact is not None:
                 zeta = member.boundary_contact
@@ -426,8 +436,8 @@ def _run_holo(config: SuiteConfig) -> dict:
         rng = case_rng(config.seed, JULIA_POINT_STREAM, index)
         zs = _disk_points(rng, 50, rmin=0.0, rmax=0.8)
         margins = julia_margins(member.disk, zs)
-        acc.fold_sampled("julia_margin", margins, zs)
-        acc.sampled("julia_margin", lambda z: f"{member.name} z={z:.6g}")
+        acc.fold_sampled("julia_margin", index, margins, zs)
+        acc.sampled("julia_margin", index, lambda z: f"{member.name} z={z:.6g}")
         if member.factors == 1:
             acc.value("julia_equality", member.name, float(np.max(np.abs(margins))))
         else:
@@ -442,11 +452,48 @@ def _run_holo(config: SuiteConfig) -> dict:
 def _run_minimal(config: SuiteConfig) -> dict:
     acc = _SuiteAccumulator(config.tolerances)
     surfaces = weierstrass_corpus(config.seed, max(8, min(24, config.samples // 10)))
-    audit = []  # per surface: sum, count, max and min of the finite metric audit ratios
-    # Each sweep draws, places and checks its points block by block; a
-    # block's temporaries hold points of R^3.
+    max_norms = [member.surface.max_norm() for member in surfaces]
+    in_ball = [index for index, max_norm in enumerate(max_norms) if max_norm <= 1.0 + _BALL_SLACK]
+    planar = [index for index in in_ball if surfaces[index].planar_through_origin]
+    # Three sweeps, each drawn once, check every surface they cover on each
+    # block of points before the next block is drawn; a block's temporaries
+    # hold points of R^3.  Between blocks each surface keeps its sampled
+    # minimum and per-block maxima, and the metric audit its per-block sums.
     n = config.samples
+    draw = lambda sweep, **options: _BlockDraw(case_rng(config.seed, MINIMAL_SWEEP_STREAM, sweep), n, 3, **options)
     _prime_heap()
+
+    maxima = [[] for _ in surfaces]  # per surface, per block: the three maxima
+    audit = []  # per block and surface with finite audit ratios: their np.sum, count, max and min
+    first = None  # the sweep's first point, where the quadrature is checked
+    for zs in draw(0, disk=(0.02, 0.97)):
+        if first is None:
+            first = complex(zs[0])
+        for member, block_maxima in zip(surfaces, maxima):
+            *values, ratio = surface_identities(member.surface, zs)
+            block_maxima.append(values)
+            finite = np.isfinite(ratio)
+            if (ratio := ratio if finite.all() else ratio[finite]).size:
+                audit.append((float(np.sum(ratio)), ratio.size, float(np.max(ratio)), float(np.min(ratio))))
+
+    deviations = {index: [] for index in planar}  # per block of the anchored and diameter sweeps: the max |margin|
+    # n pairs of disk points, each pair's two points drawn one after the other.
+    for pairs in draw(1, rows=4, disk=(0.0, 0.97)):
+        (za, wb), points = pairs, pairs.T
+        for index in in_ball:
+            w = surfaces[index].surface
+            margins = distance_decreasing_margins(w, za, wb)
+            acc.fold_sampled("distance_decreasing", index, margins, points)
+            if index in deviations:
+                acc.fold_min("planar_general_pair_min_margin", margins)
+                deviations[index].append(np.max(np.abs(distance_decreasing_margins(w, za, np.zeros_like(za)))))
+    if planar:
+        # The diameters' direction turns and s, t uniforms.
+        for turns, s, t in draw(2, rows=3):
+            direction = _on_circle(1.0, turns)
+            ends = (-0.95 + 1.9 * s) * direction, (-0.95 + 1.9 * t) * direction
+            for index in planar:
+                deviations[index].append(np.max(np.abs(distance_decreasing_margins(surfaces[index].surface, *ends))))
 
     for index, member in enumerate(surfaces):
         rng = case_rng(config.seed, MINIMAL_POINT_STREAM, index)
@@ -456,53 +503,24 @@ def _run_minimal(config: SuiteConfig) -> dict:
 
         acc.check("null_condition", text, *null_condition_report(w))
 
-        maxima = []  # per block: the three maxima
-        ratios = []  # per block with finite audit ratios: their np.sum, count, max and min
-        for zs in _BlockDraw(rng, n, 3, disk=(0.02, 0.97)):
-            if not maxima:
-                first = complex(zs[0])
-            *values, ratio = surface_identities(w, zs)
-            maxima.append(values)
-            finite = np.isfinite(ratio)
-            if (ratio := ratio if finite.all() else ratio[finite]).size:
-                ratios.append((float(np.sum(ratio)), ratio.size, float(np.max(ratio)), float(np.min(ratio))))
-        iso, gdev, orth = (float(np.max(c)) for c in zip(*maxima))
+        iso, gdev, orth = (float(np.max(c)) for c in zip(*maxima[index]))
         acc.check("isothermal", text, iso, 0.0, iso)
         acc.fold_max("gauss_normal_orthogonality_max_residual", orth)
         acc.value("gauss_normal_unit", tag, gdev)
         acc.value("antiderivative_quadrature", tag, antiderivative_quadrature_residual(w, first))
-        if ratios:
-            sums, counts, highs, lows = zip(*ratios)
-            audit.append((math.fsum(sums), sum(counts), max(highs), min(lows)))
 
-        max_norm = w.max_norm()
-        acc.check("boundary_membership", tag, max_norm, 1.0, 1.0 - max_norm)
-        in_ball = max_norm <= 1.0 + _BALL_SLACK
+        acc.check("boundary_membership", tag, max_norms[index], 1.0, 1.0 - max_norms[index])
 
-        if in_ball:
+        if index in in_ball:
             for a in _disk_points(rng, 8, rmin=0.0, rmax=0.95):
                 growth = interior_growth_margin(w, a)
                 acc.check("lemma0_margin", lambda k, text=text, a=a: f"{text} @ a={complex(a)!r}", *growth)
                 if member.planar_through_origin:
                     acc.check("lemma0_equality_planar", f"{tag} a={a:.6g}", *growth)
 
-            deviations = []  # per block of the anchored and diameter sweeps: the max |margin|
-            # n pairs of disk points, each pair's two points drawn one after the other.
-            for pairs in _BlockDraw(rng, n, 3, rows=4, disk=(0.0, 0.97)):
-                za = pairs[0]
-                margins = distance_decreasing_margins(w, za, pairs[1])
-                acc.fold_sampled("distance_decreasing", margins, pairs.T)
-                if member.planar_through_origin:
-                    acc.fold_min("planar_general_pair_min_margin", margins)
-                    deviations.append(np.max(np.abs(distance_decreasing_margins(w, za, np.zeros_like(za)))))
-            acc.sampled("distance_decreasing", lambda pair: f"{tag} pair=({pair[0]:.4g},{pair[1]:.4g})")
+            acc.sampled("distance_decreasing", index, lambda pair: f"{tag} pair=({pair[0]:.4g},{pair[1]:.4g})")
             if member.planar_through_origin:
-                # The diameters' direction turns and s, t uniforms.
-                for turns, s, t in _BlockDraw(rng, n, 3, rows=3):
-                    direction = _on_circle(1.0, turns)
-                    ends = (-0.95 + 1.9 * s) * direction, (-0.95 + 1.9 * t) * direction
-                    deviations.append(np.max(np.abs(distance_decreasing_margins(w, *ends))))
-                acc.value("distance_equality_planar", tag, np.max(deviations))
+                acc.value("distance_equality_planar", tag, np.max(deviations[index]))
 
         if (zeta := member.boundary_contact_point) is not None:
             contact = boundary_minimal_margin(w, zeta)

@@ -14,7 +14,7 @@ check needs (such as 0 and a boundary point), cost one tree walk.
 
 The sampled checks are the ``*_margins`` functions: each returns one raw
 margin per sample point, and a suite run judges the array, or folds
-``growth_margins``'s point blocks as they are checked.
+``growth_sweep``'s point blocks as every map is checked on them.
 ``growth_margins`` gives the growth and both quotient margins from one walk
 of F over the batch, so like the quotient bounds it needs 0 < |z| < 1;
 ``julia_margins`` gives the Julia margins.  The per-instance checks return
@@ -495,35 +495,47 @@ def _norm_jet(f: HoloDisk, points) -> tuple[list[float], list[float]]:
 # interior growth bounds
 
 
-def growth_margins(f: HoloDisk, zs, fold=None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _origin_slope(f: HoloDisk) -> float:
+    """||F'(0)|| of a map that fixes the origin, from one walk at 0."""
+    (n0,), (a,) = _norm_jet(f, [0j])
+    _require_zero_at_origin(n0)
+    return a
+
+
+def growth_margins(f: HoloDisk, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Growth and quotient margins at each of ``zs``, from one walk of F at 0 and one per point block.
 
     With A = ||F'(0)|| and x = ||F(z)/z||: growth
     |z|(|z| + A)/(1 + |z| A) - ||F(z)||; upper (A + |z|)/(1 + A |z|) - x,
     valid in every dimension; lower x - max((A - |z|)/(1 - A |z|), 0),
     asserted by callers only for m = 1 or collinear-range maps and reported
-    otherwise.
-
-    ``zs`` is a point or a sequence of points, and the three margin arrays
-    are returned.  With ``fold``, ``zs`` is an iterable of 1-d point blocks,
-    such as a ``corpus._BlockDraw``, and ``fold(z, growth, upper, lower)``
-    takes each block's points and margins in turn; no array outlives its
-    block, and nothing is returned.
+    otherwise.  ``zs`` is a point or a sequence of points.
     """
-    (n0,), (a,) = _norm_jet(f, [0j])
-    _require_zero_at_origin(n0)
-    if fold is not None:
-        for z in zs:
-            out = np.empty((3, len(z)))
-            _growth_block(f, a, z, out)
-            fold(z, *out)
-            del z, out  # before the next block is drawn
-        return None
+    a = _origin_slope(f)
     zs = np.asarray([zs] if np.ndim(zs) == 0 else zs, dtype=complex)
     out = np.empty((3, len(zs)))
     for block in _point_slices(len(zs), f.dim):
         _growth_block(f, a, zs[block], out[:, block])
     return out[0], out[1], out[2]
+
+
+def growth_sweep(maps, blocks, fold) -> None:
+    """``growth_margins`` of every one of ``maps`` over one sampled sweep, point block by point block.
+
+    ``blocks`` is an iterable of 1-d point blocks, such as a
+    ``corpus._BlockDraw``, and is read once.  Each map's jet at 0 is walked
+    once; then each block is checked against every map before the next one
+    is drawn, and ``fold(k, z, growth, upper, lower)`` takes map k's margins
+    at the block's points z.  The margin rows are overwritten by the next
+    map's, so ``fold`` copies what it keeps; no array outlives its block.
+    """
+    slopes = [_origin_slope(f) for f in maps]
+    for z in blocks:
+        out = np.empty((3, len(z)))
+        for k, (f, a) in enumerate(zip(maps, slopes)):
+            _growth_block(f, a, z, out)
+            fold(k, z, *out)
+        del z, out  # before the next block is drawn
 
 
 def _growth_block(f: HoloDisk, a: float, z: np.ndarray, out: np.ndarray) -> None:
@@ -726,6 +738,7 @@ __all__ = [
     "certify_in_ball",
     "extremal_family_1d",
     "growth_margins",
+    "growth_sweep",
     "julia_margins",
     "nonreal_parameter_closed_form",
     "nonreal_parameter_strictness",

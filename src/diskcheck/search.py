@@ -389,7 +389,9 @@ def _golden_section(line, lo: float, hi: float):
     point follows from comparisons alone, so one call evaluates the points
     of the next ``_LOOKAHEAD`` steps under every outcome of the comparisons
     still to come (1 + 2 + 4), and the search follows the outcomes that
-    occur; ``evaluations`` counts only the points it uses.
+    occur.  The returned value is the least of every value ``line``
+    returned, on the branches not taken too; ``evaluations`` counts only
+    the points on the branches taken.
     """
     a, b = float(lo), float(hi)
     bracket = (a, b, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
@@ -405,13 +407,15 @@ def _golden_section(line, lo: float, hi: float):
             level = [path + (left,) for path in level for left in (True, False)]
             moves.update((path, _golden_move(moves[path[:-1]][0], path[-1])) for path in level)
         values = dict(zip(moves, line([x for _, x in moves.values()])))
+        # The best is kept over every evaluated point, the branches not taken included.
+        for path, fx in values.items():
+            if fx < best_f:
+                best_x, best_f = moves[path][1], fx
         path = ()
         for _ in range(depth):
             path += (fc < fd,)
-            (bracket, x), fx = moves[path], values[path]
+            bracket, fx = moves[path][0], values[path]
             fc, fd = (fx, fc) if path[-1] else (fd, fx)
-            if fx < best_f:
-                best_x, best_f = x, fx
         steps += depth
     return best_x, best_f, 2 + steps
 

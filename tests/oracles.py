@@ -2,7 +2,8 @@
 
 ``sequential_nelder_mead`` is the one-simplex-at-a-time Nelder-Mead loop,
 sorting every vertex after each step, ``sequential_golden_section`` the
-golden-section search with one objective call per step, the
+golden-section search with one objective call per point (and, with a
+lookahead, the points of every outcome of the steps ahead evaluated first), the
 ``tree_objective_*`` functions build each family member as a
 ``HoloDisk`` tree and take its margin from the library's boundary-bound
 terms, and ``sequential_sharpness_report`` runs the multi-start search with
@@ -64,6 +65,7 @@ from diskcheck.corpus import (
     _ball_cases,
     case_rng,
 )
+from diskcheck import search
 from diskcheck.harness import BALL_POINT_STREAM
 from diskcheck.search import (
     _FAMILIES,
@@ -171,15 +173,49 @@ def sequential_nelder_mead(objective, x0, bounds, max_iterations=MAX_ITERATIONS)
     )
 
 
-def sequential_golden_section(f, lo: float, hi: float):
-    """Golden-section minimization on [lo, hi], one call of ``f`` per point; returns (x, value, evaluations)."""
+def _speculated_points(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list:
+    """The points the next ``depth`` golden-section steps from the bracket (a, b, c, d) take under every outcome.
+
+    The first step's outcome is ``left``; the points are listed step by step,
+    and within a step by the outcomes before it, the left one first.
+    """
+    level, points = [(a, b, c, d, left)], []
+    for _ in range(depth):
+        brackets = []
+        for a, b, c, d, left in level:
+            if left:
+                b, d = d, c
+                c = b - _INV_GOLDEN * (b - a)
+                points.append(c)
+            else:
+                a, c = c, d
+                d = a + _INV_GOLDEN * (b - a)
+                points.append(d)
+            brackets += [(a, b, c, d, True), (a, b, c, d, False)]
+        level = brackets
+    return points
+
+
+def sequential_golden_section(f, lo: float, hi: float, lookahead: int = 1):
+    """Golden-section minimization on [lo, hi], one call of ``f`` per point; returns (x, value, evaluations).
+
+    With a ``lookahead`` of k > 1, every k steps the points of the next k
+    steps under every outcome of their comparisons are evaluated first, and
+    the best is taken over them too; ``evaluations`` counts the steps'
+    points only.
+    """
     a, b = float(lo), float(hi)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     evaluations = 2
-    for _ in range(_REFINE_ITERATIONS):
+    for step in range(_REFINE_ITERATIONS):
+        if lookahead > 1 and step % lookahead == 0:
+            for x in _speculated_points(a, b, c, d, fc < fd, min(lookahead, _REFINE_ITERATIONS - step)):
+                fx = f(x)
+                if fx < best_f:
+                    best_x, best_f = x, fx
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -284,7 +320,7 @@ def sequential_sharpness_report(spec: FamilySpec, restarts: int = 20, seed: int 
                 point[i] = t
                 return objective(point)
 
-            x_i, value, evaluations = sequential_golden_section(line, lo, hi)
+            x_i, value, evaluations = sequential_golden_section(line, lo, hi, search._LOOKAHEAD)
             total_evaluations += evaluations
             if value < best_value:
                 best_value = float(value)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from diskcheck import Poly, Vec, corpus, harness, holo_corpus, holodisk, vnorm, weierstrass_corpus
 from diskcheck.harness import SuiteConfig, run_suite, write_report
-from diskcheck.holodisk import growth_margins
+from diskcheck.holodisk import growth_margins, growth_sweep
 from diskcheck.weierstrass import (
     WeierstrassDisk,
     distance_decreasing_margins,
@@ -129,6 +130,27 @@ class TestBlockDraw:
             assert np.array_equal(bits(placed), bits(whole[0] if rows == 2 else whole))
             assert split.bit_generator.state == plain.bit_generator.state
 
+    @pytest.mark.parametrize("rows, disk", [(2, None), (3, None), (2, (0.02, 0.97)), (4, (0.0, 0.97))])
+    def test_a_dropped_block_is_freed_before_the_next_draw(self, monkeypatch, rows, disk):
+        """The iterator names no block it yielded: one the caller drops is gone when the next is drawn."""
+        monkeypatch.setattr(holodisk, "_POINT_BLOCK", 64)
+        refs, rng = [], rng_for(rows)
+
+        class Watched:
+            def random(self, shape):
+                assert all(ref() is None for ref in refs)
+                return rng.random(shape)
+
+        def owner(block):
+            while block.base is not None:
+                block = block.base
+            return block
+
+        blocks = iter(corpus._BlockDraw(Watched(), 1000, rows=rows, disk=disk))
+        for _ in holodisk._point_slices(1000):
+            refs.append(weakref.ref(owner(next(blocks))))
+        assert next(blocks, None) is None and len(refs) == 16
+
     def test_blocks_follow_the_width(self):
         for width in (1, 3, 8):
             draw = corpus._BlockDraw(rng_for(width), BLOCKED, width, disk=(0.02, 0.97))
@@ -154,29 +176,29 @@ def sweep(check, target, *draws) -> list:
     return [check(target, *(d[block] for d in draws)) for block in holodisk._point_slices(len(draws[0]), 3)]
 
 
-def folded_growth(disk, zs) -> list:
-    """``growth_margins`` over the blocks of ``zs``, through ``fold``: each block's points and three margin rows."""
-    blocks = []
-    assert growth_margins(disk, zs, lambda z, *rows: blocks.append((z, np.stack(rows)))) is None
+def swept_growth(disks, zs) -> list:
+    """``growth_sweep`` over the blocks of ``zs``: per map, each block's points and three margin rows."""
+    blocks = [[] for _ in disks]
+    assert growth_sweep(disks, zs, lambda k, z, *rows: blocks[k].append((z, np.stack(rows)))) is None
     return blocks
 
 
 class TestStreamedChecks:
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_growth_margins(self, monkeypatch, m):
+        """One sweep gives every map the margins of one call over all the points, block by block."""
         whole_z = corpus._disk_points(rng_for(10 + m), BLOCKED)
-        for member in holo_corpus(0, m, 15):
-            if member.zero_at_origin:
-                draw = corpus._BlockDraw(rng_for(10 + m), BLOCKED, m, disk=(0.02, 0.97))
-                streamed = folded_growth(member.disk, draw)
-                assert len(streamed) == len(holodisk._point_slices(BLOCKED, m))
-                blocked = growth_margins(member.disk, whole_z)
-                with monkeypatch.context() as patch:
-                    one_block(patch)
-                    whole = growth_margins(member.disk, whole_z)
-                assert np.array_equal(bits(np.concatenate([z for z, _ in streamed])), bits(whole_z))
-                assert np.array_equal(bits(np.concatenate([rows for _, rows in streamed], axis=1)), bits(np.stack(whole)))
-                assert np.array_equal(bits(np.stack(blocked)), bits(np.stack(whole)))
+        disks = [member.disk for member in holo_corpus(0, m, 15) if member.zero_at_origin]
+        draw = corpus._BlockDraw(rng_for(10 + m), BLOCKED, m, disk=(0.02, 0.97))
+        for disk, streamed in zip(disks, swept_growth(disks, draw)):
+            assert len(streamed) == len(holodisk._point_slices(BLOCKED, m))
+            blocked = growth_margins(disk, whole_z)
+            with monkeypatch.context() as patch:
+                one_block(patch)
+                whole = growth_margins(disk, whole_z)
+            assert np.array_equal(bits(np.concatenate([z for z, _ in streamed])), bits(whole_z))
+            assert np.array_equal(bits(np.concatenate([rows for _, rows in streamed], axis=1)), bits(np.stack(whole)))
+            assert np.array_equal(bits(np.stack(blocked)), bits(np.stack(whole)))
 
     def test_surface_identities(self, monkeypatch):
         rng = rng_for(20)
@@ -221,27 +243,29 @@ class TestStreamedChecks:
 
         def peak(n: int) -> int:
             draw = corpus._BlockDraw(rng_for(22), n, 8, disk=(0.02, 0.97))
-            return traced_peak(lambda: growth_margins(member.disk, draw, lambda z, *rows: None))
+            return traced_peak(lambda: growth_sweep([member.disk] * 3, draw, lambda k, z, *rows: None))
 
         assert peak(4 * b) <= 1.1 * peak(b)
 
     def test_growth_margins_walks_the_origin_jet_once_per_call(self, monkeypatch):
+        """One walk at 0 per call of ``growth_margins``, and one per map in a sweep; one per point block after it."""
         walks = []
         norm_jet = holodisk._norm_jet
-        monkeypatch.setattr(holodisk, "_norm_jet", lambda f, points: walks.append(list(points)) or norm_jet(f, points))
-        for member in holo_corpus(0, 8, 10):
-            if member.zero_at_origin:
-                evals = []
-                disk = member.disk
-                monkeypatch.setattr(disk, "_eval", lambda z, walk=disk._eval: evals.append(len(z)) or walk(z))
-                array_call = lambda: growth_margins(disk, corpus._disk_points(rng_for(23), BLOCKED))
-                folded_call = lambda: folded_growth(disk, corpus._BlockDraw(rng_for(23), BLOCKED, 8, disk=(0.02, 0.97)))
-                for call in (array_call, folded_call):
-                    walks.clear()
-                    evals.clear()
-                    call()
-                    assert walks == [[0j]]
-                    assert len(evals) == len(holodisk._point_slices(BLOCKED, 8)) and sum(evals) == BLOCKED
+        monkeypatch.setattr(holodisk, "_norm_jet", lambda f, points: walks.append((f, list(points))) or norm_jet(f, points))
+        disks = [member.disk for member in holo_corpus(0, 8, 10) if member.zero_at_origin]
+        evals = {id(disk): [] for disk in disks}
+        for disk in disks:
+            monkeypatch.setattr(disk, "_eval", lambda z, walk=disk._eval, seen=evals[id(disk)]: seen.append(len(z)) or walk(z))
+        blocks = len(holodisk._point_slices(BLOCKED, 8))
+        for disk in disks:
+            growth_margins(disk, corpus._disk_points(rng_for(23), BLOCKED))
+            assert walks == [(disk, [0j])]
+            assert len(evals[id(disk)]) == blocks and sum(evals[id(disk)]) == BLOCKED
+            walks.clear()
+            evals[id(disk)].clear()
+        swept_growth(disks, corpus._BlockDraw(rng_for(23), BLOCKED, 8, disk=(0.02, 0.97)))
+        assert walks == [(disk, [0j]) for disk in disks]
+        assert all(len(seen) == blocks and sum(seen) == BLOCKED for seen in evals.values())
 
 
 # Sampled checks made to fail, so that each one's worst instance is also listed as a failure.
@@ -270,6 +294,90 @@ class TestStreamedSuites:
         one_block(monkeypatch)
         whole = self.report(**config)
         assert streamed == whole and '"failures": []' not in whole
+
+
+def held_minima(monkeypatch) -> dict:
+    """Every sampled minimum as the suites record it, keyed by (check, member): its margin and point."""
+    held, sampled = {}, harness._SuiteAccumulator.sampled
+
+    def spy(self, name, member, describe):
+        held[name, member] = self.minima[name, member]
+        sampled(self, name, member, describe)
+
+    monkeypatch.setattr(harness._SuiteAccumulator, "sampled", spy)
+    return held
+
+
+def counted_draws(monkeypatch) -> list:
+    """Each of the suites' point draws as [rows, disk, blocks yielded], in the order they are made."""
+    draws = []
+
+    class Counted(corpus._BlockDraw):
+        def __iter__(self):
+            draws.append(record := [self.rows, self.disk, 0])
+            for block in super().__iter__():
+                record[2] += 1
+                yield block
+
+    monkeypatch.setattr(harness, "_BlockDraw", Counted)
+    return draws
+
+
+class TestSharedSweeps:
+    """Each sampled sweep is drawn once, and every member is checked on a block before the next is drawn."""
+
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_every_member_gets_its_member_major_margins(self, monkeypatch, m):
+        """Minima, their points, the growth equality and the lower-bound finding are those of one call per member."""
+        monkeypatch.setattr(holodisk, "_POINT_BLOCK", 64)
+        held = held_minima(monkeypatch)
+        config = SuiteConfig(suites=("holo",), dimensions=(m,), samples=301, seed=3,
+                             tolerances={"growth_equality_affine": -10.0})
+        suite = run_suite(config).suites["holo"]
+        widest = {f["instance"]: f["lhs"] for f in suite["failures"] if f["name"] == "growth_equality_affine"}
+        points = corpus._disk_points(corpus.case_rng(3, harness.HOLO_POINT_STREAM + m, 0), 301, 0.02, 0.97)
+        lowest = math.inf
+        members = [member for member in holo_corpus(3, m, 60) if member.zero_at_origin]
+        for member in members:
+            growth, upper, lower = growth_margins(member.disk, points)
+            rows = {"growth_margin": growth, "two_sided_upper": upper}
+            if m == 1:
+                rows["two_sided_lower"] = lower
+            else:
+                lowest = min(lowest, float(np.min(lower)))
+            for name, row in rows.items():
+                i = int(np.argmin(row))
+                margin, point = held.pop((name, member.name))
+                assert (repr(float(margin)), repr(complex(point))) == (repr(float(row[i])), repr(complex(points[i])))
+            if member.growth_equality:
+                assert widest.pop(f"m={m} {member.name}") == float(np.max(np.abs(growth)))
+        assert widest == {} and {name for name, _ in held} == {"julia_margin"}
+        assert m == 1 or suite["findings"]["two_sided_lower_min_margin_md"] == lowest
+        assert len(members) > 40
+
+    def test_a_disk_bulk_holo_run_places_46_growth_blocks(self, monkeypatch):
+        """One sweep per dimension: 4 + 7 + 10 + 25 blocks, where one sweep per member placed 49 times as many."""
+        draws = counted_draws(monkeypatch)
+        run_suite(SuiteConfig(suites=("holo",), dimensions=(1, 2, 3, 8), samples=50000))
+        assert draws == [[2, (0.02, 0.97), blocks] for blocks in (4, 7, 10, 25)]
+
+    @pytest.mark.parametrize("samples", [80, 20000])
+    def test_each_minimal_sweep_places_its_blocks_once(self, monkeypatch, samples):
+        """The identity, pair and diameter sweeps are each drawn once, whatever the number of surfaces."""
+        draws = counted_draws(monkeypatch)
+        run_suite(SuiteConfig(suites=("minimal",), samples=samples))
+        blocks = len(holodisk._point_slices(samples, 3))
+        assert draws == [[2, (0.02, 0.97), blocks], [4, (0.0, 0.97), blocks], [3, None, blocks]]
+
+    def test_held_points_own_their_data(self, monkeypatch):
+        """A minimum keeps a copy of its point, not a view that would keep its block alive."""
+        monkeypatch.setattr(holodisk, "_POINT_BLOCK", 64)
+        held = held_minima(monkeypatch)
+        run_suite(SuiteConfig(suites=("holo", "minimal"), dimensions=(1, 8), samples=301))
+        assert {name for name, _ in held} == {"growth_margin", "two_sided_upper", "two_sided_lower", "julia_margin",
+                                              "distance_decreasing"}
+        assert all(point.base is None for _, point in held.values())
+        assert all(point.shape == (2,) for (name, _), (_, point) in held.items() if name == "distance_decreasing")
 
 
 @pytest.mark.parametrize("suite", ["holo", "minimal"])

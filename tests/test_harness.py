@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,7 @@ class TestStreamKeys:
         (harness.HOLO_POINT_STREAM, True),
         (harness.JULIA_POINT_STREAM, False),
         (harness.MINIMAL_POINT_STREAM, False),
+        (harness.MINIMAL_SWEEP_STREAM, False),
     ]
 
     @staticmethod
@@ -382,14 +384,31 @@ class TestSuiteAccumulator:
         acc = _SuiteAccumulator({})
         for a, b in zip([0, *cuts], [*cuts, len(values)]):
             if a < b:
-                acc.fold_sampled("growth_margin", margins[a:b], np.arange(a, b))
+                acc.fold_sampled("growth_margin", "member", margins[a:b], np.arange(a, b))
         i = int(np.argmin(margins))
-        margin, point = acc.minima["growth_margin"]
+        margin, point = acc.minima["growth_margin", "member"]
         assert point == i and np.array_equal(margin, margins[i], equal_nan=True)
-        acc.sampled("growth_margin", lambda k: f"sample {k}")
+        acc.sampled("growth_margin", "member", lambda k: f"sample {k}")
         slot = acc.as_dict()["checks"]["growth_margin"]
         assert slot["worst_instance"] == f"sample {i}" and acc.minima == {}
         assert np.array_equal(slot["worst_margin"], margins[i], equal_nan=True)
+
+    def test_sampled_minima_are_kept_per_member_with_points_of_their_own(self):
+        """Each member folds into its own minimum, whose point is a copy: no minimum keeps a block alive."""
+        acc = _SuiteAccumulator({})
+        pairs = np.arange(8.0).reshape(2, 4)  # a block of four pairs, one pair per column
+        block = weakref.ref(pairs)
+        acc.fold_sampled("distance_decreasing", 0, np.array([3.0, 1.0, 2.0, 5.0]), pairs.T)
+        acc.fold_sampled("distance_decreasing", 1, np.array([0.0, 1.0, -2.0, 5.0]), pairs.T)
+        del pairs
+        assert block() is None
+        (first_margin, first), (second_margin, second) = (acc.minima["distance_decreasing", k] for k in (0, 1))
+        assert (first_margin, first.tolist(), second_margin, second.tolist()) == (1.0, [1.0, 5.0], -2.0, [2.0, 6.0])
+        assert first.base is None and second.base is None
+        acc.sampled("distance_decreasing", 1, lambda pair: f"pair {pair.tolist()}")
+        acc.sampled("distance_decreasing", 0, lambda pair: f"pair {pair.tolist()}")
+        failures = acc.as_dict()["failures"]
+        assert [(f["instance"], f["margin"]) for f in failures] == [("pair [2.0, 6.0]", -2.0)]
 
     def test_nan_outranks_every_finite_failure(self):
         acc = _SuiteAccumulator({"growth_margin": 1.0})

@@ -91,14 +91,13 @@ class TestNanReachesTheVerdict:
 
     def test_distance_equality_planar(self, monkeypatch):
         margins = harness.distance_decreasing_margins
-        previous_ws = []
 
         def broken(w, zs, ws):
             out = margins(w, zs, ws)
-            # The diameter pairs, the second term, come right after the origin-anchored ones.
-            if previous_ws and not np.any(previous_ws[-1]):
+            # The diameter pairs, the second term, are the ones whose ends lie on one line
+            # through 0, the origin left out: z conj(w) is real to rounding.
+            if np.any(ws) and np.all(np.abs((zs * np.conj(ws)).imag) <= 1e-12):
                 out = np.where(np.arange(len(out)) == 2, NAN, out)
-            previous_ws.append(ws)
             return out
 
         monkeypatch.setattr(harness, "distance_decreasing_margins", broken)

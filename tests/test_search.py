@@ -18,6 +18,7 @@ from diskcheck import (
 from diskcheck import search
 from diskcheck.search import (
     REFINE_SPAN,
+    REFINE_SWEEPS,
     _family_1d_margins,
     _family_md_margins,
     _golden_section,
@@ -221,7 +222,7 @@ class TestInsertionOrderedSimplex:
 
 
 class TestLookaheadGoldenSection:
-    """The lookahead golden section returns what one call per step returns."""
+    """The lookahead golden section takes the sequential steps and returns the best of every point it evaluated."""
 
     @staticmethod
     def batched(f, seen=None):
@@ -233,10 +234,16 @@ class TestLookaheadGoldenSection:
         return line
 
     def check(self, f, lo, hi):
-        expected = sequential_golden_section(f, lo, hi)
-        got = _golden_section(self.batched(f), lo, hi)
-        assert repr(got) == repr(expected)
-        assert got[2] == expected[2] == 50
+        seen, used = [], []
+        got = _golden_section(self.batched(f, seen), lo, hi)
+        assert repr(got) == repr(sequential_golden_section(f, lo, hi, search._LOOKAHEAD))
+        # Every point of the sequential steps is evaluated, and the first least value of all wins.
+        steps = sequential_golden_section(lambda t: used.append(t) or f(t), lo, hi)
+        assert set(used) <= set(seen)
+        values = [f(t) for t in seen]
+        best = int(np.argmin(values))
+        assert repr(got) == repr((seen[best], values[best], 50)) and got[1] <= steps[1]
+        assert got[2] == steps[2] == 50
         return got
 
     @pytest.mark.parametrize("span", [REFINE_SPAN, 0.3])
@@ -261,18 +268,19 @@ class TestLookaheadGoldenSection:
         self.check(lambda t: math.floor(abs(t - 0.3) * 20.0) / 20.0, -1.0, 1.0)
         self.check(lambda t: math.floor(8.0 * math.sin(5.0 * t)) / 8.0, 0.0, 3.0)
 
-    def test_unused_speculative_points_never_reach_the_result(self):
+    def test_unused_speculative_points_do_not_steer_the_path(self):
         f = lambda t: (t - 0.3) ** 2
         used = []
         sequential_golden_section(lambda t: used.append(t) or f(t), -1.0, 1.0)
         used = set(used)
-        # Every point the sequential search never visits gets the lowest value.
+        # Every point the sequential search never visits gets the lowest value:
+        # the steps are still the sequential ones, and the result is the first such point.
         trap = lambda t: f(t) if t in used else -1.0
         seen = []
         got = _golden_section(self.batched(trap, seen), -1.0, 1.0)
         assert set(seen) > used
-        assert got == sequential_golden_section(f, -1.0, 1.0)
-        assert got[1] >= 0.0 and got[2] == 50
+        first = next(t for t in seen if t not in used)
+        assert got == (first, -1.0, 50) == sequential_golden_section(trap, -1.0, 1.0, search._LOOKAHEAD)
 
 
 class TestObjectives:
@@ -374,9 +382,8 @@ class TestSharpnessReport:
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 7])
     def test_best_margin_is_the_least_value_the_objective_returned(self, seed, monkeypatch):
-        # The default verify searches.  With one golden-section step per
-        # call the sweeps evaluate only the points they use, and the report
-        # is the same; then no evaluated margin lies below the best one.
+        # The default verify searches: no margin the objective returned, on a
+        # golden-section branch not taken included, lies below the best one.
         specs = ((family_1d_spec(), 8), (restricted_family_1d_spec(), 8), (family_md_quotient_spec(2), 6))
         expected = [sharpness_report(spec, restarts=restarts, seed=seed) for spec, restarts in specs]
         returned = []
@@ -388,11 +395,15 @@ class TestSharpnessReport:
                 return values
 
             monkeypatch.setitem(search._FAMILIES, name, (family_id, recorder))
-        monkeypatch.setattr(search, "_LOOKAHEAD", 1)
+        # Each golden-section line evaluates, on top of the points it uses, the other branches of its lookahead.
+        depths = [min(search._LOOKAHEAD, search._REFINE_ITERATIONS - step)
+                  for step in range(0, search._REFINE_ITERATIONS, search._LOOKAHEAD)]
+        unused = sum(2**depth - 1 - depth for depth in depths)
+        assert search._LOOKAHEAD > 1 and unused > 0
         for (spec, restarts), report in zip(specs, expected):
             returned.clear()
             assert sharpness_report(spec, restarts=restarts, seed=seed) == report
-            assert len(returned) == report["evaluations"]
+            assert len(returned) == report["evaluations"] + REFINE_SWEEPS * len(report["argmin"]) * unused
             assert repr(min(returned)) == repr(report["best_margin"]), spec
 
     def test_restart_validation(self):
